@@ -10,10 +10,8 @@ from .counters import (
     COMMITTED_COLUMN,
     TRACE_COLUMNS,
     TRACE_VERSION,
-    LiveCounterProvider,
     RawCounterSample,
     TraceHeader,
-    TraceProvider,
     format_trace,
     open_trace,
     parse_counter_text,
@@ -38,15 +36,12 @@ from .engine import (
     POLICIES,
     AppSimState,
     EngineConfig,
-    OsAllocator,
     Phase,
     QuantumRecord,
-    RecordingAllocator,
     ScheduleLog,
     SimWorkload,
     StepResult,
     SyntheticApp,
-    apply_assignment,
     initial_assignment,
     run,
     sim_step,
@@ -56,16 +51,13 @@ from .errors import (
     AlignmentError,
     ConfigError,
     DegenerateSampleError,
-    EndOfTrace,
     FitError,
     MatchingError,
     ModelError,
-    OutOfOrderPollError,
     RankDeficientError,
     RosterError,
     SynpaError,
     TraceError,
-    UnsupportedPlatformError,
     WorkloadError,
 )
 from .harness import (
@@ -119,101 +111,3 @@ from .trainer import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AggregateReport",
-    "AlignedSample",
-    "AlignmentError",
-    "AlignmentResult",
-    "AppClass",
-    "AppSimState",
-    "BACKEND_BOUND_THRESHOLD",
-    "CATEGORIES",
-    "COMMITTED_COLUMN",
-    "CYCLES_PER_MS",
-    "CategoryBreakdown",
-    "CategoryCoefficients",
-    "CategoryTriple",
-    "CategoryVector",
-    "ConfigError",
-    "DegenerateSampleError",
-    "EndOfTrace",
-    "EngineConfig",
-    "FRONTEND_BOUND_THRESHOLD",
-    "FitError",
-    "FitReport",
-    "IDLE_NODE",
-    "InversionResult",
-    "LiveCounterProvider",
-    "Matching",
-    "MatchingError",
-    "MetricsReport",
-    "ModelCoefficients",
-    "ModelError",
-    "OsAllocator",
-    "OutOfOrderPollError",
-    "POLICIES",
-    "PairPrediction",
-    "Phase",
-    "Profile",
-    "ProfileRecord",
-    "QuantumRecord",
-    "RECIPES",
-    "REFERENCE_COEFFICIENTS",
-    "RankDeficientError",
-    "RawCounterSample",
-    "RecordingAllocator",
-    "RosterError",
-    "ScheduleLog",
-    "SimWorkload",
-    "StepResult",
-    "SynergyGraph",
-    "SynpaError",
-    "SyntheticApp",
-    "TRACE_COLUMNS",
-    "TRACE_VERSION",
-    "TraceError",
-    "TraceHeader",
-    "TraceProvider",
-    "UNIFORM_VECTOR",
-    "UnsupportedPlatformError",
-    "WorkloadError",
-    "WorkloadSpec",
-    "aggregate_runs",
-    "align",
-    "apply_assignment",
-    "build_graph",
-    "canonical_total",
-    "characterize",
-    "classify",
-    "classify_app",
-    "compute_metrics",
-    "evaluate",
-    "fairness",
-    "fit",
-    "format_trace",
-    "forward",
-    "gen_workload",
-    "initial_assignment",
-    "invert",
-    "invert_category",
-    "ipc_geomean",
-    "load_coefficients",
-    "load_log_summary",
-    "load_profiles",
-    "make_synthetic_app",
-    "make_synthetic_roster",
-    "metrics_csv",
-    "min_weight_perfect_matching",
-    "normalize",
-    "open_trace",
-    "parse_counter_text",
-    "predict_pair",
-    "read_counter_file",
-    "run",
-    "save_coefficients",
-    "sim_step",
-    "trace_from_log",
-    "turnaround_time",
-    "write_trace",
-]

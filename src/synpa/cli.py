@@ -19,7 +19,7 @@ import sys
 from typing import Sequence
 
 from .counters import write_trace
-from .engine import EngineConfig, SimWorkload, run, trace_from_log
+from .engine import POLICIES, EngineConfig, SimWorkload, run, trace_from_log
 from .errors import ConfigError, SynpaError
 from .harness import (
     RECIPES,
@@ -33,8 +33,6 @@ from .harness import (
 )
 from .interference import REFERENCE_COEFFICIENTS, load_coefficients, save_coefficients
 from .trainer import Profile, align, fit, load_profiles
-
-POLICY_CHOICES = ("synpa", "random", "static")
 
 
 def _write(path: str, text: str) -> None:
@@ -339,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="output run log (JSONL); a directory with multiple policies/seeds",
     )
     p_sim.add_argument(
-        "--policy", nargs="+", default=["synpa"], choices=POLICY_CHOICES,
+        "--policy", nargs="+", default=["synpa"], choices=POLICIES,
         help="one or more policies (multiple: comparison mode)",
     )
     p_sim.add_argument(
@@ -360,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep = sub.add_parser("replay", help="open-loop run over a recorded counter trace")
     p_rep.add_argument("--trace", required=True, help="counter trace file")
     p_rep.add_argument("--out", required=True, help="output run log (JSONL)")
-    p_rep.add_argument("--policy", default="synpa", choices=POLICY_CHOICES)
+    p_rep.add_argument("--policy", default="synpa", choices=POLICIES)
     p_rep.add_argument("--seed", type=int, default=0)
     p_rep.add_argument("--coefficients", default=None, help="allocator model JSON (default: built-in reference)")
     p_rep.add_argument("--estimate-decay", type=float, default=0.5)

@@ -1,4 +1,4 @@
-"""Hardware-counter samples and trace-file providers.
+"""Hardware-counter samples and the trace and profile file formats.
 
 A trace file carries one JSON header line followed by CSV rows, one row
 per (quantum, thread):
@@ -12,7 +12,8 @@ Profile files (see :mod:`synpa.trainer`) use the same layout with an
 extra ``committed_instructions`` column and a ``mode`` field in the
 header.  Counter values are nonnegative integers; rows are ordered by
 ``(quantum, thread)`` and each thread occupies a contiguous range of
-quanta.
+quanta.  Replay reads a whole trace at once with :func:`open_trace`,
+which hands the engine its samples grouped by quantum.
 """
 
 from __future__ import annotations
@@ -20,16 +21,12 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from dataclasses import dataclass
+from itertools import groupby
+from operator import attrgetter
+from typing import Iterable, Mapping, Sequence
 
-from .errors import (
-    EndOfTrace,
-    OutOfOrderPollError,
-    RosterError,
-    TraceError,
-    UnsupportedPlatformError,
-)
+from .errors import RosterError, TraceError
 
 TRACE_VERSION = 1
 
@@ -244,54 +241,14 @@ def _validate_roster(header: TraceHeader, samples: Sequence[RawCounterSample]) -
                 raise TraceError(f"no samples for quantum {a + 1}")
 
 
-class TraceProvider:
-    """Replays counter samples from a parsed trace, quantum by quantum.
+def open_trace(path: str) -> tuple[TraceHeader, list[list[RawCounterSample]]]:
+    """Read a trace file; returns its header and its samples grouped by quantum.
 
-    ``poll`` must be called with the next unread quantum index; anything
-    else is a contract violation.  Reading past the final quantum raises
-    :class:`EndOfTrace`, which marks normal workload completion.
+    Groups come in quantum order, each in thread order, as the parser
+    enforces; no quantum between the first and the last is missing.
     """
-
-    def __init__(self, header: TraceHeader, samples: Sequence[RawCounterSample]):
-        self.header = header
-        self._by_quantum: dict[int, list[RawCounterSample]] = {}
-        for sample in samples:
-            self._by_quantum.setdefault(sample.quantum_index, []).append(sample)
-        self._quanta = sorted(self._by_quantum)
-        self._cursor = 0
-
-    @property
-    def quanta(self) -> tuple[int, ...]:
-        return tuple(self._quanta)
-
-    @property
-    def next_quantum(self) -> int | None:
-        """The quantum index the next ``poll`` must request, or None at EOF."""
-        if self._cursor >= len(self._quanta):
-            return None
-        return self._quanta[self._cursor]
-
-    def poll(self, quantum_index: int) -> list[RawCounterSample]:
-        expected = self.next_quantum
-        if expected is None:
-            raise EndOfTrace(f"trace exhausted after {len(self._quanta)} quanta")
-        if quantum_index != expected:
-            raise OutOfOrderPollError(
-                f"poll requested quantum {quantum_index}, next unread is {expected}"
-            )
-        self._cursor += 1
-        return list(self._by_quantum[expected])
-
-    def __iter__(self) -> Iterator[tuple[int, list[RawCounterSample]]]:
-        while self.next_quantum is not None:
-            q = self.next_quantum
-            yield q, self.poll(q)
-
-
-def open_trace(path: str) -> TraceProvider:
-    """Open a trace file and return a provider over its quanta."""
     header, samples, _ = read_counter_file(path)
-    return TraceProvider(header, samples)
+    return header, [list(g) for _, g in groupby(samples, key=attrgetter("quantum_index"))]
 
 
 def format_trace(
@@ -329,31 +286,3 @@ def write_trace(
 ) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(format_trace(header, samples, committed))
-
-
-class LiveCounterProvider:
-    """Placeholder for a real perf-counter backend.
-
-    Reading dispatch-stage counters needs OS/PMU support that this
-    environment does not provide, so every poll raises
-    :class:`UnsupportedPlatformError`.  The class exists to pin down the
-    provider interface shared with :class:`TraceProvider`.
-    """
-
-    def __init__(self, threads: Sequence[str], dispatch_width: int = 4):
-        self.header = TraceHeader(
-            dispatch_width=dispatch_width, quantum_ms=100.0, threads=tuple(threads)
-        )
-
-    @property
-    def next_quantum(self) -> int | None:
-        raise UnsupportedPlatformError(
-            "live counter collection is not available on this platform; "
-            "record a trace and use TraceProvider instead"
-        )
-
-    def poll(self, quantum_index: int) -> list[RawCounterSample]:
-        raise UnsupportedPlatformError(
-            "live counter collection is not available on this platform; "
-            "record a trace and use TraceProvider instead"
-        )

@@ -2,17 +2,20 @@
 
 Each scheduling quantum the engine:
 
-1. polls per-thread observations for the pairs currently sharing cores,
-2. estimates every thread's isolated behavior by inverting the
+1. observes every present thread under the current assignment,
+2. restricts that assignment to the threads present,
+3. estimates every thread's isolated behavior by inverting the
    interference model on each pair's observations,
-3. predicts the combined slowdown of every possible pair from those
+4. predicts the combined slowdown of every possible pair from those
    estimates, and
-4. solves a minimum-weight perfect matching to pick the next quantum's
+5. solves a minimum-weight perfect matching to pick the next quantum's
    thread-to-core assignment.
 
-Observations come either from a synthetic workload simulator (closed
-loop: the chosen assignment determines progress) or from a recorded
-trace (open loop: decisions are logged against fixed observations).
+One loop (:func:`run`) does this for simulation and replay alike; only
+the observation source differs.  Observations come either from a
+synthetic workload simulator (closed loop: the chosen assignment
+determines progress) or from a recorded trace (open loop: decisions
+are logged against fixed observations).
 
 The simulator advances each app through a cyclic sequence of phases.
 An app's isolated progress rate is ``fdc * dispatch_width *
@@ -24,9 +27,10 @@ app has finished its first launch.
 
 from __future__ import annotations
 
+import itertools
 import json
-from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -39,7 +43,7 @@ from .dispatch import (
     characterize,
     normalize,
 )
-from .errors import ConfigError, EndOfTrace, UnsupportedPlatformError, WorkloadError
+from .errors import ConfigError, WorkloadError
 from .interference import (
     ModelCoefficients,
     PairPrediction,
@@ -47,7 +51,7 @@ from .interference import (
     invert,
     predict_pair,
 )
-from .matcher import IDLE_NODE, Matching, build_graph, min_weight_perfect_matching
+from .matcher import IDLE_NODE, build_graph, min_weight_perfect_matching
 
 #: Nominal simulated clock: cycles per millisecond (1 GHz).
 CYCLES_PER_MS = 1_000_000
@@ -215,7 +219,7 @@ class AppSimState:
 
 @dataclass(frozen=True)
 class StepResult:
-    """One app's outcome for one simulated quantum."""
+    """One thread's outcome for one quantum, simulated or replayed."""
 
     observed: CategoryTriple
     slowdown: float
@@ -285,41 +289,6 @@ def _emit(
         committed=committed,
         completed=completed,
     )
-
-
-# ---------------------------------------------------------------------------
-# Allocators
-
-
-class RecordingAllocator:
-    """Applies assignments by recording them (the simulation backend)."""
-
-    def __init__(self) -> None:
-        self.current: tuple[tuple[str, str], ...] | None = None
-        self.applied = 0
-
-    def apply(self, pairs: tuple[tuple[str, str], ...]) -> int:
-        """Returns how many pairs changed relative to the previous quantum."""
-        previous = set(self.current) if self.current is not None else set()
-        migrations = len(set(pairs) - previous)
-        self.current = pairs
-        self.applied += 1
-        return migrations
-
-
-class OsAllocator:
-    """Placeholder for an OS-affinity backend (not available here)."""
-
-    def apply(self, pairs: tuple[tuple[str, str], ...]) -> int:
-        raise UnsupportedPlatformError(
-            "pinning threads to SMT cores requires OS support not available "
-            "in this environment; use RecordingAllocator"
-        )
-
-
-def apply_assignment(allocator, matching: Matching) -> int:
-    """Apply a matching through an allocator; returns migration count."""
-    return allocator.apply(matching.pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -451,24 +420,11 @@ class ScheduleLog:
 # Policies
 
 
-def _random_pairs(app_ids: Sequence[str], rng: np.random.Generator) -> tuple[tuple[str, str], ...]:
-    order = [app_ids[i] for i in rng.permutation(len(app_ids))]
+def _pair_in_order(order: Sequence[str]) -> list[tuple[str, str]]:
+    """Pair consecutive threads, padding an odd count with the idle node."""
     if len(order) % 2 == 1:
-        order.append(IDLE_NODE)
-    pairs = []
-    for k in range(0, len(order), 2):
-        pairs.append(tuple(sorted((order[k], order[k + 1]))))
-    return tuple(sorted(pairs))
-
-
-def _roster_pairs(app_ids: Sequence[str]) -> tuple[tuple[str, str], ...]:
-    order = list(app_ids)
-    if len(order) % 2 == 1:
-        order.append(IDLE_NODE)
-    pairs = []
-    for k in range(0, len(order), 2):
-        pairs.append(tuple(sorted((order[k], order[k + 1]))))
-    return tuple(sorted(pairs))
+        order = [*order, IDLE_NODE]
+    return [tuple(sorted(order[k : k + 2])) for k in range(0, len(order), 2)]
 
 
 def initial_assignment(
@@ -481,8 +437,8 @@ def initial_assignment(
     order and keeps that forever.
     """
     if policy in ("synpa", "random"):
-        return _random_pairs(app_ids, rng)
-    return _roster_pairs(app_ids)
+        app_ids = [app_ids[i] for i in rng.permutation(len(app_ids))]
+    return tuple(sorted(_pair_in_order(app_ids)))
 
 
 class _EstimateStore:
@@ -588,180 +544,146 @@ def _update_estimates(
 
 
 def run(config: EngineConfig) -> ScheduleLog:
-    """Run the engine to completion and return the schedule log."""
-    if config.workload is not None:
-        return _run_simulation(config)
-    return _run_replay(config)
+    """Run the engine to completion and return the schedule log.
 
-
-def _run_simulation(config: EngineConfig) -> ScheduleLog:
-    workload = config.workload
+    Simulation and replay share this loop.  Only the observation source
+    and the log's summary fields depend on the mode: the simulator runs
+    the assignment it is given (closed loop) and ends once every app has
+    finished its first launch, while replay reads the trace's counters
+    whatever the assignment (open loop) and ends with the trace.
+    """
     rng = np.random.default_rng(config.seed)
-    app_ids = tuple(a.app_id for a in workload.apps)
-    states = {a.app_id: AppSimState(app=a) for a in workload.apps}
-    estimates = _EstimateStore(config.estimate_decay)
-    allocator = RecordingAllocator()
+    workload = config.workload
+    if workload is not None:
+        app_ids = tuple(a.app_id for a in workload.apps)
+        states = {a.app_id: AppSimState(app=a) for a in workload.apps}
 
-    assignment = initial_assignment(config.policy, app_ids, rng)
-    migrations = allocator.apply(assignment)
-
-    records: list[QuantumRecord] = []
-    relaunches = {a: 0 for a in app_ids}
-    quantum = 0
-    while any(states[a].first_completion is None for a in app_ids):
-        quantum += 1
-        if quantum > config.max_quanta:
-            raise ConfigError(
-                f"run exceeded max_quanta={config.max_quanta}; "
-                "check workload targets and rates"
+        def observe(
+            quantum: int, pairs: Sequence[tuple[str, str]]
+        ) -> dict[str, StepResult] | None:
+            if all(s.first_completion is not None for s in states.values()):
+                return None
+            return sim_step(
+                states,
+                pairs,
+                workload.ground_truth,
+                workload.noise_sigma,
+                rng,
+                quantum,
+                config.dispatch_width,
+                config.cycles_per_quantum,
             )
-        results = sim_step(
-            states,
-            assignment,
-            workload.ground_truth,
-            workload.noise_sigma,
-            rng,
-            quantum,
-            config.dispatch_width,
-            config.cycles_per_quantum,
-        )
-        for app_id, result in results.items():
-            if result.completed:
-                relaunches[app_id] += 1
+
+    else:
+        header, trace_quanta = open_trace(config.trace_path)
+        app_ids = header.threads
+        remaining = iter(trace_quanta)
+
+        def observe(
+            quantum: int, pairs: Sequence[tuple[str, str]]
+        ) -> dict[str, StepResult] | None:
+            samples = next(remaining, None)
+            if samples is None:
+                return None
+            return {
+                s.thread_id: StepResult(
+                    observed=normalize(characterize(s, header.dispatch_width)),
+                    slowdown=1.0,  # unknown in a trace; the log uses the model's
+                    committed=float(s.inst_spec),
+                    completed=False,
+                )
+                for s in samples
+            }
+
+    estimates = _EstimateStore(config.estimate_decay)
+    assignment = initial_assignment(config.policy, app_ids, rng)
+    migrations = len(assignment)
+    records: list[QuantumRecord] = []
+    for quantum in itertools.count(1):
+        results = observe(quantum, assignment)
+        if results is None:
+            break
+        if quantum > config.max_quanta:
+            raise ConfigError(f"run exceeded max_quanta={config.max_quanta}")
+        present = sorted(results)
+        pairs = _restrict_pairs(assignment, present)
 
         if config.policy == "synpa":
             fresh, degraded = _update_estimates(
-                assignment, results, estimates, config.coefficients
+                pairs, results, estimates, config.coefficients
             )
             # A completed app was replaced by a fresh instance: its history
             # no longer describes what is running now.
-            for app_id, result in results.items():
-                if result.completed:
+            for app_id in present:
+                if results[app_id].completed:
                     estimates.forget(app_id)
-            next_assignment = _decide_synpa(app_ids, estimates, config.coefficients)
-        else:
-            fresh, degraded = {}, {}
-            next_assignment = assignment
-
-        records.append(
-            QuantumRecord(
-                quantum=quantum,
-                pairs=assignment,
-                observed={a: results[a].observed for a in sorted(results)},
-                estimates=fresh,
-                degraded=degraded,
-                committed={a: results[a].committed for a in sorted(results)},
-                slowdown={a: results[a].slowdown for a in sorted(results)},
-                migrations=migrations,
-            )
-        )
-        migrations = allocator.apply(next_assignment)
-        assignment = next_assignment
-
-    # Relaunch counts exclude the final completion of each first launch
-    # only when it never relaunched afterwards; what we tracked above is
-    # the number of completions, i.e. 1 + relaunches of finished work.
-    relaunch_counts = {a: max(relaunches[a] - 1, 0) for a in app_ids}
-    return ScheduleLog(
-        policy=config.policy,
-        seed=config.seed,
-        quantum_ms=config.quantum_ms,
-        dispatch_width=config.dispatch_width,
-        cycles_per_quantum=config.cycles_per_quantum,
-        noise_sigma=workload.noise_sigma,
-        apps=app_ids,
-        records=tuple(records),
-        first_completion={a: states[a].first_completion for a in app_ids},
-        relaunches=relaunch_counts,
-        iso_quanta={
-            a.app_id: a.isolated_quanta(config.dispatch_width, config.cycles_per_quantum)
-            for a in workload.apps
-        },
-        instructions={
-            a.app_id: float(a.target_instructions) for a in workload.apps
-        },
-        total_quanta=quantum,
-        mode="simulate",
-    )
-
-
-def _run_replay(config: EngineConfig) -> ScheduleLog:
-    provider = open_trace(config.trace_path)
-    header = provider.header
-    width = header.dispatch_width
-    rng = np.random.default_rng(config.seed)
-    app_ids = tuple(header.threads)
-    estimates = _EstimateStore(config.estimate_decay)
-    allocator = RecordingAllocator()
-
-    assignment = initial_assignment(config.policy, app_ids, rng)
-    migrations = allocator.apply(assignment)
-
-    records: list[QuantumRecord] = []
-    committed_total = {a: 0 for a in app_ids}
-    last_seen = {a: 0 for a in app_ids}
-    quantum = 0
-    for trace_quantum, samples in provider:
-        quantum += 1
-        if quantum > config.max_quanta:
-            raise ConfigError(f"replay exceeded max_quanta={config.max_quanta}")
-        by_thread = {s.thread_id: s for s in samples}
-        observed: dict[str, CategoryTriple] = {}
-        for thread, sample in sorted(by_thread.items()):
-            observed[thread] = normalize(characterize(sample, width))
-            committed_total[thread] += sample.inst_spec
-            last_seen[thread] = quantum
-
-        present = sorted(by_thread)
-        live_pairs = _restrict_pairs(assignment, present)
-        results = {
-            t: StepResult(
-                observed=observed[t], slowdown=1.0, committed=float(by_thread[t].inst_spec),
-                completed=False,
-            )
-            for t in present
-        }
-
-        if config.policy == "synpa":
-            fresh, degraded = _update_estimates(
-                live_pairs, results, estimates, config.coefficients
-            )
             next_assignment = _decide_synpa(present, estimates, config.coefficients)
         else:
             fresh, degraded = {}, {}
-            next_assignment = _restrict_pairs(assignment, present)
+            next_assignment = pairs
 
-        slowdown = _model_slowdowns(live_pairs, estimates, config.coefficients)
+        if workload is not None:
+            slowdown = {a: results[a].slowdown for a in present}
+        else:
+            slowdown = _model_slowdowns(pairs, estimates, config.coefficients)
         records.append(
             QuantumRecord(
                 quantum=quantum,
-                pairs=live_pairs,
-                observed=observed,
+                pairs=pairs,
+                observed={a: results[a].observed for a in present},
                 estimates=fresh,
                 degraded=degraded,
-                committed={t: float(by_thread[t].inst_spec) for t in present},
+                committed={a: results[a].committed for a in present},
                 slowdown=slowdown,
                 migrations=migrations,
             )
         )
-        migrations = allocator.apply(next_assignment)
+        migrations = len(set(next_assignment) - set(assignment))
         assignment = next_assignment
 
+    if workload is not None:
+        summary = dict(
+            mode="simulate",
+            quantum_ms=config.quantum_ms,
+            dispatch_width=config.dispatch_width,
+            cycles_per_quantum=config.cycles_per_quantum,
+            noise_sigma=workload.noise_sigma,
+            first_completion={a: states[a].first_completion for a in app_ids},
+            # Completed relaunches: every launch but the first and the one
+            # still running when the run ended.
+            relaunches={a: states[a].launches - 2 for a in app_ids},
+            iso_quanta={
+                a.app_id: a.isolated_quanta(config.dispatch_width, config.cycles_per_quantum)
+                for a in workload.apps
+            },
+            instructions={a.app_id: float(a.target_instructions) for a in workload.apps},
+        )
+    else:
+        # A thread is done the last quantum it appears in the trace.
+        last_seen = {a: 0 for a in app_ids}
+        for record in records:
+            for thread in record.observed:
+                last_seen[thread] = record.quantum
+        summary = dict(
+            mode="replay",
+            quantum_ms=header.quantum_ms,
+            dispatch_width=header.dispatch_width,
+            cycles_per_quantum=int(round(header.quantum_ms * CYCLES_PER_MS)),
+            noise_sigma=0.0,
+            first_completion=last_seen,
+            relaunches={a: 0 for a in app_ids},
+            iso_quanta={},
+            instructions={
+                a: sum((r.committed.get(a, 0.0) for r in records), 0.0) for a in app_ids
+            },
+        )
     return ScheduleLog(
         policy=config.policy,
         seed=config.seed,
-        quantum_ms=header.quantum_ms,
-        dispatch_width=width,
-        cycles_per_quantum=int(round(header.quantum_ms * CYCLES_PER_MS)),
-        noise_sigma=0.0,
         apps=app_ids,
         records=tuple(records),
-        first_completion={a: last_seen[a] for a in app_ids},
-        relaunches={a: 0 for a in app_ids},
-        iso_quanta={},
-        instructions={a: float(committed_total[a]) for a in app_ids},
-        total_quanta=quantum,
-        mode="replay",
+        total_quanta=len(records),
+        **summary,
     )
 
 
@@ -778,12 +700,7 @@ def _restrict_pairs(
             kept.append((a, b))
         else:
             leftovers.extend(members)
-    leftovers.sort()
-    if len(leftovers) % 2 == 1:
-        leftovers.append(IDLE_NODE)
-    for k in range(0, len(leftovers), 2):
-        kept.append(tuple(sorted((leftovers[k], leftovers[k + 1]))))
-    return tuple(sorted(kept))
+    return tuple(sorted(kept + _pair_in_order(sorted(leftovers))))
 
 
 def _model_slowdowns(

@@ -26,14 +26,6 @@ class RosterError(SynpaError):
     """Trace contents disagree with the declared thread roster."""
 
 
-class EndOfTrace(SynpaError):
-    """Signal: the trace has no further quanta (normal completion)."""
-
-
-class OutOfOrderPollError(SynpaError):
-    """A provider was polled for a quantum other than the next unread one."""
-
-
 class DegenerateSampleError(SynpaError):
     """A counter sample cannot be characterized (e.g. zero cycles)."""
 
@@ -71,7 +63,3 @@ class ConfigError(SynpaError):
 
 class WorkloadError(SynpaError):
     """Workload generation could not satisfy the requested recipe."""
-
-
-class UnsupportedPlatformError(SynpaError):
-    """Functionality that needs hardware/OS support not present here."""

@@ -353,8 +353,6 @@ class InversionResult:
 
     st_i: CategoryVector
     st_j: CategoryVector
-    raw_i: CategoryTriple  # per-category solutions before renormalization
-    raw_j: CategoryTriple
     degraded: bool  # at least one category fell back to least squares
 
 
@@ -397,7 +395,5 @@ def invert(
     return InversionResult(
         st_i=_renormalize(clamped_x),
         st_j=_renormalize(clamped_y),
-        raw_i=CategoryTriple(**clamped_x),
-        raw_j=CategoryTriple(**clamped_y),
         degraded=degraded,
     )

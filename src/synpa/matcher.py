@@ -77,15 +77,12 @@ class SynergyGraph:
         return self.weights[key]
 
 
-def build_graph(
-    predictions: Mapping[tuple[str, str], PairPrediction],
-    idle_weight: float = IDLE_WEIGHT,
-) -> SynergyGraph:
+def build_graph(predictions: Mapping[tuple[str, str], PairPrediction]) -> SynergyGraph:
     """Build the pairing graph from per-pair predictions.
 
     Edge weight is the sum of both directed slowdowns.  An odd number
     of threads is padded with :data:`IDLE_NODE`; edges to it weigh
-    ``idle_weight`` for every thread, since a thread sharing a core
+    :data:`IDLE_WEIGHT` for every thread, since a thread sharing a core
     with nobody runs at isolated speed.
     """
     nodes: set[str] = set()
@@ -105,7 +102,7 @@ def build_graph(
     node_list = sorted(nodes)
     if len(node_list) % 2 == 1:
         for a in node_list:
-            weights[(IDLE_NODE, a)] = idle_weight
+            weights[(IDLE_NODE, a)] = IDLE_WEIGHT
         node_list.append(IDLE_NODE)
     return SynergyGraph(nodes=tuple(sorted(node_list)), weights=weights)
 

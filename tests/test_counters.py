@@ -1,17 +1,13 @@
-"""Trace parsing, the poll contract, and round-trip serialization."""
+"""Trace parsing, reading a trace grouped by quantum, and round-trip
+serialization."""
 
 import pytest
 
 from synpa import (
-    EndOfTrace,
-    LiveCounterProvider,
-    OutOfOrderPollError,
     RawCounterSample,
     RosterError,
     TraceError,
     TraceHeader,
-    TraceProvider,
-    UnsupportedPlatformError,
     format_trace,
     open_trace,
     parse_counter_text,
@@ -42,13 +38,12 @@ class TestParsing:
         assert len(samples) == 6
         assert [s.quantum_index for s in samples] == [0, 0, 1, 1, 2, 2]
 
-    def test_empty_file_with_valid_header_yields_zero_samples(self):
+    def test_empty_file_with_valid_header_yields_zero_samples(self, tmp_path):
         header, samples, _ = parse_counter_text(make_text([]))
         assert samples == []
-        provider = TraceProvider(header, samples)
-        assert provider.next_quantum is None
-        with pytest.raises(EndOfTrace):
-            provider.poll(0)
+        path = tmp_path / "empty.trace"
+        path.write_text(make_text([]))
+        assert open_trace(str(path)) == (header, [])
 
     def test_quantum_gap_for_a_thread_is_rejected(self):
         rows = [
@@ -148,34 +143,19 @@ class TestSampleInvariants:
             )
 
 
-class TestPollContract:
-    def test_poll_first_quantum_returns_all_its_samples(self):
-        header, samples, _ = parse_counter_text(well_formed_text())
-        provider = TraceProvider(header, samples)
-        got = provider.poll(0)
-        assert len(got) == 2
-        assert all(s.quantum_index == 0 for s in got)
-
-    def test_out_of_order_poll_is_a_contract_violation(self):
-        header, samples, _ = parse_counter_text(well_formed_text())
-        provider = TraceProvider(header, samples)
-        provider.poll(0)
-        with pytest.raises(OutOfOrderPollError):
-            provider.poll(2)
-
-    def test_poll_past_last_quantum_signals_end_of_trace(self):
-        header, samples, _ = parse_counter_text(well_formed_text())
-        provider = TraceProvider(header, samples)
-        for q in range(3):
-            provider.poll(q)
-        with pytest.raises(EndOfTrace):
-            provider.poll(3)
-
-    def test_iteration_visits_each_quantum_once(self):
-        header, samples, _ = parse_counter_text(well_formed_text())
-        provider = TraceProvider(header, samples)
-        seen = [(q, len(batch)) for q, batch in provider]
-        assert seen == [(0, 2), (1, 2), (2, 2)]
+class TestOpenTrace:
+    def test_samples_grouped_by_quantum_in_thread_order(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text(well_formed_text())
+        header, quanta = open_trace(str(path))
+        assert header.threads == ("t0", "t1")
+        assert [[(s.quantum_index, s.thread_id) for s in group] for group in quanta] == [
+            [(0, "t0"), (0, "t1")],
+            [(1, "t0"), (1, "t1")],
+            [(2, "t0"), (2, "t1")],
+        ]
+        _, samples, _ = parse_counter_text(well_formed_text())
+        assert [s for group in quanta for s in group] == samples
 
 
 class TestRoundTrip:
@@ -189,9 +169,7 @@ class TestRoundTrip:
     def test_replaying_same_trace_twice_is_deterministic(self, tmp_path):
         path = tmp_path / "trace.csv"
         path.write_text(well_formed_text())
-        first = [s for _, batch in open_trace(str(path)) for s in batch]
-        second = [s for _, batch in open_trace(str(path)) for s in batch]
-        assert first == second
+        assert open_trace(str(path)) == open_trace(str(path))
 
     def test_committed_column_round_trip(self):
         header = TraceHeader(
@@ -214,10 +192,3 @@ class TestRoundTrip:
         assert header2.mode == "isolated"
         assert samples2 == samples
         assert counts == [700, 650]
-
-
-class TestLiveProvider:
-    def test_live_provider_is_an_explicit_stub(self):
-        provider = LiveCounterProvider(threads=("t0",))
-        with pytest.raises(UnsupportedPlatformError):
-            provider.poll(0)

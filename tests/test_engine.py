@@ -1,6 +1,7 @@
-"""Tests for the closed-loop engine: synthetic workloads, the
-per-quantum simulation step, allocators, the full decision loop with an
-exhaustive matching oracle, trace replay, and determinism."""
+"""Tests for the engine: synthetic workloads, the per-quantum
+simulation step, the run loop shared by simulation and trace replay
+(checked against an exhaustive matching oracle), migration counts, and
+determinism."""
 
 import json
 import math
@@ -17,16 +18,12 @@ from synpa import (
     CategoryVector,
     ConfigError,
     EngineConfig,
-    OsAllocator,
     Phase,
-    RecordingAllocator,
     REFERENCE_COEFFICIENTS,
     SimWorkload,
     SyntheticApp,
     TraceHeader,
-    UnsupportedPlatformError,
     WorkloadError,
-    apply_assignment,
     format_trace,
     predict_pair,
     run,
@@ -34,7 +31,6 @@ from synpa import (
     trace_from_log,
 )
 from synpa.harness import make_synthetic_app
-from synpa.matcher import Matching
 
 QUANTUM_CYCLES = 100 * CYCLES_PER_MS  # default quantum at the nominal clock
 WIDTH = 4
@@ -263,27 +259,6 @@ class TestSimStep:
         assert states["a"].vector == v2
 
 
-class TestAllocators:
-    def test_recording_allocator_counts_changes(self):
-        allocator = RecordingAllocator()
-        first = allocator.apply((("a", "b"), ("c", "d")))
-        assert first == 2  # everything is new on the first application
-        assert allocator.apply((("a", "b"), ("c", "d"))) == 0
-        assert allocator.apply((("a", "c"), ("b", "d"))) == 2
-        assert allocator.apply((("a", "c"), ("b", "e"))) == 1
-        assert allocator.applied == 4
-
-    def test_apply_assignment_returns_migrations(self):
-        allocator = RecordingAllocator()
-        matching = Matching(pairs=(("a", "b"),), total_weight=2.0)
-        assert apply_assignment(allocator, matching) == 1
-        assert apply_assignment(allocator, matching) == 0
-
-    def test_os_allocator_unsupported(self):
-        with pytest.raises(UnsupportedPlatformError):
-            OsAllocator().apply((("a", "b"),))
-
-
 class TestEngineConfig:
     def _workload(self):
         return SimWorkload(
@@ -441,6 +416,20 @@ class TestRunSimulation:
         assert log.relaunches["slow"] == 0
         assert log.first_completion["slow"] == log.total_quanta
 
+    def test_migrations_count_new_pairs(self):
+        # Phase-rotating apps under observation noise keep re-pairing.
+        rng = np.random.default_rng(42)
+        apps = [
+            make_synthetic_app(f"{family[0]}{i}", family, rng, iso_quanta=25.0)
+            for family in ("backend", "frontend")
+            for i in range(4)
+        ]
+        log = self._run(apps, seed=3, noise=0.02)
+        assert log.records[0].migrations == len(log.records[0].pairs)
+        for previous, record in zip(log.records, log.records[1:]):
+            assert record.migrations == len(set(record.pairs) - set(previous.pairs))
+        assert sum(r.migrations for r in log.records[1:]) > len(log.records) // 4
+
     def test_static_policy_never_migrates_after_bootstrap(self):
         apps = [static_app(f"app{i}", BE_VECTOR if i % 2 else FE_VECTOR, 4.2)
                 for i in range(6)]
@@ -591,3 +580,7 @@ class TestReplay:
         assert log.records[5].pairs == (("a", "b"), ("c", "d"))
         for record in log.records[6:]:
             assert record.pairs == ((IDLE_NODE, "c"), ("a", "b"))
+        # Migrations count pairs new relative to the previous decision.
+        # The decision taken after quantum 7, the first without d, is
+        # the first to hold (idle, c).
+        assert [r.migrations for r in log.records] == [2, 0, 0, 0, 0, 0, 0, 1, 0, 0]

@@ -239,12 +239,8 @@ class TestInvert:
             result = invert(REFERENCE_COEFFICIENTS, pred.smt_i, pred.smt_j)
             assert not result.degraded
             for name in CATEGORIES:
-                # Raw per-category solutions recover the isolated
-                # fractions before renormalization.
-                assert abs(result.raw_i.get(name) - st_a.get(name)) < 1e-6
-                assert abs(result.raw_j.get(name) - st_b.get(name)) < 1e-6
-                # The normalized outputs stay equally close because the
-                # true fractions already sum to 1.
+                # The normalized outputs recover the isolated fractions
+                # because the true fractions already sum to 1.
                 assert abs(result.st_i.get(name) - st_a.get(name)) < 1e-5
                 assert abs(result.st_j.get(name) - st_b.get(name)) < 1e-5
 

@@ -128,15 +128,6 @@ class TestBuildGraph:
         graph = build_graph(predictions)
         assert IDLE_NODE not in graph.nodes
 
-    def test_custom_idle_weight(self):
-        predictions = {
-            ("a", "b"): make_prediction(1.0, 1.0),
-            ("a", "c"): make_prediction(1.0, 1.0),
-            ("b", "c"): make_prediction(1.0, 1.0),
-        }
-        graph = build_graph(predictions, idle_weight=1.5)
-        assert graph.weight(IDLE_NODE, "a") == 1.5
-
     def test_missing_pair_rejected(self):
         predictions = {
             ("a", "b"): make_prediction(1.0, 1.0),
