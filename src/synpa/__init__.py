@@ -87,6 +87,7 @@ from .interference import (
     invert,
     invert_category,
     load_coefficients,
+    pair_weight_matrix,
     predict_pair,
     save_coefficients,
 )
@@ -96,6 +97,7 @@ from .matcher import (
     SynergyGraph,
     build_graph,
     canonical_total,
+    graph_from_matrix,
     min_weight_perfect_matching,
 )
 from .trainer import (

@@ -46,12 +46,19 @@ from .dispatch import (
 from .errors import ConfigError, WorkloadError
 from .interference import (
     ModelCoefficients,
-    PairPrediction,
     REFERENCE_COEFFICIENTS,
     invert,
+    pair_weight_matrix,
     predict_pair,
 )
-from .matcher import IDLE_NODE, build_graph, min_weight_perfect_matching
+# Decisions take the pair-weight matrix, so ``build_graph`` is unused here;
+# the benchmark's tracer still resolves it from this module by name.
+from .matcher import (  # noqa: F401
+    IDLE_NODE,
+    build_graph,
+    graph_from_matrix,
+    min_weight_perfect_matching,
+)
 
 #: Nominal simulated clock: cycles per millisecond (1 GHz).
 CYCLES_PER_MS = 1_000_000
@@ -496,14 +503,9 @@ def _decide_synpa(
     estimates: _EstimateStore,
     model: ModelCoefficients,
 ) -> tuple[tuple[str, str], ...]:
-    effective = {a: estimates.effective(a) for a in app_ids}
-    predictions: dict[tuple[str, str], PairPrediction] = {}
     ordered = sorted(app_ids)
-    for i, a in enumerate(ordered):
-        for b in ordered[i + 1 :]:
-            predictions[(a, b)] = predict_pair(model, effective[a], effective[b])
-    graph = build_graph(predictions)
-    return min_weight_perfect_matching(graph).pairs
+    weights = pair_weight_matrix(model, [estimates.effective(a) for a in ordered])
+    return min_weight_perfect_matching(graph_from_matrix(ordered, weights)).pairs
 
 
 def _update_estimates(

@@ -21,7 +21,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
+import numpy as np
 import scipy.optimize
 
 from .dispatch import CATEGORIES, CategoryTriple, CategoryVector
@@ -172,6 +174,37 @@ def predict_pair(
         slowdown_i=smt_i.fdc + smt_i.fe + smt_i.be,
         slowdown_j=smt_j.fdc + smt_j.fe + smt_j.be,
     )
+
+
+def pair_weight_matrix(
+    model: ModelCoefficients, vectors: Sequence[CategoryTriple]
+) -> np.ndarray:
+    """Predicted combined slowdown of every pair of threads, as a matrix.
+
+    Entry ``[i, j]`` (``i != j``) equals ``slowdown_i + slowdown_j`` of
+    ``predict_pair(model, vectors[i], vectors[j])`` bit for bit: each
+    float64 operation is the scalar path's, in the same order.  The
+    diagonal is zero.
+    """
+    st = np.array(
+        [[v.get(name) for name in CATEGORIES] for v in vectors], dtype=float
+    ).reshape(len(vectors), len(CATEGORIES))
+
+    def co_run(k: int, name: str) -> np.ndarray:
+        """``[i, j]``: forward() of category ``name`` for ``i`` next to ``j``."""
+        c = model.category(name)
+        ci, cj = st[:, k, None], st[None, :, k]
+        value = c.alpha + c.beta * ci + c.gamma * cj + c.rho * ci * cj
+        return np.where(value > 0.0, value, 0.0)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        fdc, fe, be = (co_run(k, name) for k, name in enumerate(CATEGORIES))
+        slowdown = fdc + fe + be  # thread i's slowdown next to thread j
+        if not np.isfinite(slowdown).all():
+            raise ModelError("predicted slowdown is not finite")
+        weights = slowdown + slowdown.T
+    np.fill_diagonal(weights, 0.0)
+    return weights
 
 
 @dataclass(frozen=True)

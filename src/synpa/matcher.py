@@ -12,20 +12,22 @@ to integers over a common denominator, and a strictly dominated
 tie-break term is folded into each integer so that the optimal matching
 is unique: among all minimum-weight matchings, the one whose sorted
 pair list is lexicographically smallest wins.  Small instances are
-solved by exact dynamic programming over subsets; larger ones by the
-Blossom algorithm (networkx) on the same integers.  Both backends see a
-unique optimum, so results never depend on backend, iteration order, or
-hashing.
+solved by exact dynamic programming over subsets; larger ones by a
+dense primal-dual weighted blossom algorithm (Edmonds 1965; Galil 1986)
+on the same integers, whose result is checked against its dual
+certificate.  Both backends see a unique optimum, so results never
+depend on backend, iteration order, or hashing.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from math import isfinite
 from typing import Mapping, Sequence
 
-import networkx as nx
+import numpy as np
 
 from .errors import MatchingError
 from .interference import PairPrediction
@@ -37,44 +39,66 @@ IDLE_NODE = "__idle__"
 IDLE_WEIGHT = 1.0
 
 #: Instances up to this size use the subset-DP solver.
-_DP_MAX_NODES = 12
+_DP_MAX_NODES = 8
 
 
-@dataclass(frozen=True)
 class SynergyGraph:
-    """Complete weighted graph over thread ids."""
+    """Complete weighted graph over thread ids, held as a dense matrix.
 
-    nodes: tuple[str, ...]
-    weights: Mapping[tuple[str, str], float]
+    ``nodes`` is sorted, and ``matrix[i][j]`` is the weight of the edge
+    between ``nodes[i]`` and ``nodes[j]``; the matrix is symmetric with
+    a zero diagonal.  The constructor validates a mapping of
+    ``(a, b) -> weight`` edges; :func:`graph_from_matrix` takes the
+    matrix directly.
+    """
 
-    def __post_init__(self) -> None:
-        if len(set(self.nodes)) != len(self.nodes):
+    __slots__ = ("nodes", "matrix", "_index")
+
+    def __init__(
+        self, nodes: Sequence[str], weights: Mapping[tuple[str, str], float]
+    ) -> None:
+        if len(set(nodes)) != len(nodes):
             raise MatchingError("duplicate node ids")
-        object.__setattr__(self, "nodes", tuple(sorted(self.nodes)))
-        canon: dict[tuple[str, str], float] = {}
-        for (a, b), w in self.weights.items():
+        ordered = tuple(sorted(nodes))
+        index = {a: i for i, a in enumerate(ordered)}
+        matrix: list[list[float | None]] = [[None] * len(ordered) for _ in ordered]
+        for (a, b), w in weights.items():
             if a == b:
                 raise MatchingError(f"self edge on node {a!r}")
             key = (a, b) if a < b else (b, a)
-            if key in canon and canon[key] != w:
-                raise MatchingError(f"conflicting weights for edge {key}")
-            canon[key] = float(w)
-        object.__setattr__(self, "weights", canon)
-        nodes = self.nodes
-        for i, a in enumerate(nodes):
-            for b in nodes[i + 1 :]:
-                w = canon.get((a, b))
-                if w is None:
-                    raise MatchingError(f"missing edge ({a!r}, {b!r})")
-                if not isfinite(w):
-                    raise MatchingError(f"edge ({a!r}, {b!r}) has non-finite weight {w!r}")
-        for key in list(canon):
-            if key[0] not in nodes or key[1] not in nodes:
+            if a not in index or b not in index:
                 raise MatchingError(f"edge {key} references unknown node")
+            i, j = index[a], index[b]
+            w = float(w)
+            if matrix[i][j] is not None and matrix[i][j] != w:
+                raise MatchingError(f"conflicting weights for edge {key}")
+            if not isfinite(w):
+                raise MatchingError(f"edge {key} has non-finite weight {w!r}")
+            matrix[i][j] = matrix[j][i] = w
+        for i, a in enumerate(ordered):
+            matrix[i][i] = 0.0
+            for j in range(i + 1, len(ordered)):
+                if matrix[i][j] is None:
+                    raise MatchingError(f"missing edge ({a!r}, {ordered[j]!r})")
+        self._set(ordered, matrix, index)
+
+    def _set(self, nodes: tuple[str, ...], matrix: list, index: dict[str, int]) -> None:
+        self.nodes = nodes
+        self.matrix = matrix
+        self._index = index
+
+    @property
+    def weights(self) -> dict[tuple[str, str], float]:
+        """Every edge as ``(a, b) -> weight`` with ``a < b``."""
+        nodes, matrix = self.nodes, self.matrix
+        return {
+            (a, nodes[j]): matrix[i][j]
+            for i, a in enumerate(nodes)
+            for j in range(i + 1, len(nodes))
+        }
 
     def weight(self, a: str, b: str) -> float:
-        key = (a, b) if a < b else (b, a)
-        return self.weights[key]
+        return self.matrix[self._index[a]][self._index[b]]
 
 
 def build_graph(predictions: Mapping[tuple[str, str], PairPrediction]) -> SynergyGraph:
@@ -107,6 +131,37 @@ def build_graph(predictions: Mapping[tuple[str, str], PairPrediction]) -> Synerg
     return SynergyGraph(nodes=tuple(sorted(node_list)), weights=weights)
 
 
+def graph_from_matrix(app_ids: Sequence[str], weights: np.ndarray) -> SynergyGraph:
+    """The pairing graph :func:`build_graph` gives, from a pair-weight matrix.
+
+    ``weights[i][j]`` is the combined slowdown of the ``i``-th and
+    ``j``-th of the sorted, distinct ``app_ids``; it must be symmetric,
+    finite and non-negative off the diagonal, which is ignored.  An odd
+    roster is padded with :data:`IDLE_NODE` at its sorted position.
+    """
+    nodes = list(app_ids)
+    if nodes != sorted(set(nodes)):
+        raise MatchingError("app ids must be sorted and distinct")
+    if IDLE_NODE in nodes:
+        raise MatchingError(f"{IDLE_NODE!r} is reserved for odd-roster padding")
+    matrix = np.array(weights, dtype=float)
+    if matrix.shape != (len(nodes), len(nodes)):
+        raise MatchingError(f"weight matrix has shape {matrix.shape} for {len(nodes)} ids")
+    if len(nodes) % 2 == 1:
+        at = bisect_left(nodes, IDLE_NODE)
+        nodes.insert(at, IDLE_NODE)
+        matrix = np.insert(matrix, at, IDLE_WEIGHT, axis=0)
+        matrix = np.insert(matrix, at, IDLE_WEIGHT, axis=1)
+    np.fill_diagonal(matrix, 0.0)
+    if not np.isfinite(matrix).all() or (matrix < 0.0).any():
+        raise MatchingError("weight matrix has non-finite or negative weights")
+    if not (matrix == matrix.T).all():
+        raise MatchingError("weight matrix is not symmetric")
+    graph = SynergyGraph.__new__(SynergyGraph)
+    graph._set(tuple(nodes), matrix.tolist(), {a: i for i, a in enumerate(nodes)})
+    return graph
+
+
 @dataclass(frozen=True)
 class Matching:
     """A perfect matching: sorted pairs and their canonical total weight."""
@@ -132,39 +187,37 @@ def canonical_total(graph: SynergyGraph, pairs: Sequence[tuple[str, str]]) -> fl
     return total
 
 
-def _exact_scores(
-    graph: SynergyGraph,
-) -> tuple[list[str], dict[tuple[int, int], int]]:
+def _exact_scores(matrix: Sequence[Sequence[float]]) -> list[list[int]]:
     """Map edge weights to integers encoding weight-then-lexicographic order.
 
     Weights become exact integers over a common power-of-two
-    denominator, then each is scaled by ``K = 2**(M+1)`` (``M`` = number
-    of pairs) and a per-pair bonus ``2**(M-1-rank)`` is subtracted,
-    ``rank`` being the pair's lexicographic index.  Minimizing the total
-    score minimizes the true weight first and breaks exact ties toward
-    the lexicographically smallest sorted pair list, making the optimum
-    unique.
+    denominator, then each is scaled by ``K = B**n`` and a tie-break
+    bonus ``(n - 1 - j) * B**(n - 1 - i)`` is subtracted for the pair
+    ``i < j``, with ``B`` the least power of two ``>= n``.  Two perfect
+    matchings that first differ, in sorted pair order, at the partner
+    of vertex ``i`` differ in bonus by at least ``B**(n - 1 - i)`` from
+    that pair, more than all later pairs can give back, and every total
+    bonus is below ``K``.  Minimizing the total score therefore
+    minimizes the true weight first and breaks exact ties toward the
+    lexicographically smallest sorted pair list, making the optimum
+    unique.  The result is a dense symmetric matrix; its diagonal is 0.
     """
-    nodes = list(graph.nodes)
-    n = len(nodes)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    m = len(pairs)
-    fracs = {
-        (i, j): Fraction(graph.weight(nodes[i], nodes[j])) for (i, j) in pairs
-    }
-    denom = 1
-    for f in fracs.values():
-        denom = max(denom, f.denominator)  # all denominators are powers of two
-    big_k = 1 << (m + 1)
-    scores: dict[tuple[int, int], int] = {}
-    for rank, (i, j) in enumerate(pairs):
-        f = fracs[(i, j)]
-        w_int = f.numerator * (denom // f.denominator)
-        scores[(i, j)] = w_int * big_k - (1 << (m - 1 - rank))
-    return nodes, scores
+    n = len(matrix)
+    b = (n - 1).bit_length()
+    ratios = [[w.as_integer_ratio() for w in row[i + 1 :]] for i, row in enumerate(matrix)]
+    # Every denominator is a power of two; shift all onto the largest.
+    top = max((d.bit_length() for row in ratios for _, d in row), default=1)
+    scores = [[0] * n for _ in range(n)]
+    for i, row in enumerate(ratios):
+        si = scores[i]
+        place = b * (n - 1 - i)
+        for j, (num, den) in enumerate(row, start=i + 1):
+            s = (num << (top - den.bit_length() + b * n)) - ((n - 1 - j) << place)
+            si[j] = scores[j][i] = s
+    return scores
 
 
-def _solve_dp(n: int, scores: dict[tuple[int, int], int]) -> list[tuple[int, int]]:
+def _solve_dp(n: int, scores: list[list[int]]) -> list[tuple[int, int]]:
     """Exact subset-DP perfect matching on integer scores."""
     full = (1 << n) - 1
     best: dict[int, int] = {0: 0}
@@ -176,13 +229,14 @@ def _solve_dp(n: int, scores: dict[tuple[int, int], int]) -> list[tuple[int, int
             return cached
         i = (mask & -mask).bit_length() - 1
         rest_base = mask ^ (1 << i)
+        row = scores[i]
         best_val: int | None = None
         best_pair = (-1, -1)
         j_bits = rest_base
         while j_bits:
             j = (j_bits & -j_bits).bit_length() - 1
             j_bits &= j_bits - 1
-            val = scores[(i, j)] + solve(rest_base ^ (1 << j))
+            val = row[j] + solve(rest_base ^ (1 << j))
             if best_val is None or val < best_val:
                 best_val = val
                 best_pair = (i, j)
@@ -201,17 +255,351 @@ def _solve_dp(n: int, scores: dict[tuple[int, int], int]) -> list[tuple[int, int
     return pairs
 
 
-def _solve_blossom(n: int, scores: dict[tuple[int, int], int]) -> list[tuple[int, int]]:
-    """Blossom-based solve: maximize the complemented integer scores."""
-    top = max(scores.values()) + 1
-    graph = nx.Graph()
-    graph.add_nodes_from(range(n))
-    for (i, j), s in scores.items():
-        graph.add_edge(i, j, weight=top - s)
-    mate = nx.max_weight_matching(graph, maxcardinality=True)
-    if 2 * len(mate) != n:
-        raise MatchingError("no perfect matching found")  # unreachable: complete graph
-    return [(i, j) if i < j else (j, i) for i, j in mate]
+def _solve_blossom(n: int, scores: list[list[int]]) -> list[tuple[int, int]]:
+    """Minimum-score perfect matching by the primal-dual blossom algorithm.
+
+    Maximizes ``-score`` over perfect matchings of the complete graph on
+    ``n`` (even) vertices, in O(n**3) with dense arrays.  Vertices are
+    ``0..n-1``; blossoms take the slots ``n..2n-1``.  Edge weights are
+    kept as ``w2 = -4 * score`` and duals as ``lab``: an edge's slack is
+    ``lab[u] + lab[v] - w2[u][v]`` plus the ``lab`` of every blossom
+    holding both ends, and a dual step of ``delta`` moves vertex duals
+    by ``delta`` and blossom duals by ``2 * delta``.  The factor 4 makes
+    every warm-start dual (half an edge weight) even, which keeps every
+    step an integer.  Vertex duals are unbounded in sign, which makes
+    every optimum perfect.
+
+    Per node ``x``: ``st[x]`` is the top-level blossom holding it (-1
+    for a free blossom slot), ``label[x]`` is -1 (unreached), 0 (outer)
+    or 1 (inner), ``mate[x]`` is the vertex across its matched edge,
+    ``pa[x]`` the vertex through which an inner node was reached, and
+    ``best[x]`` the outer vertex whose edge into ``x`` has the least
+    slack, ``gap[x]``, at the current duals.  ``edge[x][y]`` is the
+    original edge ``(u, v)`` standing for the pair of nodes (``u``
+    inside ``x``, ``v`` inside ``y``).  ``flower[b]`` lists a blossom's
+    children around its cycle, base first, and ``holder[b][v]`` is the
+    child of ``b`` containing vertex ``v``.
+    """
+    size = 2 * n
+    w2 = [[-4 * s for s in row] for row in scores]
+    # Warm start: each vertex's dual is half its heaviest edge, which is
+    # feasible; then, vertex by vertex, lower it until one of its edges
+    # is tight, and match tight edges greedily.
+    lab = [max(row[:u] + row[u + 1 :]) // 2 for u, row in enumerate(w2)] + [0] * n
+    for u in range(n):
+        lu, wu = lab[u], w2[u]
+        lab[u] -= min(lu + lab[v] - wu[v] for v in range(n) if v != u)
+    mate = [-1] * size
+    for u in range(n):
+        if mate[u] == -1:
+            lu, wu = lab[u], w2[u]
+            for v in range(u + 1, n):
+                if mate[v] == -1 and lu + lab[v] == wu[v]:
+                    mate[u], mate[v] = v, u
+                    break
+
+    edge: list[list[tuple[int, int] | None]] = [[None] * size for _ in range(size)]
+    for u in range(n):
+        row = edge[u]
+        for v in range(n):
+            if v != u:
+                row[v] = (u, v)
+    st = list(range(n)) + [-1] * n
+    pa = [-1] * size
+    label = [-1] * size
+    best = [-1] * size
+    gap = [0] * size
+    flower: list[list[int]] = [[] for _ in range(size)]
+    holder = [[-1] * n for _ in range(size)]
+    for u in range(n):
+        holder[u][u] = u
+    seen = [0] * size
+    stamp = 0
+    queue: deque[int] = deque()
+    n_x = n
+
+    def set_best(x: int) -> None:
+        bx, gx = -1, 0
+        for u in range(n):
+            su = st[u]
+            if su != x and label[su] == 0:
+                v = edge[u][x][1]
+                d = lab[u] + lab[v] - w2[u][v]
+                if bx == -1 or d < gx:
+                    bx, gx = u, d
+        best[x], gap[x] = bx, gx
+
+    def push(x: int) -> None:
+        if x < n:
+            queue.append(x)
+        else:
+            for c in flower[x]:
+                push(c)
+
+    def set_st(x: int, b: int) -> None:
+        st[x] = b
+        if x >= n:
+            for c in flower[x]:
+                set_st(c, b)
+
+    def rotate_to(b: int, xr: int) -> int:
+        """Position of child ``xr`` in ``flower[b]``, made even by reversing."""
+        fl = flower[b]
+        pr = fl.index(xr)
+        if pr % 2 == 1:
+            fl[1:] = fl[:0:-1]
+            return len(fl) - pr
+        return pr
+
+    def set_mate(u: int, v: int) -> None:
+        eu, ev = edge[u][v]
+        mate[u] = ev
+        if u >= n:
+            xr = holder[u][eu]
+            pr = rotate_to(u, xr)
+            fl = flower[u]
+            for i in range(pr):
+                set_mate(fl[i], fl[i ^ 1])
+            set_mate(xr, v)
+            flower[u] = fl[pr:] + fl[:pr]
+
+    def augment(u: int, v: int) -> None:
+        while True:
+            xnv = st[mate[u]] if mate[u] != -1 else -1
+            set_mate(u, v)
+            if xnv == -1:
+                return
+            nxt = st[pa[xnv]]
+            set_mate(xnv, nxt)
+            u, v = nxt, xnv
+
+    def lowest_common(u: int, v: int) -> int:
+        nonlocal stamp
+        stamp += 1
+        while u != -1 or v != -1:
+            if u != -1:
+                if seen[u] == stamp:
+                    return u
+                seen[u] = stamp
+                u = st[mate[u]] if mate[u] != -1 else -1
+                if u != -1:
+                    u = st[pa[u]]
+            u, v = v, u
+        return -1
+
+    def add_blossom(u: int, lca: int, v: int) -> None:
+        nonlocal n_x
+        b = n
+        while b < n_x and st[b] != -1:
+            b += 1
+        if b == n_x:
+            n_x += 1
+        lab[b] = 0
+        label[b] = 0
+        mate[b] = mate[lca]
+        fl = [lca]
+        x = u
+        while x != lca:
+            y = st[mate[x]]
+            fl += (x, y)
+            push(y)
+            x = st[pa[y]]
+        fl[1:] = fl[:0:-1]
+        x = v
+        while x != lca:
+            y = st[mate[x]]
+            fl += (x, y)
+            push(y)
+            x = st[pa[y]]
+        flower[b] = fl
+        set_st(b, b)
+        row_b = edge[b]
+        for x in range(n_x):
+            row_b[x] = edge[x][b] = None
+        hold_b = holder[b]
+        for x in range(n):
+            hold_b[x] = -1
+        least: list[int | None] = [None] * n_x
+        for xs in fl:
+            row_xs = edge[xs]
+            for x in range(n_x):
+                cand = row_xs[x]
+                if cand is None:
+                    continue
+                cu, cv = cand
+                d = lab[cu] + lab[cv] - w2[cu][cv]
+                if least[x] is None or d < least[x]:
+                    least[x] = d
+                    row_b[x] = cand
+                    edge[x][b] = edge[x][xs]
+            for x, h in enumerate(holder[xs]):
+                if h != -1:
+                    hold_b[x] = xs
+        set_best(b)
+
+    def expand_blossom(b: int) -> None:
+        fl = flower[b]
+        for c in fl:
+            set_st(c, c)
+        xr = holder[b][edge[b][pa[b]][0]]
+        pr = rotate_to(b, xr)
+        for i in range(0, pr, 2):
+            xs, xns = fl[i], fl[i + 1]
+            pa[xs] = edge[xns][xs][0]
+            label[xs] = 1
+            label[xns] = 0
+            best[xs] = -1
+            set_best(xns)
+            push(xns)
+        label[xr] = 1
+        pa[xr] = pa[b]
+        for xs in fl[pr + 1 :]:
+            label[xs] = -1
+            set_best(xs)
+        st[b] = -1
+
+    def on_tight(u0: int, v0: int) -> bool:
+        """Grow, shrink or augment across the tight edge ``(u0, v0)``."""
+        u, v = st[u0], st[v0]
+        if label[v] == -1:
+            pa[v] = u0
+            label[v] = 1
+            nu = st[mate[v]]
+            best[v] = best[nu] = -1
+            label[nu] = 0
+            push(nu)
+        elif label[v] == 0:
+            lca = lowest_common(u, v)
+            if lca == -1:
+                augment(u, v)
+                augment(v, u)
+                return True
+            add_blossom(u, lca, v)
+        return False
+
+    def phase() -> bool:
+        """Grow alternating trees until one augmentation; False if perfect."""
+        for x in range(n_x):
+            label[x] = -1
+            best[x] = -1
+        queue.clear()
+        for x in range(n_x):
+            if st[x] == x and mate[x] == -1:
+                pa[x] = -1
+                label[x] = 0
+                push(x)
+        if not queue:
+            return False
+        while True:
+            while queue:
+                u = queue.popleft()
+                if label[st[u]] == 1:
+                    continue
+                lu, wu = lab[u], w2[u]
+                for v in range(n):
+                    sv = st[v]
+                    if sv != st[u]:  # on_tight may shrink u into a new blossom
+                        d = lu + lab[v] - wu[v]
+                        if d == 0:
+                            if on_tight(u, v):
+                                return True
+                        elif best[sv] == -1 or d < gap[sv]:
+                            best[sv] = u
+                            gap[sv] = d
+            delta = None
+            for b in range(n, n_x):
+                if st[b] == b and label[b] == 1:
+                    d = lab[b] // 2
+                    if delta is None or d < delta:
+                        delta = d
+            for x in range(n_x):
+                if st[x] == x and best[x] != -1 and label[x] != 1:
+                    d = gap[x] if label[x] == -1 else gap[x] // 2
+                    if delta is None or d < delta:
+                        delta = d
+            if delta is None:
+                raise MatchingError("no perfect matching found")  # unreachable: complete graph
+            for u in range(n):
+                s = label[st[u]]
+                if s == 0:
+                    lab[u] -= delta
+                elif s == 1:
+                    lab[u] += delta
+            for b in range(n, n_x):
+                if st[b] == b:
+                    if label[b] == 0:
+                        lab[b] += 2 * delta
+                    elif label[b] == 1:
+                        lab[b] -= 2 * delta
+            queue.clear()
+            x = 0
+            while x < n_x:
+                b = best[x]
+                if st[x] == x and b != -1:
+                    u, v = edge[b][x]
+                    gap[x] = d = lab[u] + lab[v] - w2[u][v]
+                    if d == 0 and st[b] != x and on_tight(u, v):
+                        return True
+                x += 1
+            for b in range(n, n_x):
+                if st[b] == b and label[b] == 1 and lab[b] == 0:
+                    expand_blossom(b)
+
+    while phase():
+        pass
+
+    blossoms = {b: _leaves(b, n, flower) for b in range(n, n_x) if st[b] != -1}
+    _check_certificate(n, w2, mate[:n], lab, blossoms)
+    return [(u, v) for u, v in enumerate(mate[:n]) if u < v]
+
+
+def _leaves(b: int, n: int, flower: list[list[int]]) -> list[int]:
+    if b < n:
+        return [b]
+    return [v for c in flower[b] for v in _leaves(c, n, flower)]
+
+
+def _check_certificate(
+    n: int,
+    w2: list[list[int]],
+    mate: list[int],
+    lab: list[int],
+    blossoms: Mapping[int, list[int]],
+) -> None:
+    """Verify the blossom result against its dual certificate.
+
+    ``mate`` must be a perfect matching; every blossom dual must be
+    non-negative; every edge's reduced slack, counting the duals of the
+    blossoms holding both ends, must be non-negative and zero on
+    matched edges; and every blossom with a positive dual must be full
+    (``(size - 1) / 2`` matched edges inside).  Together these prove the
+    matching is a maximum-weight perfect one.  Any violation is a
+    solver bug and raises :class:`MatchingError`.
+    """
+    if any(v == -1 or v == u or mate[v] != u for u, v in enumerate(mate)):
+        raise MatchingError("blossom solver returned no perfect matching")
+    slack = [[lab[u] + lab[v] - w2[u][v] for v in range(n)] for u in range(n)]
+    for b, leaves in blossoms.items():
+        z = lab[b]
+        if z < 0:
+            raise MatchingError(f"blossom {b} has negative dual {z}")
+        if z == 0:
+            continue
+        inside = set(leaves)
+        # Each matched edge inside is counted from both of its ends.
+        if sum(1 for u in leaves if mate[u] in inside) != len(leaves) - 1:
+            raise MatchingError(f"blossom {b} has positive dual but is not full")
+        for u in leaves:
+            row = slack[u]
+            for v in leaves:
+                row[v] += z
+    for u in range(n):
+        row = slack[u]
+        for v in range(u + 1, n):
+            if row[v] < 0:
+                raise MatchingError(f"edge ({u}, {v}) has negative reduced slack")
+        if row[mate[u]] != 0:
+            raise MatchingError(f"matched edge ({u}, {mate[u]}) is not tight")
 
 
 def min_weight_perfect_matching(graph: SynergyGraph) -> Matching:
@@ -226,12 +614,11 @@ def min_weight_perfect_matching(graph: SynergyGraph) -> Matching:
         return Matching(pairs=(), total_weight=0.0)
     if n % 2 == 1:
         raise MatchingError(f"cannot perfectly match {n} nodes; pad with {IDLE_NODE!r}")
-    nodes, scores = _exact_scores(graph)
+    nodes = graph.nodes
+    scores = _exact_scores(graph.matrix)
     if n <= _DP_MAX_NODES:
         index_pairs = _solve_dp(n, scores)
     else:
         index_pairs = _solve_blossom(n, scores)
-    pairs = tuple(
-        sorted(tuple(sorted((nodes[i], nodes[j]))) for i, j in index_pairs)
-    )
+    pairs = tuple(sorted((nodes[i], nodes[j]) for i, j in index_pairs))
     return Matching(pairs=pairs, total_weight=canonical_total(graph, pairs))

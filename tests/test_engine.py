@@ -309,6 +309,13 @@ class TestRunSimulation:
             assert record.quantum == k + 1
             assert record.pairs == (("a", "b"),)
 
+    def test_single_app_runs_alone_every_quantum(self):
+        # The one app pairs with the idle slot on every decision, so it
+        # keeps running and the run ends when it completes.
+        log = self._run([static_app("a", BE_VECTOR, 3.2)])
+        assert log.total_quanta == 4
+        assert all(record.pairs == ((IDLE_NODE, "a"),) for record in log.records)
+
     def test_four_apps_reach_synergistic_steady_state(self):
         vectors = {
             "b0": BE_VECTOR, "b1": BE_VECTOR,

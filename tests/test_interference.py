@@ -1,24 +1,30 @@
 """Tests for the pairwise interference model: forward form, pair
 prediction, the per-category inverse solver, and coefficient
-serialization."""
+serialization, and the vectorized pair-weight matrix."""
 
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from synpa import (
     CATEGORIES,
     CategoryCoefficients,
     CategoryTriple,
     CategoryVector,
+    IDLE_NODE,
     ModelCoefficients,
     ModelError,
     REFERENCE_COEFFICIENTS,
+    build_graph,
     forward,
+    graph_from_matrix,
     invert,
     invert_category,
     load_coefficients,
+    pair_weight_matrix,
     predict_pair,
     save_coefficients,
 )
@@ -149,6 +155,95 @@ class TestPredictPair:
             coeffs = REFERENCE_COEFFICIENTS.category(name)
             assert pred.smt_i.get(name) == forward(coeffs, st_a.get(name), st_b.get(name))
             assert pred.smt_j.get(name) == forward(coeffs, st_b.get(name), st_a.get(name))
+
+
+@st.composite
+def category_vectors(draw):
+    parts = [draw(st.floats(0.0, 1.0)) for _ in CATEGORIES]
+    total = sum(parts)
+    if total == 0.0:
+        parts, total = [1.0, 1.0, 1.0], 3.0
+    return CategoryVector(**{name: x / total for name, x in zip(CATEGORIES, parts)})
+
+
+def coefficient_models():
+    coeff = st.floats(-2.0, 2.0)
+    category = st.builds(CategoryCoefficients, alpha=coeff, beta=coeff, gamma=coeff, rho=coeff)
+    return st.builds(ModelCoefficients, fdc=category, fe=category, be=category)
+
+
+def scalar_pair_weights(model, vectors):
+    """Every ``(i, j)`` pair weight through ``predict_pair``."""
+    weights = {}
+    for i, a in enumerate(vectors):
+        for j, b in enumerate(vectors):
+            if i != j:
+                pred = predict_pair(model, a, b)
+                weights[(i, j)] = pred.slowdown_i + pred.slowdown_j
+    return weights
+
+
+class TestPairWeightMatrix:
+    @settings(max_examples=200, deadline=None)
+    @given(model=st.one_of(st.just(REFERENCE_COEFFICIENTS), coefficient_models()),
+           vectors=st.lists(category_vectors(), min_size=0, max_size=9))
+    def test_bit_equal_to_predict_pair(self, model, vectors):
+        matrix = pair_weight_matrix(model, vectors)
+        assert matrix.shape == (len(vectors), len(vectors))
+        for (i, j), want in scalar_pair_weights(model, vectors).items():
+            assert matrix[i, j] == want
+        assert all(matrix[i, i] == 0.0 for i in range(len(vectors)))
+
+    def test_clamp_at_zero_is_bit_equal(self):
+        # Negative intercepts drive every category below zero for the
+        # first two vectors, so both sides must clamp identically.
+        negative = CategoryCoefficients(alpha=-0.9, beta=0.5, gamma=0.25, rho=-0.125)
+        model = ModelCoefficients(fdc=negative, fe=REFERENCE_COEFFICIENTS.fe, be=negative)
+        vectors = [
+            CategoryVector(fe=1.0, be=0.0, fdc=0.0),
+            CategoryVector(fe=0.5, be=0.25, fdc=0.25),
+            CategoryVector(fe=0.1, be=0.2, fdc=0.7),
+        ]
+        assert forward(negative, 0.0, 0.25) == 0.0
+        matrix = pair_weight_matrix(model, vectors)
+        for (i, j), want in scalar_pair_weights(model, vectors).items():
+            assert matrix[i, j] == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        ids=st.sets(st.text("aAbBzZ_09", min_size=1, max_size=3), min_size=2, max_size=9),
+        data=st.data(),
+    )
+    def test_graph_matches_build_graph(self, ids, data):
+        # Mixed-case and underscore ids sort on both sides of IDLE_NODE,
+        # so the padding position is exercised for odd rosters.
+        ids = sorted(ids)
+        vectors = {a: data.draw(category_vectors()) for a in ids}
+        predictions = {
+            (a, b): predict_pair(REFERENCE_COEFFICIENTS, vectors[a], vectors[b])
+            for i, a in enumerate(ids)
+            for b in ids[i + 1 :]
+        }
+        want = build_graph(predictions)
+        got = graph_from_matrix(
+            ids, pair_weight_matrix(REFERENCE_COEFFICIENTS, [vectors[a] for a in ids])
+        )
+        assert got.nodes == want.nodes
+        assert got.matrix == want.matrix
+
+    def test_odd_mixed_case_roster_pads_idle_in_sort_order(self):
+        ids = sorted(["beta", "Alpha", "_x", "Zed", "a1"])
+        vectors = [CategoryVector(fe=0.2, be=0.5, fdc=0.3)] * len(ids)
+        graph = graph_from_matrix(ids, pair_weight_matrix(REFERENCE_COEFFICIENTS, vectors))
+        assert graph.nodes == ("Alpha", "Zed", IDLE_NODE, "_x", "a1", "beta")
+        assert all(graph.weight(IDLE_NODE, a) == 1.0 for a in ids)
+
+    def test_non_finite_prediction_rejected(self):
+        huge = CategoryCoefficients(alpha=1e308, beta=1e308, gamma=1e308, rho=0.0)
+        model = ModelCoefficients(fdc=huge, fe=huge, be=huge)
+        vectors = [CategoryVector(fe=0.5, be=0.25, fdc=0.25)] * 2
+        with pytest.raises(ModelError):
+            pair_weight_matrix(model, vectors)
 
 
 class TestInvertCategory:

@@ -6,7 +6,10 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from synpa import (
     CategoryTriple,
@@ -19,9 +22,11 @@ from synpa import (
     SynergyGraph,
     build_graph,
     canonical_total,
+    graph_from_matrix,
     min_weight_perfect_matching,
     predict_pair,
 )
+from synpa.matcher import _check_certificate, _exact_scores, _solve_blossom, _solve_dp
 
 _ZERO_TRIPLE = CategoryTriple(fe=0.0, be=0.0, fdc=0.0)
 
@@ -54,9 +59,10 @@ def enumerate_matchings(nodes):
             yield ((first, partner),) + sub
 
 
-def oracle_best(graph):
+def oracle_best(graph, with_ties=False):
     """Exact-arithmetic argmin: minimum total weight, ties broken toward
-    the lexicographically smallest sorted pair list."""
+    the lexicographically smallest sorted pair list.  With ``with_ties``
+    also return how many matchings reach the minimum weight."""
     fracs = {edge: Fraction(w) for edge, w in graph.weights.items()}
     denom = 1
     for f in fracs.values():
@@ -65,20 +71,29 @@ def oracle_best(graph):
         edge: f.numerator * (denom // f.denominator) for edge, f in fracs.items()
     }
     best_key = None
+    ties = 0
     for pairs in enumerate_matchings(list(graph.nodes)):
         total = sum(ints[p] for p in pairs)
         key = (total, pairs)
+        if best_key is None or total < best_key[0]:
+            ties = 0
+        if best_key is None or total <= best_key[0]:
+            ties += 1
         if best_key is None or key < best_key:
             best_key = key
-    return best_key[1]
+    return (best_key[1], ties) if with_ties else best_key[1]
 
 
-def random_graph(rng, n, dyadic=False):
+def random_graph(rng, n, dyadic=False, ties=False):
+    """Random complete graph; ``ties`` draws from four dyadic levels, so
+    many matchings share the minimum weight exactly."""
     nodes = [f"t{i:02d}" for i in range(n)]
     weights = {}
     for i in range(n):
         for j in range(i + 1, n):
-            if dyadic:
+            if ties:
+                w = rng.randrange(4, 8) / 4.0
+            elif dyadic:
                 w = rng.randrange(64, 256) / 64.0
             else:
                 w = rng.uniform(1.0, 3.0)
@@ -199,6 +214,29 @@ class TestSynergyGraph:
         with pytest.raises(MatchingError):
             SynergyGraph(nodes=("a", "b"), weights={("a", "b"): math.nan})
 
+    def test_graph_from_matrix_equals_dict_constructor(self):
+        rng = random.Random(11)
+        graph = random_graph(rng, 6)
+        again = graph_from_matrix(graph.nodes, np.array(graph.matrix))
+        assert again.nodes == graph.nodes
+        assert again.weights == graph.weights
+
+    @pytest.mark.parametrize(
+        "nodes, matrix",
+        [
+            (("b", "a"), [[0.0, 1.0], [1.0, 0.0]]),  # unsorted
+            (("a", "a"), [[0.0, 1.0], [1.0, 0.0]]),  # duplicate
+            ((IDLE_NODE, "a"), [[0.0, 1.0], [1.0, 0.0]]),  # reserved id
+            (("a", "b"), [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0]]),  # wrong shape
+            (("a", "b"), [[0.0, 1.0], [2.0, 0.0]]),  # asymmetric
+            (("a", "b"), [[0.0, -1.0], [-1.0, 0.0]]),  # negative
+            (("a", "b"), [[0.0, math.inf], [math.inf, 0.0]]),  # non-finite
+        ],
+    )
+    def test_graph_from_matrix_rejects_bad_input(self, nodes, matrix):
+        with pytest.raises(MatchingError):
+            graph_from_matrix(nodes, np.array(matrix))
+
 
 class TestMinWeightMatching:
     def test_two_cluster_example(self):
@@ -264,12 +302,15 @@ class TestMinWeightMatching:
 
     def test_large_instance_matches_enumeration_oracle(self):
         # 14 nodes exceeds the subset-DP cutoff and exercises the
-        # general matching backend; 135135 matchings enumerated.
-        for seed in (3, 4):
+        # general matching backend; 135135 matchings enumerated.  The
+        # tie instances have several minimum-weight matchings, so the
+        # blossom path must apply the lexicographic tie-break too.
+        for seed, ties in ((3, False), (4, False), (3, True), (4, True)):
             rng = random.Random(seed)
-            graph = random_graph(rng, 14)
+            graph = random_graph(rng, 14, ties=ties)
             result = min_weight_perfect_matching(graph)
-            want_pairs = oracle_best(graph)
+            want_pairs, n_optimal = oracle_best(graph, with_ties=True)
+            assert (n_optimal > 1) == ties
             assert result.pairs == want_pairs
             assert result.total_weight == canonical_total(graph, want_pairs)
 
@@ -281,6 +322,35 @@ class TestMinWeightMatching:
             graph = random_graph(rng, 6, dyadic=True)
             result = min_weight_perfect_matching(graph)
             assert result.pairs == oracle_best(graph)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n=st.sampled_from([2, 4, 6, 8, 10, 12]))
+    def test_dp_and_blossom_agree_on_ties(self, data, n):
+        levels = data.draw(
+            st.lists(st.integers(0, 3), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2)
+        )
+        matrix = [[0.0] * n for _ in range(n)]
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        for (i, j), level in zip(pairs, levels):
+            matrix[i][j] = matrix[j][i] = 1.0 + level / 4.0
+        scores = _exact_scores(matrix)
+        assert sorted(_solve_dp(n, scores)) == sorted(_solve_blossom(n, scores))
+
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_large_instance_matches_networkx(self, n):
+        nx = pytest.importorskip("networkx")
+        for seed, ties in ((n, False), (n + 1, True)):
+            rng = random.Random(seed)
+            graph = random_graph(rng, n, ties=ties)
+            scores = _exact_scores(graph.matrix)
+            top = max(max(row) for row in scores) + 1
+            oracle = nx.Graph()
+            for i in range(n):
+                for j in range(i + 1, n):
+                    oracle.add_edge(i, j, weight=top - scores[i][j])
+            mate = nx.max_weight_matching(oracle, maxcardinality=True)
+            want = tuple(sorted((graph.nodes[min(p)], graph.nodes[max(p)]) for p in mate))
+            assert min_weight_perfect_matching(graph).pairs == want
 
     def test_perfectness(self):
         for seed in range(20):
@@ -356,6 +426,58 @@ class TestMinWeightMatching:
         assert (IDLE_NODE, "c") in result.pairs
         assert ("a", "b") in result.pairs
         assert result.total_weight == pytest.approx(3.1, abs=1e-12)
+
+
+class TestCertificate:
+    """The blossom result's dual certificate check on hand-built duals.
+
+    Six vertices; the matching {01, 23, 45} weighs 10 per edge (``w2``
+    is twice the weight), every other edge 0, and all duals 5 make it
+    tight and every other edge slack by 10.
+    """
+
+    def setup_method(self):
+        self.n = 6
+        self.w2 = [[0] * 6 for _ in range(6)]
+        for u in (0, 2, 4):
+            self.w2[u][u + 1] = self.w2[u + 1][u] = 10
+        self.mate = [1, 0, 3, 2, 5, 4]
+        self.lab = [5] * 6
+
+    def check(self, blossoms=None):
+        _check_certificate(self.n, self.w2, self.mate, self.lab, blossoms or {})
+
+    def test_valid_certificate_passes(self):
+        self.check()
+        # A positive dual on the full blossom {0, 1, 2}, offset on the
+        # vertex duals so that 01 and 23 stay tight.
+        self.lab = [4, 4, 4, 6, 5, 5, 2]
+        self.check({6: [0, 1, 2]})
+
+    def test_untight_matched_edge_rejected(self):
+        self.mate = [2, 3, 0, 1, 5, 4]
+        with pytest.raises(MatchingError, match="not tight"):
+            self.check()
+
+    def test_negative_slack_rejected(self):
+        self.lab[0] = 3
+        with pytest.raises(MatchingError, match="negative reduced slack"):
+            self.check()
+
+    def test_positive_dual_on_non_full_blossom_rejected(self):
+        self.lab += [2]
+        with pytest.raises(MatchingError, match="not full"):
+            self.check({6: [0, 2, 4]})
+
+    def test_negative_blossom_dual_rejected(self):
+        self.lab += [-2]
+        with pytest.raises(MatchingError, match="negative dual"):
+            self.check({6: [0, 1, 2]})
+
+    def test_imperfect_matching_rejected(self):
+        self.mate = [1, 0, -1, -1, 5, 4]
+        with pytest.raises(MatchingError, match="no perfect matching"):
+            self.check()
 
 
 class TestEndToEndWithInterferenceModel:
