@@ -14,6 +14,7 @@ deterministic for a given seed.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import Sequence
@@ -117,10 +118,15 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_gen_workload(args: argparse.Namespace) -> int:
+    cycles = args.quantum_ms * 1e6
+    if not (math.isfinite(cycles) and round(cycles) >= 1):
+        raise ConfigError(
+            f"--quantum-ms must be finite and at least one cycle, got {args.quantum_ms}"
+        )
     roster = make_synthetic_roster(
         args.roster_seed,
         iso_quanta=args.iso_quanta,
-        cycles_per_quantum=int(round(args.quantum_ms * 1e6)),
+        cycles_per_quantum=int(round(cycles)),
     )
     spec = gen_workload(args.recipe, roster, args.seed, size=args.size)
     _write(args.out, spec.to_json())

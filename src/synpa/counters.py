@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 from itertools import groupby
 from operator import attrgetter
@@ -84,8 +85,8 @@ class TraceHeader:
             raise TraceError(f"unsupported trace version {self.version}")
         if self.dispatch_width < 1:
             raise TraceError(f"dispatch_width must be >= 1, got {self.dispatch_width}")
-        if self.quantum_ms <= 0:
-            raise TraceError(f"quantum_ms must be positive, got {self.quantum_ms}")
+        if not (math.isfinite(self.quantum_ms) and self.quantum_ms > 0):
+            raise TraceError(f"quantum_ms must be positive and finite, got {self.quantum_ms}")
         if len(set(self.threads)) != len(self.threads):
             raise TraceError("duplicate thread ids in header roster")
         if self.mode not in (None, "isolated", "paired"):
@@ -115,20 +116,23 @@ def _parse_header(line: str) -> TraceHeader:
     for key in ("version", "dispatch_width", "quantum_ms", "threads"):
         if key not in doc:
             raise TraceError(f"header missing required field {key!r}", line=1)
+    width = doc["dispatch_width"]
+    if not isinstance(width, int) or isinstance(width, bool):
+        raise TraceError(f"dispatch_width must be an integer, got {width!r}", line=1)
     threads = doc["threads"]
     if not isinstance(threads, list) or not all(isinstance(t, str) for t in threads):
         raise TraceError("header 'threads' must be a list of strings", line=1)
     try:
         return TraceHeader(
             version=int(doc["version"]),
-            dispatch_width=int(doc["dispatch_width"]),
+            dispatch_width=width,
             quantum_ms=float(doc["quantum_ms"]),
             threads=tuple(threads),
             mode=doc.get("mode"),
             partner=doc.get("partner"),
         )
-    except TraceError:
-        raise
+    except TraceError as exc:
+        raise TraceError(str(exc), line=1) from None
     except (TypeError, ValueError) as exc:
         raise TraceError(f"bad header field: {exc}", line=1) from None
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -325,8 +326,10 @@ class EngineConfig:
             raise ConfigError(f"unknown policy {self.policy!r}; choose from {POLICIES}")
         if (self.workload is None) == (self.trace_path is None):
             raise ConfigError("set exactly one of workload or trace_path")
-        if self.quantum_ms <= 0:
-            raise ConfigError("quantum_ms must be positive")
+        if not (math.isfinite(self.quantum_ms) and self.cycles_per_quantum >= 1):
+            raise ConfigError(
+                f"quantum_ms must be finite and at least one cycle, got {self.quantum_ms}"
+            )
         if self.dispatch_width < 1:
             raise ConfigError("dispatch_width must be >= 1")
         if not 0.0 <= self.estimate_decay <= 1.0:

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.optimize
 
 from .dispatch import CATEGORIES, CategoryTriple, CategoryVector
 from .errors import ModelError
@@ -267,23 +266,58 @@ def _newton_refine(
     return best[0], best[1]
 
 
-def _bounded_least_squares(
-    coeffs: CategoryCoefficients, u: float, v: float, seed: tuple[float, float]
+def _clip_unit(value: float) -> float:
+    return min(max(value, 0.0), 1.0)
+
+
+def _edge_minimum(c1: float, d1: float, c2: float, d2: float) -> float:
+    """Minimiser over [0, 1] of ``(c1 + d1 t)^2 + (c2 + d2 t)^2``."""
+    denom = d1 * d1 + d2 * d2
+    if denom == 0.0:
+        return 0.0
+    return _clip_unit(-(c1 * d1 + c2 * d2) / denom)
+
+
+def _box_minimum(
+    coeffs: CategoryCoefficients, u: float, v: float, roots: list[tuple[float, float]]
 ) -> tuple[float, float]:
-    """Best-effort solution constrained to the unit square."""
+    """Exact minimiser of the squared residual over the unit square.
 
-    def fun(p):
-        x, y = p
-        return [
-            coeffs.alpha + coeffs.beta * x + coeffs.gamma * y + coeffs.rho * x * y - u,
-            coeffs.alpha + coeffs.beta * y + coeffs.gamma * x + coeffs.rho * x * y - v,
-        ]
-
-    x0 = [min(max(seed[0], 0.0), 1.0), min(max(seed[1], 0.0), 1.0)]
-    result = scipy.optimize.least_squares(
-        fun, x0, bounds=([0.0, 0.0], [1.0, 1.0]), xtol=1e-14, ftol=1e-14, gtol=1e-14
-    )
-    return float(result.x[0]), float(result.x[1])
+    With ``det J = (beta - gamma) * (beta + gamma + rho * (x + y))``, an
+    interior stationary point off the singular line ``x + y = s`` (``s =
+    -(beta + gamma) / rho``) has an invertible Jacobian and is therefore
+    an exact root.  With ``beta == gamma`` the difference of the two
+    residuals is constant and their bilinear sum is extremal on the
+    boundary; with ``rho == 0`` and ``beta == -gamma`` both residuals
+    depend on ``x - y`` only.  The minimum is thus among the solver's
+    ``roots`` (clipped to the square), the four edge minima (both
+    residuals are linear along an edge), and the stationary points of
+    the quartic residual along the singular line.  Ties keep the first
+    candidate in that order.
+    """
+    a, b, g, r = coeffs.alpha, coeffs.beta, coeffs.gamma, coeffs.rho
+    candidates = [(_clip_unit(x), _clip_unit(y)) for x, y in roots]
+    for fixed in (0.0, 1.0):
+        # x == fixed: ru = (a + b x - u) + (g + r x) y, rv = (a + g x - v) + (b + r x) y.
+        y = _edge_minimum(a + b * fixed - u, g + r * fixed, a + g * fixed - v, b + r * fixed)
+        candidates.append((fixed, y))
+    for fixed in (0.0, 1.0):
+        x = _edge_minimum(a + g * fixed - u, b + r * fixed, a + b * fixed - v, g + r * fixed)
+        candidates.append((x, fixed))
+    if r != 0.0 and b != g:
+        s = -(b + g) / r
+        lo, hi = max(0.0, s - 1.0), min(1.0, s)
+        if lo < hi:
+            # On x = t, y = s - t: ru = p - 2 g t - r t^2, rv = q - 2 b t - r t^2,
+            # and dR/dt / 4 is the cubic below.
+            p = a + g * s - u
+            q = a + b * s - v
+            cubic = [2.0 * r * r, 3.0 * r * (b + g), 2.0 * (b * b + g * g) - r * (p + q),
+                     -(g * p + b * q)]
+            for t in np.roots(cubic).real:
+                t = min(max(float(t), lo), hi)
+                candidates.append((t, _clip_unit(s - t)))
+    return min(candidates, key=lambda c: _residual(coeffs, c[0], c[1], u, v))
 
 
 def invert_category(
@@ -296,14 +330,16 @@ def invert_category(
     difference of the two equations eliminates one unknown and leaves a
     quadratic, whose root in the unit square (nearest the linear seed on
     ties) is polished by Newton iteration.  When no consistent solution
-    exists in the unit square, the result is the clamped least-squares
-    fit and ``exact`` is False.
+    exists in the unit square, the result is the least-squares fit
+    constrained to the square, computed in closed form, and ``exact`` is
+    False.  ``x`` and ``y`` always lie in [0, 1].
     """
     for name, value in (("u", u), ("v", v)):
         if not math.isfinite(value):
             raise ModelError(f"observed category value {name} must be finite")
 
     seed = _linear_seed(coeffs, u, v)
+    in_box: list[tuple[float, float]] = []
 
     if abs(coeffs.rho) < _LINEAR_RHO_TOL:
         x, y = seed
@@ -352,16 +388,10 @@ def invert_category(
             for c in candidates
             if -slack <= c[0] <= 1.0 + slack and -slack <= c[1] <= 1.0 + slack
         ]
-        if in_box:
+        if in_box or candidates:
             # Nearest the linear seed on ties between admissible roots.
             x, y = min(
-                in_box,
-                key=lambda c: (c[0] - seed[0]) ** 2 + (c[1] - seed[1]) ** 2,
-            )
-            x, y = _newton_refine(coeffs, x, y, u, v)
-        elif candidates:
-            x, y = min(
-                candidates,
+                in_box or candidates,
                 key=lambda c: (c[0] - seed[0]) ** 2 + (c[1] - seed[1]) ** 2,
             )
             x, y = _newton_refine(coeffs, x, y, u, v)
@@ -372,9 +402,10 @@ def invert_category(
     scale = max(1.0, u * u + v * v)
     in_unit = -1e-9 <= x <= 1.0 + 1e-9 and -1e-9 <= y <= 1.0 + 1e-9
     if residual <= _EXACT_RESIDUAL_TOL**2 * scale and in_unit:
-        return CategorySolution(x=x, y=y, exact=True)
+        return CategorySolution(x=_clip_unit(x), y=_clip_unit(y), exact=True)
 
-    lx, ly = _bounded_least_squares(coeffs, u, v, (x, y))
+    roots = [(x, y)] + [_newton_refine(coeffs, cx, cy, u, v) for cx, cy in in_box]
+    lx, ly = _box_minimum(coeffs, u, v, roots)
     lres = _residual(coeffs, lx, ly, u, v)
     exact = lres <= _EXACT_RESIDUAL_TOL**2 * scale
     return CategorySolution(x=lx, y=ly, exact=exact)
@@ -387,10 +418,6 @@ class InversionResult:
     st_i: CategoryVector
     st_j: CategoryVector
     degraded: bool  # at least one category fell back to least squares
-
-
-def _clamp_unit(value: float) -> float:
-    return min(max(value, 0.0), 1.0)
 
 
 def _renormalize(values: dict[str, float]) -> CategoryVector:
@@ -407,26 +434,18 @@ def invert(
 
     ``smt_ij`` holds the observed category values of thread *i* while
     paired with *j*, and ``smt_ji`` the reverse; both must come from the
-    same core and quantum.  Each category is solved independently, the
-    per-thread solutions are clamped to [0, 1], and the resulting
-    triples are renormalized to sum to 1.  ``degraded`` is set when any
-    category had no consistent solution and used the least-squares
-    fallback; callers should prefer an earlier good estimate in that
-    case.
+    same core and quantum.  Each category is solved independently (each
+    solution lies in [0, 1]), and the resulting triples are
+    renormalized to sum to 1.  ``degraded`` is set when any category had
+    no consistent solution and used the least-squares fallback; callers
+    should prefer an earlier good estimate in that case.
     """
-    raw_x: dict[str, float] = {}
-    raw_y: dict[str, float] = {}
+    xs: dict[str, float] = {}
+    ys: dict[str, float] = {}
     degraded = False
     for name in CATEGORIES:
         sol = invert_category(model.category(name), smt_ij.get(name), smt_ji.get(name))
-        raw_x[name] = sol.x
-        raw_y[name] = sol.y
+        xs[name] = sol.x
+        ys[name] = sol.y
         degraded = degraded or not sol.exact
-
-    clamped_x = {name: _clamp_unit(raw_x[name]) for name in CATEGORIES}
-    clamped_y = {name: _clamp_unit(raw_y[name]) for name in CATEGORIES}
-    return InversionResult(
-        st_i=_renormalize(clamped_x),
-        st_j=_renormalize(clamped_y),
-        degraded=degraded,
-    )
+    return InversionResult(st_i=_renormalize(xs), st_j=_renormalize(ys), degraded=degraded)

@@ -155,6 +155,16 @@ class TestGenWorkload:
         assert code == 1
         assert "even" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("quantum_ms", ["nan", "inf", "0", "-5", "1e-9"])
+    def test_bad_quantum_ms_is_domain_error(self, tmp_path, capsys, quantum_ms):
+        code = run_cli(
+            "gen-workload", "--recipe", "mixed", "--seed", 0,
+            "--quantum-ms", quantum_ms, "--out", tmp_path / "x.json",
+        )
+        assert code == 1
+        assert "error: --quantum-ms" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
+
 
 class TestSimulate:
     def test_single_run_writes_log_and_metrics(self, workload_file, tmp_path, capsys):
@@ -247,6 +257,15 @@ class TestSimulate:
         assert code == 1
         assert "cannot read" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("quantum_ms", ["nan", "inf", "1e-9"])
+    def test_bad_quantum_ms_is_domain_error(self, workload_file, tmp_path, capsys, quantum_ms):
+        code = run_cli(
+            "simulate", "--workload", workload_file, "--quantum-ms", quantum_ms,
+            "--out", tmp_path / "x.jsonl",
+        )
+        assert code == 1
+        assert "error: quantum_ms" in capsys.readouterr().err
+
 
 class TestReplay:
     @pytest.fixture()
@@ -291,6 +310,22 @@ class TestReplay:
         )
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [
+        ("quantum_ms", "NaN"), ("quantum_ms", "Infinity"), ("dispatch_width", "4.9"),
+    ])
+    def test_bad_header_is_domain_error(self, trace_file, tmp_path, capsys, field, value):
+        header, rest = trace_file.read_text(encoding="utf-8").split("\n", 1)
+        doc = json.loads(header)
+        bad = tmp_path / "bad.trace"
+        bad.write_text(
+            header.replace(f'"{field}": {doc[field]}', f'"{field}": {value}') + "\n" + rest,
+            encoding="utf-8",
+        )
+        assert bad.read_text(encoding="utf-8") != trace_file.read_text(encoding="utf-8")
+        code = run_cli("replay", "--trace", bad, "--out", tmp_path / "x.jsonl")
+        assert code == 1
+        assert f"error: line 1: {field}" in capsys.readouterr().err
 
 
 class TestReport:

@@ -90,6 +90,20 @@ class TestParsing:
             parse_counter_text("not json\n" + COLS + "\n")
         assert err.value.line == 1
 
+    @pytest.mark.parametrize("quantum_ms", ["NaN", "Infinity"])
+    def test_non_finite_quantum_ms_rejected(self, quantum_ms):
+        header = HEADER.replace('"quantum_ms":100', f'"quantum_ms":{quantum_ms}')
+        with pytest.raises(TraceError, match="quantum_ms") as err:
+            parse_counter_text(make_text([], header=header))
+        assert err.value.line == 1
+
+    @pytest.mark.parametrize("width", ["4.9", "true", '"4"'])
+    def test_non_integer_dispatch_width_rejected_on_line_one(self, width):
+        header = HEADER.replace('"dispatch_width":4', f'"dispatch_width":{width}')
+        with pytest.raises(TraceError, match="dispatch_width") as err:
+            parse_counter_text(make_text([], header=header))
+        assert err.value.line == 1
+
     def test_bad_field_count_reports_line_number(self):
         rows = ["0,t0,1000,400,100"]
         with pytest.raises(TraceError) as err:

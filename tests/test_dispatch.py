@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from synpa import (
     AppClass,
@@ -86,6 +88,27 @@ class TestCharacterize:
             b = characterize(s, width)
             assert b.fe_stalls + b.be_stalls_total + b.full_dispatch == cycles
             assert b.fe_stalls >= 0 and b.be_stalls_total >= 0 and b.full_dispatch >= 0
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        cycles=st.integers(1, 10**12),
+        inst=st.integers(0, 10**13),
+        fe=st.integers(0, 10**12),
+        be=st.integers(0, 10**12),
+        width=st.integers(1, 8),
+    )
+    def test_partition_property(self, cycles, inst, fe, be, width):
+        b = characterize(sample(cycles, inst, fe, be), width)
+        assert b.fe_units + b.be_units + b.fdc_units == cycles * width
+        assert min(b.fe_units, b.be_units, b.fdc_units, b.reveal_units) >= 0
+        dispatch_cycles = max(0, cycles - fe - be)
+        assert b.clamped == (fe + be > cycles or inst > dispatch_cycles * width)
+
+    @given(inst=st.integers(0, 10**6), fe=st.integers(0, 10**6), be=st.integers(0, 10**6),
+           width=st.integers(1, 8))
+    def test_zero_cycles_property(self, inst, fe, be, width):
+        with pytest.raises(DegenerateSampleError):
+            characterize(sample(0, inst, fe, be), width)
 
     def test_more_instructions_never_increase_backend_attribution(self):
         rng = random.Random(99)

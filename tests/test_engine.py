@@ -282,6 +282,9 @@ class TestEngineConfig:
         wl = self._workload()
         with pytest.raises(ConfigError):
             EngineConfig(workload=wl, quantum_ms=0.0)
+        for quantum_ms in (math.nan, math.inf, 1e-9):
+            with pytest.raises(ConfigError, match="quantum_ms"):
+                EngineConfig(workload=wl, quantum_ms=quantum_ms)
         with pytest.raises(ConfigError):
             EngineConfig(workload=wl, dispatch_width=0)
         with pytest.raises(ConfigError):

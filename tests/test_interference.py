@@ -5,6 +5,7 @@ serialization, and the vectorized pair-weight matrix."""
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -246,6 +247,54 @@ class TestPairWeightMatrix:
             pair_weight_matrix(model, vectors)
 
 
+GRID_X, GRID_Y = np.meshgrid(np.linspace(0.0, 1.0, 201), np.linspace(0.0, 1.0, 201))
+
+
+def squared_residual(coeffs, x, y, u, v):
+    """``(f(x, y) - u)^2 + (f(y, x) - v)^2`` without the forward clamp."""
+    return (reference_forward(coeffs, x, y) - u) ** 2 + (reference_forward(coeffs, y, x) - v) ** 2
+
+
+@st.composite
+def inversion_cases(draw):
+    """Coefficients and observations ``(coeffs, u, v)`` for one category.
+
+    Besides arbitrary forms, the cases include a linear form (rho = 0),
+    beta == gamma, a singular line ``x + y = -(beta + gamma) / rho`` of
+    the Jacobian crossing the unit square, the reference forms, and
+    observations far outside what any point of the square produces.
+    """
+    kind = draw(st.sampled_from(["any", "linear", "beta_eq_gamma", "singular_line", "reference"]))
+    coeff = st.floats(-2.0, 2.0)
+    alpha, beta, gamma, rho = (draw(coeff) for _ in range(4))
+    if kind == "linear":
+        rho = 0.0
+    elif kind == "beta_eq_gamma":
+        gamma = beta
+    elif kind == "singular_line":
+        rho = -draw(st.floats(0.05, 2.0))
+        line = draw(st.floats(0.05, 1.95))  # x + y on the singular line
+        half_gap = draw(st.floats(-1.0, 1.0).filter(lambda h: abs(h) > 1e-3))
+        beta, gamma = -0.5 * rho * line + half_gap, -0.5 * rho * line - half_gap
+    if kind == "reference":
+        coeffs = REFERENCE_COEFFICIENTS.category(draw(st.sampled_from(CATEGORIES)))
+    else:
+        coeffs = CategoryCoefficients(alpha=alpha, beta=beta, gamma=gamma, rho=rho)
+    observation = draw(st.sampled_from(["near", "consistent", "far"]))
+    if observation == "consistent":
+        # Produced by a point of the square, then perturbed a little.
+        x, y = draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0))
+        noise = st.floats(-0.05, 0.05)
+        u = reference_forward(coeffs, x, y) + draw(noise)
+        v = reference_forward(coeffs, y, x) + draw(noise)
+    elif observation == "far":
+        far = st.one_of(st.floats(10.0, 100.0), st.floats(-100.0, -10.0))
+        u, v = draw(far), draw(st.one_of(far, st.floats(-3.0, 3.0)))
+    else:
+        u, v = draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0))
+    return coeffs, u, v
+
+
 class TestInvertCategory:
     def test_linear_intercept_observation_gives_zero(self):
         # With rho = 0, observing exactly the intercept on both sides
@@ -300,12 +349,32 @@ class TestInvertCategory:
     def test_inconsistent_observation_degrades(self):
         # The frontend form cannot produce values above
         # alpha + beta = 1.6487 inside the unit square, so a larger
-        # observation has no consistent solution.
-        coeffs = REFERENCE_COEFFICIENTS.fe
-        sol = invert_category(coeffs, 5.0, 5.0)
-        assert not sol.exact
-        assert 0.0 <= sol.x <= 1.0
-        assert 0.0 <= sol.y <= 1.0
+        # observation has no consistent solution.  With beta == gamma the
+        # two residuals differ by the constant v - u, so u != v has none
+        # either, whatever rho is.
+        cases = [
+            (REFERENCE_COEFFICIENTS.fe, 5.0, 5.0),
+            (CategoryCoefficients(alpha=0.1, beta=0.5, gamma=0.5, rho=0.2), 0.3, 0.9),
+        ]
+        for coeffs, u, v in cases:
+            sol = invert_category(coeffs, u, v)
+            assert not sol.exact
+            assert 0.0 <= sol.x <= 1.0
+            assert 0.0 <= sol.y <= 1.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=inversion_cases())
+    def test_result_is_box_least_squares(self, case):
+        # Whether or not a consistent solution exists, the result lies
+        # in the unit square and no point of a dense grid over the
+        # square fits the observations better.
+        coeffs, u, v = case
+        sol = invert_category(coeffs, u, v)
+        assert 0.0 <= sol.x <= 1.0 and 0.0 <= sol.y <= 1.0
+        got = squared_residual(coeffs, sol.x, sol.y, u, v)
+        assert got <= float(squared_residual(coeffs, GRID_X, GRID_Y, u, v).min()) + 1e-9
+        if sol.exact:
+            assert got <= 1e-8**2 * max(1.0, u * u + v * v)
 
     def test_non_finite_observation_rejected(self):
         coeffs = REFERENCE_COEFFICIENTS.fe
