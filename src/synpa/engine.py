@@ -44,7 +44,7 @@ from .dispatch import (
     characterize,
     normalize,
 )
-from .errors import ConfigError, WorkloadError
+from .errors import ConfigError, TraceError, WorkloadError
 from .interference import (
     ModelCoefficients,
     REFERENCE_COEFFICIENTS,
@@ -581,6 +581,11 @@ def run(config: EngineConfig) -> ScheduleLog:
 
     else:
         header, trace_quanta = open_trace(config.trace_path)
+        cycles_per_quantum = int(round(header.quantum_ms * CYCLES_PER_MS))
+        if cycles_per_quantum < 1:
+            raise TraceError(
+                f"quantum_ms {header.quantum_ms} is under one simulator cycle", line=1
+            )
         app_ids = header.threads
         remaining = iter(trace_quanta)
 
@@ -673,7 +678,7 @@ def run(config: EngineConfig) -> ScheduleLog:
             mode="replay",
             quantum_ms=header.quantum_ms,
             dispatch_width=header.dispatch_width,
-            cycles_per_quantum=int(round(header.quantum_ms * CYCLES_PER_MS)),
+            cycles_per_quantum=cycles_per_quantum,
             noise_sigma=0.0,
             first_completion=last_seen,
             relaunches={a: 0 for a in app_ids},

@@ -17,6 +17,14 @@ dense primal-dual weighted blossom algorithm (Edmonds 1965; Galil 1986)
 on the same integers, whose result is checked against its dual
 certificate.  Both backends see a unique optimum, so results never
 depend on backend, iteration order, or hashing.
+
+The blossom algorithm starts from an optimal fractional matching, as
+Blossom V (Kolmogorov 2009) and Cook & Rohe (1999) do: an exact
+assignment-problem solve gives feasible duals and the tight cycles of
+an optimal permutation, whose alternate edges are matched.  On the
+interference model's weights the start is nearly always perfect, hence
+optimal, and the solve ends at its certificate check; odd cycles leave
+one free vertex each for the blossom phases.
 """
 
 from __future__ import annotations
@@ -255,6 +263,82 @@ def _solve_dp(n: int, scores: list[list[int]]) -> list[tuple[int, int]]:
     return pairs
 
 
+def _assignment_start(n: int, scores: list[list[int]]) -> tuple[list[int], list[int]]:
+    """Vertex duals and a partial matching from an optimal assignment.
+
+    Solves the assignment problem on ``scores`` with the diagonal
+    forbidden (priced so high that no optimal assignment uses it) by
+    shortest augmenting paths, in O(n**3) on exact integers.  That is
+    the bipartite double cover of the fractional perfect-matching LP; its
+    row and column potentials ``u``, ``v`` satisfy
+    ``u[i] + v[j] <= scores[i][j]`` off the diagonal, so
+    ``lab[i] = -2 * (u[i] + v[i])`` is a feasible, even dual for
+    ``w2 = -4 * score``.  The scores are symmetric, so with the optimal
+    permutation ``sigma`` its inverse is optimal too, and complementary
+    slackness makes every edge on ``sigma``'s cycles tight.  Alternate
+    edges of each cycle are matched, each only if tight under ``lab``:
+    even cycles are matched fully, and each odd cycle leaves one vertex
+    free.  Returns ``(lab, mate)`` with ``mate[v] == -1`` for a free
+    vertex.
+    """
+    hi = max(max(row) for row in scores)
+    lo = min(min(row) for row in scores)
+    cost = [row[:] for row in scores]
+    for i in range(n):
+        cost[i][i] = (n + 1) * hi - n * lo + 1
+    # Rows are added one at a time, each by a Dijkstra search over the
+    # reduced costs ``cost[i][j] - v[j]`` (Jonker & Volgenant 1987).  An
+    # assigned row's column always has its least reduced cost, so the
+    # row dual is implicit: ``u[i] = cost[i][sigma[i]] - v[sigma[i]]``.
+    v = [0] * n
+    owner = [-1] * n  # the row assigned to each column
+    sigma = [-1] * n  # the column assigned to each row
+    for root in range(n):
+        row = cost[root]
+        dist = [row[j] - v[j] for j in range(n)]
+        pred = [root] * n
+        todo = list(range(n))
+        done = []
+        while True:
+            j = min(todo, key=dist.__getitem__)
+            mu = dist[j]
+            if owner[j] == -1:
+                break
+            todo.remove(j)
+            done.append(j)
+            i = owner[j]
+            row = cost[i]
+            base = mu - row[j] + v[j]
+            for k in todo:
+                dk = row[k] - v[k] + base
+                if dk < dist[k]:
+                    dist[k] = dk
+                    pred[k] = i
+        for k in done:
+            v[k] += dist[k] - mu
+        while True:  # augment along the shortest path back to the root
+            i = pred[j]
+            owner[j] = i
+            j, sigma[i] = sigma[i], j
+            if i == root:
+                break
+    lab = [-2 * (cost[i][sigma[i]] - v[sigma[i]] + v[i]) for i in range(n)]
+    mate = [-1] * n
+    seen = [False] * n
+    for first in range(n):
+        cycle = []
+        x = first
+        while not seen[x]:
+            seen[x] = True
+            cycle.append(x)
+            x = sigma[x]
+        for k in range(0, len(cycle) - 1, 2):
+            a, b = cycle[k], cycle[k + 1]
+            if lab[a] + lab[b] == -4 * scores[a][b]:
+                mate[a], mate[b] = b, a
+    return lab, mate
+
+
 def _solve_blossom(n: int, scores: list[list[int]]) -> list[tuple[int, int]]:
     """Minimum-score perfect matching by the primal-dual blossom algorithm.
 
@@ -264,10 +348,17 @@ def _solve_blossom(n: int, scores: list[list[int]]) -> list[tuple[int, int]]:
     kept as ``w2 = -4 * score`` and duals as ``lab``: an edge's slack is
     ``lab[u] + lab[v] - w2[u][v]`` plus the ``lab`` of every blossom
     holding both ends, and a dual step of ``delta`` moves vertex duals
-    by ``delta`` and blossom duals by ``2 * delta``.  The factor 4 makes
-    every warm-start dual (half an edge weight) even, which keeps every
-    step an integer.  Vertex duals are unbounded in sign, which makes
-    every optimum perfect.
+    by ``delta`` and blossom duals by ``2 * delta``.  Vertex duals are
+    unbounded in sign, which makes every optimum perfect.
+
+    The solve starts from an optimal fractional matching
+    (:func:`_assignment_start`).  The factor 4 makes its duals all
+    even, so all free vertices, and with them all tree vertices, share
+    one parity and every step stays an integer.  A perfect start is
+    optimal, as on nearly every graph of the model's near-additive
+    weights: then only its certificate is checked and no blossom state
+    is built.  Otherwise the phases below match the vertex each odd
+    cycle left free.
 
     Per node ``x``: ``st[x]`` is the top-level blossom holding it (-1
     for a free blossom slot), ``label[x]`` is -1 (unreached), 0 (outer)
@@ -280,23 +371,14 @@ def _solve_blossom(n: int, scores: list[list[int]]) -> list[tuple[int, int]]:
     children around its cycle, base first, and ``holder[b][v]`` is the
     child of ``b`` containing vertex ``v``.
     """
-    size = 2 * n
     w2 = [[-4 * s for s in row] for row in scores]
-    # Warm start: each vertex's dual is half its heaviest edge, which is
-    # feasible; then, vertex by vertex, lower it until one of its edges
-    # is tight, and match tight edges greedily.
-    lab = [max(row[:u] + row[u + 1 :]) // 2 for u, row in enumerate(w2)] + [0] * n
-    for u in range(n):
-        lu, wu = lab[u], w2[u]
-        lab[u] -= min(lu + lab[v] - wu[v] for v in range(n) if v != u)
-    mate = [-1] * size
-    for u in range(n):
-        if mate[u] == -1:
-            lu, wu = lab[u], w2[u]
-            for v in range(u + 1, n):
-                if mate[v] == -1 and lu + lab[v] == wu[v]:
-                    mate[u], mate[v] = v, u
-                    break
+    lab, mate = _assignment_start(n, scores)
+    if -1 not in mate:
+        _check_certificate(n, w2, mate, lab, {})
+        return [(u, v) for u, v in enumerate(mate) if u < v]
+    size = 2 * n
+    lab += [0] * n
+    mate += [-1] * n
 
     edge: list[list[tuple[int, int] | None]] = [[None] * size for _ in range(size)]
     for u in range(n):

@@ -5,8 +5,12 @@ from __future__ import annotations
 import os
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
 
 from synpa import (
+    CATEGORIES,
+    CategoryCoefficients,
     CategoryVector,
     ModelCoefficients,
     RawCounterSample,
@@ -15,8 +19,32 @@ from synpa import (
     predict_pair,
 )
 
+#: On CI (the ``CI`` environment variable is set) no property fails on a
+#: slow runner's deadline, and a failure prints the blob that replays it
+#: with ``@reproduce_failure``.
+settings.register_profile("ci", deadline=None, print_blob=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
+
 CYCLES = 10**8
 WIDTH = 4
+
+
+@st.composite
+def category_vectors(draw):
+    """Arbitrary normalized category vectors, zeros included."""
+    parts = [draw(st.floats(0.0, 1.0)) for _ in CATEGORIES]
+    total = sum(parts)
+    if total == 0.0:
+        parts, total = [1.0, 1.0, 1.0], 3.0
+    return CategoryVector(**{name: x / total for name, x in zip(CATEGORIES, parts)})
+
+
+def coefficient_models():
+    """Interference models with every coefficient in [-2, 2]."""
+    coeff = st.floats(-2.0, 2.0)
+    category = st.builds(CategoryCoefficients, alpha=coeff, beta=coeff, gamma=coeff, rho=coeff)
+    return st.builds(ModelCoefficients, fdc=category, fe=category, be=category)
 
 
 def counters_for_fractions(

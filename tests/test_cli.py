@@ -313,6 +313,8 @@ class TestReplay:
 
     @pytest.mark.parametrize("field, value", [
         ("quantum_ms", "NaN"), ("quantum_ms", "Infinity"), ("dispatch_width", "4.9"),
+        # Positive and finite, but under one simulator cycle.
+        ("quantum_ms", "1e-09"),
     ])
     def test_bad_header_is_domain_error(self, trace_file, tmp_path, capsys, field, value):
         header, rest = trace_file.read_text(encoding="utf-8").split("\n", 1)

@@ -30,6 +30,8 @@ from synpa import (
     save_coefficients,
 )
 
+from conftest import category_vectors, coefficient_models
+
 ZERO = CategoryCoefficients(alpha=0.0, beta=0.0, gamma=0.0, rho=0.0)
 ZERO_MODEL = ModelCoefficients(fdc=ZERO, fe=ZERO, be=ZERO, provenance="zero")
 
@@ -156,21 +158,6 @@ class TestPredictPair:
             coeffs = REFERENCE_COEFFICIENTS.category(name)
             assert pred.smt_i.get(name) == forward(coeffs, st_a.get(name), st_b.get(name))
             assert pred.smt_j.get(name) == forward(coeffs, st_b.get(name), st_a.get(name))
-
-
-@st.composite
-def category_vectors(draw):
-    parts = [draw(st.floats(0.0, 1.0)) for _ in CATEGORIES]
-    total = sum(parts)
-    if total == 0.0:
-        parts, total = [1.0, 1.0, 1.0], 3.0
-    return CategoryVector(**{name: x / total for name, x in zip(CATEGORIES, parts)})
-
-
-def coefficient_models():
-    coeff = st.floats(-2.0, 2.0)
-    category = st.builds(CategoryCoefficients, alpha=coeff, beta=coeff, gamma=coeff, rho=coeff)
-    return st.builds(ModelCoefficients, fdc=category, fe=category, be=category)
 
 
 def scalar_pair_weights(model, vectors):

@@ -24,9 +24,18 @@ from synpa import (
     canonical_total,
     graph_from_matrix,
     min_weight_perfect_matching,
+    pair_weight_matrix,
     predict_pair,
 )
-from synpa.matcher import _check_certificate, _exact_scores, _solve_blossom, _solve_dp
+from synpa.matcher import (
+    _assignment_start,
+    _check_certificate,
+    _exact_scores,
+    _solve_blossom,
+    _solve_dp,
+)
+
+from conftest import category_vectors, coefficient_models
 
 _ZERO_TRIPLE = CategoryTriple(fe=0.0, be=0.0, fdc=0.0)
 
@@ -99,6 +108,18 @@ def random_graph(rng, n, dyadic=False, ties=False):
                 w = rng.uniform(1.0, 3.0)
             weights[(nodes[i], nodes[j])] = w
     return SynergyGraph(nodes=tuple(nodes), weights=weights)
+
+
+def model_graph(rng, n):
+    """Pairing graph of ``n`` random category vectors under the reference
+    model: near-additive weights, a cost per thread plus a small pair term."""
+    vectors = []
+    for _ in range(n):
+        parts = [rng.random() + 1e-3 for _ in range(3)]
+        total = sum(parts)
+        vectors.append(CategoryVector(*(x / total for x in parts)))
+    ids = [f"t{i:02d}" for i in range(n)]
+    return graph_from_matrix(ids, pair_weight_matrix(REFERENCE_COEFFICIENTS, vectors))
 
 
 class TestBuildGraph:
@@ -339,9 +360,12 @@ class TestMinWeightMatching:
     @pytest.mark.parametrize("n", [32, 64])
     def test_large_instance_matches_networkx(self, n):
         nx = pytest.importorskip("networkx")
-        for seed, ties in ((n, False), (n + 1, True)):
-            rng = random.Random(seed)
-            graph = random_graph(rng, n, ties=ties)
+        graphs = (
+            random_graph(random.Random(n), n),
+            random_graph(random.Random(n + 1), n, ties=True),
+            model_graph(random.Random(n + 2), n),
+        )
+        for graph in graphs:
             scores = _exact_scores(graph.matrix)
             top = max(max(row) for row in scores) + 1
             oracle = nx.Graph()
@@ -426,6 +450,75 @@ class TestMinWeightMatching:
         assert (IDLE_NODE, "c") in result.pairs
         assert ("a", "b") in result.pairs
         assert result.total_weight == pytest.approx(3.1, abs=1e-12)
+
+
+@st.composite
+def start_instances(draw):
+    """Even-sized score matrices: ``random_graph`` weights, ties included,
+    and model-driven weights of random category vectors under the
+    reference or a random interference model (odd rosters padded idle)."""
+    kind = draw(st.sampled_from(["uniform", "ties", "model"]))
+    if kind == "model":
+        model = draw(st.one_of(st.just(REFERENCE_COEFFICIENTS), coefficient_models()))
+        vectors = draw(st.lists(category_vectors(), min_size=2, max_size=12))
+        ids = [f"t{i:02d}" for i in range(len(vectors))]
+        matrix = graph_from_matrix(ids, pair_weight_matrix(model, vectors)).matrix
+    else:
+        n = draw(st.sampled_from([2, 4, 6, 8, 10, 12]))
+        rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+        matrix = random_graph(rng, n, ties=kind == "ties").matrix
+    return len(matrix), _exact_scores(matrix)
+
+
+class TestAssignmentStart:
+    """The blossom solver's start from an optimal fractional matching."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(instance=start_instances())
+    def test_start_is_feasible_and_tight(self, instance):
+        n, scores = instance
+        lab, mate = _assignment_start(n, scores)
+        w2 = [[-4 * s for s in row] for row in scores]
+        assert all(x % 2 == 0 for x in lab)
+        for u in range(n):
+            for v in range(u + 1, n):
+                assert lab[u] + lab[v] >= w2[u][v]
+            if mate[u] != -1:
+                assert mate[mate[u]] == u
+                assert lab[u] + lab[mate[u]] == w2[u][mate[u]]
+
+    @settings(max_examples=300, deadline=None)
+    @given(instance=start_instances())
+    def test_blossom_equals_dp(self, instance):
+        n, scores = instance
+        assert sorted(_solve_blossom(n, scores)) == sorted(_solve_dp(n, scores))
+
+    def test_odd_cycles_leave_vertices_for_the_phases(self):
+        # Two triangles and a 4-clique, weight 1 inside a group and 10
+        # across.  The fractional optimum runs half-edges around each
+        # triangle (weight 5 against 14 for any perfect matching), so the
+        # start leaves one vertex of each triangle free and the blossom
+        # phases must finish the matching.
+        group = [0, 0, 0, 1, 1, 1, 2, 2, 2, 2]
+        matrix = [
+            [0.0 if i == j else 1.0 if group[i] == group[j] else 10.0 for j in range(10)]
+            for i in range(10)
+        ]
+        scores = _exact_scores(matrix)
+        _, mate = _assignment_start(10, scores)
+        free = [v for v in range(10) if mate[v] == -1]
+        assert free == [2, 5]
+        assert sorted(_solve_blossom(10, scores)) == sorted(_solve_dp(10, scores))
+
+    def test_model_driven_start_is_perfect(self):
+        # On these graphs the fractional optimum is integral, so the start
+        # alone is the matching and no blossom state is built.  A start
+        # that lost this would still be optimal, only slow, and no
+        # optimality test would notice.
+        for seed in range(20):
+            scores = _exact_scores(model_graph(random.Random(seed), 16).matrix)
+            _, mate = _assignment_start(16, scores)
+            assert -1 not in mate
 
 
 class TestCertificate:
