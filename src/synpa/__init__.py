@@ -93,10 +93,8 @@ from .interference import (
 )
 from .matcher import (
     IDLE_NODE,
-    Matching,
     SynergyGraph,
     build_graph,
-    canonical_total,
     graph_from_matrix,
     min_weight_perfect_matching,
 )

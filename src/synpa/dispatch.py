@@ -11,8 +11,7 @@ three categories:
 
 The three categories always partition the measured cycles exactly.  To
 keep that identity immune to rounding, the breakdown is carried
-internally in integer *slot units* of ``1/dispatch_width`` cycle; the
-float cycle-valued fields are derived views.
+in integer *slot units* of ``1/dispatch_width`` cycle.
 """
 
 from __future__ import annotations
@@ -115,26 +114,6 @@ class CategoryBreakdown:
     clamped: bool = False
 
     @property
-    def fe_stalls(self) -> float:
-        """Front-end stall cycles."""
-        return self.fe_units / self.dispatch_width
-
-    @property
-    def be_stalls_total(self) -> float:
-        """Back-end stall cycles, revealed stalls included."""
-        return self.be_units / self.dispatch_width
-
-    @property
-    def full_dispatch(self) -> float:
-        """Cycles dispatching at full width."""
-        return self.fdc_units / self.dispatch_width
-
-    @property
-    def revealed_stalls(self) -> float:
-        """Dispatch cycles re-attributed to the back end."""
-        return self.reveal_units / self.dispatch_width
-
-    @property
     def total_units(self) -> int:
         return self.total_cycles * self.dispatch_width
 
@@ -197,6 +176,14 @@ def normalize(breakdown: CategoryBreakdown) -> CategoryVector:
         be=breakdown.be_units / total,
         fdc=breakdown.fdc_units / total,
     )
+
+
+def normalize_triple(triple: CategoryTriple) -> CategoryVector:
+    """Scale a triple to fractions of its total; uniform if the total is ~0."""
+    total = triple.total
+    if total <= 1e-12:
+        return UNIFORM_VECTOR
+    return CategoryVector(fe=triple.fe / total, be=triple.be / total, fdc=triple.fdc / total)
 
 
 def classify(vector: CategoryTriple) -> AppClass:

@@ -43,6 +43,7 @@ from .dispatch import (
     UNIFORM_VECTOR,
     characterize,
     normalize,
+    normalize_triple,
 )
 from .errors import ConfigError, TraceError, WorkloadError
 from .interference import (
@@ -110,20 +111,13 @@ class SyntheticApp:
         """Ground-truth isolated duration of one launch, in quanta."""
         remaining = float(self.target_instructions)
         quanta = 0.0
-        idx = 0
-        into = 0.0
-        while remaining > 0.0:
-            phase = self.phases[idx]
+        for phase in itertools.cycle(self.phases):
             rate = phase.vector.fdc * dispatch_width * cycles_per_quantum
-            left = phase.instructions - into
-            take = min(remaining, left)
+            take = min(remaining, phase.instructions)
             quanta += take / rate
             remaining -= take
-            into += take
-            if into >= phase.instructions:
-                idx = (idx + 1) % len(self.phases)
-                into = 0.0
-        return quanta
+            if remaining <= 0.0:
+                return quanta
 
     def to_dict(self) -> dict:
         return {
@@ -171,8 +165,8 @@ class SimWorkload:
             raise WorkloadError("duplicate app ids in workload")
         if not self.apps:
             raise WorkloadError("workload must contain at least one app")
-        if self.noise_sigma < 0.0:
-            raise WorkloadError("noise_sigma must be >= 0")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0.0):
+            raise WorkloadError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
 
 
 @dataclass
@@ -492,15 +486,6 @@ class _EstimateStore:
         )
 
 
-def _normalize_triple(triple: CategoryTriple) -> CategoryVector:
-    total = triple.total
-    if total <= 1e-12:
-        return UNIFORM_VECTOR
-    return CategoryVector(
-        fe=triple.fe / total, be=triple.be / total, fdc=triple.fdc / total
-    )
-
-
 def _decide_synpa(
     app_ids: Sequence[str],
     estimates: _EstimateStore,
@@ -508,7 +493,7 @@ def _decide_synpa(
 ) -> tuple[tuple[str, str], ...]:
     ordered = sorted(app_ids)
     weights = pair_weight_matrix(model, [estimates.effective(a) for a in ordered])
-    return min_weight_perfect_matching(graph_from_matrix(ordered, weights)).pairs
+    return min_weight_perfect_matching(graph_from_matrix(ordered, weights))
 
 
 def _update_estimates(
@@ -523,7 +508,7 @@ def _update_estimates(
     for a, b in sorted(tuple(sorted(p)) for p in pairs):
         if a == IDLE_NODE or b == IDLE_NODE:
             solo = a if b == IDLE_NODE else b
-            vec = _normalize_triple(results[solo].observed)
+            vec = normalize_triple(results[solo].observed)
             estimates.update(solo, vec)
             fresh[solo] = vec
             degraded[solo] = False
@@ -586,6 +571,8 @@ def run(config: EngineConfig) -> ScheduleLog:
             raise TraceError(
                 f"quantum_ms {header.quantum_ms} is under one simulator cycle", line=1
             )
+        if IDLE_NODE in header.threads:
+            raise TraceError(f"threads must not include the reserved id {IDLE_NODE!r}", line=1)
         app_ids = header.threads
         remaining = iter(trace_quanta)
 

@@ -9,6 +9,7 @@ aggregator that discards outliers until the turnaround times are stable.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import statistics
@@ -99,6 +100,8 @@ def make_synthetic_app(
     """
     if family not in _FAMILY_PHASES:
         raise WorkloadError(f"unknown app family {family!r}; choose from {sorted(_FAMILY_PHASES)}")
+    if not (math.isfinite(iso_quanta) and iso_quanta > 0.0):
+        raise WorkloadError(f"iso_quanta must be finite and > 0, got {iso_quanta}")
     dominant, relief = _FAMILY_PHASES[family]
     for _ in range(50):
         phases = []
@@ -124,9 +127,7 @@ def _target_for_quanta(
     """Instruction target whose isolated duration is ~iso_quanta."""
     remaining = iso_quanta
     total = 0.0
-    idx = 0
-    while True:
-        phase = phases[idx % len(phases)]
+    for phase in itertools.cycle(phases):
         rate = phase.vector.fdc * dispatch_width * cycles_per_quantum
         duration = phase.instructions / rate
         if duration >= remaining:
@@ -134,7 +135,6 @@ def _target_for_quanta(
             return max(1, int(round(total)))
         total += phase.instructions
         remaining -= duration
-        idx += 1
 
 
 def make_synthetic_roster(
@@ -525,8 +525,8 @@ def aggregate_runs(
     """
     if len(reports) < 2:
         raise ConfigError("aggregate_runs needs at least two reports")
-    if cv_threshold <= 0:
-        raise ConfigError("cv_threshold must be positive")
+    if not (math.isfinite(cv_threshold) and cv_threshold > 0):
+        raise ConfigError(f"cv_threshold must be finite and positive, got {cv_threshold}")
     retained = list(range(len(reports)))
     discarded: list[int] = []
     while True:

@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dispatch import CATEGORIES, CategoryTriple, CategoryVector
+from .dispatch import CATEGORIES, CategoryTriple, CategoryVector, normalize_triple
 from .errors import ModelError
 
 COEFFICIENTS_VERSION = 1
@@ -420,13 +420,6 @@ class InversionResult:
     degraded: bool  # at least one category fell back to least squares
 
 
-def _renormalize(values: dict[str, float]) -> CategoryVector:
-    total = sum(values[name] for name in CATEGORIES)
-    if total <= 1e-12:
-        return CategoryVector(fe=1.0 / 3.0, be=1.0 / 3.0, fdc=1.0 / 3.0)
-    return CategoryVector(**{name: values[name] / total for name in CATEGORIES})
-
-
 def invert(
     model: ModelCoefficients, smt_ij: CategoryTriple, smt_ji: CategoryTriple
 ) -> InversionResult:
@@ -448,4 +441,8 @@ def invert(
         xs[name] = sol.x
         ys[name] = sol.y
         degraded = degraded or not sol.exact
-    return InversionResult(st_i=_renormalize(xs), st_j=_renormalize(ys), degraded=degraded)
+    return InversionResult(
+        st_i=normalize_triple(CategoryTriple(**xs)),
+        st_j=normalize_triple(CategoryTriple(**ys)),
+        degraded=degraded,
+    )

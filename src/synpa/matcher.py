@@ -32,7 +32,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
-from math import isfinite
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -50,102 +49,50 @@ IDLE_WEIGHT = 1.0
 _DP_MAX_NODES = 8
 
 
+@dataclass(frozen=True)
 class SynergyGraph:
     """Complete weighted graph over thread ids, held as a dense matrix.
 
     ``nodes`` is sorted, and ``matrix[i][j]`` is the weight of the edge
     between ``nodes[i]`` and ``nodes[j]``; the matrix is symmetric with
-    a zero diagonal.  The constructor validates a mapping of
-    ``(a, b) -> weight`` edges; :func:`graph_from_matrix` takes the
-    matrix directly.
+    a zero diagonal.  Build it with :func:`graph_from_matrix`, which
+    validates both.
     """
 
-    __slots__ = ("nodes", "matrix", "_index")
-
-    def __init__(
-        self, nodes: Sequence[str], weights: Mapping[tuple[str, str], float]
-    ) -> None:
-        if len(set(nodes)) != len(nodes):
-            raise MatchingError("duplicate node ids")
-        ordered = tuple(sorted(nodes))
-        index = {a: i for i, a in enumerate(ordered)}
-        matrix: list[list[float | None]] = [[None] * len(ordered) for _ in ordered]
-        for (a, b), w in weights.items():
-            if a == b:
-                raise MatchingError(f"self edge on node {a!r}")
-            key = (a, b) if a < b else (b, a)
-            if a not in index or b not in index:
-                raise MatchingError(f"edge {key} references unknown node")
-            i, j = index[a], index[b]
-            w = float(w)
-            if matrix[i][j] is not None and matrix[i][j] != w:
-                raise MatchingError(f"conflicting weights for edge {key}")
-            if not isfinite(w):
-                raise MatchingError(f"edge {key} has non-finite weight {w!r}")
-            matrix[i][j] = matrix[j][i] = w
-        for i, a in enumerate(ordered):
-            matrix[i][i] = 0.0
-            for j in range(i + 1, len(ordered)):
-                if matrix[i][j] is None:
-                    raise MatchingError(f"missing edge ({a!r}, {ordered[j]!r})")
-        self._set(ordered, matrix, index)
-
-    def _set(self, nodes: tuple[str, ...], matrix: list, index: dict[str, int]) -> None:
-        self.nodes = nodes
-        self.matrix = matrix
-        self._index = index
-
-    @property
-    def weights(self) -> dict[tuple[str, str], float]:
-        """Every edge as ``(a, b) -> weight`` with ``a < b``."""
-        nodes, matrix = self.nodes, self.matrix
-        return {
-            (a, nodes[j]): matrix[i][j]
-            for i, a in enumerate(nodes)
-            for j in range(i + 1, len(nodes))
-        }
-
-    def weight(self, a: str, b: str) -> float:
-        return self.matrix[self._index[a]][self._index[b]]
+    nodes: tuple[str, ...]
+    matrix: list[list[float]]
 
 
 def build_graph(predictions: Mapping[tuple[str, str], PairPrediction]) -> SynergyGraph:
     """Build the pairing graph from per-pair predictions.
 
-    Edge weight is the sum of both directed slowdowns.  An odd number
-    of threads is padded with :data:`IDLE_NODE`; edges to it weigh
-    :data:`IDLE_WEIGHT` for every thread, since a thread sharing a core
-    with nobody runs at isolated speed.
+    Edge weight is the sum of both directed slowdowns, and every pair of
+    threads needs a prediction.  The weights go through
+    :func:`graph_from_matrix`, which validates and pads them.
     """
-    nodes: set[str] = set()
-    for a, b in predictions:
-        nodes.add(a)
-        nodes.add(b)
-    if IDLE_NODE in nodes:
-        raise MatchingError(f"{IDLE_NODE!r} is reserved for odd-roster padding")
-    weights: dict[tuple[str, str], float] = {}
+    nodes = sorted({a for pair in predictions for a in pair})
+    n = len(nodes)
+    index = {a: i for i, a in enumerate(nodes)}
+    weights = np.zeros((n, n))
     for (a, b), pred in predictions.items():
         if a == b:
             raise MatchingError(f"self pairing for thread {a!r}")
         w = pred.slowdown_i + pred.slowdown_j
-        if not isfinite(w) or w < 0.0:
-            raise MatchingError(f"pair ({a!r}, {b!r}) has invalid weight {w!r}")
-        weights[(a, b) if a < b else (b, a)] = w
-    node_list = sorted(nodes)
-    if len(node_list) % 2 == 1:
-        for a in node_list:
-            weights[(IDLE_NODE, a)] = IDLE_WEIGHT
-        node_list.append(IDLE_NODE)
-    return SynergyGraph(nodes=tuple(sorted(node_list)), weights=weights)
+        weights[index[a], index[b]] = weights[index[b], index[a]] = w
+    if len({frozenset(pair) for pair in predictions}) != n * (n - 1) // 2:
+        raise MatchingError("predictions must cover every pair of threads")
+    return graph_from_matrix(nodes, weights)
 
 
 def graph_from_matrix(app_ids: Sequence[str], weights: np.ndarray) -> SynergyGraph:
-    """The pairing graph :func:`build_graph` gives, from a pair-weight matrix.
+    """The pairing graph of the sorted, distinct ``app_ids``.
 
     ``weights[i][j]`` is the combined slowdown of the ``i``-th and
-    ``j``-th of the sorted, distinct ``app_ids``; it must be symmetric,
-    finite and non-negative off the diagonal, which is ignored.  An odd
-    roster is padded with :data:`IDLE_NODE` at its sorted position.
+    ``j``-th id; it must be symmetric, finite and non-negative off the
+    diagonal, which is ignored.  An odd roster is padded with
+    :data:`IDLE_NODE` at its sorted position; edges to it weigh
+    :data:`IDLE_WEIGHT` for every thread, since a thread sharing a core
+    with nobody runs at isolated speed.
     """
     nodes = list(app_ids)
     if nodes != sorted(set(nodes)):
@@ -165,34 +112,7 @@ def graph_from_matrix(app_ids: Sequence[str], weights: np.ndarray) -> SynergyGra
         raise MatchingError("weight matrix has non-finite or negative weights")
     if not (matrix == matrix.T).all():
         raise MatchingError("weight matrix is not symmetric")
-    graph = SynergyGraph.__new__(SynergyGraph)
-    graph._set(tuple(nodes), matrix.tolist(), {a: i for i, a in enumerate(nodes)})
-    return graph
-
-
-@dataclass(frozen=True)
-class Matching:
-    """A perfect matching: sorted pairs and their canonical total weight."""
-
-    pairs: tuple[tuple[str, str], ...]
-    total_weight: float
-
-    def partner_of(self, node: str) -> str | None:
-        for a, b in self.pairs:
-            if a == node:
-                return b
-            if b == node:
-                return a
-        return None
-
-
-def canonical_total(graph: SynergyGraph, pairs: Sequence[tuple[str, str]]) -> float:
-    """Sum pair weights in sorted-pair order (the one reported total)."""
-    ordered = sorted(tuple(sorted(p)) for p in pairs)
-    total = 0.0
-    for a, b in ordered:
-        total += graph.weight(a, b)
-    return total
+    return SynergyGraph(tuple(nodes), matrix.tolist())
 
 
 def _exact_scores(matrix: Sequence[Sequence[float]]) -> list[list[int]]:
@@ -684,23 +604,22 @@ def _check_certificate(
             raise MatchingError(f"matched edge ({u}, {mate[u]}) is not tight")
 
 
-def min_weight_perfect_matching(graph: SynergyGraph) -> Matching:
-    """Return the unique optimal perfect matching of the graph.
+def min_weight_perfect_matching(graph: SynergyGraph) -> tuple[tuple[str, str], ...]:
+    """Return the sorted pairs of the unique optimal perfect matching.
 
     Optimal means minimum total weight, ties broken toward the
     lexicographically smallest sorted pair list.  Raises
     :class:`MatchingError` on an odd node count.
     """
     n = len(graph.nodes)
-    if n == 0:
-        return Matching(pairs=(), total_weight=0.0)
     if n % 2 == 1:
         raise MatchingError(f"cannot perfectly match {n} nodes; pad with {IDLE_NODE!r}")
+    if n == 0:
+        return ()
     nodes = graph.nodes
     scores = _exact_scores(graph.matrix)
     if n <= _DP_MAX_NODES:
         index_pairs = _solve_dp(n, scores)
     else:
         index_pairs = _solve_blossom(n, scores)
-    pairs = tuple(sorted((nodes[i], nodes[j]) for i, j in index_pairs))
-    return Matching(pairs=pairs, total_weight=canonical_total(graph, pairs))
+    return tuple(sorted((nodes[i], nodes[j]) for i, j in index_pairs))

@@ -10,7 +10,13 @@ import os
 
 import pytest
 
-from synpa import AppClass, REFERENCE_COEFFICIENTS, load_coefficients, read_counter_file
+from synpa import (
+    IDLE_NODE,
+    AppClass,
+    REFERENCE_COEFFICIENTS,
+    load_coefficients,
+    read_counter_file,
+)
 from synpa.cli import main
 from synpa.harness import (
     MetricsReport,
@@ -165,6 +171,16 @@ class TestGenWorkload:
         assert "error: --quantum-ms" in capsys.readouterr().err
         assert not (tmp_path / "x.json").exists()
 
+    @pytest.mark.parametrize("iso_quanta", ["nan", "inf", "0", "-5"])
+    def test_bad_iso_quanta_is_domain_error(self, tmp_path, capsys, iso_quanta):
+        code = run_cli(
+            "gen-workload", "--recipe", "mixed", "--seed", 0,
+            "--iso-quanta", iso_quanta, "--out", tmp_path / "x.json",
+        )
+        assert code == 1
+        assert "error: iso_quanta" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
+
 
 class TestSimulate:
     def test_single_run_writes_log_and_metrics(self, workload_file, tmp_path, capsys):
@@ -266,6 +282,18 @@ class TestSimulate:
         assert code == 1
         assert "error: quantum_ms" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("noise_sigma", ["nan", "inf"])
+    def test_non_finite_noise_sigma_is_domain_error(
+        self, workload_file, tmp_path, capsys, noise_sigma
+    ):
+        code = run_cli(
+            "simulate", "--workload", workload_file, "--noise-sigma", noise_sigma,
+            "--out", tmp_path / "x.jsonl",
+        )
+        assert code == 1
+        assert "error: noise_sigma" in capsys.readouterr().err
+        assert not (tmp_path / "x.jsonl").exists()
+
 
 class TestReplay:
     @pytest.fixture()
@@ -315,13 +343,18 @@ class TestReplay:
         ("quantum_ms", "NaN"), ("quantum_ms", "Infinity"), ("dispatch_width", "4.9"),
         # Positive and finite, but under one simulator cycle.
         ("quantum_ms", "1e-09"),
+        # A declared thread named like the odd-roster padding node.
+        pytest.param("threads", lambda ids: json.dumps([*ids, IDLE_NODE]), id="threads-idle"),
     ])
     def test_bad_header_is_domain_error(self, trace_file, tmp_path, capsys, field, value):
         header, rest = trace_file.read_text(encoding="utf-8").split("\n", 1)
         doc = json.loads(header)
+        if callable(value):
+            value = value(doc[field])
         bad = tmp_path / "bad.trace"
         bad.write_text(
-            header.replace(f'"{field}": {doc[field]}', f'"{field}": {value}') + "\n" + rest,
+            header.replace(f'"{field}": {json.dumps(doc[field])}', f'"{field}": {value}')
+            + "\n" + rest,
             encoding="utf-8",
         )
         assert bad.read_text(encoding="utf-8") != trace_file.read_text(encoding="utf-8")
@@ -365,6 +398,12 @@ class TestReport:
         assert code == 0
         stdout = capsys.readouterr().out
         assert "aggregate skipped: needs at least two runs" in stdout
+
+    @pytest.mark.parametrize("cv_threshold", ["nan", "inf"])
+    def test_non_finite_cv_threshold_is_domain_error(self, three_logs, capsys, cv_threshold):
+        code = run_cli("report", *three_logs, "--cv-threshold", cv_threshold)
+        assert code == 1
+        assert "error: cv_threshold" in capsys.readouterr().err
 
     def test_bad_log_is_domain_error(self, tmp_path, capsys):
         bogus = tmp_path / "not-a-log.jsonl"

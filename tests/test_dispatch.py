@@ -37,22 +37,20 @@ class TestCharacterize:
         # dispatch cycles 1000-200-300=500; full-dispatch 1200/4=300;
         # revealed 500-300=200 -> fe=200, be=300+200=500, fdc=300.
         b = characterize(sample(1000, 1200, 200, 300), 4)
-        assert b.fe_stalls == 200
-        assert b.be_stalls_total == 500
-        assert b.full_dispatch == 300
-        assert b.revealed_stalls == 200
+        assert (b.fe_units, b.be_units, b.fdc_units) == (800, 2000, 1200)
+        assert b.reveal_units == 800
         assert b.total_cycles == 1000
         assert not b.clamped
 
     def test_ideal_full_dispatch(self):
         b = characterize(sample(1000, 4000, 0, 0), 4)
-        assert (b.fe_stalls, b.be_stalls_total, b.full_dispatch) == (0, 0, 1000)
-        assert b.revealed_stalls == 0
+        assert (b.fe_units, b.be_units, b.fdc_units) == (0, 0, 4000)
+        assert b.reveal_units == 0
 
     def test_fully_stalled(self):
         b = characterize(sample(1000, 0, 400, 600), 4)
-        assert (b.fe_stalls, b.be_stalls_total, b.full_dispatch) == (400, 600, 0)
-        assert b.revealed_stalls == 0
+        assert (b.fe_units, b.be_units, b.fdc_units) == (1600, 2400, 0)
+        assert b.reveal_units == 0
 
     def test_zero_cycles_is_degenerate(self):
         with pytest.raises(DegenerateSampleError):
@@ -65,14 +63,14 @@ class TestCharacterize:
     def test_stalls_exceeding_cycles_clamp_and_flag(self):
         b = characterize(sample(1000, 0, 800, 900), 4)
         assert b.clamped
-        assert b.fe_stalls + b.be_stalls_total + b.full_dispatch == 1000
+        assert b.fe_units + b.be_units + b.fdc_units == 4000
 
     def test_inst_exceeding_dispatch_capacity_clamps_and_flags(self):
         # 500 dispatch cycles can hold at most 2000 slot units at width 4.
         b = characterize(sample(1000, 99999, 200, 300), 4)
         assert b.clamped
-        assert b.full_dispatch == 500  # all dispatch cycles, no revealed stalls
-        assert b.fe_stalls + b.be_stalls_total + b.full_dispatch == 1000
+        assert b.fdc_units == 2000  # all dispatch cycles, no revealed stalls
+        assert b.fe_units + b.be_units + b.fdc_units == 4000
 
     def test_partition_identity_randomized(self):
         rng = random.Random(1234)
@@ -86,8 +84,8 @@ class TestCharacterize:
             )
             width = rng.choice((1, 2, 4, 8))
             b = characterize(s, width)
-            assert b.fe_stalls + b.be_stalls_total + b.full_dispatch == cycles
-            assert b.fe_stalls >= 0 and b.be_stalls_total >= 0 and b.full_dispatch >= 0
+            assert b.fe_units + b.be_units + b.fdc_units == cycles * width
+            assert b.fe_units >= 0 and b.be_units >= 0 and b.fdc_units >= 0
 
     @settings(max_examples=500, deadline=None)
     @given(
@@ -119,7 +117,7 @@ class TestCharacterize:
             inst = rng.randrange(0, 4 * cycles)
             b1 = characterize(sample(cycles, inst, fe, be), 4)
             b2 = characterize(sample(cycles, inst + rng.randrange(1, 1000), fe, be), 4)
-            assert b2.be_stalls_total <= b1.be_stalls_total
+            assert b2.be_units <= b1.be_units
 
     def test_scale_invariance(self):
         rng = random.Random(7)
@@ -131,9 +129,9 @@ class TestCharacterize:
             k = rng.choice((2, 3, 10))
             b1 = characterize(sample(cycles, inst, fe, be), 4)
             b2 = characterize(sample(k * cycles, k * inst, k * fe, k * be), 4)
-            assert b2.fe_stalls == k * b1.fe_stalls
-            assert b2.be_stalls_total == k * b1.be_stalls_total
-            assert b2.full_dispatch == k * b1.full_dispatch
+            assert b2.fe_units == k * b1.fe_units
+            assert b2.be_units == k * b1.be_units
+            assert b2.fdc_units == k * b1.fdc_units
             assert normalize(b1) == normalize(b2)
 
 

@@ -5,9 +5,13 @@ determinism."""
 
 import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from synpa import (
     CATEGORIES,
@@ -22,6 +26,7 @@ from synpa import (
     REFERENCE_COEFFICIENTS,
     SimWorkload,
     SyntheticApp,
+    TraceError,
     TraceHeader,
     WorkloadError,
     format_trace,
@@ -140,6 +145,11 @@ class TestWorkloadTypes:
             SimWorkload(apps=())
         with pytest.raises(WorkloadError):
             SimWorkload(apps=(app,), noise_sigma=-0.1)
+
+    @pytest.mark.parametrize("noise_sigma", [math.nan, math.inf])
+    def test_non_finite_noise_rejected(self, noise_sigma):
+        with pytest.raises(WorkloadError, match="noise_sigma"):
+            SimWorkload(apps=(static_app("a", BE_VECTOR, 2.0),), noise_sigma=noise_sigma)
 
 
 class TestSimStep:
@@ -594,3 +604,61 @@ class TestReplay:
         # The decision taken after quantum 7, the first without d, is
         # the first to hold (idle, c).
         assert [r.migrations for r in log.records] == [2, 0, 0, 0, 0, 0, 0, 1, 0, 0]
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_reserved_thread_id_rejected(self, tmp_path, policy):
+        from conftest import counters_for_fractions
+
+        threads = (IDLE_NODE, "a", "b")
+        header = TraceHeader(dispatch_width=4, quantum_ms=100.0, threads=threads)
+        samples = [
+            counters_for_fractions(quantum, thread, 0.2, 0.4, cycles=10**6)
+            for quantum in range(3)
+            for thread in threads
+        ]
+        path = tmp_path / "reserved.trace"
+        path.write_text(format_trace(header, samples), encoding="utf-8")
+        with pytest.raises(TraceError, match="line 1: threads"):
+            run(EngineConfig(trace_path=str(path), policy=policy))
+
+
+def assert_pairs_cover_present(log):
+    """Each record pairs every present thread once, idle only if odd."""
+    for record in log.records:
+        members = [m for pair in record.pairs for m in pair]
+        assert sorted(m for m in members if m != IDLE_NODE) == sorted(record.observed)
+        assert members.count(IDLE_NODE) == len(record.observed) % 2
+
+
+@st.composite
+def small_workloads(draw):
+    """1-9 short synthetic apps whose ids sort on both sides of the idle node."""
+    names = st.text("aAzZ_09", min_size=1, max_size=3)
+    ids = sorted(draw(st.sets(names, min_size=1, max_size=9)))
+    families = draw(st.lists(st.sampled_from(["backend", "frontend", "other"]),
+                             min_size=len(ids), max_size=len(ids)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    apps = tuple(
+        make_synthetic_app(app_id, family, rng, iso_quanta=3.0)
+        for app_id, family in zip(ids, families)
+    )
+    return SimWorkload(apps=apps, noise_sigma=draw(st.sampled_from([0.0, 0.02])))
+
+
+class TestDecisionProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(workload=small_workloads(), policy=st.sampled_from(POLICIES),
+           seed=st.integers(0, 2**16))
+    def test_pairs_cover_present_threads_and_runs_repeat(self, workload, policy, seed):
+        config = EngineConfig(workload=workload, policy=policy, seed=seed)
+        log = run(config)
+        assert_pairs_cover_present(log)
+        assert run(config).to_jsonl() == log.to_jsonl()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "run.trace")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(format_trace(*trace_from_log(log)))
+            replay = EngineConfig(trace_path=path, policy=policy, seed=seed)
+            replayed = run(replay)
+            assert_pairs_cover_present(replayed)
+            assert run(replay).to_jsonl() == replayed.to_jsonl()

@@ -167,6 +167,12 @@ class TestMakeSyntheticApp:
         with pytest.raises(WorkloadError):
             make_synthetic_app("x", "memory", rng)
 
+    @pytest.mark.parametrize("iso_quanta", [math.nan, math.inf, 0.0, -5.0])
+    def test_bad_iso_quanta_rejected(self, iso_quanta):
+        # Sizing the target to a non-finite duration would never finish.
+        with pytest.raises(WorkloadError, match="iso_quanta"):
+            make_synthetic_app("x", "backend", np.random.default_rng(0), iso_quanta=iso_quanta)
+
     def test_deterministic_given_rng_state(self):
         a = make_synthetic_app("x", "backend", np.random.default_rng(5))
         b = make_synthetic_app("x", "backend", np.random.default_rng(5))
@@ -546,6 +552,11 @@ class TestAggregateRuns:
             aggregate_runs([make_report(100)])
         with pytest.raises(ConfigError, match="positive"):
             aggregate_runs([make_report(100), make_report(101)], cv_threshold=0.0)
+
+    @pytest.mark.parametrize("cv_threshold", [math.nan, math.inf])
+    def test_non_finite_cv_threshold_rejected(self, cv_threshold):
+        with pytest.raises(ConfigError, match="cv_threshold"):
+            aggregate_runs([make_report(100), make_report(101)], cv_threshold=cv_threshold)
 
     def test_aggregate_json_shape(self):
         agg = aggregate_runs([make_report(100, seed=s) for s in range(3)])

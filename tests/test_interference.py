@@ -224,7 +224,8 @@ class TestPairWeightMatrix:
         vectors = [CategoryVector(fe=0.2, be=0.5, fdc=0.3)] * len(ids)
         graph = graph_from_matrix(ids, pair_weight_matrix(REFERENCE_COEFFICIENTS, vectors))
         assert graph.nodes == ("Alpha", "Zed", IDLE_NODE, "_x", "a1", "beta")
-        assert all(graph.weight(IDLE_NODE, a) == 1.0 for a in ids)
+        idle = graph.nodes.index(IDLE_NODE)
+        assert all(w == 1.0 for j, w in enumerate(graph.matrix[idle]) if j != idle)
 
     def test_non_finite_prediction_rejected(self):
         huge = CategoryCoefficients(alpha=1e308, beta=1e308, gamma=1e308, rho=0.0)

@@ -15,13 +15,11 @@ from synpa import (
     CategoryTriple,
     CategoryVector,
     IDLE_NODE,
-    Matching,
     MatchingError,
     PairPrediction,
     REFERENCE_COEFFICIENTS,
     SynergyGraph,
     build_graph,
-    canonical_total,
     graph_from_matrix,
     min_weight_perfect_matching,
     pair_weight_matrix,
@@ -50,8 +48,23 @@ def make_prediction(slowdown_i, slowdown_j):
 
 
 def graph_from_weights(weights):
+    """The graph of an ``(a, b) -> weight`` mapping over an even roster."""
     nodes = sorted({n for pair in weights for n in pair})
-    return SynergyGraph(nodes=tuple(nodes), weights=dict(weights))
+    index = {a: i for i, a in enumerate(nodes)}
+    matrix = np.full((len(nodes), len(nodes)), np.nan)
+    for (a, b), w in weights.items():
+        matrix[index[a], index[b]] = matrix[index[b], index[a]] = w
+    return graph_from_matrix(nodes, matrix)
+
+
+def edge_weights(graph):
+    """Every edge of the graph as ``(a, b) -> weight`` with ``a < b``."""
+    nodes, matrix = graph.nodes, graph.matrix
+    return {
+        (a, nodes[j]): matrix[i][j]
+        for i, a in enumerate(nodes)
+        for j in range(i + 1, len(nodes))
+    }
 
 
 def enumerate_matchings(nodes):
@@ -72,7 +85,7 @@ def oracle_best(graph, with_ties=False):
     """Exact-arithmetic argmin: minimum total weight, ties broken toward
     the lexicographically smallest sorted pair list.  With ``with_ties``
     also return how many matchings reach the minimum weight."""
-    fracs = {edge: Fraction(w) for edge, w in graph.weights.items()}
+    fracs = {edge: Fraction(w) for edge, w in edge_weights(graph).items()}
     denom = 1
     for f in fracs.values():
         denom = max(denom, f.denominator)
@@ -107,7 +120,7 @@ def random_graph(rng, n, dyadic=False, ties=False):
             else:
                 w = rng.uniform(1.0, 3.0)
             weights[(nodes[i], nodes[j])] = w
-    return SynergyGraph(nodes=tuple(nodes), weights=weights)
+    return graph_from_weights(weights)
 
 
 def model_graph(rng, n):
@@ -132,7 +145,7 @@ class TestBuildGraph:
         }
         graph = build_graph(predictions)
         assert graph.nodes == ("a", "b", "c", "d")
-        assert len(graph.weights) == 6
+        assert len(edge_weights(graph)) == 6
 
     def test_edge_weight_is_sum_of_slowdowns(self):
         graph = build_graph(
@@ -145,7 +158,7 @@ class TestBuildGraph:
                 ("c", "d"): make_prediction(1.0, 1.0),
             }
         )
-        assert graph.weight("a", "b") == pytest.approx(2.6, abs=1e-12)
+        assert edge_weights(graph)[("a", "b")] == pytest.approx(2.6, abs=1e-12)
 
     def test_odd_roster_adds_idle_node(self):
         predictions = {
@@ -157,7 +170,7 @@ class TestBuildGraph:
         assert len(graph.nodes) == 4
         assert IDLE_NODE in graph.nodes
         for app in ("a", "b", "c"):
-            assert graph.weight(IDLE_NODE, app) == 1.0
+            assert edge_weights(graph)[(IDLE_NODE, app)] == 1.0
 
     def test_even_roster_has_no_idle_node(self):
         predictions = {("a", "b"): make_prediction(1.0, 1.0)}
@@ -195,52 +208,24 @@ class TestBuildGraph:
 
 class TestSynergyGraph:
     def test_weight_lookup_is_symmetric(self):
-        graph = graph_from_weights({("a", "b"): 2.5})
-        assert graph.weight("a", "b") == 2.5
-        assert graph.weight("b", "a") == 2.5
+        graph = build_graph({("a", "b"): make_prediction(1.0, 1.5)})
+        assert graph.matrix == [[0.0, 2.5], [2.5, 0.0]]
 
     def test_reversed_key_is_canonicalized(self):
-        graph = SynergyGraph(nodes=("a", "b"), weights={("b", "a"): 2.5})
-        assert graph.weight("a", "b") == 2.5
-
-    def test_duplicate_nodes_rejected(self):
-        with pytest.raises(MatchingError):
-            SynergyGraph(nodes=("a", "a"), weights={})
-
-    def test_conflicting_duplicate_edge_rejected(self):
-        with pytest.raises(MatchingError):
-            SynergyGraph(
-                nodes=("a", "b"), weights={("a", "b"): 1.0, ("b", "a"): 2.0}
-            )
+        graph = build_graph({("b", "a"): make_prediction(1.0, 1.5)})
+        assert graph.nodes == ("a", "b")
+        assert graph.matrix[0][1] == 2.5
 
     def test_missing_edge_rejected(self):
+        # An odd roster: the idle padding must not fill the missing pair.
         with pytest.raises(MatchingError):
-            SynergyGraph(
-                nodes=("a", "b", "c"),
-                weights={("a", "b"): 1.0, ("a", "c"): 1.0},
+            build_graph(
+                {("a", "b"): make_prediction(1.0, 1.0), ("a", "c"): make_prediction(1.0, 1.0)}
             )
-
-    def test_unknown_node_edge_rejected(self):
-        with pytest.raises(MatchingError):
-            SynergyGraph(
-                nodes=("a", "b"),
-                weights={("a", "b"): 1.0, ("a", "c"): 1.0},
-            )
-
-    def test_self_edge_rejected(self):
-        with pytest.raises(MatchingError):
-            SynergyGraph(nodes=("a", "b"), weights={("a", "a"): 1.0, ("a", "b"): 1.0})
 
     def test_non_finite_weight_rejected(self):
         with pytest.raises(MatchingError):
-            SynergyGraph(nodes=("a", "b"), weights={("a", "b"): math.nan})
-
-    def test_graph_from_matrix_equals_dict_constructor(self):
-        rng = random.Random(11)
-        graph = random_graph(rng, 6)
-        again = graph_from_matrix(graph.nodes, np.array(graph.matrix))
-        assert again.nodes == graph.nodes
-        assert again.weights == graph.weights
+            graph_from_matrix(("a", "b"), np.array([[0.0, math.nan], [math.nan, 0.0]]))
 
     @pytest.mark.parametrize(
         "nodes, matrix",
@@ -271,9 +256,7 @@ class TestMinWeightMatching:
                 ("b", "c"): 10.0,
             }
         )
-        result = min_weight_perfect_matching(graph)
-        assert result.pairs == (("a", "b"), ("c", "d"))
-        assert result.total_weight == 4.0
+        assert min_weight_perfect_matching(graph) == (("a", "b"), ("c", "d"))
 
     def test_all_equal_weights_lexicographic_tie_break(self):
         for names in (["a", "b", "c", "d"], ["a", "b", "c", "d", "e", "f"]):
@@ -284,7 +267,7 @@ class TestMinWeightMatching:
             want = tuple(
                 (names[i], names[i + 1]) for i in range(0, len(names), 2)
             )
-            assert result.pairs == want
+            assert result == want
 
     def test_exact_tie_broken_lexicographically(self):
         # {(a,b),(c,d)} and {(a,c),(b,d)} both total 4; the former sorts
@@ -299,27 +282,21 @@ class TestMinWeightMatching:
                 ("b", "c"): 5.0,
             }
         )
-        result = min_weight_perfect_matching(graph)
-        assert result.pairs == (("a", "b"), ("c", "d"))
-        assert result.total_weight == 4.0
+        assert min_weight_perfect_matching(graph) == (("a", "b"), ("c", "d"))
 
     def test_eight_nodes_match_enumeration_oracle(self):
         # 105 perfect matchings per instance, spanning many seeds.
         for seed in range(1000):
             rng = random.Random(seed)
             graph = random_graph(rng, 8)
-            result = min_weight_perfect_matching(graph)
-            want_pairs = oracle_best(graph)
-            assert result.pairs == want_pairs
-            assert result.total_weight == canonical_total(graph, want_pairs)
+            assert min_weight_perfect_matching(graph) == oracle_best(graph)
 
     @pytest.mark.parametrize("n", [2, 4, 6, 10])
     def test_small_sizes_match_enumeration_oracle(self, n):
         for seed in range(25):
             rng = random.Random(10_000 + 31 * n + seed)
             graph = random_graph(rng, n)
-            result = min_weight_perfect_matching(graph)
-            assert result.pairs == oracle_best(graph)
+            assert min_weight_perfect_matching(graph) == oracle_best(graph)
 
     def test_large_instance_matches_enumeration_oracle(self):
         # 14 nodes exceeds the subset-DP cutoff and exercises the
@@ -329,11 +306,9 @@ class TestMinWeightMatching:
         for seed, ties in ((3, False), (4, False), (3, True), (4, True)):
             rng = random.Random(seed)
             graph = random_graph(rng, 14, ties=ties)
-            result = min_weight_perfect_matching(graph)
             want_pairs, n_optimal = oracle_best(graph, with_ties=True)
             assert (n_optimal > 1) == ties
-            assert result.pairs == want_pairs
-            assert result.total_weight == canonical_total(graph, want_pairs)
+            assert min_weight_perfect_matching(graph) == want_pairs
 
     def test_dyadic_ties_match_enumeration_oracle(self):
         # Coarse dyadic weights produce frequent exact ties, forcing the
@@ -341,8 +316,7 @@ class TestMinWeightMatching:
         for seed in range(200):
             rng = random.Random(seed)
             graph = random_graph(rng, 6, dyadic=True)
-            result = min_weight_perfect_matching(graph)
-            assert result.pairs == oracle_best(graph)
+            assert min_weight_perfect_matching(graph) == oracle_best(graph)
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), n=st.sampled_from([2, 4, 6, 8, 10, 12]))
@@ -374,7 +348,7 @@ class TestMinWeightMatching:
                     oracle.add_edge(i, j, weight=top - scores[i][j])
             mate = nx.max_weight_matching(oracle, maxcardinality=True)
             want = tuple(sorted((graph.nodes[min(p)], graph.nodes[max(p)]) for p in mate))
-            assert min_weight_perfect_matching(graph).pairs == want
+            assert min_weight_perfect_matching(graph) == want
 
     def test_perfectness(self):
         for seed in range(20):
@@ -382,35 +356,19 @@ class TestMinWeightMatching:
             n = rng.choice([2, 4, 6, 8, 10, 14])
             graph = random_graph(rng, n)
             result = min_weight_perfect_matching(graph)
-            seen = [node for pair in result.pairs for node in pair]
+            seen = [node for pair in result for node in pair]
             assert sorted(seen) == sorted(graph.nodes)
-            assert len(result.pairs) == n // 2
-
-    def test_total_is_canonical_sum(self):
-        rng = random.Random(5)
-        graph = random_graph(rng, 8)
-        result = min_weight_perfect_matching(graph)
-        assert result.total_weight == canonical_total(graph, result.pairs)
+            assert len(result) == n // 2
 
     def test_odd_node_count_rejected(self):
-        graph = graph_from_weights(
-            {("a", "b"): 1.0, ("a", "c"): 1.0, ("b", "c"): 1.0}
-        )
+        # graph_from_matrix pads an odd roster, so build an unpadded one.
+        ones = [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]
+        graph = SynergyGraph(("a", "b", "c"), ones)
         with pytest.raises(MatchingError):
             min_weight_perfect_matching(graph)
 
     def test_empty_graph(self):
-        graph = SynergyGraph(nodes=(), weights={})
-        result = min_weight_perfect_matching(graph)
-        assert result.pairs == ()
-        assert result.total_weight == 0.0
-
-    def test_partner_lookup(self):
-        matching = Matching(pairs=(("a", "b"), ("c", "d")), total_weight=0.0)
-        assert matching.partner_of("a") == "b"
-        assert matching.partner_of("b") == "a"
-        assert matching.partner_of("d") == "c"
-        assert matching.partner_of("zz") is None
+        assert min_weight_perfect_matching(graph_from_matrix((), np.zeros((0, 0)))) == ()
 
     def test_add_constant_leaves_selection_unchanged(self):
         # Adding c to every edge adds the same c * (n/2) to every
@@ -420,11 +378,8 @@ class TestMinWeightMatching:
             rng = random.Random(seed)
             graph = random_graph(rng, 8, dyadic=True)
             base = min_weight_perfect_matching(graph)
-            shifted = SynergyGraph(
-                nodes=graph.nodes,
-                weights={e: w + 0.5 for e, w in graph.weights.items()},
-            )
-            assert min_weight_perfect_matching(shifted).pairs == base.pairs
+            shifted = graph_from_matrix(graph.nodes, np.array(graph.matrix) + 0.5)
+            assert min_weight_perfect_matching(shifted) == base
 
     def test_scale_leaves_selection_unchanged(self):
         for seed in range(50):
@@ -432,11 +387,8 @@ class TestMinWeightMatching:
             graph = random_graph(rng, 8, dyadic=True)
             base = min_weight_perfect_matching(graph)
             for k in (2.0, 0.25):
-                scaled = SynergyGraph(
-                    nodes=graph.nodes,
-                    weights={e: w * k for e, w in graph.weights.items()},
-                )
-                assert min_weight_perfect_matching(scaled).pairs == base.pairs
+                scaled = graph_from_matrix(graph.nodes, np.array(graph.matrix) * k)
+                assert min_weight_perfect_matching(scaled) == base
 
     def test_idle_pairing_leaves_worst_fit_alone(self):
         predictions = {
@@ -447,9 +399,7 @@ class TestMinWeightMatching:
         graph = build_graph(predictions)
         result = min_weight_perfect_matching(graph)
         # Best total pairs a with b (2.1 + 1.0) and leaves c alone.
-        assert (IDLE_NODE, "c") in result.pairs
-        assert ("a", "b") in result.pairs
-        assert result.total_weight == pytest.approx(3.1, abs=1e-12)
+        assert result == ((IDLE_NODE, "c"), ("a", "b"))
 
 
 @st.composite
@@ -602,10 +552,9 @@ class TestEndToEndWithInterferenceModel:
             scaled = min_weight_perfect_matching(
                 build_graph(self._predictions(vectors, scale=k))
             )
-            assert scaled.pairs == base.pairs
+            assert scaled == base
 
     def test_model_driven_matching_agrees_with_oracle(self):
         vectors = self._roster_vectors()
         graph = build_graph(self._predictions(vectors))
-        result = min_weight_perfect_matching(graph)
-        assert result.pairs == oracle_best(graph)
+        assert min_weight_perfect_matching(graph) == oracle_best(graph)
