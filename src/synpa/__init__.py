@@ -7,22 +7,15 @@ SMT slowdowns with per-category linear models, and assigns threads to
 """
 
 from .counters import (
-    COMMITTED_COLUMN,
-    TRACE_COLUMNS,
-    TRACE_VERSION,
     RawCounterSample,
     TraceHeader,
     format_trace,
     open_trace,
     parse_counter_text,
     read_counter_file,
-    write_trace,
 )
 from .dispatch import (
-    BACKEND_BOUND_THRESHOLD,
     CATEGORIES,
-    FRONTEND_BOUND_THRESHOLD,
-    UNIFORM_VECTOR,
     AppClass,
     CategoryBreakdown,
     CategoryTriple,
@@ -37,12 +30,9 @@ from .engine import (
     AppSimState,
     EngineConfig,
     Phase,
-    QuantumRecord,
     ScheduleLog,
     SimWorkload,
-    StepResult,
     SyntheticApp,
-    initial_assignment,
     run,
     sim_step,
     trace_from_log,
@@ -56,31 +46,12 @@ from .errors import (
     ModelError,
     RankDeficientError,
     RosterError,
-    SynpaError,
     TraceError,
     WorkloadError,
-)
-from .harness import (
-    RECIPES,
-    AggregateReport,
-    MetricsReport,
-    WorkloadSpec,
-    aggregate_runs,
-    classify_app,
-    compute_metrics,
-    fairness,
-    gen_workload,
-    ipc_geomean,
-    load_log_summary,
-    make_synthetic_app,
-    make_synthetic_roster,
-    metrics_csv,
-    turnaround_time,
 )
 from .interference import (
     REFERENCE_COEFFICIENTS,
     CategoryCoefficients,
-    InversionResult,
     ModelCoefficients,
     PairPrediction,
     forward,
@@ -100,8 +71,6 @@ from .matcher import (
 )
 from .trainer import (
     AlignedSample,
-    AlignmentResult,
-    FitReport,
     Profile,
     ProfileRecord,
     align,

@@ -26,6 +26,7 @@ from .harness import (
     RECIPES,
     WorkloadSpec,
     aggregate_runs,
+    check_cv_threshold,
     compute_metrics,
     gen_workload,
     load_log_summary,
@@ -190,6 +191,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     # a flat CSV, per-policy aggregates, and comparison rows.
     if args.metrics or args.export_trace:
         raise ConfigError("--metrics/--export-trace need a single policy and seed")
+    if len(seeds) >= 2:
+        check_cv_threshold(args.cv_threshold)
     try:
         os.makedirs(args.out, exist_ok=True)
     except OSError as exc:
@@ -265,6 +268,8 @@ def cmd_replay(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    if len(args.logs) >= 2:
+        check_cv_threshold(args.cv_threshold)
     reports = [compute_metrics(load_log_summary(path)) for path in args.logs]
     for path, m in zip(args.logs, reports):
         fair = "n/a" if m.fairness is None else f"{m.fairness:.4f}"

@@ -2,8 +2,8 @@
 
 Each scheduling quantum the engine:
 
-1. observes every present thread under the current assignment,
-2. restricts that assignment to the threads present,
+1. observes every present thread under the pairs in effect,
+2. keeps the pairs whose threads are all present and pairs the rest,
 3. estimates every thread's isolated behavior by inverting the
    interference model on each pair's observations,
 4. predicts the combined slowdown of every possible pair from those
@@ -66,6 +66,9 @@ from .matcher import (  # noqa: F401
 CYCLES_PER_MS = 1_000_000
 
 POLICIES = ("synpa", "random", "static")
+
+#: Longest run, in quanta, the engine will schedule.
+MAX_QUANTA = 1_000_000
 
 LOG_VERSION = 1
 
@@ -313,7 +316,7 @@ class EngineConfig:
     workload: SimWorkload | None = None
     trace_path: str | None = None
     estimate_decay: float = 0.5
-    max_quanta: int = 1_000_000
+    max_quanta: int = MAX_QUANTA
 
     def __post_init__(self) -> None:
         if self.policy not in POLICIES:
@@ -341,13 +344,13 @@ class QuantumRecord:
     """What happened during one quantum."""
 
     quantum: int
-    pairs: tuple[tuple[str, str], ...]  # assignment in effect
+    pairs: tuple[tuple[str, str], ...]  # pairs in effect
     observed: dict[str, CategoryTriple]
     estimates: dict[str, CategoryVector]  # fresh ST estimates after this quantum
     degraded: dict[str, bool]  # apps whose inversion fell back this quantum
     committed: dict[str, float]
     slowdown: dict[str, float]  # ground truth in simulation; model estimate in replay
-    migrations: int  # pairs changed going INTO this quantum
+    migrations: int  # pairs not in the previous record
 
 
 @dataclass(frozen=True)
@@ -593,17 +596,16 @@ def run(config: EngineConfig) -> ScheduleLog:
             }
 
     estimates = _EstimateStore(config.estimate_decay)
-    assignment = initial_assignment(config.policy, app_ids, rng)
-    migrations = len(assignment)
+    pairs = initial_assignment(config.policy, app_ids, rng)
     records: list[QuantumRecord] = []
     for quantum in itertools.count(1):
-        results = observe(quantum, assignment)
+        results = observe(quantum, pairs)
         if results is None:
             break
         if quantum > config.max_quanta:
             raise ConfigError(f"run exceeded max_quanta={config.max_quanta}")
         present = sorted(results)
-        pairs = _restrict_pairs(assignment, present)
+        pairs = _pair_present(pairs, present)
 
         if config.policy == "synpa":
             fresh, degraded = _update_estimates(
@@ -614,10 +616,8 @@ def run(config: EngineConfig) -> ScheduleLog:
             for app_id in present:
                 if results[app_id].completed:
                     estimates.forget(app_id)
-            next_assignment = _decide_synpa(present, estimates, config.coefficients)
         else:
             fresh, degraded = {}, {}
-            next_assignment = pairs
 
         if workload is not None:
             slowdown = {a: results[a].slowdown for a in present}
@@ -632,11 +632,11 @@ def run(config: EngineConfig) -> ScheduleLog:
                 degraded=degraded,
                 committed={a: results[a].committed for a in present},
                 slowdown=slowdown,
-                migrations=migrations,
+                migrations=len(set(pairs) - set(records[-1].pairs if records else ())),
             )
         )
-        migrations = len(set(next_assignment) - set(assignment))
-        assignment = next_assignment
+        if config.policy == "synpa":
+            pairs = _decide_synpa(present, estimates, config.coefficients)
 
     if workload is not None:
         summary = dict(
@@ -684,20 +684,19 @@ def run(config: EngineConfig) -> ScheduleLog:
     )
 
 
-def _restrict_pairs(
+def _pair_present(
     pairs: Sequence[tuple[str, str]], present: Sequence[str]
 ) -> tuple[tuple[str, str], ...]:
-    """Drop departed threads from an assignment, re-pairing leftovers."""
+    """Keep the pairs whose threads are all present; pair the rest in order.
+
+    The rest are arrivals, partners of departed threads and a thread
+    that sat with the idle node.
+    """
     alive = set(present)
-    kept = []
-    leftovers = []
-    for a, b in pairs:
-        members = [m for m in (a, b) if m in alive]
-        if len(members) == 2:
-            kept.append((a, b))
-        else:
-            leftovers.extend(members)
-    return tuple(sorted(kept + _pair_in_order(sorted(leftovers))))
+    kept = [p for p in pairs if p[0] in alive and p[1] in alive]
+    paired = {m for p in kept for m in p}
+    rest = [a for a in present if a not in paired]
+    return tuple(sorted(kept + _pair_in_order(rest)))
 
 
 def _model_slowdowns(

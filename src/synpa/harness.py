@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .dispatch import AppClass, CategoryTriple, CategoryVector, classify
-from .engine import CYCLES_PER_MS, Phase, ScheduleLog, SyntheticApp
+from .engine import CYCLES_PER_MS, MAX_QUANTA, Phase, ScheduleLog, SyntheticApp
 from .errors import ConfigError, WorkloadError
 
 WORKLOAD_VERSION = 1
@@ -95,13 +95,18 @@ def make_synthetic_app(
 
     The app alternates dominant and relief phases (jittered per app) and
     its per-launch target is sized so one isolated launch lasts about
-    ``iso_quanta`` quanta.  Raises if the sampled app fails to classify
-    as its family (ranges are chosen so it practically cannot).
+    ``iso_quanta`` quanta, at most the engine's ``MAX_QUANTA`` run limit
+    (a longer launch could never finish).  Raises if the sampled app
+    fails to classify as its family (ranges are chosen so it practically
+    cannot).
     """
     if family not in _FAMILY_PHASES:
         raise WorkloadError(f"unknown app family {family!r}; choose from {sorted(_FAMILY_PHASES)}")
-    if not (math.isfinite(iso_quanta) and iso_quanta > 0.0):
-        raise WorkloadError(f"iso_quanta must be finite and > 0, got {iso_quanta}")
+    if not 0.0 < iso_quanta <= MAX_QUANTA:
+        raise WorkloadError(
+            f"iso_quanta must be > 0 and at most the {MAX_QUANTA}-quantum run limit, "
+            f"got {iso_quanta}"
+        )
     dominant, relief = _FAMILY_PHASES[family]
     for _ in range(50):
         phases = []
@@ -514,6 +519,12 @@ def _cv(values: Sequence[float]) -> float:
     return statistics.pstdev(values, mu=mean) / mean
 
 
+def check_cv_threshold(cv_threshold: float) -> None:
+    """Reject a stability threshold that the outlier filter cannot use."""
+    if not (math.isfinite(cv_threshold) and cv_threshold > 0):
+        raise ConfigError(f"cv_threshold must be finite and positive, got {cv_threshold}")
+
+
 def aggregate_runs(
     reports: Sequence[MetricsReport], cv_threshold: float = 0.05
 ) -> AggregateReport:
@@ -525,8 +536,7 @@ def aggregate_runs(
     """
     if len(reports) < 2:
         raise ConfigError("aggregate_runs needs at least two reports")
-    if not (math.isfinite(cv_threshold) and cv_threshold > 0):
-        raise ConfigError(f"cv_threshold must be finite and positive, got {cv_threshold}")
+    check_cv_threshold(cv_threshold)
     retained = list(range(len(reports)))
     discarded: list[int] = []
     while True:

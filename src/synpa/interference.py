@@ -339,48 +339,33 @@ def invert_category(
             raise ModelError(f"observed category value {name} must be finite")
 
     seed = _linear_seed(coeffs, u, v)
-    in_box: list[tuple[float, float]] = []
+    polished: list[tuple[float, float]] = []
 
     if abs(coeffs.rho) < _LINEAR_RHO_TOL:
         x, y = seed
     else:
-        candidates: list[tuple[float, float]] = []
         b, g, r = coeffs.beta, coeffs.gamma, coeffs.rho
         if abs(b - g) > _SINGULAR_TOL:
             # y = x - d with d fixed by the difference of the equations.
-            d = (u - v) / (b - g)
-            qa = r
-            qb = b + g - r * d
-            qc = coeffs.alpha - g * d - u
-            disc = qb * qb - 4.0 * qa * qc
-            if disc >= 0.0:
-                sq = math.sqrt(disc)
-                # Numerically stable pair of roots.
-                if qb >= 0.0:
-                    q = -0.5 * (qb + sq)
-                else:
-                    q = -0.5 * (qb - sq)
-                roots = []
-                if abs(qa) > 0.0:
-                    roots.append(q / qa)
-                if abs(q) > 0.0:
-                    roots.append(qc / q)
-                for root in roots:
-                    candidates.append((root, root - d))
+            d, target = (u - v) / (b - g), u
         else:
             # beta == gamma: the difference carries no information; fall
-            # back to the symmetric assumption x == y.
-            qa = r
-            qb = b + g
-            qc = coeffs.alpha - 0.5 * (u + v)
-            disc = qb * qb - 4.0 * qa * qc
-            if disc >= 0.0:
-                sq = math.sqrt(disc)
-                q = -0.5 * (qb + sq) if qb >= 0.0 else -0.5 * (qb - sq)
-                if abs(qa) > 0.0:
-                    candidates.append((q / qa, q / qa))
-                if abs(q) > 0.0:
-                    candidates.append((qc / q, qc / q))
+            # back to the symmetric assumption x == y on the mean equation.
+            d, target = 0.0, 0.5 * (u + v)
+        qa = r
+        qb = b + g - r * d
+        qc = coeffs.alpha - g * d - target
+        disc = qb * qb - 4.0 * qa * qc
+        roots: list[float] = []
+        if disc >= 0.0:
+            sq = math.sqrt(disc)
+            # Numerically stable pair of roots.
+            q = -0.5 * (qb + sq) if qb >= 0.0 else -0.5 * (qb - sq)
+            if abs(qa) > 0.0:
+                roots.append(q / qa)
+            if abs(q) > 0.0:
+                roots.append(qc / q)
+        candidates = [(root, root - d) for root in roots]
 
         slack = 1e-9
         in_box = [
@@ -388,13 +373,16 @@ def invert_category(
             for c in candidates
             if -slack <= c[0] <= 1.0 + slack and -slack <= c[1] <= 1.0 + slack
         ]
-        if in_box or candidates:
-            # Nearest the linear seed on ties between admissible roots.
-            x, y = min(
-                in_box or candidates,
-                key=lambda c: (c[0] - seed[0]) ** 2 + (c[1] - seed[1]) ** 2,
-            )
-            x, y = _newton_refine(coeffs, x, y, u, v)
+        polished = [_newton_refine(coeffs, cx, cy, u, v) for cx, cy in in_box]
+
+        def from_seed(c: tuple[float, float]) -> float:
+            return (c[0] - seed[0]) ** 2 + (c[1] - seed[1]) ** 2
+
+        # Nearest the linear seed on ties between admissible roots.
+        if in_box:
+            _, (x, y) = min(zip(in_box, polished), key=lambda cp: from_seed(cp[0]))
+        elif candidates:
+            x, y = _newton_refine(coeffs, *min(candidates, key=from_seed), u, v)
         else:
             x, y = seed
 
@@ -404,8 +392,7 @@ def invert_category(
     if residual <= _EXACT_RESIDUAL_TOL**2 * scale and in_unit:
         return CategorySolution(x=_clip_unit(x), y=_clip_unit(y), exact=True)
 
-    roots = [(x, y)] + [_newton_refine(coeffs, cx, cy, u, v) for cx, cy in in_box]
-    lx, ly = _box_minimum(coeffs, u, v, roots)
+    lx, ly = _box_minimum(coeffs, u, v, [(x, y)] + polished)
     lres = _residual(coeffs, lx, ly, u, v)
     exact = lres <= _EXACT_RESIDUAL_TOL**2 * scale
     return CategorySolution(x=lx, y=ly, exact=exact)

@@ -302,7 +302,6 @@ def fit(samples, split: float = 0.8, seed: int = 0) -> FitReport:
     validation = holdout if holdout else train
 
     coeffs: dict[str, CategoryCoefficients] = {}
-    mse: dict[str, float] = {}
     used_pinv: dict[str, bool] = {}
     for category in CATEGORIES:
         x_train, y_train = _rows(train, category)
@@ -321,9 +320,6 @@ def fit(samples, split: float = 0.8, seed: int = 0) -> FitReport:
             gamma=float(theta[2]),
             rho=float(theta[3]),
         )
-        x_val, y_val = _rows(validation, category)
-        residual = x_val @ theta - y_val
-        mse[category] = float(np.mean(residual * residual))
 
     model = ModelCoefficients(
         fdc=coeffs["fdc"],
@@ -333,7 +329,7 @@ def fit(samples, split: float = 0.8, seed: int = 0) -> FitReport:
     )
     return FitReport(
         coefficients=model,
-        mse=mse,
+        mse=evaluate(model, validation),
         n_samples=len(samples),
         n_train=len(train),
         n_validation=len(holdout),

@@ -7,6 +7,7 @@ determinism contract: identical inputs and seeds give identical bytes.
 
 import json
 import os
+import time
 
 import pytest
 
@@ -171,12 +172,15 @@ class TestGenWorkload:
         assert "error: --quantum-ms" in capsys.readouterr().err
         assert not (tmp_path / "x.json").exists()
 
-    @pytest.mark.parametrize("iso_quanta", ["nan", "inf", "0", "-5"])
+    # 1e12 is finite but longer than any run the engine allows.
+    @pytest.mark.parametrize("iso_quanta", ["nan", "inf", "0", "-5", "1e12"])
     def test_bad_iso_quanta_is_domain_error(self, tmp_path, capsys, iso_quanta):
+        start = time.perf_counter()
         code = run_cli(
             "gen-workload", "--recipe", "mixed", "--seed", 0,
             "--iso-quanta", iso_quanta, "--out", tmp_path / "x.json",
         )
+        assert time.perf_counter() - start < 1.0
         assert code == 1
         assert "error: iso_quanta" in capsys.readouterr().err
         assert not (tmp_path / "x.json").exists()
@@ -254,6 +258,20 @@ class TestSimulate:
         stdout = capsys.readouterr().out
         assert stdout.count("policy=synpa") == 1
         assert stdout.count("policy=random") == 1
+
+    @pytest.mark.parametrize("cv_threshold", ["nan", "inf"])
+    def test_non_finite_cv_threshold_writes_nothing(
+        self, workload_file, tmp_path, capsys, cv_threshold
+    ):
+        out_dir = tmp_path / "runs"
+        code = run_cli(
+            "simulate", "--workload", workload_file,
+            "--policy", "synpa", "random", "--seed", 0, 1,
+            "--cv-threshold", cv_threshold, "--out", out_dir,
+        )
+        assert code == 1
+        assert "error: cv_threshold" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_multi_mode_rejects_single_run_flags(self, workload_file, tmp_path, capsys):
         code = run_cli(
@@ -400,10 +418,17 @@ class TestReport:
         assert "aggregate skipped: needs at least two runs" in stdout
 
     @pytest.mark.parametrize("cv_threshold", ["nan", "inf"])
-    def test_non_finite_cv_threshold_is_domain_error(self, three_logs, capsys, cv_threshold):
-        code = run_cli("report", *three_logs, "--cv-threshold", cv_threshold)
+    def test_non_finite_cv_threshold_is_domain_error(
+        self, three_logs, tmp_path, capsys, cv_threshold
+    ):
+        code = run_cli(
+            "report", *three_logs, "--cv-threshold", cv_threshold,
+            "--out", tmp_path / "agg.json", "--csv", tmp_path / "runs.csv",
+        )
         assert code == 1
         assert "error: cv_threshold" in capsys.readouterr().err
+        assert not (tmp_path / "agg.json").exists()
+        assert not (tmp_path / "runs.csv").exists()
 
     def test_bad_log_is_domain_error(self, tmp_path, capsys):
         bogus = tmp_path / "not-a-log.jsonl"

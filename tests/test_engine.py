@@ -3,6 +3,7 @@ simulation step, the run loop shared by simulation and trace replay
 (checked against an exhaustive matching oracle), migration counts, and
 determinism."""
 
+import dataclasses
 import json
 import math
 import os
@@ -600,10 +601,9 @@ class TestReplay:
         assert log.records[5].pairs == (("a", "b"), ("c", "d"))
         for record in log.records[6:]:
             assert record.pairs == ((IDLE_NODE, "c"), ("a", "b"))
-        # Migrations count pairs new relative to the previous decision.
-        # The decision taken after quantum 7, the first without d, is
-        # the first to hold (idle, c).
-        assert [r.migrations for r in log.records] == [2, 0, 0, 0, 0, 0, 0, 1, 0, 0]
+        # Migrations count pairs not in the previous record: (idle, c)
+        # is new in quantum 7, the first without d.
+        assert [r.migrations for r in log.records] == [2, 0, 0, 0, 0, 0, 1, 0, 0, 0]
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_reserved_thread_id_rejected(self, tmp_path, policy):
@@ -623,11 +623,26 @@ class TestReplay:
 
 
 def assert_pairs_cover_present(log):
-    """Each record pairs every present thread once, idle only if odd."""
+    """Each record pairs every present thread once, idle only if odd, and
+    counts as migrations the pairs not in the previous record."""
+    previous = set()
     for record in log.records:
         members = [m for pair in record.pairs for m in pair]
         assert sorted(m for m in members if m != IDLE_NODE) == sorted(record.observed)
         assert members.count(IDLE_NODE) == len(record.observed) % 2
+        assert record.migrations == len(set(record.pairs) - previous)
+        previous = set(record.pairs)
+
+
+def cut_to_spans(samples, spans):
+    """Keep each thread's samples inside its (first, last) quantum span.
+
+    Quanta left with no thread are dropped, since a trace has none.
+    """
+    kept = [s for s in samples
+            if spans[s.thread_id][0] <= s.quantum_index <= spans[s.thread_id][1]]
+    index = {q: k for k, q in enumerate(sorted({s.quantum_index for s in kept}))}
+    return [dataclasses.replace(s, quantum_index=index[s.quantum_index]) for s in kept]
 
 
 @st.composite
@@ -648,8 +663,8 @@ def small_workloads(draw):
 class TestDecisionProperties:
     @settings(max_examples=40, deadline=None)
     @given(workload=small_workloads(), policy=st.sampled_from(POLICIES),
-           seed=st.integers(0, 2**16))
-    def test_pairs_cover_present_threads_and_runs_repeat(self, workload, policy, seed):
+           seed=st.integers(0, 2**16), data=st.data())
+    def test_pairs_cover_present_threads_and_runs_repeat(self, workload, policy, seed, data):
         config = EngineConfig(workload=workload, policy=policy, seed=seed)
         log = run(config)
         assert_pairs_cover_present(log)
@@ -662,3 +677,16 @@ class TestDecisionProperties:
             replayed = run(replay)
             assert_pairs_cover_present(replayed)
             assert run(replay).to_jsonl() == replayed.to_jsonl()
+
+            # Threads that arrive late and depart early, under every policy.
+            header, samples = trace_from_log(log)
+            last = log.total_quanta - 1
+            spans = {}
+            for thread in header.threads:
+                first = data.draw(st.integers(0, last))
+                spans[thread] = (first, data.draw(st.integers(first, last)))
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(format_trace(header, cut_to_spans(samples, spans)))
+            for cut_policy in POLICIES:
+                cut = run(EngineConfig(trace_path=path, policy=cut_policy, seed=seed))
+                assert_pairs_cover_present(cut)
