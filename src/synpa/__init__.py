@@ -54,6 +54,7 @@ from .interference import (
     CategoryCoefficients,
     ModelCoefficients,
     PairPrediction,
+    fold_prices,
     forward,
     invert,
     invert_category,

@@ -14,6 +14,7 @@ deterministic for a given seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -23,11 +24,13 @@ from .counters import write_trace
 from .engine import POLICIES, EngineConfig, SimWorkload, run, trace_from_log
 from .errors import ConfigError, SynpaError
 from .harness import (
+    MAX_WORKLOAD_SIZE,
     RECIPES,
     WorkloadSpec,
     aggregate_runs,
     check_cv_threshold,
     compute_metrics,
+    extra_synthetic_app,
     gen_workload,
     load_log_summary,
     make_synthetic_roster,
@@ -124,12 +127,10 @@ def cmd_gen_workload(args: argparse.Namespace) -> int:
         raise ConfigError(
             f"--quantum-ms must be finite and at least one cycle, got {args.quantum_ms}"
         )
-    roster = make_synthetic_roster(
-        args.roster_seed,
-        iso_quanta=args.iso_quanta,
-        cycles_per_quantum=int(round(cycles)),
-    )
-    spec = gen_workload(args.recipe, roster, args.seed, size=args.size)
+    settings = dict(iso_quanta=args.iso_quanta, cycles_per_quantum=int(round(cycles)))
+    roster = make_synthetic_roster(args.roster_seed, **settings)
+    grow = functools.partial(extra_synthetic_app, args.roster_seed, **settings)
+    spec = gen_workload(args.recipe, roster, args.seed, size=args.size, grow=grow)
     _write(args.out, spec.to_json())
     classes = ", ".join(
         f"{a.app_id}:{spec.classes[a.app_id].value}" for a in spec.apps
@@ -326,7 +327,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--recipe", required=True, choices=RECIPES)
     p_gen.add_argument("--seed", type=int, required=True, help="selection seed")
     p_gen.add_argument("--out", required=True, help="output workload JSON")
-    p_gen.add_argument("--size", type=int, default=8, help="apps per workload (default 8)")
+    p_gen.add_argument(
+        "--size",
+        type=int,
+        default=8,
+        help=f"apps per workload, 2 to {MAX_WORKLOAD_SIZE} (default 8)",
+    )
     p_gen.add_argument(
         "--roster-seed", type=int, default=7, help="synthetic roster seed (default 7)"
     )

@@ -49,6 +49,7 @@ from .errors import ConfigError, TraceError, WorkloadError
 from .interference import (
     ModelCoefficients,
     REFERENCE_COEFFICIENTS,
+    fold_prices,
     invert,
     pair_weight_matrix,
     predict_pair,
@@ -56,6 +57,7 @@ from .interference import (
 # Decisions take the pair-weight matrix, so ``build_graph`` is unused here;
 # the benchmark's tracer still resolves it from this module by name.
 from .matcher import (  # noqa: F401
+    DP_MAX_NODES,
     IDLE_NODE,
     build_graph,
     graph_from_matrix,
@@ -495,8 +497,16 @@ def _decide_synpa(
     model: ModelCoefficients,
 ) -> tuple[tuple[str, str], ...]:
     ordered = sorted(app_ids)
-    weights = pair_weight_matrix(model, [estimates.effective(a) for a in ordered])
-    return min_weight_perfect_matching(graph_from_matrix(ordered, weights))
+    vectors = [estimates.effective(a) for a in ordered]
+    graph = graph_from_matrix(ordered, pair_weight_matrix(model, vectors))
+    if len(graph.nodes) <= DP_MAX_NODES:
+        return min_weight_perfect_matching(graph)
+    # Start the blossom's assignment solve from the model's fold.  The
+    # idle node's edges weigh the same for every thread, so any finite
+    # price fits it; all prices are exact, they only change the speed.
+    price = dict(zip(ordered, fold_prices(model, vectors).tolist()))
+    prices = [price.get(a, 0.0) for a in graph.nodes]
+    return min_weight_perfect_matching(graph, prices)
 
 
 def _update_estimates(
@@ -576,6 +586,10 @@ def run(config: EngineConfig) -> ScheduleLog:
             )
         if IDLE_NODE in header.threads:
             raise TraceError(f"threads must not include the reserved id {IDLE_NODE!r}", line=1)
+        sampled = {s.thread_id for samples in trace_quanta for s in samples}
+        silent = [a for a in header.threads if a not in sampled]
+        if silent:
+            raise TraceError(f"threads with no sample rows: {silent}", line=1)
         app_ids = header.threads
         remaining = iter(trace_quanta)
 

@@ -14,7 +14,7 @@ import json
 import math
 import statistics
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -25,6 +25,9 @@ from .errors import ConfigError, WorkloadError
 WORKLOAD_VERSION = 1
 
 RECIPES = ("backend", "frontend", "mixed")
+
+#: Largest workload :func:`gen_workload` selects: 64 threads on 32 cores.
+MAX_WORKLOAD_SIZE = 64
 
 
 # ---------------------------------------------------------------------------
@@ -74,6 +77,8 @@ _FAMILY_PHASES = {
         ((0.08, 0.20), (0.20, 0.38), (4.0, 9.0)),
     ),
 }
+
+_FAMILY_PREFIX = {"backend": "b", "frontend": "f", "other": "o"}
 
 _FAMILY_CLASS = {
     "backend": AppClass.BACKEND_BOUND,
@@ -154,15 +159,11 @@ def make_synthetic_roster(
     """A deterministic bank of classified synthetic apps."""
     rng = np.random.default_rng(seed)
     roster: list[SyntheticApp] = []
-    for family, prefix, count in (
-        ("backend", "b", n_backend),
-        ("frontend", "f", n_frontend),
-        ("other", "o", n_other),
-    ):
+    for family, count in (("backend", n_backend), ("frontend", n_frontend), ("other", n_other)):
         for i in range(count):
             roster.append(
                 make_synthetic_app(
-                    f"{prefix}{i:02d}",
+                    f"{_FAMILY_PREFIX[family]}{i:02d}",
                     family,
                     rng,
                     iso_quanta=iso_quanta,
@@ -171,6 +172,34 @@ def make_synthetic_roster(
                 )
             )
     return roster
+
+
+def extra_synthetic_app(
+    seed: int,
+    app_class: AppClass,
+    index: int,
+    iso_quanta: float = 60.0,
+    dispatch_width: int = 4,
+    cycles_per_quantum: int = 100 * CYCLES_PER_MS,
+) -> SyntheticApp:
+    """App ``index`` of a class, past the roster of ``seed``.
+
+    Pass it as :func:`gen_workload`'s ``grow`` (with ``seed`` and the
+    roster's other settings bound) to reach sizes the default roster of
+    :func:`make_synthetic_roster` cannot fill.  Each app comes from its
+    own stream, seeded by ``(seed, class, index)``, so it is the same
+    however many are drawn, and the default roster never changes.
+    """
+    family = app_class.value
+    rng = np.random.default_rng([seed, list(_FAMILY_PREFIX).index(family), index])
+    return make_synthetic_app(
+        f"{_FAMILY_PREFIX[family]}{index:02d}",
+        family,
+        rng,
+        iso_quanta=iso_quanta,
+        dispatch_width=dispatch_width,
+        cycles_per_quantum=cycles_per_quantum,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -229,19 +258,27 @@ def gen_workload(
     roster: Sequence[SyntheticApp],
     seed: int,
     size: int = 8,
+    grow: Callable[[AppClass, int], SyntheticApp] | None = None,
 ) -> WorkloadSpec:
-    """Select a workload from a classified roster.
+    """Select a workload of ``size`` apps from a classified roster.
 
     Recipes: ``backend`` picks 5 or 6 backend-bound apps (seeded coin,
     forced to 5 when only 5 exist) plus unclassified ("other") apps for
     the rest; ``frontend`` does the same for frontend-bound; ``mixed``
-    picks half backend- and half frontend-bound.  Raises
-    :class:`WorkloadError` when the roster cannot satisfy the recipe.
+    picks half backend- and half frontend-bound, the odd one out
+    backend-bound.  A class the roster holds too few apps of is topped
+    up with ``grow(app_class, index)`` for the next indices, if given
+    (see :func:`extra_synthetic_app`); a class with enough apps is left
+    as it is, so growing never changes a workload the roster can fill.
+    Raises :class:`WorkloadError` when the roster cannot satisfy the
+    recipe or ``size`` is outside 2 to :data:`MAX_WORKLOAD_SIZE`.
     """
     if recipe not in RECIPES:
         raise WorkloadError(f"unknown recipe {recipe!r}; choose from {RECIPES}")
-    if size < 2 or size % 2 != 0:
-        raise WorkloadError(f"workload size must be a positive even number, got {size}")
+    if not 2 <= size <= MAX_WORKLOAD_SIZE:
+        raise WorkloadError(
+            f"workload size must be between 2 and {MAX_WORKLOAD_SIZE}, got {size}"
+        )
     rng = np.random.default_rng(seed)
     groups: dict[AppClass, list[SyntheticApp]] = {c: [] for c in AppClass}
     for app in roster:
@@ -250,7 +287,7 @@ def gen_workload(
         members.sort(key=lambda a: a.app_id)
 
     if recipe == "mixed":
-        need = {AppClass.BACKEND_BOUND: size // 2, AppClass.FRONTEND_BOUND: size // 2}
+        need = {AppClass.BACKEND_BOUND: (size + 1) // 2, AppClass.FRONTEND_BOUND: size // 2}
     else:
         dominant = (
             AppClass.BACKEND_BOUND if recipe == "backend" else AppClass.FRONTEND_BOUND
@@ -268,6 +305,8 @@ def gen_workload(
     for app_class in sorted(need, key=lambda c: c.value):
         count = need[app_class]
         members = groups[app_class]
+        if grow is not None:
+            members += [grow(app_class, i) for i in range(len(members), count)]
         if len(members) < count:
             raise WorkloadError(
                 f"recipe {recipe!r} needs {count} {app_class.value} apps, "

@@ -24,11 +24,15 @@ assignment-problem solve gives feasible duals and the tight cycles of
 an optimal permutation, whose alternate edges are matched.  On the
 interference model's weights the start is nearly always perfect, hence
 optimal, and the solve ends at its certificate check; odd cycles leave
-one free vertex each for the blossom phases.
+one free vertex each for the blossom phases.  The assignment solve's
+column duals may start at caller-given prices (the engine passes the
+model's fold prices, :func:`synpa.interference.fold_prices`), which
+cut its searches short and never change the result.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
@@ -45,8 +49,8 @@ IDLE_NODE = "__idle__"
 #: Weight of an edge to the idle node: the thread's slowdown alone is 1.
 IDLE_WEIGHT = 1.0
 
-#: Instances up to this size use the subset-DP solver.
-_DP_MAX_NODES = 8
+#: Instances up to this size use the subset-DP solver; larger ones the blossom.
+DP_MAX_NODES = 8
 
 
 @dataclass(frozen=True)
@@ -115,7 +119,7 @@ def graph_from_matrix(app_ids: Sequence[str], weights: np.ndarray) -> SynergyGra
     return SynergyGraph(tuple(nodes), matrix.tolist())
 
 
-def _exact_scores(matrix: Sequence[Sequence[float]]) -> list[list[int]]:
+def _exact_scores(matrix: Sequence[Sequence[float]]) -> tuple[list[list[int]], int]:
     """Map edge weights to integers encoding weight-then-lexicographic order.
 
     Weights become exact integers over a common power-of-two
@@ -128,7 +132,9 @@ def _exact_scores(matrix: Sequence[Sequence[float]]) -> list[list[int]]:
     bonus is below ``K``.  Minimizing the total score therefore
     minimizes the true weight first and breaks exact ties toward the
     lexicographically smallest sorted pair list, making the optimum
-    unique.  The result is a dense symmetric matrix; its diagonal is 0.
+    unique.  Returns the scores, a dense symmetric matrix whose diagonal
+    is 0, and ``shift``: a weight ``w`` scores ``w * 2**shift`` before
+    its tie-break.
     """
     n = len(matrix)
     b = (n - 1).bit_length()
@@ -142,7 +148,17 @@ def _exact_scores(matrix: Sequence[Sequence[float]]) -> list[list[int]]:
         for j, (num, den) in enumerate(row, start=i + 1):
             s = (num << (top - den.bit_length() + b * n)) - ((n - 1 - j) << place)
             si[j] = scores[j][i] = s
-    return scores
+    return scores, top - 1 + b * n
+
+
+def _score_units(prices: Sequence[float], shift: int) -> list[int]:
+    """``prices`` in the units of :func:`_exact_scores`, rounded down.
+
+    The scaling by ``2**shift`` is done on integers: a float product
+    overflows for huge prices or tiny weights.
+    """
+    ratios = (float(p).as_integer_ratio() for p in prices)
+    return [(num << shift) // den for num, den in ratios]
 
 
 def _solve_dp(n: int, scores: list[list[int]]) -> list[tuple[int, int]]:
@@ -183,7 +199,9 @@ def _solve_dp(n: int, scores: list[list[int]]) -> list[tuple[int, int]]:
     return pairs
 
 
-def _assignment_start(n: int, scores: list[list[int]]) -> tuple[list[int], list[int]]:
+def _assignment_start(
+    n: int, scores: list[list[int]], prices: Sequence[int] | None = None
+) -> tuple[list[int], list[int]]:
     """Vertex duals and a partial matching from an optimal assignment.
 
     Solves the assignment problem on ``scores`` with the diagonal
@@ -200,6 +218,13 @@ def _assignment_start(n: int, scores: list[list[int]]) -> tuple[list[int], list[
     even cycles are matched fully, and each odd cycle leaves one vertex
     free.  Returns ``(lab, mate)`` with ``mate[v] == -1`` for a free
     vertex.
+
+    The column duals start at ``prices`` (zero if not given).  Shortest
+    augmenting paths from an empty assignment are exact from any
+    starting column duals, so the prices change only how far each row's
+    search runs: where every row's least reduced cost ``scores[i][j] -
+    prices[j]`` lies at a distinct column, each row takes that column
+    and no search grows.
     """
     hi = max(max(row) for row in scores)
     lo = min(min(row) for row in scores)
@@ -210,7 +235,7 @@ def _assignment_start(n: int, scores: list[list[int]]) -> tuple[list[int], list[
     # reduced costs ``cost[i][j] - v[j]`` (Jonker & Volgenant 1987).  An
     # assigned row's column always has its least reduced cost, so the
     # row dual is implicit: ``u[i] = cost[i][sigma[i]] - v[sigma[i]]``.
-    v = [0] * n
+    v = list(prices) if prices is not None else [0] * n
     owner = [-1] * n  # the row assigned to each column
     sigma = [-1] * n  # the column assigned to each row
     for root in range(n):
@@ -259,7 +284,9 @@ def _assignment_start(n: int, scores: list[list[int]]) -> tuple[list[int], list[
     return lab, mate
 
 
-def _solve_blossom(n: int, scores: list[list[int]]) -> list[tuple[int, int]]:
+def _solve_blossom(
+    n: int, scores: list[list[int]], prices: Sequence[int] | None = None
+) -> list[tuple[int, int]]:
     """Minimum-score perfect matching by the primal-dual blossom algorithm.
 
     Maximizes ``-score`` over perfect matchings of the complete graph on
@@ -272,13 +299,13 @@ def _solve_blossom(n: int, scores: list[list[int]]) -> list[tuple[int, int]]:
     unbounded in sign, which makes every optimum perfect.
 
     The solve starts from an optimal fractional matching
-    (:func:`_assignment_start`).  The factor 4 makes its duals all
-    even, so all free vertices, and with them all tree vertices, share
-    one parity and every step stays an integer.  A perfect start is
-    optimal, as on nearly every graph of the model's near-additive
-    weights: then only its certificate is checked and no blossom state
-    is built.  Otherwise the phases below match the vertex each odd
-    cycle left free.
+    (:func:`_assignment_start`, from the column ``prices``).  The factor
+    4 makes its duals all even, so all free vertices, and with them all
+    tree vertices, share one parity and every step stays an integer.  A
+    perfect start is optimal, as on nearly every graph of the model's
+    near-additive weights: then only its certificate is checked and no
+    blossom state is built.  Otherwise the phases below match the vertex
+    each odd cycle left free.
 
     Per node ``x``: ``st[x]`` is the top-level blossom holding it (-1
     for a free blossom slot), ``label[x]`` is -1 (unreached), 0 (outer)
@@ -292,7 +319,7 @@ def _solve_blossom(n: int, scores: list[list[int]]) -> list[tuple[int, int]]:
     child of ``b`` containing vertex ``v``.
     """
     w2 = [[-4 * s for s in row] for row in scores]
-    lab, mate = _assignment_start(n, scores)
+    lab, mate = _assignment_start(n, scores, prices)
     if -1 not in mate:
         _check_certificate(n, w2, mate, lab, {})
         return [(u, v) for u, v in enumerate(mate) if u < v]
@@ -604,22 +631,34 @@ def _check_certificate(
             raise MatchingError(f"matched edge ({u}, {mate[u]}) is not tight")
 
 
-def min_weight_perfect_matching(graph: SynergyGraph) -> tuple[tuple[str, str], ...]:
+def min_weight_perfect_matching(
+    graph: SynergyGraph, prices: Sequence[float] | None = None
+) -> tuple[tuple[str, str], ...]:
     """Return the sorted pairs of the unique optimal perfect matching.
 
     Optimal means minimum total weight, ties broken toward the
-    lexicographically smallest sorted pair list.  Raises
-    :class:`MatchingError` on an odd node count.
+    lexicographically smallest sorted pair list.  ``prices``, one
+    finite float per node of ``graph.nodes``, are the column duals the
+    blossom solver's assignment start begins from (see
+    :func:`synpa.interference.fold_prices`); they can make it faster,
+    never change the result, and are unused on graphs the subset DP
+    solves.  Raises :class:`MatchingError` on an odd node count or bad
+    prices.
     """
     n = len(graph.nodes)
     if n % 2 == 1:
         raise MatchingError(f"cannot perfectly match {n} nodes; pad with {IDLE_NODE!r}")
     if n == 0:
         return ()
+    if prices is not None and (
+        len(prices) != n or not all(math.isfinite(p) for p in prices)
+    ):
+        raise MatchingError(f"prices must be {n} finite floats, one per node")
     nodes = graph.nodes
-    scores = _exact_scores(graph.matrix)
-    if n <= _DP_MAX_NODES:
+    scores, shift = _exact_scores(graph.matrix)
+    if n <= DP_MAX_NODES:
         index_pairs = _solve_dp(n, scores)
     else:
-        index_pairs = _solve_blossom(n, scores)
+        units = None if prices is None else _score_units(prices, shift)
+        index_pairs = _solve_blossom(n, scores, units)
     return tuple(sorted((nodes[i], nodes[j]) for i, j in index_pairs))

@@ -6,7 +6,6 @@ determinism contract: identical inputs and seeds give identical bytes.
 """
 
 import json
-import os
 import time
 
 import pytest
@@ -81,18 +80,13 @@ class TestTrain:
         paths = write_profile_corpus(
             str(tmp_path), REFERENCE_COEFFICIENTS, CORPUS_APPS, CORPUS_PAIRS
         )
+        # Drop the appa-appb co-run: without it the two remaining co-runs
+        # leave the fdc regressors short of spanning their space.
         kept = [p for p in paths if "pair-appa-appb" not in p]
-        # drop one half of a pairwise co-run: alignment cannot proceed
-        removed = os.path.join(str(tmp_path), "pair-appa-appb.profile")
-        half = tmp_path / "half.profile"
-        text = open(removed, encoding="utf-8").read()
-        half.write_text(
-            text.replace("appb", "appx").replace("appa", "appa"), encoding="utf-8"
-        )
         code = run_cli("train", *kept, "--out", tmp_path / "c.json")
         captured = capsys.readouterr()
         assert code == 1
-        assert "error:" in captured.err
+        assert "error: design matrix for category 'fdc' is rank deficient" in captured.err
 
     def test_duplicate_isolated_profile_rejected(self, profile_corpus, tmp_path, capsys):
         iso = [p for p in profile_corpus if "iso-appa" in p]
@@ -154,13 +148,44 @@ class TestGenWorkload:
             )
         assert exc.value.code == 2
 
-    def test_odd_size_is_domain_error(self, tmp_path, capsys):
-        code = run_cli(
-            "gen-workload", "--recipe", "mixed", "--seed", 0, "--size", 5,
-            "--out", tmp_path / "x.json",
-        )
-        assert code == 1
-        assert "even" in capsys.readouterr().err
+    def test_size_out_of_range_is_domain_error(self, tmp_path, capsys):
+        for size in (1, 65):
+            code = run_cli(
+                "gen-workload", "--recipe", "mixed", "--seed", 0, "--size", size,
+                "--out", tmp_path / "x.json",
+            )
+            assert code == 1
+            assert "between 2 and 64" in capsys.readouterr().err
+            assert not (tmp_path / "x.json").exists()
+
+    @pytest.mark.parametrize("recipe, size", [("mixed", 33), ("backend", 64)])
+    def test_large_and_odd_workloads_simulate(self, tmp_path, recipe, size):
+        # The default roster holds 10 backend, 8 frontend and 10 other
+        # apps; both sizes need more, and 33 leaves one thread idle.
+        wl = tmp_path / "wl.json"
+        assert run_cli(
+            "gen-workload", "--recipe", recipe, "--seed", 4, "--size", size,
+            "--iso-quanta", 2.0, "--out", wl,
+        ) == 0
+        spec = WorkloadSpec.from_json(wl.read_text(encoding="utf-8"))
+        assert len(spec.apps) == size
+        counts = {c: 0 for c in AppClass}
+        for app in spec.apps:
+            counts[classify_app(app)] += 1
+        if recipe == "mixed":
+            assert (counts[AppClass.BACKEND_BOUND], counts[AppClass.FRONTEND_BOUND]) == (17, 16)
+        else:
+            assert counts[AppClass.BACKEND_BOUND] in (5, 6)
+            assert counts[AppClass.OTHER] == size - counts[AppClass.BACKEND_BOUND]
+        out = tmp_path / "run.jsonl"
+        assert run_cli("simulate", "--workload", wl, "--seed", 1, "--out", out) == 0
+        log = load_log_summary(str(out))
+        assert sorted(log.apps) == sorted(a.app_id for a in spec.apps)
+        assert log.total_quanta > 1  # at least one decision took effect
+        for record in log.records:
+            seen = sorted(a for pair in record.pairs for a in pair if a != IDLE_NODE)
+            assert seen == sorted(log.apps)
+            assert len(record.pairs) == (size + 1) // 2
 
     @pytest.mark.parametrize("quantum_ms", ["nan", "inf", "0", "-5", "1e-9"])
     def test_bad_quantum_ms_is_domain_error(self, tmp_path, capsys, quantum_ms):
@@ -379,6 +404,29 @@ class TestReplay:
         code = run_cli("replay", "--trace", bad, "--out", tmp_path / "x.jsonl")
         assert code == 1
         assert f"error: line 1: {field}" in capsys.readouterr().err
+
+    def test_thread_without_rows_is_domain_error(self, trace_file, tmp_path, capsys):
+        header, rest = trace_file.read_text(encoding="utf-8").split("\n", 1)
+        doc = json.loads(header)
+        doc["threads"] = [*doc["threads"], "ghost"]
+        bad = tmp_path / "ghost.trace"
+        bad.write_text(json.dumps(doc) + "\n" + rest, encoding="utf-8")
+        out = tmp_path / "x.jsonl"
+        code = run_cli("replay", "--trace", bad, "--out", out)
+        assert code == 1
+        assert "error: line 1: threads with no sample rows: ['ghost']" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_header_only_trace_is_domain_error(self, trace_file, tmp_path, capsys):
+        lines = trace_file.read_text(encoding="utf-8").split("\n")
+        threads = json.loads(lines[0])["threads"]
+        bad = tmp_path / "header-only.trace"
+        bad.write_text("\n".join(lines[:2]) + "\n", encoding="utf-8")
+        out = tmp_path / "x.jsonl"
+        code = run_cli("replay", "--trace", bad, "--out", out)
+        assert code == 1
+        assert f"error: line 1: threads with no sample rows: {threads}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestReport:

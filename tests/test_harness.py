@@ -6,6 +6,7 @@ independent phase walker, and aggregation traces by re-running the
 discard rule in the test.
 """
 
+import functools
 import json
 import math
 
@@ -36,6 +37,7 @@ from synpa.harness import (
     aggregate_runs,
     classify_app,
     compute_metrics,
+    extra_synthetic_app,
     fairness,
     gen_workload,
     ipc_geomean,
@@ -256,9 +258,33 @@ class TestGenWorkload:
     def test_unknown_recipe_and_bad_size_rejected(self, roster):
         with pytest.raises(WorkloadError, match="unknown recipe"):
             gen_workload("balanced", roster, seed=0)
-        for size in (0, 3, -2):
-            with pytest.raises(WorkloadError, match="even"):
+        for size in (0, 1, -2, 65):
+            with pytest.raises(WorkloadError, match="between 2 and 64"):
                 gen_workload("mixed", roster, seed=0, size=size)
+
+    def test_growth_tops_up_only_short_classes(self, roster):
+        grow = functools.partial(extra_synthetic_app, 7, iso_quanta=25.0)
+        filled = 0
+        for recipe in RECIPES:
+            for seed in range(6):
+                for size in (2, 7, 8, 15, 16):
+                    try:
+                        plain = gen_workload(recipe, roster, seed, size=size)
+                    except WorkloadError:
+                        continue
+                    filled += 1
+                    assert gen_workload(recipe, roster, seed, size=size, grow=grow) == plain
+        assert filled > 60
+        spec = gen_workload("mixed", roster, 0, size=41, grow=grow)
+        counts = {c: 0 for c in AppClass}
+        for app in spec.apps:
+            counts[spec.classes[app.app_id]] += 1
+            assert spec.classes[app.app_id] == classify_app(app)
+        assert (counts[AppClass.BACKEND_BOUND], counts[AppClass.FRONTEND_BOUND]) == (21, 20)
+        # An extra app depends on its seed, class and index only.
+        assert grow(AppClass.FRONTEND_BOUND, 12) == grow(AppClass.FRONTEND_BOUND, 12)
+        assert grow(AppClass.FRONTEND_BOUND, 12).app_id == "f12"
+        assert grow(AppClass.OTHER, 12) != grow(AppClass.OTHER, 13)
 
     def test_same_seed_reproducible_different_seed_varies(self, roster):
         a = gen_workload("backend", roster, seed=5)

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from synpa import (
@@ -20,6 +20,7 @@ from synpa import (
     ModelError,
     REFERENCE_COEFFICIENTS,
     build_graph,
+    fold_prices,
     forward,
     graph_from_matrix,
     invert,
@@ -281,6 +282,89 @@ def inversion_cases(draw):
     else:
         u, v = draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0))
     return coeffs, u, v
+
+
+#: Slack allowed on the fold partner's reduced cost, fixed before any
+#: run: weights and prices here are below 20, so float rounding stays
+#: near 1e-14, and any price error that matters is far above 1e-9.
+FOLD_TOL = 1e-9
+
+
+@st.composite
+def fold_models(draw):
+    """Models whose weights are exactly bilinear with one pair term: every
+    coefficient non-negative (no clamp), ``rho`` positive in one category
+    and zero in the others."""
+    coeff = st.floats(0.0, 2.0)
+    lead = draw(st.sampled_from(CATEGORIES))
+    return ModelCoefficients(**{
+        name: CategoryCoefficients(
+            alpha=draw(coeff),
+            beta=draw(coeff),
+            gamma=draw(coeff),
+            rho=draw(st.floats(1e-3, 2.0)) if name == lead else 0.0,
+        )
+        for name in CATEGORIES
+    })
+
+
+class TestFoldPrices:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        model=st.one_of(st.just(REFERENCE_COEFFICIENTS), fold_models()),
+        vectors=st.lists(category_vectors(), min_size=2, max_size=16),
+    )
+    def test_least_reduced_cost_is_the_fold_partner(self, model, vectors):
+        lead = max(CATEGORIES, key=lambda name: model.category(name).rho)
+        x = [v.get(lead) for v in vectors]
+        assume(len(set(x)) == len(x))
+        n = len(vectors)
+        weights = pair_weight_matrix(model, vectors)
+        prices = fold_prices(model, vectors)
+        order = sorted(range(n), key=x.__getitem__)
+        for rank, i in enumerate(order):
+            partner = order[n - 1 - rank]
+            if partner == i:
+                continue  # the middle thread of an odd roster folds onto itself
+            reduced = [weights[i, j] - prices[j] for j in range(n) if j != i]
+            assert weights[i, partner] - prices[partner] <= min(reduced) + FOLD_TOL
+
+    def test_additive_part_only_without_positive_rho(self):
+        model = ModelCoefficients(
+            fdc=CategoryCoefficients(alpha=0.1, beta=0.5, gamma=0.25, rho=-0.5),
+            fe=CategoryCoefficients(alpha=0.2, beta=1.0, gamma=0.0, rho=0.0),
+            be=CategoryCoefficients(alpha=0.0, beta=0.25, gamma=0.5, rho=-1.0),
+        )
+        vectors = [
+            CategoryVector(fe=0.5, be=0.25, fdc=0.25),
+            CategoryVector(fe=0.0, be=0.5, fdc=0.5),
+        ]
+        # 0.3 + 1.0 * fe + 0.75 * be + 0.75 * fdc
+        assert fold_prices(model, vectors).tolist() == pytest.approx([1.175, 1.05], abs=1e-12)
+
+    def test_fold_prices_of_a_reference_roster(self):
+        # fdc carries the only pair term (rho 0.0314); with fdc values
+        # 0.1 < 0.2 < 0.4 < 0.6 the fold pairs 0.1 with 0.6 and 0.2 with 0.4.
+        vectors = [
+            CategoryVector(fe=0.3, be=0.3, fdc=0.4),
+            CategoryVector(fe=0.4, be=0.5, fdc=0.1),
+            CategoryVector(fe=0.2, be=0.2, fdc=0.6),
+            CategoryVector(fe=0.6, be=0.2, fdc=0.2),
+        ]
+        ref = REFERENCE_COEFFICIENTS
+        rho2 = 2.0 * ref.fdc.rho
+        q_02 = rho2 * (0.2 - 0.1) * 0.6
+        q_04 = q_02 + rho2 * (0.4 - 0.2) * 0.4
+        q_06 = q_04 + rho2 * (0.6 - 0.4) * 0.2
+        q = [q_04, 0.0, q_06, q_02]
+        alpha = sum(ref.category(c).alpha for c in CATEGORIES)
+        want = [
+            alpha
+            + sum((ref.category(c).beta + ref.category(c).gamma) * v.get(c) for c in CATEGORIES)
+            + qj
+            for v, qj in zip(vectors, q)
+        ]
+        assert fold_prices(REFERENCE_COEFFICIENTS, vectors).tolist() == pytest.approx(want, abs=1e-12)
 
 
 class TestInvertCategory:

@@ -20,6 +20,7 @@ from synpa import (
     REFERENCE_COEFFICIENTS,
     SynergyGraph,
     build_graph,
+    fold_prices,
     graph_from_matrix,
     min_weight_perfect_matching,
     pair_weight_matrix,
@@ -29,6 +30,7 @@ from synpa.matcher import (
     _assignment_start,
     _check_certificate,
     _exact_scores,
+    _score_units,
     _solve_blossom,
     _solve_dp,
 )
@@ -123,16 +125,35 @@ def random_graph(rng, n, dyadic=False, ties=False):
     return graph_from_weights(weights)
 
 
-def model_graph(rng, n):
-    """Pairing graph of ``n`` random category vectors under the reference
-    model: near-additive weights, a cost per thread plus a small pair term."""
+def model_vectors(rng, n):
+    """``n`` random category vectors, every category above zero."""
     vectors = []
     for _ in range(n):
         parts = [rng.random() + 1e-3 for _ in range(3)]
         total = sum(parts)
         vectors.append(CategoryVector(*(x / total for x in parts)))
+    return vectors
+
+
+def model_graph(rng, n):
+    """Pairing graph of ``n`` random category vectors under the reference
+    model: near-additive weights, a cost per thread plus a small pair term."""
     ids = [f"t{i:02d}" for i in range(n)]
-    return graph_from_matrix(ids, pair_weight_matrix(REFERENCE_COEFFICIENTS, vectors))
+    weights = pair_weight_matrix(REFERENCE_COEFFICIENTS, model_vectors(rng, n))
+    return graph_from_matrix(ids, weights)
+
+
+def networkx_pairs(nx, graph):
+    """The matching networkx finds on the exact scores, as sorted pairs."""
+    n = len(graph.nodes)
+    scores, _ = _exact_scores(graph.matrix)
+    top = max(max(row) for row in scores) + 1
+    oracle = nx.Graph()
+    for i in range(n):
+        for j in range(i + 1, n):
+            oracle.add_edge(i, j, weight=top - scores[i][j])
+    mate = nx.max_weight_matching(oracle, maxcardinality=True)
+    return tuple(sorted((graph.nodes[min(p)], graph.nodes[max(p)]) for p in mate))
 
 
 class TestBuildGraph:
@@ -328,7 +349,7 @@ class TestMinWeightMatching:
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         for (i, j), level in zip(pairs, levels):
             matrix[i][j] = matrix[j][i] = 1.0 + level / 4.0
-        scores = _exact_scores(matrix)
+        scores, _ = _exact_scores(matrix)
         assert sorted(_solve_dp(n, scores)) == sorted(_solve_blossom(n, scores))
 
     @pytest.mark.parametrize("n", [32, 64])
@@ -340,15 +361,7 @@ class TestMinWeightMatching:
             model_graph(random.Random(n + 2), n),
         )
         for graph in graphs:
-            scores = _exact_scores(graph.matrix)
-            top = max(max(row) for row in scores) + 1
-            oracle = nx.Graph()
-            for i in range(n):
-                for j in range(i + 1, n):
-                    oracle.add_edge(i, j, weight=top - scores[i][j])
-            mate = nx.max_weight_matching(oracle, maxcardinality=True)
-            want = tuple(sorted((graph.nodes[min(p)], graph.nodes[max(p)]) for p in mate))
-            assert min_weight_perfect_matching(graph) == want
+            assert min_weight_perfect_matching(graph) == networkx_pairs(nx, graph)
 
     def test_perfectness(self):
         for seed in range(20):
@@ -417,7 +430,7 @@ def start_instances(draw):
         n = draw(st.sampled_from([2, 4, 6, 8, 10, 12]))
         rng = random.Random(draw(st.integers(0, 2**32 - 1)))
         matrix = random_graph(rng, n, ties=kind == "ties").matrix
-    return len(matrix), _exact_scores(matrix)
+    return len(matrix), _exact_scores(matrix)[0]
 
 
 class TestAssignmentStart:
@@ -454,7 +467,7 @@ class TestAssignmentStart:
             [0.0 if i == j else 1.0 if group[i] == group[j] else 10.0 for j in range(10)]
             for i in range(10)
         ]
-        scores = _exact_scores(matrix)
+        scores, _ = _exact_scores(matrix)
         _, mate = _assignment_start(10, scores)
         free = [v for v in range(10) if mate[v] == -1]
         assert free == [2, 5]
@@ -466,9 +479,73 @@ class TestAssignmentStart:
         # that lost this would still be optimal, only slow, and no
         # optimality test would notice.
         for seed in range(20):
-            scores = _exact_scores(model_graph(random.Random(seed), 16).matrix)
+            scores, _ = _exact_scores(model_graph(random.Random(seed), 16).matrix)
             _, mate = _assignment_start(16, scores)
             assert -1 not in mate
+
+
+@st.composite
+def priced_graphs(draw):
+    """A 2-12 node graph (``random_graph`` weights, ties included, or the
+    weights of random category vectors under the reference or a random
+    model, odd rosters padded with the idle node) and one finite price
+    per node: zeros, uniform in +-1e3 or +-1e300, or fold prices."""
+    kind = draw(st.sampled_from(["uniform", "ties", "model"]))
+    scales = [0.0, 1e3, 1e300]
+    if kind == "model":
+        model = draw(st.one_of(st.just(REFERENCE_COEFFICIENTS), coefficient_models()))
+        vectors = draw(st.lists(category_vectors(), min_size=2, max_size=12))
+        ids = [f"t{i:02d}" for i in range(len(vectors))]
+        graph = graph_from_matrix(ids, pair_weight_matrix(model, vectors))
+        scales.append("fold")
+    else:
+        n = draw(st.sampled_from([2, 4, 6, 8, 10, 12]))
+        graph = random_graph(random.Random(draw(st.integers(0, 2**32 - 1))), n, ties=kind == "ties")
+    scale = draw(st.sampled_from(scales))
+    if scale == "fold":
+        price = dict(zip(ids, fold_prices(model, vectors).tolist()))
+        return graph, [price.get(a, 0.0) for a in graph.nodes]  # 0 for the idle node
+    n = len(graph.nodes)
+    price = st.floats(-scale, scale) if scale else st.just(0.0)
+    return graph, draw(st.lists(price, min_size=n, max_size=n))
+
+
+class TestPricedStart:
+    """Prices only seed the assignment start: no finite price changes a result."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(instance=priced_graphs())
+    def test_prices_never_change_the_result(self, instance):
+        graph, prices = instance
+        n = len(graph.nodes)
+        scores, shift = _exact_scores(graph.matrix)
+        # The blossom runs here on graphs the public entry point hands
+        # to the subset DP, so every size is checked against the DP.
+        want = sorted(_solve_dp(n, scores))
+        assert sorted(_solve_blossom(n, scores, _score_units(prices, shift))) == want
+        assert min_weight_perfect_matching(graph, prices) == min_weight_perfect_matching(graph)
+
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_large_priced_instances_match_networkx(self, n):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(n + 3)
+        ids = [f"t{i:02d}" for i in range(n)]
+        vectors = model_vectors(rng, n)
+        model = graph_from_matrix(ids, pair_weight_matrix(REFERENCE_COEFFICIENTS, vectors))
+        cases = [
+            (model, fold_prices(REFERENCE_COEFFICIENTS, vectors).tolist()),
+            (model, [rng.uniform(-5.0, 5.0) for _ in range(n)]),
+            (random_graph(rng, n), [rng.uniform(-1e3, 1e3) for _ in range(n)]),
+            (random_graph(rng, n, ties=True), [rng.uniform(-5.0, 5.0) for _ in range(n)]),
+        ]
+        for graph, prices in cases:
+            assert min_weight_perfect_matching(graph, prices) == networkx_pairs(nx, graph)
+
+    def test_bad_prices_rejected(self):
+        graph = random_graph(random.Random(0), 10)
+        for prices in ([0.0] * 9, [0.0] * 9 + [math.nan], [math.inf] + [0.0] * 9):
+            with pytest.raises(MatchingError, match="finite"):
+                min_weight_perfect_matching(graph, prices)
 
 
 class TestCertificate:
