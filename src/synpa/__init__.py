@@ -58,10 +58,8 @@ from .interference import (
     forward,
     invert,
     invert_category,
-    load_coefficients,
     pair_weight_matrix,
     predict_pair,
-    save_coefficients,
 )
 from .matcher import (
     IDLE_NODE,

@@ -20,9 +20,9 @@ import os
 import sys
 from typing import Sequence
 
-from .counters import write_trace
+from .counters import format_trace
 from .engine import POLICIES, EngineConfig, SimWorkload, run, trace_from_log
-from .errors import ConfigError, SynpaError
+from .errors import ConfigError, SynpaError, read_text, write_text
 from .harness import (
     MAX_WORKLOAD_SIZE,
     RECIPES,
@@ -36,30 +36,25 @@ from .harness import (
     make_synthetic_roster,
     metrics_csv,
 )
-from .interference import REFERENCE_COEFFICIENTS, load_coefficients, save_coefficients
+from .interference import REFERENCE_COEFFICIENTS, ModelCoefficients
 from .trainer import Profile, align, fit, load_profiles
 
 
-def _write(path: str, text: str) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path!r}: {exc}") from None
-
-
-def _read(path: str) -> str:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path!r}: {exc}") from None
-
-
-def _coefficients(path: str | None):
+def _coefficients(path: str | None) -> ModelCoefficients:
     if path is None:
         return REFERENCE_COEFFICIENTS
-    return load_coefficients(path)
+    return ModelCoefficients.from_json(read_text(path))
+
+
+def _seed(text: str) -> int:
+    """argparse type of every seed option: numpy takes no negative seed."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -69,8 +64,19 @@ def _coefficients(path: str | None):
 def cmd_train(args: argparse.Namespace) -> int:
     isolated: dict[str, Profile] = {}
     paired: dict[tuple[str, str], Profile] = {}
+    first = None  # (path, shape) of the first file
     for path in args.profiles:
         for profile in load_profiles(path):
+            # Alignment compares committed instructions per quantum, so
+            # every file must share the dispatch width and quantum length.
+            shape = (
+                f"dispatch_width {profile.dispatch_width}, "
+                f"quantum_ms {profile.quantum_ms}"
+            )
+            if first is None:
+                first = (path, shape)
+            elif shape != first[1]:
+                raise ConfigError(f"{path}: {shape} differ from {first[0]}: {first[1]}")
             if profile.mode == "isolated":
                 if profile.app_id in isolated:
                     raise ConfigError(
@@ -87,27 +93,22 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     samples = []
     dropped = 0
-    done = set()
     for a, b in sorted(paired):
-        if (a, b) in done:
+        if a > b:  # a paired file yields both views; align each pair once
             continue
-        if (b, a) not in paired:
-            raise ConfigError(f"paired profile for {a!r}|{b!r} lacks the partner view")
         for app in (a, b):
             if app not in isolated:
                 raise ConfigError(f"no isolated baseline profile for {app!r}")
         result = align(isolated[a], isolated[b], paired[(a, b)], paired[(b, a)])
         samples.extend(result.samples)
         dropped += result.dropped
-        done.add((a, b))
-        done.add((b, a))
     if not samples:
         raise ConfigError("profiles produced no training samples")
 
     report = fit(samples, split=args.split, seed=args.seed)
-    save_coefficients(report.coefficients, args.out)
+    write_text(args.out, report.coefficients.to_json())
     if args.report:
-        _write(args.report, report.to_json())
+        write_text(args.report, report.to_json())
     mse = " ".join(f"{k}={report.mse[k]:.6g}" for k in ("fdc", "fe", "be"))
     print(
         f"trained on {report.n_train}/{report.n_samples} samples "
@@ -131,7 +132,7 @@ def cmd_gen_workload(args: argparse.Namespace) -> int:
     roster = make_synthetic_roster(args.roster_seed, **settings)
     grow = functools.partial(extra_synthetic_app, args.roster_seed, **settings)
     spec = gen_workload(args.recipe, roster, args.seed, size=args.size, grow=grow)
-    _write(args.out, spec.to_json())
+    write_text(args.out, spec.to_json())
     classes = ", ".join(
         f"{a.app_id}:{spec.classes[a.app_id].value}" for a in spec.apps
     )
@@ -144,9 +145,9 @@ def cmd_gen_workload(args: argparse.Namespace) -> int:
 # simulate
 
 
-def _run_one(args, workload, policy: str, seed: int):
+def _run_one(args, workload, coefficients, policy: str, seed: int):
     config = EngineConfig(
-        coefficients=_coefficients(args.coefficients),
+        coefficients=coefficients,
         policy=policy,
         quantum_ms=args.quantum_ms,
         dispatch_width=args.dispatch_width,
@@ -158,27 +159,24 @@ def _run_one(args, workload, policy: str, seed: int):
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    spec = WorkloadSpec.from_json(_read(args.workload))
-    ground_truth = (
-        load_coefficients(args.ground_truth)
-        if args.ground_truth
-        else REFERENCE_COEFFICIENTS
-    )
+    spec = WorkloadSpec.from_json(read_text(args.workload))
     workload = SimWorkload(
-        apps=spec.apps, ground_truth=ground_truth, noise_sigma=args.noise_sigma
+        apps=spec.apps,
+        ground_truth=_coefficients(args.ground_truth),
+        noise_sigma=args.noise_sigma,
     )
+    coefficients = _coefficients(args.coefficients)
     policies = list(dict.fromkeys(args.policy))
     seeds = list(dict.fromkeys(args.seed))
 
     if len(policies) == 1 and len(seeds) == 1:
-        log = _run_one(args, workload, policies[0], seeds[0])
-        _write(args.out, log.to_jsonl())
+        log = _run_one(args, workload, coefficients, policies[0], seeds[0])
+        write_text(args.out, log.to_jsonl())
         metrics = compute_metrics(log)
         if args.metrics:
-            _write(args.metrics, metrics.to_json())
+            write_text(args.metrics, metrics.to_json())
         if args.export_trace:
-            header, samples = trace_from_log(log)
-            write_trace(args.export_trace, header, samples)
+            write_text(args.export_trace, format_trace(*trace_from_log(log)))
         fair = "n/a" if metrics.fairness is None else f"{metrics.fairness:.4f}"
         print(
             f"policy={log.policy} seed={log.seed} quanta={log.total_quanta} "
@@ -197,27 +195,27 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     try:
         os.makedirs(args.out, exist_ok=True)
     except OSError as exc:
-        raise ConfigError(f"cannot create {args.out!r}: {exc}") from None
+        raise ConfigError(f"cannot write {args.out!r}: {exc}") from None
 
     per_policy = {}
     for policy in policies:
         reports = []
         for seed in seeds:
-            log = _run_one(args, workload, policy, seed)
+            log = _run_one(args, workload, coefficients, policy, seed)
             stem = f"{policy}-s{seed}"
-            _write(os.path.join(args.out, stem + ".jsonl"), log.to_jsonl())
+            write_text(os.path.join(args.out, stem + ".jsonl"), log.to_jsonl())
             report = compute_metrics(log)
-            _write(os.path.join(args.out, stem + ".metrics.json"), report.to_json())
+            write_text(os.path.join(args.out, stem + ".metrics.json"), report.to_json())
             reports.append(report)
         per_policy[policy] = reports
 
     flat = [m for policy in policies for m in per_policy[policy]]
-    _write(os.path.join(args.out, "runs.csv"), metrics_csv(flat))
+    write_text(os.path.join(args.out, "runs.csv"), metrics_csv(flat))
     for policy in policies:
         reports = per_policy[policy]
         if len(reports) >= 2:
             agg = aggregate_runs(reports, cv_threshold=args.cv_threshold)
-            _write(os.path.join(args.out, f"{policy}.aggregate.json"), agg.to_json())
+            write_text(os.path.join(args.out, f"{policy}.aggregate.json"), agg.to_json())
             fair = (
                 "n/a"
                 if agg.fairness_mean is None
@@ -252,10 +250,10 @@ def cmd_replay(args: argparse.Namespace) -> int:
         estimate_decay=args.estimate_decay,
     )
     log = run(config)
-    _write(args.out, log.to_jsonl())
+    write_text(args.out, log.to_jsonl())
     metrics = compute_metrics(log)
     if args.metrics:
-        _write(args.metrics, metrics.to_json())
+        write_text(args.metrics, metrics.to_json())
     print(
         f"policy={log.policy} seed={log.seed} quanta={log.total_quanta} "
         f"turnaround={metrics.turnaround_quanta}q ipc_geomean={metrics.ipc_geomean:.4f}"
@@ -280,13 +278,13 @@ def cmd_report(args: argparse.Namespace) -> int:
             f"ipc_geomean={m.ipc_geomean:.4f}"
         )
     if args.csv:
-        _write(args.csv, metrics_csv(reports))
+        write_text(args.csv, metrics_csv(reports))
     if len(reports) < 2:
         print("aggregate skipped: needs at least two runs")
         return 0
     aggregate = aggregate_runs(reports, cv_threshold=args.cv_threshold)
     if args.out:
-        _write(args.out, aggregate.to_json())
+        write_text(args.out, aggregate.to_json())
     stable = "stable" if aggregate.cv_met else "UNSTABLE"
     fair = (
         "n/a"
@@ -320,12 +318,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--out", required=True, help="output coefficients JSON")
     p_train.add_argument("--report", default=None, help="optional fit report JSON")
     p_train.add_argument("--split", type=float, default=0.8, help="train fraction (default 0.8)")
-    p_train.add_argument("--seed", type=int, default=0, help="shuffle seed (default 0)")
+    p_train.add_argument("--seed", type=_seed, default=0, help="shuffle seed (default 0)")
     p_train.set_defaults(func=cmd_train)
 
     p_gen = sub.add_parser("gen-workload", help="generate a reproducible workload")
     p_gen.add_argument("--recipe", required=True, choices=RECIPES)
-    p_gen.add_argument("--seed", type=int, required=True, help="selection seed")
+    p_gen.add_argument("--seed", type=_seed, required=True, help="selection seed")
     p_gen.add_argument("--out", required=True, help="output workload JSON")
     p_gen.add_argument(
         "--size",
@@ -334,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"apps per workload, 2 to {MAX_WORKLOAD_SIZE} (default 8)",
     )
     p_gen.add_argument(
-        "--roster-seed", type=int, default=7, help="synthetic roster seed (default 7)"
+        "--roster-seed", type=_seed, default=7, help="synthetic roster seed (default 7)"
     )
     p_gen.add_argument(
         "--iso-quanta",
@@ -358,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="one or more policies (multiple: comparison mode)",
     )
     p_sim.add_argument(
-        "--seed", type=int, nargs="+", default=[0],
+        "--seed", type=_seed, nargs="+", default=[0],
         help="one or more seeds (multiple: repeated runs)",
     )
     p_sim.add_argument("--coefficients", default=None, help="allocator model JSON (default: built-in reference)")
@@ -376,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--trace", required=True, help="counter trace file")
     p_rep.add_argument("--out", required=True, help="output run log (JSONL)")
     p_rep.add_argument("--policy", default="synpa", choices=POLICIES)
-    p_rep.add_argument("--seed", type=int, default=0)
+    p_rep.add_argument("--seed", type=_seed, default=0)
     p_rep.add_argument("--coefficients", default=None, help="allocator model JSON (default: built-in reference)")
     p_rep.add_argument("--estimate-decay", type=float, default=0.5)
     p_rep.add_argument("--metrics", default=None, help="optional metrics JSON")

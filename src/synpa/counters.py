@@ -27,7 +27,7 @@ from itertools import groupby
 from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
-from .errors import RosterError, TraceError
+from .errors import RosterError, TraceError, read_text
 
 TRACE_VERSION = 1
 
@@ -144,15 +144,11 @@ def read_counter_file(
 
     Returns ``(header, samples, committed)`` where ``committed`` is the
     per-row committed-instruction column (empty for plain traces).
-    Raises :class:`TraceError` with a line number on malformed input and
+    Raises :class:`ConfigError` when the file cannot be read,
+    :class:`TraceError` with a line number on malformed input and
     :class:`RosterError` when rows disagree with the header roster.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise TraceError(f"cannot read trace {path!r}: {exc}") from None
-    return parse_counter_text(text, require_committed=require_committed)
+    return parse_counter_text(read_text(path), require_committed=require_committed)
 
 
 def parse_counter_text(
@@ -280,13 +276,3 @@ def format_trace(
             base += f",{committed[(s.quantum_index, s.thread_id)]}"
         out.write(base + "\n")
     return out.getvalue()
-
-
-def write_trace(
-    path: str,
-    header: TraceHeader,
-    samples: Iterable[RawCounterSample],
-    committed: Mapping[tuple[int, str], int] | None = None,
-) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_trace(header, samples, committed))

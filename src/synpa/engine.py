@@ -331,6 +331,8 @@ class EngineConfig:
             )
         if self.dispatch_width < 1:
             raise ConfigError("dispatch_width must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.estimate_decay <= 1.0:
             raise ConfigError("estimate_decay must be in [0, 1]")
         if self.max_quanta < 1:

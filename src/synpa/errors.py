@@ -2,7 +2,9 @@
 
 Every error raised on a bad input or a violated contract derives from
 :class:`SynpaError`, so callers (and the CLI) can distinguish domain
-failures from programming bugs.
+failures from programming bugs.  :func:`read_text` and
+:func:`write_text` are the package's only file access, so a path that
+cannot be read or written is a :class:`ConfigError` naming it.
 """
 
 from __future__ import annotations
@@ -63,3 +65,21 @@ class ConfigError(SynpaError):
 
 class WorkloadError(SynpaError):
     """Workload generation could not satisfy the requested recipe."""
+
+
+def read_text(path: str) -> str:
+    """The whole text of a UTF-8 file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path!r}: {exc}") from None
+
+
+def write_text(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8, replacing the file."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path!r}: {exc}") from None

@@ -20,7 +20,7 @@ import numpy as np
 
 from .dispatch import AppClass, CategoryTriple, CategoryVector, classify
 from .engine import CYCLES_PER_MS, MAX_QUANTA, Phase, ScheduleLog, SyntheticApp
-from .errors import ConfigError, WorkloadError
+from .errors import ConfigError, WorkloadError, read_text
 
 WORKLOAD_VERSION = 1
 
@@ -80,6 +80,12 @@ _FAMILY_PHASES = {
 
 _FAMILY_PREFIX = {"backend": "b", "frontend": "f", "other": "o"}
 
+#: Apps per family in the roster of :func:`make_synthetic_roster`.
+_ROSTER_COUNTS = (("backend", 10), ("frontend", 8), ("other", 10))
+
+#: Dispatch width the synthetic apps' rates assume (the engine's default).
+_DISPATCH_WIDTH = 4
+
 _FAMILY_CLASS = {
     "backend": AppClass.BACKEND_BOUND,
     "frontend": AppClass.FRONTEND_BOUND,
@@ -92,18 +98,16 @@ def make_synthetic_app(
     family: str,
     rng: np.random.Generator,
     iso_quanta: float = 60.0,
-    dispatch_width: int = 4,
     cycles_per_quantum: int = 100 * CYCLES_PER_MS,
-    n_phase_pairs: int = 2,
 ) -> SyntheticApp:
     """Generate one synthetic app of the given family.
 
-    The app alternates dominant and relief phases (jittered per app) and
-    its per-launch target is sized so one isolated launch lasts about
-    ``iso_quanta`` quanta, at most the engine's ``MAX_QUANTA`` run limit
-    (a longer launch could never finish).  Raises if the sampled app
-    fails to classify as its family (ranges are chosen so it practically
-    cannot).
+    The app alternates dominant and relief phases, two of each (jittered
+    per app), and its per-launch target is sized so one isolated launch
+    lasts about ``iso_quanta`` quanta, at most the engine's
+    ``MAX_QUANTA`` run limit (a longer launch could never finish).
+    Raises if the sampled app fails to classify as its family (ranges
+    are chosen so it practically cannot).
     """
     if family not in _FAMILY_PHASES:
         raise WorkloadError(f"unknown app family {family!r}; choose from {sorted(_FAMILY_PHASES)}")
@@ -115,13 +119,13 @@ def make_synthetic_app(
     dominant, relief = _FAMILY_PHASES[family]
     for _ in range(50):
         phases = []
-        for _ in range(n_phase_pairs):
+        for _ in range(2):
             for fe_range, be_range, dur_range in (dominant, relief):
                 vector = _vector(rng, fe_range, be_range)
                 duration = float(rng.uniform(*dur_range))
-                rate = vector.fdc * dispatch_width * cycles_per_quantum
+                rate = vector.fdc * _DISPATCH_WIDTH * cycles_per_quantum
                 phases.append(Phase(vector=vector, instructions=max(1, int(round(duration * rate)))))
-        target = _target_for_quanta(phases, iso_quanta, dispatch_width, cycles_per_quantum)
+        target = _target_for_quanta(phases, iso_quanta, cycles_per_quantum)
         app = SyntheticApp(app_id=app_id, phases=tuple(phases), target_instructions=target)
         if classify_app(app) == _FAMILY_CLASS[family]:
             return app
@@ -131,14 +135,13 @@ def make_synthetic_app(
 def _target_for_quanta(
     phases: Sequence[Phase],
     iso_quanta: float,
-    dispatch_width: int,
     cycles_per_quantum: int,
 ) -> int:
     """Instruction target whose isolated duration is ~iso_quanta."""
     remaining = iso_quanta
     total = 0.0
     for phase in itertools.cycle(phases):
-        rate = phase.vector.fdc * dispatch_width * cycles_per_quantum
+        rate = phase.vector.fdc * _DISPATCH_WIDTH * cycles_per_quantum
         duration = phase.instructions / rate
         if duration >= remaining:
             total += remaining * rate
@@ -149,17 +152,13 @@ def _target_for_quanta(
 
 def make_synthetic_roster(
     seed: int,
-    n_backend: int = 10,
-    n_frontend: int = 8,
-    n_other: int = 10,
     iso_quanta: float = 60.0,
-    dispatch_width: int = 4,
     cycles_per_quantum: int = 100 * CYCLES_PER_MS,
 ) -> list[SyntheticApp]:
-    """A deterministic bank of classified synthetic apps."""
+    """A deterministic bank of 10 backend, 8 frontend and 10 other apps."""
     rng = np.random.default_rng(seed)
     roster: list[SyntheticApp] = []
-    for family, count in (("backend", n_backend), ("frontend", n_frontend), ("other", n_other)):
+    for family, count in _ROSTER_COUNTS:
         for i in range(count):
             roster.append(
                 make_synthetic_app(
@@ -167,7 +166,6 @@ def make_synthetic_roster(
                     family,
                     rng,
                     iso_quanta=iso_quanta,
-                    dispatch_width=dispatch_width,
                     cycles_per_quantum=cycles_per_quantum,
                 )
             )
@@ -179,7 +177,6 @@ def extra_synthetic_app(
     app_class: AppClass,
     index: int,
     iso_quanta: float = 60.0,
-    dispatch_width: int = 4,
     cycles_per_quantum: int = 100 * CYCLES_PER_MS,
 ) -> SyntheticApp:
     """App ``index`` of a class, past the roster of ``seed``.
@@ -197,7 +194,6 @@ def extra_synthetic_app(
         family,
         rng,
         iso_quanta=iso_quanta,
-        dispatch_width=dispatch_width,
         cycles_per_quantum=cycles_per_quantum,
     )
 
@@ -335,11 +331,7 @@ def load_log_summary(path: str) -> ScheduleLog:
     Per-quantum records are not rehydrated (``records`` comes back
     empty); the result carries everything :func:`compute_metrics` needs.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [line for line in fh.read().splitlines() if line.strip()]
-    except OSError as exc:
-        raise ConfigError(f"cannot read log {path!r}: {exc}") from None
+    lines = [line for line in read_text(path).splitlines() if line.strip()]
     if len(lines) < 2:
         raise ConfigError(f"{path}: not a run log (too short)")
     try:
@@ -438,29 +430,6 @@ class MetricsReport:
             "ipc": dict(sorted(self.ipc.items())),
         }
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "MetricsReport":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"metrics file is not valid JSON: {exc}") from None
-        if not isinstance(doc, dict) or doc.get("kind") != "metrics":
-            raise ConfigError("not a metrics file")
-        try:
-            return cls(
-                policy=str(doc["policy"]),
-                seed=int(doc["seed"]),
-                turnaround_quanta=int(doc["turnaround_quanta"]),
-                turnaround_ms=float(doc["turnaround_ms"]),
-                fairness=None if doc["fairness"] is None else float(doc["fairness"]),
-                ipc_geomean=float(doc["ipc_geomean"]),
-                zero_ipc=bool(doc["zero_ipc"]),
-                speedups={k: float(v) for k, v in doc["speedups"].items()},
-                ipc={k: float(v) for k, v in doc["ipc"].items()},
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad metrics file: {exc}") from None
 
 
 def compute_metrics(log: ScheduleLog) -> MetricsReport:

@@ -115,16 +115,6 @@ class ModelCoefficients:
         )
 
 
-def load_coefficients(path: str) -> ModelCoefficients:
-    with open(path, "r", encoding="utf-8") as fh:
-        return ModelCoefficients.from_json(fh.read())
-
-
-def save_coefficients(model: ModelCoefficients, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(model.to_json())
-
-
 #: Default model shipped with the package: trained on a 2-way SMT
 #: ARMv8 server part (dispatch width 4) from aligned isolated/paired
 #: profiles of a standard CPU benchmark suite.

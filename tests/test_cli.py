@@ -6,6 +6,7 @@ determinism contract: identical inputs and seeds give identical bytes.
 """
 
 import json
+import pathlib
 import time
 
 import pytest
@@ -14,12 +15,11 @@ from synpa import (
     IDLE_NODE,
     AppClass,
     REFERENCE_COEFFICIENTS,
-    load_coefficients,
+    ModelCoefficients,
     read_counter_file,
 )
 from synpa.cli import main
 from synpa.harness import (
-    MetricsReport,
     WorkloadSpec,
     classify_app,
     compute_metrics,
@@ -57,7 +57,7 @@ class TestTrain:
             "--out", out, "--report", report_path, "--seed", 3,
         )
         assert code == 0
-        got = load_coefficients(str(out))
+        got = ModelCoefficients.from_json(out.read_text(encoding="utf-8"))
         for name in ("fdc", "fe", "be"):
             want = getattr(REFERENCE_COEFFICIENTS, name)
             have = getattr(got, name)
@@ -76,7 +76,7 @@ class TestTrain:
         assert "holdout mse" in stdout
         assert str(out) in stdout
 
-    def test_missing_partner_view_is_domain_error(self, tmp_path, capsys):
+    def test_rank_deficient_corpus_is_domain_error(self, tmp_path, capsys):
         paths = write_profile_corpus(
             str(tmp_path), REFERENCE_COEFFICIENTS, CORPUS_APPS, CORPUS_PAIRS
         )
@@ -87,6 +87,25 @@ class TestTrain:
         captured = capsys.readouterr()
         assert code == 1
         assert "error: design matrix for category 'fdc' is rank deficient" in captured.err
+
+    @pytest.mark.parametrize("field, value", [("dispatch_width", 8), ("quantum_ms", 50.0)])
+    def test_mismatched_profile_header_rejected(
+        self, profile_corpus, tmp_path, capsys, field, value
+    ):
+        bad = pathlib.Path(next(p for p in profile_corpus if "pair-appb-appc" in p))
+        header, rest = bad.read_text(encoding="utf-8").split("\n", 1)
+        doc = json.loads(header)
+        shape = "dispatch_width {dispatch_width}, quantum_ms {quantum_ms}"
+        want = shape.format(**doc)
+        doc[field] = value
+        bad.write_text(json.dumps(doc) + "\n" + rest, encoding="utf-8")
+        out = tmp_path / "c.json"
+        code = run_cli("train", *profile_corpus, "--out", out)
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {bad}: {shape.format(**doc)} differ from {profile_corpus[0]}: {want}\n"
+        )
+        assert not out.exists()
 
     def test_duplicate_isolated_profile_rejected(self, profile_corpus, tmp_path, capsys):
         iso = [p for p in profile_corpus if "iso-appa" in p]
@@ -225,8 +244,10 @@ class TestSimulate:
         assert log.policy == "static"
         assert log.seed == 4
         assert log.mode == "simulate"
-        metrics = MetricsReport.from_json(metrics_path.read_text(encoding="utf-8"))
-        assert metrics == compute_metrics(log)
+        metrics = compute_metrics(log)
+        assert json.loads(metrics_path.read_text(encoding="utf-8")) == json.loads(
+            metrics.to_json()
+        )
         stdout = capsys.readouterr().out
         assert f"turnaround={metrics.turnaround_quanta}q" in stdout
 
@@ -267,12 +288,10 @@ class TestSimulate:
                 stem = out_dir / f"{policy}-s{seed}"
                 log = load_log_summary(str(stem) + ".jsonl")
                 assert log.policy == policy and log.seed == seed
-                metrics = MetricsReport.from_json(
-                    (out_dir / f"{policy}-s{seed}.metrics.json").read_text(
-                        encoding="utf-8"
-                    )
+                metrics = (out_dir / f"{policy}-s{seed}.metrics.json").read_text(
+                    encoding="utf-8"
                 )
-                assert metrics == compute_metrics(log)
+                assert json.loads(metrics) == json.loads(compute_metrics(log).to_json())
             agg = json.loads(
                 (out_dir / f"{policy}.aggregate.json").read_text(encoding="utf-8")
             )
@@ -496,3 +515,145 @@ class TestUsageContract:
         with pytest.raises(SystemExit) as exc:
             run_cli("gen-workload", "--recipe", "mixed")
         assert exc.value.code == 2
+
+
+class TestSeeds:
+    @pytest.mark.parametrize("argv", [
+        ("train", "in.profile", "--out", "out.json", "--seed", "-1"),
+        ("gen-workload", "--recipe", "mixed", "--seed", "-1", "--out", "out.json"),
+        ("gen-workload", "--recipe", "mixed", "--seed", "0", "--roster-seed", "-1",
+         "--out", "out.json"),
+        ("simulate", "--workload", "in.json", "--seed", "-1", "--out", "out.json"),
+        ("replay", "--trace", "in.trace", "--seed", "-1", "--out", "out.json"),
+    ], ids=["train", "gen-workload", "gen-workload-roster", "simulate", "replay"])
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys, argv):
+        # The inputs do not exist: reading one first would exit 1, not 2.
+        argv = [str(tmp_path / a) if a.startswith(("in.", "out.")) else a for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 2
+        assert "seed: must be non-negative, got -1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
+@pytest.fixture(scope="module")
+def good_inputs(workload_file, tmp_path_factory):
+    """One valid input of every kind a subcommand reads."""
+    d = tmp_path_factory.mktemp("inputs")
+    coefficients = d / "coeffs.json"
+    coefficients.write_text(REFERENCE_COEFFICIENTS.to_json(), encoding="utf-8")
+    log, trace = d / "run.jsonl", d / "run.trace"
+    assert run_cli(
+        "simulate", "--workload", workload_file, "--out", log, "--export-trace", trace
+    ) == 0
+    profiles = write_profile_corpus(
+        str(d), REFERENCE_COEFFICIENTS, CORPUS_APPS, CORPUS_PAIRS
+    )
+    return {
+        "workload": workload_file,
+        "coefficients": coefficients,
+        "log": log,
+        "trace": trace,
+        "profiles": profiles,
+    }
+
+
+def _commands(i: dict, o) -> dict:
+    """A succeeding invocation of every subcommand, reading ``i``, writing in ``o``."""
+    return {
+        "train": [
+            "train", *i["profiles"], "--out", o / "c.json", "--report", o / "fit.json",
+        ],
+        "gen-workload": [
+            "gen-workload", "--recipe", "mixed", "--seed", 1, "--iso-quanta", 6.0,
+            "--out", o / "wl.json",
+        ],
+        "simulate": [
+            "simulate", "--workload", i["workload"],
+            "--coefficients", i["coefficients"], "--ground-truth", i["coefficients"],
+            "--out", o / "run.jsonl", "--metrics", o / "m.json",
+            "--export-trace", o / "run.trace",
+        ],
+        "simulate-runs": [
+            "simulate", "--workload", i["workload"], "--seed", 0, 1, "--out", o / "runs",
+        ],
+        "replay": [
+            "replay", "--trace", i["trace"], "--coefficients", i["coefficients"],
+            "--out", o / "run.jsonl", "--metrics", o / "m.json",
+        ],
+        "report": [
+            "report", i["log"], i["log"], "--out", o / "agg.json", "--csv", o / "runs.csv",
+        ],
+    }
+
+
+def _swap(argv: list, option: str | None, path) -> list:
+    """``argv`` with the value of ``option`` (the first positional if None) set to ``path``."""
+    at = 1 if option is None else argv.index(option) + 1
+    return [*argv[:at], path, *argv[at + 1:]]
+
+
+class TestFileBoundary:
+    """Every file a subcommand names: a failed read or write is exit 1, naming the path."""
+
+    @pytest.mark.parametrize("command, option", [
+        ("simulate", "--workload"),
+        ("simulate", "--coefficients"),
+        ("simulate", "--ground-truth"),
+        ("replay", "--trace"),
+        ("replay", "--coefficients"),
+        ("report", None),
+        ("train", None),
+    ])
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+    def test_unreadable_input(self, good_inputs, tmp_path, capsys, command, option, kind):
+        bad = tmp_path / "bad"
+        if kind == "directory":
+            bad.mkdir()
+        elif kind == "not-utf8":
+            bad.write_bytes(b"\xff\xfe")
+        out = tmp_path / "out"
+        out.mkdir()
+        code = run_cli(*_swap(_commands(good_inputs, out)[command], option, bad))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: cannot read {str(bad)!r}: "), err
+        assert "Traceback" not in err
+        assert list(out.iterdir()) == []  # inputs are read before any output
+
+    @pytest.mark.parametrize("command, option", [
+        ("train", "--out"),
+        ("train", "--report"),
+        ("gen-workload", "--out"),
+        ("simulate", "--out"),
+        ("simulate", "--metrics"),
+        ("simulate", "--export-trace"),
+        ("replay", "--out"),
+        ("replay", "--metrics"),
+        ("report", "--out"),
+        ("report", "--csv"),
+    ])
+    def test_unwritable_output(self, good_inputs, tmp_path, capsys, command, option):
+        bad = tmp_path / "missing" / "file"
+        argv = _swap(_commands(good_inputs, tmp_path)[command], option, bad)
+        code = run_cli(*argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: cannot write {str(bad)!r}: "), err
+        assert "Traceback" not in err
+
+    def test_run_directory_that_is_a_file(self, good_inputs, tmp_path, capsys):
+        # Several runs write into --out as a directory, creating missing
+        # parents; a regular file in its place cannot become one.
+        bad = tmp_path / "runs"
+        bad.write_text("", encoding="utf-8")
+        code = run_cli(*_commands(good_inputs, tmp_path)["simulate-runs"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: cannot write {str(bad)!r}: "), err
+
+    @pytest.mark.parametrize("command", [
+        "train", "gen-workload", "simulate", "simulate-runs", "replay", "report",
+    ])
+    def test_good_invocations_succeed(self, good_inputs, tmp_path, command):
+        assert run_cli(*_commands(good_inputs, tmp_path)[command]) == 0

@@ -302,6 +302,8 @@ class TestEngineConfig:
             EngineConfig(workload=wl, estimate_decay=1.5)
         with pytest.raises(ConfigError):
             EngineConfig(workload=wl, max_quanta=0)
+        with pytest.raises(ConfigError, match="seed"):
+            EngineConfig(workload=wl, seed=-1)
 
     def test_cycles_per_quantum(self):
         config = EngineConfig(workload=self._workload(), quantum_ms=100.0)

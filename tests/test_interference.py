@@ -25,11 +25,10 @@ from synpa import (
     graph_from_matrix,
     invert,
     invert_category,
-    load_coefficients,
     pair_weight_matrix,
     predict_pair,
-    save_coefficients,
 )
+from synpa.errors import read_text, write_text
 
 from conftest import category_vectors, coefficient_models
 
@@ -509,8 +508,8 @@ class TestCoefficientSerialization:
 
     def test_file_round_trip(self, tmp_path):
         path = str(tmp_path / "coeffs.json")
-        save_coefficients(REFERENCE_COEFFICIENTS, path)
-        assert load_coefficients(path) == REFERENCE_COEFFICIENTS
+        write_text(path, REFERENCE_COEFFICIENTS.to_json())
+        assert ModelCoefficients.from_json(read_text(path)) == REFERENCE_COEFFICIENTS
 
     def test_document_shape(self):
         doc = json.loads(REFERENCE_COEFFICIENTS.to_json())
