@@ -26,6 +26,7 @@ from .dispatch import (
 )
 from .engine import (
     CYCLES_PER_MS,
+    DISPATCH_WIDTH,
     POLICIES,
     AppSimState,
     EngineConfig,
@@ -33,6 +34,7 @@ from .engine import (
     ScheduleLog,
     SimWorkload,
     SyntheticApp,
+    cycles_per_quantum,
     run,
     sim_step,
     trace_from_log,

@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import os
 import sys
 from typing import Sequence
 
 from .counters import format_trace
-from .engine import POLICIES, EngineConfig, SimWorkload, run, trace_from_log
-from .errors import ConfigError, SynpaError, read_text, write_text
+from .engine import POLICIES, EngineConfig, SimWorkload, cycles_per_quantum, run, trace_from_log
+from .errors import ConfigError, SynpaError, check_writable, read_text, write_text
 from .harness import (
     MAX_WORKLOAD_SIZE,
     RECIPES,
@@ -62,6 +61,7 @@ def _seed(text: str) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    check_writable(args.out, args.report)
     isolated: dict[str, Profile] = {}
     paired: dict[tuple[str, str], Profile] = {}
     first = None  # (path, shape) of the first file
@@ -123,12 +123,9 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_gen_workload(args: argparse.Namespace) -> int:
-    cycles = args.quantum_ms * 1e6
-    if not (math.isfinite(cycles) and round(cycles) >= 1):
-        raise ConfigError(
-            f"--quantum-ms must be finite and at least one cycle, got {args.quantum_ms}"
-        )
-    settings = dict(iso_quanta=args.iso_quanta, cycles_per_quantum=int(round(cycles)))
+    settings = dict(
+        iso_quanta=args.iso_quanta, cycles_per_quantum=cycles_per_quantum(args.quantum_ms)
+    )
     roster = make_synthetic_roster(args.roster_seed, **settings)
     grow = functools.partial(extra_synthetic_app, args.roster_seed, **settings)
     spec = gen_workload(args.recipe, roster, args.seed, size=args.size, grow=grow)
@@ -145,32 +142,28 @@ def cmd_gen_workload(args: argparse.Namespace) -> int:
 # simulate
 
 
-def _run_one(args, workload, coefficients, policy: str, seed: int):
-    config = EngineConfig(
-        coefficients=coefficients,
-        policy=policy,
-        quantum_ms=args.quantum_ms,
-        dispatch_width=args.dispatch_width,
-        seed=seed,
-        workload=workload,
-        estimate_decay=args.estimate_decay,
-    )
-    return run(config)
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
+    policies = list(dict.fromkeys(args.policy))
+    seeds = list(dict.fromkeys(args.seed))
+    single = len(policies) == 1 and len(seeds) == 1
+    if single:
+        check_writable(args.out, args.metrics, args.export_trace)
     spec = WorkloadSpec.from_json(read_text(args.workload))
     workload = SimWorkload(
         apps=spec.apps,
         ground_truth=_coefficients(args.ground_truth),
         noise_sigma=args.noise_sigma,
+        quantum_ms=args.quantum_ms,
     )
     coefficients = _coefficients(args.coefficients)
-    policies = list(dict.fromkeys(args.policy))
-    seeds = list(dict.fromkeys(args.seed))
 
-    if len(policies) == 1 and len(seeds) == 1:
-        log = _run_one(args, workload, coefficients, policies[0], seeds[0])
+    def run_one(policy: str, seed: int):
+        return run(
+            EngineConfig(coefficients=coefficients, policy=policy, seed=seed, workload=workload)
+        )
+
+    if single:
+        log = run_one(policies[0], seeds[0])
         write_text(args.out, log.to_jsonl())
         metrics = compute_metrics(log)
         if args.metrics:
@@ -201,7 +194,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     for policy in policies:
         reports = []
         for seed in seeds:
-            log = _run_one(args, workload, coefficients, policy, seed)
+            log = run_one(policy, seed)
             stem = f"{policy}-s{seed}"
             write_text(os.path.join(args.out, stem + ".jsonl"), log.to_jsonl())
             report = compute_metrics(log)
@@ -242,12 +235,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
+    check_writable(args.out, args.metrics)
     config = EngineConfig(
         coefficients=_coefficients(args.coefficients),
         policy=args.policy,
         seed=args.seed,
         trace_path=args.trace,
-        estimate_decay=args.estimate_decay,
     )
     log = run(config)
     write_text(args.out, log.to_jsonl())
@@ -267,6 +260,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    check_writable(args.csv, args.out)
     if len(args.logs) >= 2:
         check_cv_threshold(args.cv_threshold)
     reports = [compute_metrics(load_log_summary(path)) for path in args.logs]
@@ -362,9 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--coefficients", default=None, help="allocator model JSON (default: built-in reference)")
     p_sim.add_argument("--ground-truth", default=None, help="simulator ground-truth model JSON (default: built-in reference)")
     p_sim.add_argument("--noise-sigma", type=float, default=0.0, help="observation noise (default 0)")
-    p_sim.add_argument("--quantum-ms", type=float, default=100.0)
-    p_sim.add_argument("--dispatch-width", type=int, default=4)
-    p_sim.add_argument("--estimate-decay", type=float, default=0.5, help="stale-estimate decay per quantum (default 0.5)")
+    p_sim.add_argument("--quantum-ms", type=float, default=100.0, help="quantum length (default 100)")
     p_sim.add_argument("--cv-threshold", type=float, default=0.05, help="stability threshold for multi-run aggregation (default 0.05)")
     p_sim.add_argument("--metrics", default=None, help="optional metrics JSON")
     p_sim.add_argument("--export-trace", default=None, help="optional counter trace export")
@@ -376,7 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--policy", default="synpa", choices=POLICIES)
     p_rep.add_argument("--seed", type=_seed, default=0)
     p_rep.add_argument("--coefficients", default=None, help="allocator model JSON (default: built-in reference)")
-    p_rep.add_argument("--estimate-decay", type=float, default=0.5)
     p_rep.add_argument("--metrics", default=None, help="optional metrics JSON")
     p_rep.set_defaults(func=cmd_replay)
 

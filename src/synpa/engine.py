@@ -17,8 +17,11 @@ synthetic workload simulator (closed loop: the chosen assignment
 determines progress) or from a recorded trace (open loop: decisions
 are logged against fixed observations).
 
-The simulator advances each app through a cyclic sequence of phases.
-An app's isolated progress rate is ``fdc * dispatch_width *
+The simulator models one kind of 2-way SMT core, defined once here: it
+dispatches :data:`DISPATCH_WIDTH` operations per cycle at
+:data:`CYCLES_PER_MS` cycles per millisecond.  The simulator advances
+each app through a cyclic sequence of phases.  An app's isolated
+progress rate (:func:`isolated_rate`) is ``fdc * DISPATCH_WIDTH *
 cycles_per_quantum`` instructions per quantum; co-running divides that
 by the pair's model-predicted slowdown.  Completed apps are relaunched
 immediately so SMT pressure stays constant, and a run ends once every
@@ -67,12 +70,35 @@ from .matcher import (  # noqa: F401
 #: Nominal simulated clock: cycles per millisecond (1 GHz).
 CYCLES_PER_MS = 1_000_000
 
+#: Dispatch slots per cycle of the simulated core.
+DISPATCH_WIDTH = 4
+
 POLICIES = ("synpa", "random", "static")
 
 #: Longest run, in quanta, the engine will schedule.
 MAX_QUANTA = 1_000_000
 
+#: Weight a stale estimate keeps per quantum of age (see ``_EstimateStore``).
+ESTIMATE_DECAY = 0.5
+
 LOG_VERSION = 1
+
+
+def cycles_per_quantum(quantum_ms: float) -> int:
+    """Simulated cycles in a quantum of ``quantum_ms`` milliseconds.
+
+    Raises :class:`ConfigError` unless the quantum is finite and at
+    least one cycle long.
+    """
+    cycles = quantum_ms * CYCLES_PER_MS
+    if not (math.isfinite(cycles) and round(cycles) >= 1):
+        raise ConfigError(f"quantum_ms must be finite and at least one cycle, got {quantum_ms}")
+    return round(cycles)
+
+
+def isolated_rate(vector: CategoryVector, cycles_per_quantum: int) -> float:
+    """Instructions per quantum of a thread running alone with ``vector``."""
+    return vector.fdc * DISPATCH_WIDTH * cycles_per_quantum
 
 
 # ---------------------------------------------------------------------------
@@ -112,12 +138,12 @@ class SyntheticApp:
         if self.app_id == IDLE_NODE:
             raise WorkloadError(f"app id {IDLE_NODE!r} is reserved")
 
-    def isolated_quanta(self, dispatch_width: int, cycles_per_quantum: int) -> float:
+    def isolated_quanta(self, cycles_per_quantum: int) -> float:
         """Ground-truth isolated duration of one launch, in quanta."""
         remaining = float(self.target_instructions)
         quanta = 0.0
         for phase in itertools.cycle(self.phases):
-            rate = phase.vector.fdc * dispatch_width * cycles_per_quantum
+            rate = isolated_rate(phase.vector, cycles_per_quantum)
             take = min(remaining, phase.instructions)
             quanta += take / rate
             remaining -= take
@@ -158,11 +184,12 @@ class SyntheticApp:
 
 @dataclass(frozen=True)
 class SimWorkload:
-    """The simulator side of a run: apps, ground truth, observation noise."""
+    """The simulator side of a run: apps, ground truth, noise, quantum length."""
 
     apps: tuple[SyntheticApp, ...]
     ground_truth: ModelCoefficients = REFERENCE_COEFFICIENTS
     noise_sigma: float = 0.0
+    quantum_ms: float = 100.0
 
     def __post_init__(self) -> None:
         ids = [a.app_id for a in self.apps]
@@ -172,6 +199,7 @@ class SimWorkload:
             raise WorkloadError("workload must contain at least one app")
         if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0.0):
             raise WorkloadError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
+        cycles_per_quantum(self.quantum_ms)
 
 
 @dataclass
@@ -188,9 +216,6 @@ class AppSimState:
     @property
     def vector(self) -> CategoryVector:
         return self.app.phases[self.phase_index].vector
-
-    def rate(self, dispatch_width: int, cycles_per_quantum: int) -> float:
-        return self.vector.fdc * dispatch_width * cycles_per_quantum
 
     def _advance_phases(self, committed: float) -> None:
         remaining = committed
@@ -241,7 +266,6 @@ def sim_step(
     noise_sigma: float,
     rng: np.random.Generator,
     quantum: int,
-    dispatch_width: int,
     cycles_per_quantum: int,
 ) -> dict[str, StepResult]:
     """Advance every app by one quantum under the given assignment.
@@ -259,13 +283,13 @@ def sim_step(
             st = states[solo].vector
             base = {name: st.get(name) for name in CATEGORIES}
             _emit(results, states, solo, base, 1.0, noise_sigma, rng, quantum,
-                  dispatch_width, cycles_per_quantum)
+                  cycles_per_quantum)
             continue
         pred = predict_pair(ground_truth, states[a].vector, states[b].vector)
         _emit(results, states, a, pred.smt_i.as_dict(), pred.slowdown_i,
-              noise_sigma, rng, quantum, dispatch_width, cycles_per_quantum)
+              noise_sigma, rng, quantum, cycles_per_quantum)
         _emit(results, states, b, pred.smt_j.as_dict(), pred.slowdown_j,
-              noise_sigma, rng, quantum, dispatch_width, cycles_per_quantum)
+              noise_sigma, rng, quantum, cycles_per_quantum)
     return results
 
 
@@ -278,7 +302,6 @@ def _emit(
     noise_sigma: float,
     rng: np.random.Generator,
     quantum: int,
-    dispatch_width: int,
     cycles_per_quantum: int,
 ) -> None:
     observed = {}
@@ -288,7 +311,7 @@ def _emit(
             value += noise_sigma * rng.standard_normal()
         observed[name] = value if value > 0.0 else 0.0
     state = states[app_id]
-    amount = state.rate(dispatch_width, cycles_per_quantum) / slowdown
+    amount = isolated_rate(state.vector, cycles_per_quantum) / slowdown
     committed, completed = state.commit(amount, quantum)
     results[app_id] = StepResult(
         observed=CategoryTriple(**observed),
@@ -307,40 +330,23 @@ class EngineConfig:
     """Everything one engine run needs.
 
     Exactly one of ``workload`` (closed-loop simulation) or
-    ``trace_path`` (open-loop replay) must be set.
+    ``trace_path`` (open-loop replay) must be set.  A trace's header
+    gives its quantum length and dispatch width.
     """
 
     coefficients: ModelCoefficients = REFERENCE_COEFFICIENTS
     policy: str = "synpa"
-    quantum_ms: float = 100.0
-    dispatch_width: int = 4
     seed: int = 0
     workload: SimWorkload | None = None
     trace_path: str | None = None
-    estimate_decay: float = 0.5
-    max_quanta: int = MAX_QUANTA
 
     def __post_init__(self) -> None:
         if self.policy not in POLICIES:
             raise ConfigError(f"unknown policy {self.policy!r}; choose from {POLICIES}")
         if (self.workload is None) == (self.trace_path is None):
             raise ConfigError("set exactly one of workload or trace_path")
-        if not (math.isfinite(self.quantum_ms) and self.cycles_per_quantum >= 1):
-            raise ConfigError(
-                f"quantum_ms must be finite and at least one cycle, got {self.quantum_ms}"
-            )
-        if self.dispatch_width < 1:
-            raise ConfigError("dispatch_width must be >= 1")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if not 0.0 <= self.estimate_decay <= 1.0:
-            raise ConfigError("estimate_decay must be in [0, 1]")
-        if self.max_quanta < 1:
-            raise ConfigError("max_quanta must be >= 1")
-
-    @property
-    def cycles_per_quantum(self) -> int:
-        return int(round(self.quantum_ms * CYCLES_PER_MS))
 
 
 @dataclass(frozen=True)
@@ -377,54 +383,41 @@ class ScheduleLog:
     mode: str = "simulate"  # "simulate" | "replay"
 
     def to_jsonl(self) -> str:
-        lines = [
-            json.dumps(
-                {
-                    "kind": "schedule-log",
-                    "version": LOG_VERSION,
-                    "mode": self.mode,
-                    "policy": self.policy,
-                    "seed": self.seed,
-                    "quantum_ms": self.quantum_ms,
-                    "dispatch_width": self.dispatch_width,
-                    "cycles_per_quantum": self.cycles_per_quantum,
-                    "noise_sigma": self.noise_sigma,
-                    "apps": list(self.apps),
-                },
-                sort_keys=True,
-            )
-        ]
-        for r in self.records:
-            lines.append(
-                json.dumps(
-                    {
-                        "quantum": r.quantum,
-                        "pairs": [list(p) for p in r.pairs],
-                        "observed": {k: v.as_dict() for k, v in sorted(r.observed.items())},
-                        "estimates": {k: v.as_dict() for k, v in sorted(r.estimates.items())},
-                        "degraded": dict(sorted(r.degraded.items())),
-                        "committed": dict(sorted(r.committed.items())),
-                        "slowdown": dict(sorted(r.slowdown.items())),
-                        "migrations": r.migrations,
-                    },
-                    sort_keys=True,
-                )
-            )
-        lines.append(
-            json.dumps(
-                {
-                    "summary": {
-                        "first_completion": dict(sorted(self.first_completion.items())),
-                        "relaunches": dict(sorted(self.relaunches.items())),
-                        "iso_quanta": dict(sorted(self.iso_quanta.items())),
-                        "instructions": dict(sorted(self.instructions.items())),
-                        "total_quanta": self.total_quanta,
-                    }
-                },
-                sort_keys=True,
-            )
+        header = {
+            "kind": "schedule-log",
+            "version": LOG_VERSION,
+            "mode": self.mode,
+            "policy": self.policy,
+            "seed": self.seed,
+            "quantum_ms": self.quantum_ms,
+            "dispatch_width": self.dispatch_width,
+            "cycles_per_quantum": self.cycles_per_quantum,
+            "noise_sigma": self.noise_sigma,
+            "apps": list(self.apps),
+        }
+        records = (
+            {
+                "quantum": r.quantum,
+                "pairs": [list(p) for p in r.pairs],
+                "observed": {k: v.as_dict() for k, v in r.observed.items()},
+                "estimates": {k: v.as_dict() for k, v in r.estimates.items()},
+                "degraded": r.degraded,
+                "committed": r.committed,
+                "slowdown": r.slowdown,
+                "migrations": r.migrations,
+            }
+            for r in self.records
         )
-        return "\n".join(lines) + "\n"
+        summary = {
+            "first_completion": self.first_completion,
+            "relaunches": self.relaunches,
+            "iso_quanta": self.iso_quanta,
+            "instructions": self.instructions,
+            "total_quanta": self.total_quanta,
+        }
+        # sort_keys orders every level, so the dicts go in as they are.
+        docs = [header, *records, {"summary": summary}]
+        return "".join(json.dumps(doc, sort_keys=True) + "\n" for doc in docs)
 
 
 # ---------------------------------------------------------------------------
@@ -457,12 +450,11 @@ class _EstimateStore:
 
     A degraded inversion leaves the previous estimate in place; when
     consumed, an estimate that is ``age`` quanta stale is blended toward
-    the uniform prior with weight ``decay ** age``, so stale information
-    gradually stops driving pairing decisions.
+    the uniform prior with weight ``ESTIMATE_DECAY ** age``, so stale
+    information gradually stops driving pairing decisions.
     """
 
-    def __init__(self, decay: float):
-        self._decay = decay
+    def __init__(self) -> None:
         self._vectors: dict[str, CategoryVector] = {}
         self._ages: dict[str, int] = {}
 
@@ -485,7 +477,7 @@ class _EstimateStore:
         age = self._ages.get(app_id, 0)
         if age == 0:
             return vector
-        w = self._decay**age
+        w = ESTIMATE_DECAY**age
         return CategoryVector(
             fe=w * vector.fe + (1.0 - w) * UNIFORM_VECTOR.fe,
             be=w * vector.be + (1.0 - w) * UNIFORM_VECTOR.be,
@@ -560,6 +552,8 @@ def run(config: EngineConfig) -> ScheduleLog:
     rng = np.random.default_rng(config.seed)
     workload = config.workload
     if workload is not None:
+        quantum_ms, dispatch_width = workload.quantum_ms, DISPATCH_WIDTH
+        cycles = cycles_per_quantum(quantum_ms)
         app_ids = tuple(a.app_id for a in workload.apps)
         states = {a.app_id: AppSimState(app=a) for a in workload.apps}
 
@@ -568,24 +562,16 @@ def run(config: EngineConfig) -> ScheduleLog:
         ) -> dict[str, StepResult] | None:
             if all(s.first_completion is not None for s in states.values()):
                 return None
-            return sim_step(
-                states,
-                pairs,
-                workload.ground_truth,
-                workload.noise_sigma,
-                rng,
-                quantum,
-                config.dispatch_width,
-                config.cycles_per_quantum,
-            )
+            return sim_step(states, pairs, workload.ground_truth, workload.noise_sigma,
+                            rng, quantum, cycles)
 
     else:
         header, trace_quanta = open_trace(config.trace_path)
-        cycles_per_quantum = int(round(header.quantum_ms * CYCLES_PER_MS))
-        if cycles_per_quantum < 1:
-            raise TraceError(
-                f"quantum_ms {header.quantum_ms} is under one simulator cycle", line=1
-            )
+        quantum_ms, dispatch_width = header.quantum_ms, header.dispatch_width
+        try:
+            cycles = cycles_per_quantum(quantum_ms)
+        except ConfigError as exc:
+            raise TraceError(str(exc), line=1) from None
         if IDLE_NODE in header.threads:
             raise TraceError(f"threads must not include the reserved id {IDLE_NODE!r}", line=1)
         sampled = {s.thread_id for samples in trace_quanta for s in samples}
@@ -603,7 +589,7 @@ def run(config: EngineConfig) -> ScheduleLog:
                 return None
             return {
                 s.thread_id: StepResult(
-                    observed=normalize(characterize(s, header.dispatch_width)),
+                    observed=normalize(characterize(s, dispatch_width)),
                     slowdown=1.0,  # unknown in a trace; the log uses the model's
                     committed=float(s.inst_spec),
                     completed=False,
@@ -611,15 +597,15 @@ def run(config: EngineConfig) -> ScheduleLog:
                 for s in samples
             }
 
-    estimates = _EstimateStore(config.estimate_decay)
+    estimates = _EstimateStore()
     pairs = initial_assignment(config.policy, app_ids, rng)
     records: list[QuantumRecord] = []
     for quantum in itertools.count(1):
         results = observe(quantum, pairs)
         if results is None:
             break
-        if quantum > config.max_quanta:
-            raise ConfigError(f"run exceeded max_quanta={config.max_quanta}")
+        if quantum > MAX_QUANTA:
+            raise ConfigError(f"run exceeded MAX_QUANTA={MAX_QUANTA}")
         present = sorted(results)
         pairs = _pair_present(pairs, present)
 
@@ -657,18 +643,12 @@ def run(config: EngineConfig) -> ScheduleLog:
     if workload is not None:
         summary = dict(
             mode="simulate",
-            quantum_ms=config.quantum_ms,
-            dispatch_width=config.dispatch_width,
-            cycles_per_quantum=config.cycles_per_quantum,
             noise_sigma=workload.noise_sigma,
             first_completion={a: states[a].first_completion for a in app_ids},
             # Completed relaunches: every launch but the first and the one
             # still running when the run ended.
             relaunches={a: states[a].launches - 2 for a in app_ids},
-            iso_quanta={
-                a.app_id: a.isolated_quanta(config.dispatch_width, config.cycles_per_quantum)
-                for a in workload.apps
-            },
+            iso_quanta={a.app_id: a.isolated_quanta(cycles) for a in workload.apps},
             instructions={a.app_id: float(a.target_instructions) for a in workload.apps},
         )
     else:
@@ -679,9 +659,6 @@ def run(config: EngineConfig) -> ScheduleLog:
                 last_seen[thread] = record.quantum
         summary = dict(
             mode="replay",
-            quantum_ms=header.quantum_ms,
-            dispatch_width=header.dispatch_width,
-            cycles_per_quantum=cycles_per_quantum,
             noise_sigma=0.0,
             first_completion=last_seen,
             relaunches={a: 0 for a in app_ids},
@@ -693,6 +670,9 @@ def run(config: EngineConfig) -> ScheduleLog:
     return ScheduleLog(
         policy=config.policy,
         seed=config.seed,
+        quantum_ms=quantum_ms,
+        dispatch_width=dispatch_width,
+        cycles_per_quantum=cycles,
         apps=app_ids,
         records=tuple(records),
         total_quanta=len(records),

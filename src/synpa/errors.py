@@ -4,10 +4,13 @@ Every error raised on a bad input or a violated contract derives from
 :class:`SynpaError`, so callers (and the CLI) can distinguish domain
 failures from programming bugs.  :func:`read_text` and
 :func:`write_text` are the package's only file access, so a path that
-cannot be read or written is a :class:`ConfigError` naming it.
+cannot be read or written is a :class:`ConfigError` naming it;
+:func:`check_writable` fails such a path before anything is written.
 """
 
 from __future__ import annotations
+
+import os
 
 
 class SynpaError(Exception):
@@ -83,3 +86,13 @@ def write_text(path: str, text: str) -> None:
             fh.write(text)
     except OSError as exc:
         raise ConfigError(f"cannot write {path!r}: {exc}") from None
+
+
+def check_writable(*paths: str | None) -> None:
+    """Fail as :func:`write_text` would on a directory or a path in a
+    missing directory; unset paths (``None``) are skipped."""
+    for path in filter(None, paths):
+        if os.path.isdir(path):
+            raise ConfigError(f"cannot write {path!r}: is a directory")
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise ConfigError(f"cannot write {path!r}: its directory does not exist")

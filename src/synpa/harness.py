@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .dispatch import AppClass, CategoryTriple, CategoryVector, classify
-from .engine import CYCLES_PER_MS, MAX_QUANTA, Phase, ScheduleLog, SyntheticApp
+from .engine import CYCLES_PER_MS, MAX_QUANTA, Phase, ScheduleLog, SyntheticApp, isolated_rate
 from .errors import ConfigError, WorkloadError, read_text
 
 WORKLOAD_VERSION = 1
@@ -83,14 +83,17 @@ _FAMILY_PREFIX = {"backend": "b", "frontend": "f", "other": "o"}
 #: Apps per family in the roster of :func:`make_synthetic_roster`.
 _ROSTER_COUNTS = (("backend", 10), ("frontend", 8), ("other", 10))
 
-#: Dispatch width the synthetic apps' rates assume (the engine's default).
-_DISPATCH_WIDTH = 4
-
 _FAMILY_CLASS = {
     "backend": AppClass.BACKEND_BOUND,
     "frontend": AppClass.FRONTEND_BOUND,
     "other": AppClass.OTHER,
 }
+
+
+def _check_seed(seed: int) -> None:
+    """Reject a seed numpy cannot seed a generator with."""
+    if seed < 0:
+        raise WorkloadError(f"seed must be >= 0, got {seed}")
 
 
 def make_synthetic_app(
@@ -123,7 +126,7 @@ def make_synthetic_app(
             for fe_range, be_range, dur_range in (dominant, relief):
                 vector = _vector(rng, fe_range, be_range)
                 duration = float(rng.uniform(*dur_range))
-                rate = vector.fdc * _DISPATCH_WIDTH * cycles_per_quantum
+                rate = isolated_rate(vector, cycles_per_quantum)
                 phases.append(Phase(vector=vector, instructions=max(1, int(round(duration * rate)))))
         target = _target_for_quanta(phases, iso_quanta, cycles_per_quantum)
         app = SyntheticApp(app_id=app_id, phases=tuple(phases), target_instructions=target)
@@ -141,7 +144,7 @@ def _target_for_quanta(
     remaining = iso_quanta
     total = 0.0
     for phase in itertools.cycle(phases):
-        rate = phase.vector.fdc * _DISPATCH_WIDTH * cycles_per_quantum
+        rate = isolated_rate(phase.vector, cycles_per_quantum)
         duration = phase.instructions / rate
         if duration >= remaining:
             total += remaining * rate
@@ -156,6 +159,7 @@ def make_synthetic_roster(
     cycles_per_quantum: int = 100 * CYCLES_PER_MS,
 ) -> list[SyntheticApp]:
     """A deterministic bank of 10 backend, 8 frontend and 10 other apps."""
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     roster: list[SyntheticApp] = []
     for family, count in _ROSTER_COUNTS:
@@ -188,6 +192,7 @@ def extra_synthetic_app(
     however many are drawn, and the default roster never changes.
     """
     family = app_class.value
+    _check_seed(seed)
     rng = np.random.default_rng([seed, list(_FAMILY_PREFIX).index(family), index])
     return make_synthetic_app(
         f"{_FAMILY_PREFIX[family]}{index:02d}",
@@ -275,6 +280,7 @@ def gen_workload(
         raise WorkloadError(
             f"workload size must be between 2 and {MAX_WORKLOAD_SIZE}, got {size}"
         )
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     groups: dict[AppClass, list[SyntheticApp]] = {c: [] for c in AppClass}
     for app in roster:
@@ -426,8 +432,8 @@ class MetricsReport:
             "fairness": self.fairness,
             "ipc_geomean": self.ipc_geomean,
             "zero_ipc": self.zero_ipc,
-            "speedups": dict(sorted(self.speedups.items())),
-            "ipc": dict(sorted(self.ipc.items())),
+            "speedups": self.speedups,
+            "ipc": self.ipc,
         }
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 

@@ -47,8 +47,8 @@ class Profile:
     mode: str  # "isolated" | "paired"
     partner: str | None
     records: tuple[ProfileRecord, ...]
-    dispatch_width: int = 4
-    quantum_ms: float = 100.0
+    dispatch_width: int
+    quantum_ms: float
 
     def __post_init__(self) -> None:
         if self.mode not in ("isolated", "paired"):
@@ -286,6 +286,8 @@ def fit(samples, split: float = 0.8, seed: int = 0) -> FitReport:
     content-sorted ordering with the given seed, so the result is
     independent of the order samples are passed in.
     """
+    if seed < 0:
+        raise FitError(f"seed must be >= 0, got {seed}")
     samples = list(samples)
     if not samples:
         raise FitError("cannot fit a model from zero aligned samples")

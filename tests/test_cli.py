@@ -213,7 +213,7 @@ class TestGenWorkload:
             "--quantum-ms", quantum_ms, "--out", tmp_path / "x.json",
         )
         assert code == 1
-        assert "error: --quantum-ms" in capsys.readouterr().err
+        assert "error: quantum_ms" in capsys.readouterr().err
         assert not (tmp_path / "x.json").exists()
 
     # 1e12 is finite but longer than any run the engine allows.
@@ -516,6 +516,18 @@ class TestUsageContract:
             run_cli("gen-workload", "--recipe", "mixed")
         assert exc.value.code == 2
 
+    # The simulated core's dispatch width and the estimate decay are fixed.
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "--workload", "wl.json", "--out", "x.jsonl", "--dispatch-width", "4"),
+        ("simulate", "--workload", "wl.json", "--out", "x.jsonl", "--estimate-decay", "0.5"),
+        ("replay", "--trace", "x.trace", "--out", "x.jsonl", "--estimate-decay", "0.5"),
+    ], ids=["simulate-dispatch-width", "simulate-estimate-decay", "replay-estimate-decay"])
+    def test_removed_option_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestSeeds:
     @pytest.mark.parametrize("argv", [
@@ -641,6 +653,24 @@ class TestFileBoundary:
         assert code == 1
         assert err.startswith(f"error: cannot write {str(bad)!r}: "), err
         assert "Traceback" not in err
+
+    # Each option names an output written after another one.
+    @pytest.mark.parametrize("command, option", [
+        ("train", "--report"),
+        ("simulate", "--metrics"),
+        ("simulate", "--export-trace"),
+        ("replay", "--metrics"),
+        ("report", "--out"),
+    ])
+    @pytest.mark.parametrize("kind", ["missing-directory", "directory"])
+    def test_failed_write_writes_nothing(self, good_inputs, tmp_path, capsys, command, option, kind):
+        out = tmp_path / "out"
+        out.mkdir()
+        bad = tmp_path / "missing" / "file" if kind == "missing-directory" else tmp_path
+        code = run_cli(*_swap(_commands(good_inputs, out)[command], option, bad))
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: cannot write {str(bad)!r}: ")
+        assert list(out.iterdir()) == []
 
     def test_run_directory_that_is_a_file(self, good_inputs, tmp_path, capsys):
         # Several runs write into --out as a directory, creating missing

@@ -30,12 +30,14 @@ from synpa import (
     TraceError,
     TraceHeader,
     WorkloadError,
+    cycles_per_quantum,
     format_trace,
     predict_pair,
     run,
     sim_step,
     trace_from_log,
 )
+from synpa import engine
 from synpa.harness import make_synthetic_app
 
 QUANTUM_CYCLES = 100 * CYCLES_PER_MS  # default quantum at the nominal clock
@@ -115,7 +117,7 @@ class TestWorkloadTypes:
             target_instructions=2500,
         )
         # rate = 0.25 * 4 * 1000 = 1000 instructions per quantum.
-        assert app.isolated_quanta(4, 1000) == pytest.approx(2.5, abs=1e-12)
+        assert app.isolated_quanta(1000) == pytest.approx(2.5, abs=1e-12)
 
     def test_isolated_quanta_cycles_through_phases(self):
         fast = Phase(
@@ -127,7 +129,7 @@ class TestWorkloadTypes:
         app = SyntheticApp(app_id="a", phases=(fast, slow), target_instructions=4500)
         # Rates at width 4 and 1000 cycles: 2000/q and 1000/q.
         # 2000 (1q) + 1000 (1q) + 1500 at 2000/q (0.75q) = 2.75 quanta.
-        assert app.isolated_quanta(4, 1000) == pytest.approx(2.75, abs=1e-12)
+        assert app.isolated_quanta(1000) == pytest.approx(2.75, abs=1e-12)
 
     def test_app_dict_round_trip(self):
         app = static_app("demo", BE_VECTOR, 3.5)
@@ -163,7 +165,7 @@ class TestSimStep:
         states = self._states(a, b)
         results = sim_step(
             states, [("a", "b")], REFERENCE_COEFFICIENTS, 0.0,
-            np.random.default_rng(0), 1, WIDTH, QUANTUM_CYCLES,
+            np.random.default_rng(0), 1, QUANTUM_CYCLES,
         )
         assert results["a"].slowdown == results["b"].slowdown
         assert results["a"].committed == results["b"].committed
@@ -179,7 +181,7 @@ class TestSimStep:
         states = self._states(a, b)
         results = sim_step(
             states, [("a", "b")], REFERENCE_COEFFICIENTS, 0.0,
-            np.random.default_rng(0), 1, WIDTH, QUANTUM_CYCLES,
+            np.random.default_rng(0), 1, QUANTUM_CYCLES,
         )
         want = predict_pair(REFERENCE_COEFFICIENTS, BE_VECTOR, FE_VECTOR)
         for name in CATEGORIES:
@@ -191,7 +193,7 @@ class TestSimStep:
         states = self._states(a)
         results = sim_step(
             states, [("a", IDLE_NODE)], REFERENCE_COEFFICIENTS, 0.0,
-            np.random.default_rng(0), 1, WIDTH, QUANTUM_CYCLES,
+            np.random.default_rng(0), 1, QUANTUM_CYCLES,
         )
         assert results["a"].slowdown == 1.0
         assert results["a"].committed == rate_of(FE_VECTOR)
@@ -203,14 +205,14 @@ class TestSimStep:
         b = static_app("b", FE_VECTOR, 100.0)
         clean = sim_step(
             self._states(a, b), [("a", "b")], REFERENCE_COEFFICIENTS, 0.0,
-            np.random.default_rng(7), 1, WIDTH, QUANTUM_CYCLES,
+            np.random.default_rng(7), 1, QUANTUM_CYCLES,
         )
         states = self._states(a, b)
         rng = np.random.default_rng(7)
         for quantum in range(1, 30):
             noisy = sim_step(
                 states, [("a", "b")], REFERENCE_COEFFICIENTS, 0.8,
-                rng, quantum, WIDTH, QUANTUM_CYCLES,
+                rng, quantum, QUANTUM_CYCLES,
             )
             for app_id in ("a", "b"):
                 for name in CATEGORIES:
@@ -230,13 +232,13 @@ class TestSimStep:
         rng = np.random.default_rng(0)
         first = sim_step(
             states, [("a", IDLE_NODE)], REFERENCE_COEFFICIENTS, 0.0,
-            rng, 1, WIDTH, QUANTUM_CYCLES,
+            rng, 1, QUANTUM_CYCLES,
         )
         assert not first["a"].completed
         assert first["a"].committed == rate
         second = sim_step(
             states, [("a", IDLE_NODE)], REFERENCE_COEFFICIENTS, 0.0,
-            rng, 2, WIDTH, QUANTUM_CYCLES,
+            rng, 2, QUANTUM_CYCLES,
         )
         # Only the remaining half quantum of work counts this quantum.
         assert second["a"].completed
@@ -262,7 +264,7 @@ class TestSimStep:
         states = self._states(app)
         sim_step(
             states, [("a", IDLE_NODE)], REFERENCE_COEFFICIENTS, 0.0,
-            np.random.default_rng(0), 1, WIDTH, QUANTUM_CYCLES,
+            np.random.default_rng(0), 1, QUANTUM_CYCLES,
         )
         # Exactly one phase budget of work was committed.
         assert states["a"].phase_index == 1
@@ -290,24 +292,18 @@ class TestEngineConfig:
             EngineConfig(workload=self._workload(), trace_path="x.trace")
 
     def test_parameter_validation(self):
-        wl = self._workload()
-        with pytest.raises(ConfigError):
-            EngineConfig(workload=wl, quantum_ms=0.0)
-        for quantum_ms in (math.nan, math.inf, 1e-9):
+        apps = self._workload().apps
+        for quantum_ms in (0.0, -5.0, math.nan, math.inf, 1e-9, 1e305):
             with pytest.raises(ConfigError, match="quantum_ms"):
-                EngineConfig(workload=wl, quantum_ms=quantum_ms)
-        with pytest.raises(ConfigError):
-            EngineConfig(workload=wl, dispatch_width=0)
-        with pytest.raises(ConfigError):
-            EngineConfig(workload=wl, estimate_decay=1.5)
-        with pytest.raises(ConfigError):
-            EngineConfig(workload=wl, max_quanta=0)
+                SimWorkload(apps=apps, quantum_ms=quantum_ms)
         with pytest.raises(ConfigError, match="seed"):
-            EngineConfig(workload=wl, seed=-1)
+            EngineConfig(workload=self._workload(), seed=-1)
 
     def test_cycles_per_quantum(self):
-        config = EngineConfig(workload=self._workload(), quantum_ms=100.0)
-        assert config.cycles_per_quantum == 100 * CYCLES_PER_MS
+        assert cycles_per_quantum(100.0) == 100 * CYCLES_PER_MS
+        assert cycles_per_quantum(1e-6) == 1
+        with pytest.raises(ConfigError, match="quantum_ms"):
+            cycles_per_quantum(4e-7)
 
 
 class TestRunSimulation:
@@ -473,12 +469,12 @@ class TestRunSimulation:
             assert IDLE_NODE in flat
             assert sorted(n for n in flat if n != IDLE_NODE) == ["a", "b", "c"]
 
-    def test_max_quanta_guard(self):
+    def test_max_quanta_guard(self, monkeypatch):
+        monkeypatch.setattr(engine, "MAX_QUANTA", 5)
         apps = [static_app("a", BE_VECTOR, 50.0), static_app("b", FE_VECTOR, 50.0)]
         workload = SimWorkload(apps=tuple(apps))
-        config = EngineConfig(workload=workload, max_quanta=5)
-        with pytest.raises(ConfigError):
-            run(config)
+        with pytest.raises(ConfigError, match="MAX_QUANTA=5"):
+            run(EngineConfig(workload=workload))
 
     def test_noise_never_speeds_up_turnaround(self):
         # Noise has no leverage on phase-free rosters (estimates converge

@@ -21,12 +21,14 @@ from synpa import (
     CategoryVector,
     ConfigError,
     EngineConfig,
+    FitError,
     Phase,
     ScheduleLog,
     SimWorkload,
     SyntheticApp,
     WorkloadError,
     classify,
+    fit,
     run,
 )
 from synpa.harness import (
@@ -312,6 +314,18 @@ class TestGenWorkload:
 
     def test_recipes_constant(self):
         assert RECIPES == ("backend", "frontend", "mixed")
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: make_synthetic_roster(-1), WorkloadError),
+    (lambda: gen_workload("mixed", make_synthetic_roster(7), seed=-1), WorkloadError),
+    (lambda: extra_synthetic_app(-1, AppClass.BACKEND_BOUND, 10), WorkloadError),
+    (lambda: fit([], seed=-1), FitError),
+], ids=["make_synthetic_roster", "gen_workload", "extra_synthetic_app", "fit"])
+def test_negative_seed_is_domain_error(call, error):
+    # numpy rejects negative seeds with a bare ValueError.
+    with pytest.raises(error, match="seed must be >= 0, got -1"):
+        call()
 
 
 class TestTurnaroundTime:

@@ -51,6 +51,10 @@ def _make_noise_model():
 NOISE_MODEL = _make_noise_model()
 
 
+#: Dispatch width and quantum length of the hand-built profiles.
+SHAPE = dict(dispatch_width=4, quantum_ms=100.0)
+
+
 def vector(fe, be, fdc):
     return CategoryVector(fe=fe, be=be, fdc=fdc)
 
@@ -64,6 +68,7 @@ def constant_profile(app_id, mode, partner, vec, committed_per_quantum, n):
             ProfileRecord(vector=vec, committed=committed_per_quantum)
             for _ in range(n)
         ),
+        **SHAPE,
     )
 
 
@@ -75,6 +80,7 @@ def varying_profile(app_id, mode, partner, vecs, committed):
         records=tuple(
             ProfileRecord(vector=v, committed=c) for v, c in zip(vecs, committed)
         ),
+        **SHAPE,
     )
 
 
@@ -144,7 +150,7 @@ class TestProfileType:
 
     def test_empty_profile_rejected(self):
         with pytest.raises(TraceError):
-            Profile(app_id="app", mode="isolated", partner=None, records=())
+            Profile(app_id="app", mode="isolated", partner=None, records=(), **SHAPE)
 
     def test_isolated_with_partner_rejected(self):
         with pytest.raises(TraceError):
