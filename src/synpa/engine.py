@@ -60,7 +60,6 @@ from .interference import (
 # Decisions take the pair-weight matrix, so ``build_graph`` is unused here;
 # the benchmark's tracer still resolves it from this module by name.
 from .matcher import (  # noqa: F401
-    DP_MAX_NODES,
     IDLE_NODE,
     build_graph,
     graph_from_matrix,
@@ -493,9 +492,7 @@ def _decide_synpa(
     ordered = sorted(app_ids)
     vectors = [estimates.effective(a) for a in ordered]
     graph = graph_from_matrix(ordered, pair_weight_matrix(model, vectors))
-    if len(graph.nodes) <= DP_MAX_NODES:
-        return min_weight_perfect_matching(graph)
-    # Start the blossom's assignment solve from the model's fold.  The
+    # Certify the model's fold, or start the exact solve from it.  The
     # idle node's edges weigh the same for every thread, so any finite
     # price fits it; all prices are exact, they only change the speed.
     price = dict(zip(ordered, fold_prices(model, vectors).tolist()))

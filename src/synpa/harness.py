@@ -209,13 +209,15 @@ def extra_synthetic_app(
 
 @dataclass(frozen=True)
 class WorkloadSpec:
-    """A named, reproducible selection of apps."""
+    """A named, reproducible selection of apps, sized for quanta of
+    ``quantum_ms`` (100 in a file that does not say)."""
 
     name: str
     recipe: str
     seed: int
     apps: tuple[SyntheticApp, ...]
     classes: dict[str, AppClass]
+    quantum_ms: float = 100.0
 
     def to_json(self) -> str:
         doc = {
@@ -223,6 +225,7 @@ class WorkloadSpec:
             "name": self.name,
             "recipe": self.recipe,
             "seed": self.seed,
+            "quantum_ms": self.quantum_ms,
             "apps": [
                 {**app.to_dict(), "class": self.classes[app.app_id].value}
                 for app in self.apps
@@ -249,6 +252,7 @@ class WorkloadSpec:
                 seed=int(doc["seed"]),
                 apps=apps,
                 classes=classes,
+                quantum_ms=float(doc.get("quantum_ms", 100.0)),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise WorkloadError(f"bad workload file: {exc}") from None

@@ -216,15 +216,17 @@ def fold_prices(
     ``j`` is ``a_j + q_j``, where ``q`` prices the fold along the
     category ``k`` with the largest positive ``rho`` (0 if there is
     none): with that category's values sorted ascending, ``q_(0) = 0``
-    and ``q_(l+1) = q_(l) + 2 * rho_k * (x_(l+1) - x_(l)) * x_(n-1-l)``.
-    Then ``2 * rho_k * x_(m) * x_(l) - q_(l)`` falls while ``l < n - 1 -
-    m`` and rises after, so under the pair term of that category alone
-    the reduced cost ``w_ij - p_j`` of the thread at sorted position
-    ``m`` is least at its fold partner, the thread at position ``n - 1 -
-    m``.
-    These are starting duals for the matcher's assignment solve
-    (:func:`synpa.matcher.min_weight_perfect_matching`): they speed it
-    up and never change its result.
+    and ``q_(l+1) = q_(l) + rho_k * (x_(l+1) - x_(l)) * (x_(n-1-l) +
+    x_(n-2-l))``.  Then ``2 * rho_k * x_(m) * x_(l) - q_(l)`` steps by
+    ``rho_k * (x_(l+1) - x_(l)) * (2 * x_(m) - x_(n-1-l) - x_(n-2-l))``:
+    it falls while ``l < n - 1 - m`` and rises after, so under the pair
+    term of that category alone the reduced cost ``w_ij - p_j`` of the
+    thread at sorted position ``m`` is least at its fold partner, the
+    thread at position ``n - 1 - m``, and strictly so when that
+    category's values are distinct.  The matcher certifies the fold from
+    these prices or starts its exact solve from them
+    (:func:`synpa.matcher.min_weight_perfect_matching`); they never
+    change its result.
     """
     st = _category_matrix(vectors)
     coeffs = [model.category(name) for name in CATEGORIES]
@@ -235,7 +237,7 @@ def fold_prices(
     if rho[k] > 0.0 and len(vectors) > 1:
         order = np.argsort(st[:, k], kind="stable")
         x = st[order, k]
-        steps = 2.0 * rho[k] * np.diff(x) * x[:0:-1]
+        steps = rho[k] * np.diff(x) * (x[:0:-1] + x[-2::-1])
         q = np.empty(len(x))
         q[order] = np.concatenate(([0.0], np.cumsum(steps)))
         prices += q

@@ -7,16 +7,18 @@ total weight.
 
 Exactness and determinism
 -------------------------
-Edge weights (floats, hence dyadic rationals) are converted *exactly*
-to integers over a common denominator, and a strictly dominated
-tie-break term is folded into each integer so that the optimal matching
-is unique: among all minimum-weight matchings, the one whose sorted
-pair list is lexicographically smallest wins.  Small instances are
-solved by exact dynamic programming over subsets; larger ones by a
-dense primal-dual weighted blossom algorithm (Edmonds 1965; Galil 1986)
-on the same integers, whose result is checked against its dual
-certificate.  Both backends see a unique optimum, so results never
-depend on backend, iteration order, or hashing.
+Most decisions end at the fold certificate (:func:`_certified_fold`):
+in exact int64 units, each thread's unique cheapest partner at the
+given prices, when the choice is mutual, proves the pairs the unique
+optimum.  The rest go to one exact solver.  There, edge weights
+(floats, hence dyadic rationals) become *exact* integers over a common
+denominator, each with a strictly dominated tie-break term folded in,
+so that the optimum is unique: among all minimum-weight matchings, the
+one whose sorted pair list is lexicographically smallest wins.  A dense
+primal-dual weighted blossom algorithm (Edmonds 1965; Galil 1986)
+solves these integers and checks its result against its dual
+certificate.  A certified optimum is unique, hence the tie-broken one,
+so results never depend on the path, iteration order, or hashing.
 
 The blossom algorithm starts from an optimal fractional matching, as
 Blossom V (Kolmogorov 2009) and Cook & Rohe (1999) do: an exact
@@ -48,9 +50,6 @@ IDLE_NODE = "__idle__"
 
 #: Weight of an edge to the idle node: the thread's slowdown alone is 1.
 IDLE_WEIGHT = 1.0
-
-#: Instances up to this size use the subset-DP solver; larger ones the blossom.
-DP_MAX_NODES = 8
 
 
 @dataclass(frozen=True)
@@ -159,44 +158,6 @@ def _score_units(prices: Sequence[float], shift: int) -> list[int]:
     """
     ratios = (float(p).as_integer_ratio() for p in prices)
     return [(num << shift) // den for num, den in ratios]
-
-
-def _solve_dp(n: int, scores: list[list[int]]) -> list[tuple[int, int]]:
-    """Exact subset-DP perfect matching on integer scores."""
-    full = (1 << n) - 1
-    best: dict[int, int] = {0: 0}
-    choice: dict[int, tuple[int, int]] = {}
-
-    def solve(mask: int) -> int:
-        cached = best.get(mask)
-        if cached is not None:
-            return cached
-        i = (mask & -mask).bit_length() - 1
-        rest_base = mask ^ (1 << i)
-        row = scores[i]
-        best_val: int | None = None
-        best_pair = (-1, -1)
-        j_bits = rest_base
-        while j_bits:
-            j = (j_bits & -j_bits).bit_length() - 1
-            j_bits &= j_bits - 1
-            val = row[j] + solve(rest_base ^ (1 << j))
-            if best_val is None or val < best_val:
-                best_val = val
-                best_pair = (i, j)
-        assert best_val is not None
-        best[mask] = best_val
-        choice[mask] = best_pair
-        return best_val
-
-    solve(full)
-    pairs = []
-    mask = full
-    while mask:
-        i, j = choice[mask]
-        pairs.append((i, j))
-        mask ^= (1 << i) | (1 << j)
-    return pairs
 
 
 def _assignment_start(
@@ -631,6 +592,37 @@ def _check_certificate(
             raise MatchingError(f"matched edge ({u}, {mate[u]}) is not tight")
 
 
+def _certified_fold(weights: np.ndarray, prices: np.ndarray) -> list[tuple[int, int]] | None:
+    """The optimal pairs if every node's cheapest partner proves them, else None.
+
+    Weights and prices are scaled by a power of two ``2**e >= 1`` that
+    puts every magnitude below ``2**58``, or they fall back.  The scaled
+    weights ``S`` must be exact integers; the prices ``P`` are rounded
+    toward zero (any integers serve).  So ``R[i, j] = S[i, j] - P[j]``
+    off the diagonal is below ``2**59`` in magnitude, well inside int64.
+    If each row ``i`` has a unique least entry ``R[i, sigma(i)]`` and
+    ``sigma`` is an involution without a fixed point, take ``u_i = R[i,
+    sigma(i)]`` and duals ``y_i = (u_i + P_i) / 2``.  ``S`` is
+    symmetric, so every edge's reduced cost ``S[i, j] - y_i - y_j =
+    ((R[i, j] - u_i) + (R[j, i] - u_j)) / 2`` is at least 0, and it is 0
+    exactly on the pairs of ``sigma``.  A perfect matching weighs
+    ``sum(y)`` plus the reduced costs of its edges, so ``sigma``'s pairs
+    weigh ``sum(y)`` and every other perfect matching more: they are the
+    unique optimum, hence the tie-broken one too.
+    """
+    e = 58 - math.frexp(max(weights.max(), prices.max(), -prices.min()))[1]
+    scaled = np.ldexp(weights, e)
+    if e < 0 or not (scaled == np.trunc(scaled)).all():
+        return None
+    reduced = scaled.astype(np.int64) - np.ldexp(prices, e).astype(np.int64)
+    np.fill_diagonal(reduced, np.iinfo(np.int64).max)
+    sigma = reduced.argmin(axis=1).tolist()
+    unique = np.count_nonzero(reduced == reduced.min(axis=1, keepdims=True)) == len(sigma)
+    if not unique or any(sigma[j] != i for i, j in enumerate(sigma)):
+        return None
+    return [(i, j) for i, j in enumerate(sigma) if i < j]
+
+
 def min_weight_perfect_matching(
     graph: SynergyGraph, prices: Sequence[float] | None = None
 ) -> tuple[tuple[str, str], ...]:
@@ -638,12 +630,13 @@ def min_weight_perfect_matching(
 
     Optimal means minimum total weight, ties broken toward the
     lexicographically smallest sorted pair list.  ``prices``, one
-    finite float per node of ``graph.nodes``, are the column duals the
-    blossom solver's assignment start begins from (see
-    :func:`synpa.interference.fold_prices`); they can make it faster,
-    never change the result, and are unused on graphs the subset DP
-    solves.  Raises :class:`MatchingError` on an odd node count or bad
-    prices.
+    finite float per node of ``graph.nodes`` (zeros if not given), are
+    first tried as the fold certificate's prices
+    (:func:`_certified_fold`); if it rejects them, the blossom solver's
+    assignment start begins from them as column duals.  The model's fold
+    prices (:func:`synpa.interference.fold_prices`) usually certify;
+    prices can make the solve faster and never change the result.
+    Raises :class:`MatchingError` on an odd node count or bad prices.
     """
     n = len(graph.nodes)
     if n % 2 == 1:
@@ -655,10 +648,10 @@ def min_weight_perfect_matching(
     ):
         raise MatchingError(f"prices must be {n} finite floats, one per node")
     nodes = graph.nodes
-    scores, shift = _exact_scores(graph.matrix)
-    if n <= DP_MAX_NODES:
-        index_pairs = _solve_dp(n, scores)
-    else:
+    start = np.zeros(n) if prices is None else np.array(prices, dtype=float)
+    index_pairs = _certified_fold(np.array(graph.matrix), start)
+    if index_pairs is None:
+        scores, shift = _exact_scores(graph.matrix)
         units = None if prices is None else _score_units(prices, shift)
         index_pairs = _solve_blossom(n, scores, units)
     return tuple(sorted((nodes[i], nodes[j]) for i, j in index_pairs))

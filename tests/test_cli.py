@@ -18,6 +18,7 @@ from synpa import (
     ModelCoefficients,
     read_counter_file,
 )
+from synpa import matcher
 from synpa.cli import main
 from synpa.harness import (
     WorkloadSpec,
@@ -344,6 +345,37 @@ class TestSimulate:
         assert code == 1
         assert "error: quantum_ms" in capsys.readouterr().err
 
+    def test_quantum_ms_comes_from_the_workload(self, tmp_path, capsys):
+        # Apps generated for 50 ms quanta run at 50 ms without the flag;
+        # a different --quantum-ms would resize them, so it is refused.
+        wl = tmp_path / "q50.json"
+        assert run_cli(
+            "gen-workload", "--recipe", "mixed", "--seed", 5, "--quantum-ms", 50,
+            "--iso-quanta", 6, "--out", wl,
+        ) == 0
+        assert WorkloadSpec.from_json(wl.read_text(encoding="utf-8")).quantum_ms == 50.0
+        logs = [tmp_path / "default.jsonl", tmp_path / "same.jsonl"]
+        assert run_cli("simulate", "--workload", wl, "--out", logs[0]) == 0
+        assert run_cli("simulate", "--workload", wl, "--quantum-ms", 50, "--out", logs[1]) == 0
+        assert logs[0].read_bytes() == logs[1].read_bytes()
+        assert load_log_summary(str(logs[0])).quantum_ms == 50.0
+        capsys.readouterr()
+        code = run_cli("simulate", "--workload", wl, "--quantum-ms", 100, "--out", tmp_path / "x.jsonl")
+        assert code == 1
+        assert "conflicts with the workload's quantum_ms 50.0" in capsys.readouterr().err
+        assert not (tmp_path / "x.jsonl").exists()
+
+    def test_workload_without_quantum_ms_runs_at_100(self, workload_file, tmp_path):
+        doc = json.loads(workload_file.read_text(encoding="utf-8"))
+        del doc["quantum_ms"]
+        wl = tmp_path / "old.json"
+        wl.write_text(json.dumps(doc), encoding="utf-8")
+        logs = [tmp_path / "old.jsonl", tmp_path / "new.jsonl"]
+        assert run_cli("simulate", "--workload", wl, "--out", logs[0]) == 0
+        assert run_cli("simulate", "--workload", workload_file, "--out", logs[1]) == 0
+        assert logs[0].read_bytes() == logs[1].read_bytes()
+        assert load_log_summary(str(logs[0])).quantum_ms == 100.0
+
     @pytest.mark.parametrize("noise_sigma", ["nan", "inf"])
     def test_non_finite_noise_sigma_is_domain_error(
         self, workload_file, tmp_path, capsys, noise_sigma
@@ -446,6 +478,46 @@ class TestReplay:
         assert code == 1
         assert f"error: line 1: threads with no sample rows: {threads}" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_fold_certificate_changes_no_log(tmp_path, monkeypatch):
+    """Every log is byte-identical with the matcher's fold certificate on
+    and forced to reject: a certified matching is the unique optimum, so
+    the exact solve finds the same pairs.  Float results can differ
+    across numpy builds, so the two runs are compared, not pinned."""
+    certified = []
+
+    def spy(weights, prices):
+        pairs = certify(weights, prices)
+        certified.append(pairs is not None)
+        return pairs
+
+    def logs(tag):
+        out = {}
+        for size in (8, 16, 33, 64):
+            wl = tmp_path / f"{tag}-wl{size}.json"
+            assert run_cli(
+                "gen-workload", "--recipe", "mixed", "--seed", 3, "--size", size,
+                "--iso-quanta", 8, "--out", wl,
+            ) == 0
+            for noise in ("0", "0.02"):
+                log = tmp_path / f"{tag}-{size}-{noise}.jsonl"
+                trace = tmp_path / f"{tag}-{size}-{noise}.trace"
+                assert run_cli(
+                    "simulate", "--workload", wl, "--noise-sigma", noise, "--seed", 1,
+                    "--out", log, "--export-trace", trace,
+                ) == 0
+                replayed = tmp_path / f"{tag}-{size}-{noise}.replay.jsonl"
+                assert run_cli("replay", "--trace", trace, "--seed", 1, "--out", replayed) == 0
+                out[(size, noise)] = (log.read_bytes(), replayed.read_bytes())
+        return out
+
+    certify = matcher._certified_fold
+    monkeypatch.setattr(matcher, "_certified_fold", spy)
+    on = logs("on")
+    assert any(certified) and not all(certified)
+    monkeypatch.setattr(matcher, "_certified_fold", lambda weights, prices: None)
+    assert logs("off") == on
 
 
 class TestReport:

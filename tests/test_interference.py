@@ -328,6 +328,34 @@ class TestFoldPrices:
             reduced = [weights[i, j] - prices[j] for j in range(n) if j != i]
             assert weights[i, partner] - prices[partner] <= min(reduced) + FOLD_TOL
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        model=st.one_of(st.just(REFERENCE_COEFFICIENTS), fold_models()),
+        levels=st.integers(1, 8).flatmap(
+            lambda half: st.lists(st.integers(0, 100), min_size=2 * half, max_size=2 * half, unique=True)
+        ),
+        data=st.data(),
+    )
+    def test_fold_partner_is_strictly_cheapest(self, model, levels, data):
+        # Distinct leading values at least 0.01 apart on an even roster:
+        # the fold partner's margin is at least rho * 1e-4, far above
+        # float rounding, so it must beat every other column.
+        lead = max(CATEGORIES, key=lambda name: model.category(name).rho)
+        others = [name for name in CATEGORIES if name != lead]
+        vectors = []
+        for level in levels:
+            x, split = level / 100.0, data.draw(st.floats(0.0, 1.0))
+            rest = {others[0]: (1.0 - x) * split, others[1]: (1.0 - x) * (1.0 - split)}
+            vectors.append(CategoryVector(**{lead: x}, **rest))
+        n = len(vectors)
+        weights = pair_weight_matrix(model, vectors)
+        prices = fold_prices(model, vectors)
+        order = sorted(range(n), key=levels.__getitem__)
+        for rank, i in enumerate(order):
+            partner = order[n - 1 - rank]
+            reduced = [weights[i, j] - prices[j] for j in range(n) if j not in (i, partner)]
+            assert min(reduced, default=math.inf) - (weights[i, partner] - prices[partner]) > 0.0
+
     def test_additive_part_only_without_positive_rho(self):
         model = ModelCoefficients(
             fdc=CategoryCoefficients(alpha=0.1, beta=0.5, gamma=0.25, rho=-0.5),
@@ -350,11 +378,13 @@ class TestFoldPrices:
             CategoryVector(fe=0.2, be=0.2, fdc=0.6),
             CategoryVector(fe=0.6, be=0.2, fdc=0.2),
         ]
+        # Each step prices the rise at the midpoint of the two values it
+        # folds onto: x_(n-1-l) + x_(n-2-l) for the step from rank l.
         ref = REFERENCE_COEFFICIENTS
-        rho2 = 2.0 * ref.fdc.rho
-        q_02 = rho2 * (0.2 - 0.1) * 0.6
-        q_04 = q_02 + rho2 * (0.4 - 0.2) * 0.4
-        q_06 = q_04 + rho2 * (0.6 - 0.4) * 0.2
+        rho = ref.fdc.rho
+        q_02 = rho * (0.2 - 0.1) * (0.6 + 0.4)
+        q_04 = q_02 + rho * (0.4 - 0.2) * (0.4 + 0.2)
+        q_06 = q_04 + rho * (0.6 - 0.4) * (0.2 + 0.1)
         q = [q_04, 0.0, q_06, q_02]
         alpha = sum(ref.category(c).alpha for c in CATEGORIES)
         want = [

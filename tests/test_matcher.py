@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from synpa import (
@@ -28,11 +28,11 @@ from synpa import (
 )
 from synpa.matcher import (
     _assignment_start,
+    _certified_fold,
     _check_certificate,
     _exact_scores,
     _score_units,
     _solve_blossom,
-    _solve_dp,
 )
 
 from conftest import category_vectors, coefficient_models
@@ -106,6 +106,35 @@ def oracle_best(graph, with_ties=False):
         if best_key is None or key < best_key:
             best_key = key
     return (best_key[1], ties) if with_ties else best_key[1]
+
+
+def solve_dp(n, scores):
+    """Exact subset-DP perfect matching on integer scores: the oracle the
+    blossom and the fold certificate are checked against."""
+    full = (1 << n) - 1
+    best = {0: 0}
+    choice = {}
+
+    def solve(mask):
+        if mask in best:
+            return best[mask]
+        i = (mask & -mask).bit_length() - 1
+        rest = mask ^ (1 << i)
+        best[mask], choice[mask] = min(
+            (scores[i][j] + solve(rest ^ (1 << j)), (i, j))
+            for j in range(i + 1, n)
+            if rest >> j & 1
+        )
+        return best[mask]
+
+    solve(full)
+    pairs = []
+    mask = full
+    while mask:
+        i, j = choice[mask]
+        pairs.append((i, j))
+        mask ^= (1 << i) | (1 << j)
+    return pairs
 
 
 def random_graph(rng, n, dyadic=False, ties=False):
@@ -320,10 +349,10 @@ class TestMinWeightMatching:
             assert min_weight_perfect_matching(graph) == oracle_best(graph)
 
     def test_large_instance_matches_enumeration_oracle(self):
-        # 14 nodes exceeds the subset-DP cutoff and exercises the
-        # general matching backend; 135135 matchings enumerated.  The
-        # tie instances have several minimum-weight matchings, so the
-        # blossom path must apply the lexicographic tie-break too.
+        # 14 nodes, 135135 matchings enumerated.  The tie instances have
+        # several minimum-weight matchings, so the fold certificate, which
+        # proves a unique optimum, rejects them and the blossom must apply
+        # the lexicographic tie-break.
         for seed, ties in ((3, False), (4, False), (3, True), (4, True)):
             rng = random.Random(seed)
             graph = random_graph(rng, 14, ties=ties)
@@ -350,7 +379,7 @@ class TestMinWeightMatching:
         for (i, j), level in zip(pairs, levels):
             matrix[i][j] = matrix[j][i] = 1.0 + level / 4.0
         scores, _ = _exact_scores(matrix)
-        assert sorted(_solve_dp(n, scores)) == sorted(_solve_blossom(n, scores))
+        assert sorted(solve_dp(n, scores)) == sorted(_solve_blossom(n, scores))
 
     @pytest.mark.parametrize("n", [32, 64])
     def test_large_instance_matches_networkx(self, n):
@@ -454,7 +483,7 @@ class TestAssignmentStart:
     @given(instance=start_instances())
     def test_blossom_equals_dp(self, instance):
         n, scores = instance
-        assert sorted(_solve_blossom(n, scores)) == sorted(_solve_dp(n, scores))
+        assert sorted(_solve_blossom(n, scores)) == sorted(solve_dp(n, scores))
 
     def test_odd_cycles_leave_vertices_for_the_phases(self):
         # Two triangles and a 4-clique, weight 1 inside a group and 10
@@ -471,7 +500,7 @@ class TestAssignmentStart:
         _, mate = _assignment_start(10, scores)
         free = [v for v in range(10) if mate[v] == -1]
         assert free == [2, 5]
-        assert sorted(_solve_blossom(10, scores)) == sorted(_solve_dp(10, scores))
+        assert sorted(_solve_blossom(10, scores)) == sorted(solve_dp(10, scores))
 
     def test_model_driven_start_is_perfect(self):
         # On these graphs the fractional optimum is integral, so the start
@@ -519,9 +548,9 @@ class TestPricedStart:
         graph, prices = instance
         n = len(graph.nodes)
         scores, shift = _exact_scores(graph.matrix)
-        # The blossom runs here on graphs the public entry point hands
-        # to the subset DP, so every size is checked against the DP.
-        want = sorted(_solve_dp(n, scores))
+        # The blossom runs here even on graphs the public entry point
+        # settles by the fold certificate.
+        want = sorted(solve_dp(n, scores))
         assert sorted(_solve_blossom(n, scores, _score_units(prices, shift))) == want
         assert min_weight_perfect_matching(graph, prices) == min_weight_perfect_matching(graph)
 
@@ -546,6 +575,132 @@ class TestPricedStart:
         for prices in ([0.0] * 9, [0.0] * 9 + [math.nan], [math.inf] + [0.0] * 9):
             with pytest.raises(MatchingError, match="finite"):
                 min_weight_perfect_matching(graph, prices)
+
+
+def draw_pairing(draw, n):
+    """A random perfect matching of ``0..n-1``, as index pairs."""
+    order = draw(st.permutations(range(n)))
+    return [(order[k], order[k + 1]) for k in range(0, n, 2)]
+
+
+def draw_planted(draw, n):
+    """Weights with a random perfect matching at 1 and every other edge
+    at 1.25 to 1.75 in quarter steps, and that matching: at zero prices
+    every row's unique least weight is its planted partner."""
+    weights = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            weights[i, j] = weights[j, i] = 1.0 + draw(st.integers(1, 3)) / 4.0
+    pairs = draw_pairing(draw, n)
+    for i, j in pairs:
+        weights[i, j] = weights[j, i] = 1.0
+    return weights, pairs
+
+
+@st.composite
+def certificate_instances(draw):
+    """A 2-16 node graph and one finite price per node.  Model kinds: the
+    weights of category vectors (drawn freely, or seeded random ones
+    with distinct values) under the reference or a random model, at
+    their fold prices, odd rosters padded with the idle node.  Planted
+    kinds: :func:`draw_planted` with up to two more edges, or a second
+    perfect matching, at weight 1 too, so that rows tie at their least
+    weight, at zero prices or prices on a quarter grid."""
+    kind = draw(st.sampled_from(["model", "seeded", "planted"]))
+    if kind != "planted":
+        model = REFERENCE_COEFFICIENTS if draw(st.booleans()) else draw(coefficient_models())
+        if kind == "model":
+            vectors = draw(st.lists(category_vectors(), min_size=2, max_size=16))
+        else:
+            vectors = model_vectors(random.Random(draw(st.integers(0, 2**32 - 1))), draw(st.integers(2, 16)))
+        ids = [f"t{i:02d}" for i in range(len(vectors))]
+        graph = graph_from_matrix(ids, pair_weight_matrix(model, vectors))
+        price = dict(zip(ids, fold_prices(model, vectors).tolist()))
+        return graph, [price.get(a, 0.0) for a in graph.nodes]  # 0 for the idle node
+    n = draw(st.sampled_from(range(2, 17, 2)))
+    weights, _ = draw_planted(draw, n)
+    if draw(st.booleans()):
+        extra = draw_pairing(draw, n)
+    else:
+        edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        extra = draw(st.lists(st.sampled_from(edges), max_size=2))
+    for i, j in extra:
+        weights[i, j] = weights[j, i] = 1.0
+    grid = st.integers(-1, 1).map(lambda k: k / 4.0)
+    prices = draw(st.one_of(st.just([0.0] * n), st.lists(grid, min_size=n, max_size=n)))
+    return graph_from_matrix([f"t{i:02d}" for i in range(n)], weights), prices
+
+
+@st.composite
+def headroom_instances(draw):
+    """A 4-10 node graph and its prices that would certify but that no
+    int64 scale holds exactly: :func:`draw_planted` weights, which
+    certify at zero prices, either all scaled by ``2**t`` with one
+    planted pair below ``2**(t - 57)`` (its bits lie under the scale, and
+    for large ``t`` it would underflow there), or against a price of
+    magnitude at least ``2**60``, which pushes them under the scale."""
+    n = draw(st.sampled_from([4, 6, 8, 10]))
+    weights, pairs = draw_planted(draw, n)
+    prices = [0.0] * n
+    if draw(st.booleans()):
+        t = draw(st.integers(-1000, 960))
+        weights = np.ldexp(weights, t)
+        low = draw(st.one_of(st.just(-1070), st.integers(-1070, t - 57)))
+        i, j = pairs[0]
+        weights[i, j] = weights[j, i] = math.ldexp(draw(st.floats(0.5, 1.0, exclude_max=True)), low)
+    else:
+        big = math.ldexp(draw(st.floats(1.0, 2.0, exclude_max=True)), draw(st.integers(60, 1023)))
+        prices[draw(st.integers(0, n - 1))] = draw(st.sampled_from([big, -big]))
+    return graph_from_matrix([f"t{i:02d}" for i in range(n)], weights), prices
+
+
+class TestFoldCertificate:
+    """The int64 fold certificate that settles most decisions before the blossom."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(instance=certificate_instances())
+    def test_certified_pairs_are_the_dp_and_blossom_optimum(self, instance):
+        graph, prices = instance
+        n = len(graph.nodes)
+        pairs = _certified_fold(np.array(graph.matrix), np.array(prices))
+        event(f"certified: {pairs is not None}")
+        scores, shift = _exact_scores(graph.matrix)
+        want = sorted(solve_dp(n, scores))
+        if pairs is not None:
+            assert sorted(pairs) == want
+            assert sorted(_solve_blossom(n, scores, _score_units(prices, shift))) == want
+        assert min_weight_perfect_matching(graph, prices) == tuple(
+            sorted((graph.nodes[i], graph.nodes[j]) for i, j in want)
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(instance=headroom_instances())
+    def test_weights_off_the_int64_scale_fall_back(self, instance):
+        graph, prices = instance
+        assert _certified_fold(np.array(graph.matrix), np.array(prices)) is None
+        scores, _ = _exact_scores(graph.matrix)
+        want = sorted(solve_dp(len(graph.nodes), scores))
+        got = min_weight_perfect_matching(graph, prices)
+        assert got == tuple(sorted((graph.nodes[i], graph.nodes[j]) for i, j in want))
+
+    @pytest.mark.parametrize("n", [8, 16, 64])
+    def test_fold_prices_certify_model_graphs(self, n):
+        # A certificate that rejected everything would still be exact,
+        # only slow, and no optimality test would notice.
+        for seed in range(10):
+            rng = random.Random(seed)
+            vectors = model_vectors(rng, n)
+            weights = pair_weight_matrix(REFERENCE_COEFFICIENTS, vectors)
+            np.fill_diagonal(weights, 0.0)
+            pairs = _certified_fold(weights, fold_prices(REFERENCE_COEFFICIENTS, vectors))
+            assert pairs is not None
+            assert len(pairs) == n // 2
+
+    def test_tied_rows_fall_back(self):
+        # All weights equal: every row ties, so the blossom's tie-break decides.
+        weights = np.ones((4, 4))
+        np.fill_diagonal(weights, 0.0)
+        assert _certified_fold(weights, np.zeros(4)) is None
 
 
 class TestCertificate:
