@@ -155,10 +155,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         apps=spec.apps,
         ground_truth=_coefficients(args.ground_truth),
         noise_sigma=args.noise_sigma,
-        quantum_ms=spec.quantum_ms if args.quantum_ms is None else args.quantum_ms,
+        quantum_ms=spec.quantum_ms,  # the apps are sized for the file's quanta
     )
-    if workload.quantum_ms != spec.quantum_ms:  # apps are sized for the file's quanta
-        raise ConfigError(f"--quantum-ms {args.quantum_ms} conflicts with the workload's quantum_ms {spec.quantum_ms}")
     coefficients = _coefficients(args.coefficients)
 
     def run_one(policy: str, seed: int):
@@ -360,7 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--coefficients", default=None, help="allocator model JSON (default: built-in reference)")
     p_sim.add_argument("--ground-truth", default=None, help="simulator ground-truth model JSON (default: built-in reference)")
     p_sim.add_argument("--noise-sigma", type=float, default=0.0, help="observation noise (default 0)")
-    p_sim.add_argument("--quantum-ms", type=float, default=None, help="quantum length (default: the workload's)")
     p_sim.add_argument("--cv-threshold", type=float, default=0.05, help="stability threshold for multi-run aggregation (default 0.05)")
     p_sim.add_argument("--metrics", default=None, help="optional metrics JSON")
     p_sim.add_argument("--export-trace", default=None, help="optional counter trace export")

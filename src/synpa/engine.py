@@ -49,22 +49,8 @@ from .dispatch import (
     normalize_triple,
 )
 from .errors import ConfigError, TraceError, WorkloadError
-from .interference import (
-    ModelCoefficients,
-    REFERENCE_COEFFICIENTS,
-    fold_prices,
-    invert,
-    pair_weight_matrix,
-    predict_pair,
-)
-# Decisions take the pair-weight matrix, so ``build_graph`` is unused here;
-# the benchmark's tracer still resolves it from this module by name.
-from .matcher import (  # noqa: F401
-    IDLE_NODE,
-    build_graph,
-    graph_from_matrix,
-    min_weight_perfect_matching,
-)
+from .interference import ModelCoefficients, REFERENCE_COEFFICIENTS, invert, predict_pair
+from .matcher import IDLE_NODE, build_graph, min_weight_perfect_matching
 
 #: Nominal simulated clock: cycles per millisecond (1 GHz).
 CYCLES_PER_MS = 1_000_000
@@ -177,7 +163,7 @@ class SyntheticApp:
                 phases=phases,
                 target_instructions=int(doc["target_instructions"]),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise WorkloadError(f"bad synthetic app definition: {exc}") from None
 
 
@@ -198,7 +184,21 @@ class SimWorkload:
             raise WorkloadError("workload must contain at least one app")
         if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0.0):
             raise WorkloadError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
-        cycles_per_quantum(self.quantum_ms)
+        cycles = cycles_per_quantum(self.quantum_ms)
+        for app in self.apps:
+            # One launch run alone, in O(phases): each phase runs once per
+            # whole cycle of the phases, then the target's rest runs in order.
+            whole, rest = divmod(app.target_instructions, sum(p.instructions for p in app.phases))
+            quanta = 0.0
+            try:
+                for p in app.phases:
+                    take = min(rest, p.instructions)
+                    quanta += (whole * p.instructions + take) / isolated_rate(p.vector, cycles)
+                    rest -= take
+            except OverflowError:  # instruction counts beyond any float
+                quanta = math.inf
+            if quanta > MAX_QUANTA:
+                raise WorkloadError(f"app {app.app_id!r} cannot finish within the {MAX_QUANTA}-quantum run limit")
 
 
 @dataclass
@@ -484,22 +484,6 @@ class _EstimateStore:
         )
 
 
-def _decide_synpa(
-    app_ids: Sequence[str],
-    estimates: _EstimateStore,
-    model: ModelCoefficients,
-) -> tuple[tuple[str, str], ...]:
-    ordered = sorted(app_ids)
-    vectors = [estimates.effective(a) for a in ordered]
-    graph = graph_from_matrix(ordered, pair_weight_matrix(model, vectors))
-    # Certify the model's fold, or start the exact solve from it.  The
-    # idle node's edges weigh the same for every thread, so any finite
-    # price fits it; all prices are exact, they only change the speed.
-    price = dict(zip(ordered, fold_prices(model, vectors).tolist()))
-    prices = [price.get(a, 0.0) for a in graph.nodes]
-    return min_weight_perfect_matching(graph, prices)
-
-
 def _update_estimates(
     pairs: Sequence[tuple[str, str]],
     results: Mapping[str, StepResult],
@@ -634,8 +618,9 @@ def run(config: EngineConfig) -> ScheduleLog:
                 migrations=len(set(pairs) - set(records[-1].pairs if records else ())),
             )
         )
-        if config.policy == "synpa":
-            pairs = _decide_synpa(present, estimates, config.coefficients)
+        if config.policy == "synpa":  # ``present`` is sorted, as build_graph needs
+            vectors = [estimates.effective(a) for a in present]
+            pairs = min_weight_perfect_matching(build_graph(config.coefficients, present, vectors))
 
     if workload is not None:
         summary = dict(

@@ -237,7 +237,7 @@ class WorkloadSpec:
     def from_json(cls, text: str) -> "WorkloadSpec":
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON, or an integer of over 4300 digits
             raise WorkloadError(f"workload file is not valid JSON: {exc}") from None
         if not isinstance(doc, dict) or doc.get("version") != WORKLOAD_VERSION:
             raise WorkloadError("workload file missing or unsupported version")
@@ -254,7 +254,7 @@ class WorkloadSpec:
                 classes=classes,
                 quantum_ms=float(doc.get("quantum_ms", 100.0)),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise WorkloadError(f"bad workload file: {exc}") from None
 
 

@@ -1,9 +1,12 @@
 """Minimum-weight perfect matching of threads onto 2-way SMT cores.
 
 Nodes are thread ids; every unordered pair carries a weight equal to
-the predicted combined slowdown if the two threads share a core.  The
-assignment for the next quantum is the perfect matching minimizing the
-total weight.
+the predicted combined slowdown if the two threads share a core, and
+every node a price.  The assignment for the next quantum is the perfect
+matching minimizing the total weight.  A decision takes two calls:
+:func:`build_graph` predicts the weights and the model's fold prices
+from the threads' estimated category vectors, and
+:func:`min_weight_perfect_matching` solves the graph it returns.
 
 Exactness and determinism
 -------------------------
@@ -27,9 +30,10 @@ an optimal permutation, whose alternate edges are matched.  On the
 interference model's weights the start is nearly always perfect, hence
 optimal, and the solve ends at its certificate check; odd cycles leave
 one free vertex each for the blossom phases.  The assignment solve's
-column duals may start at caller-given prices (the engine passes the
-model's fold prices, :func:`synpa.interference.fold_prices`), which
-cut its searches short and never change the result.
+column duals start at the graph's prices (the model's fold prices,
+:func:`synpa.interference.fold_prices`, in a graph from
+:func:`build_graph`), which cut its searches short and never change the
+result.
 """
 
 from __future__ import annotations
@@ -42,8 +46,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .dispatch import CategoryTriple
 from .errors import MatchingError
-from .interference import PairPrediction
+from .interference import ModelCoefficients, fold_prices, pair_weight_matrix
 
 #: Node id used to pad an odd roster; the thread paired with it runs alone.
 IDLE_NODE = "__idle__"
@@ -52,70 +57,91 @@ IDLE_NODE = "__idle__"
 IDLE_WEIGHT = 1.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SynergyGraph:
-    """Complete weighted graph over thread ids, held as a dense matrix.
+    """Complete weighted graph over thread ids, with one price per node.
 
-    ``nodes`` is sorted, and ``matrix[i][j]`` is the weight of the edge
-    between ``nodes[i]`` and ``nodes[j]``; the matrix is symmetric with
-    a zero diagonal.  Build it with :func:`graph_from_matrix`, which
-    validates both.
+    ``nodes`` is sorted, distinct and even in number; ``matrix[i, j]``
+    weighs the edge between ``nodes[i]`` and ``nodes[j]`` (finite,
+    non-negative, symmetric, zero diagonal); ``prices[i]`` is a finite
+    price of ``nodes[i]``.  Both are read-only float64 copies.  Other
+    input raises :class:`MatchingError`.
     """
 
     nodes: tuple[str, ...]
-    matrix: list[list[float]]
+    matrix: np.ndarray
+    prices: np.ndarray
+
+    def __post_init__(self) -> None:
+        nodes = tuple(self.nodes)
+        n = len(nodes)
+        if list(nodes) != sorted(set(nodes)):
+            raise MatchingError("node ids must be sorted and distinct")
+        if n % 2 == 1:
+            raise MatchingError(f"cannot perfectly match {n} nodes; pad with {IDLE_NODE!r}")
+        matrix = np.array(self.matrix, dtype=float)
+        prices = np.array(self.prices, dtype=float)
+        if matrix.shape != (n, n) or not (
+            np.isfinite(matrix).all() and (matrix >= 0.0).all()
+            and (matrix == matrix.T).all() and not matrix.diagonal().any()
+        ):
+            raise MatchingError(
+                f"weights must be a finite, non-negative, symmetric {n} x {n} matrix "
+                "with a zero diagonal"
+            )
+        if prices.shape != (n,) or not np.isfinite(prices).all():
+            raise MatchingError(f"prices must be {n} finite floats, one per node")
+        matrix.flags.writeable = prices.flags.writeable = False
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "prices", prices)
 
 
-def build_graph(predictions: Mapping[tuple[str, str], PairPrediction]) -> SynergyGraph:
-    """Build the pairing graph from per-pair predictions.
+def build_graph(
+    model: ModelCoefficients, app_ids: Sequence[str], vectors: Sequence[CategoryTriple]
+) -> SynergyGraph:
+    """The pairing graph of one decision.
 
-    Edge weight is the sum of both directed slowdowns, and every pair of
-    threads needs a prediction.  The weights go through
-    :func:`graph_from_matrix`, which validates and pads them.
+    ``vectors[i]`` estimates the isolated behavior of the ``i``-th of the
+    sorted, distinct ``app_ids``.  Edges weigh each pair's predicted
+    combined slowdown (:func:`synpa.interference.pair_weight_matrix`) and
+    nodes carry the model's fold prices, which usually certify the optimum.
     """
-    nodes = sorted({a for pair in predictions for a in pair})
-    n = len(nodes)
-    index = {a: i for i, a in enumerate(nodes)}
-    weights = np.zeros((n, n))
-    for (a, b), pred in predictions.items():
-        if a == b:
-            raise MatchingError(f"self pairing for thread {a!r}")
-        w = pred.slowdown_i + pred.slowdown_j
-        weights[index[a], index[b]] = weights[index[b], index[a]] = w
-    if len({frozenset(pair) for pair in predictions}) != n * (n - 1) // 2:
-        raise MatchingError("predictions must cover every pair of threads")
-    return graph_from_matrix(nodes, weights)
+    return graph_from_matrix(
+        app_ids, pair_weight_matrix(model, vectors), fold_prices(model, vectors)
+    )
 
 
-def graph_from_matrix(app_ids: Sequence[str], weights: np.ndarray) -> SynergyGraph:
+def graph_from_matrix(
+    app_ids: Sequence[str], weights: np.ndarray, prices: Sequence[float] | None = None
+) -> SynergyGraph:
     """The pairing graph of the sorted, distinct ``app_ids``.
 
     ``weights[i][j]`` is the combined slowdown of the ``i``-th and
     ``j``-th id; it must be symmetric, finite and non-negative off the
-    diagonal, which is ignored.  An odd roster is padded with
-    :data:`IDLE_NODE` at its sorted position; edges to it weigh
-    :data:`IDLE_WEIGHT` for every thread, since a thread sharing a core
-    with nobody runs at isolated speed.
+    diagonal, which is ignored.  ``prices`` holds one finite price per
+    id (zeros if not given).  An odd roster is padded with
+    :data:`IDLE_NODE` at its sorted position, in the weights and the
+    prices alike: edges to it weigh :data:`IDLE_WEIGHT` for every
+    thread, since a thread sharing a core with nobody runs at isolated
+    speed, and its price is 0.0 (prices never change the result).
     """
     nodes = list(app_ids)
-    if nodes != sorted(set(nodes)):
-        raise MatchingError("app ids must be sorted and distinct")
+    n = len(nodes)
     if IDLE_NODE in nodes:
         raise MatchingError(f"{IDLE_NODE!r} is reserved for odd-roster padding")
     matrix = np.array(weights, dtype=float)
-    if matrix.shape != (len(nodes), len(nodes)):
-        raise MatchingError(f"weight matrix has shape {matrix.shape} for {len(nodes)} ids")
-    if len(nodes) % 2 == 1:
+    prices = np.zeros(n) if prices is None else np.array(prices, dtype=float)
+    if matrix.shape != (n, n) or prices.shape != (n,):
+        raise MatchingError(f"{n} ids need {n} x {n} weights and {n} prices")
+    if n % 2 == 1:
         at = bisect_left(nodes, IDLE_NODE)
         nodes.insert(at, IDLE_NODE)
         matrix = np.insert(matrix, at, IDLE_WEIGHT, axis=0)
         matrix = np.insert(matrix, at, IDLE_WEIGHT, axis=1)
+        prices = np.insert(prices, at, 0.0)
     np.fill_diagonal(matrix, 0.0)
-    if not np.isfinite(matrix).all() or (matrix < 0.0).any():
-        raise MatchingError("weight matrix has non-finite or negative weights")
-    if not (matrix == matrix.T).all():
-        raise MatchingError("weight matrix is not symmetric")
-    return SynergyGraph(tuple(nodes), matrix.tolist())
+    return SynergyGraph(tuple(nodes), matrix, prices)
 
 
 def _exact_scores(matrix: Sequence[Sequence[float]]) -> tuple[list[list[int]], int]:
@@ -623,35 +649,23 @@ def _certified_fold(weights: np.ndarray, prices: np.ndarray) -> list[tuple[int, 
     return [(i, j) for i, j in enumerate(sigma) if i < j]
 
 
-def min_weight_perfect_matching(
-    graph: SynergyGraph, prices: Sequence[float] | None = None
-) -> tuple[tuple[str, str], ...]:
+def min_weight_perfect_matching(graph: SynergyGraph) -> tuple[tuple[str, str], ...]:
     """Return the sorted pairs of the unique optimal perfect matching.
 
     Optimal means minimum total weight, ties broken toward the
-    lexicographically smallest sorted pair list.  ``prices``, one
-    finite float per node of ``graph.nodes`` (zeros if not given), are
+    lexicographically smallest sorted pair list.  The graph's prices are
     first tried as the fold certificate's prices
     (:func:`_certified_fold`); if it rejects them, the blossom solver's
     assignment start begins from them as column duals.  The model's fold
-    prices (:func:`synpa.interference.fold_prices`) usually certify;
-    prices can make the solve faster and never change the result.
-    Raises :class:`MatchingError` on an odd node count or bad prices.
+    prices, which :func:`build_graph` attaches, usually certify; prices
+    can make the solve faster and never change the result.
     """
-    n = len(graph.nodes)
-    if n % 2 == 1:
-        raise MatchingError(f"cannot perfectly match {n} nodes; pad with {IDLE_NODE!r}")
-    if n == 0:
-        return ()
-    if prices is not None and (
-        len(prices) != n or not all(math.isfinite(p) for p in prices)
-    ):
-        raise MatchingError(f"prices must be {n} finite floats, one per node")
     nodes = graph.nodes
-    start = np.zeros(n) if prices is None else np.array(prices, dtype=float)
-    index_pairs = _certified_fold(np.array(graph.matrix), start)
+    if not nodes:
+        return ()
+    index_pairs = _certified_fold(graph.matrix, graph.prices)
     if index_pairs is None:
-        scores, shift = _exact_scores(graph.matrix)
-        units = None if prices is None else _score_units(prices, shift)
-        index_pairs = _solve_blossom(n, scores, units)
+        scores, shift = _exact_scores(graph.matrix.tolist())
+        units = _score_units(graph.prices.tolist(), shift)
+        index_pairs = _solve_blossom(len(nodes), scores, units)
     return tuple(sorted((nodes[i], nodes[j]) for i, j in index_pairs))

@@ -336,34 +336,70 @@ class TestSimulate:
         assert code == 1
         assert "cannot read" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("quantum_ms", ["nan", "inf", "1e-9"])
+    @pytest.mark.parametrize(
+        "quantum_ms", [pytest.param("NaN", id="nan"), pytest.param("Infinity", id="inf"), "1e-9"]
+    )
     def test_bad_quantum_ms_is_domain_error(self, workload_file, tmp_path, capsys, quantum_ms):
-        code = run_cli(
-            "simulate", "--workload", workload_file, "--quantum-ms", quantum_ms,
-            "--out", tmp_path / "x.jsonl",
-        )
+        text = workload_file.read_text(encoding="utf-8")
+        wl = tmp_path / "bad.json"
+        wl.write_text(text.replace('"quantum_ms": 100.0', f'"quantum_ms": {quantum_ms}'), encoding="utf-8")
+        assert wl.read_text(encoding="utf-8") != text
+        code = run_cli("simulate", "--workload", wl, "--out", tmp_path / "x.jsonl")
         assert code == 1
         assert "error: quantum_ms" in capsys.readouterr().err
 
-    def test_quantum_ms_comes_from_the_workload(self, tmp_path, capsys):
-        # Apps generated for 50 ms quanta run at 50 ms without the flag;
-        # a different --quantum-ms would resize them, so it is refused.
+    def test_quantum_ms_comes_from_the_workload(self, tmp_path):
+        # Apps generated for 50 ms quanta run at 50 ms.
         wl = tmp_path / "q50.json"
         assert run_cli(
             "gen-workload", "--recipe", "mixed", "--seed", 5, "--quantum-ms", 50,
             "--iso-quanta", 6, "--out", wl,
         ) == 0
         assert WorkloadSpec.from_json(wl.read_text(encoding="utf-8")).quantum_ms == 50.0
-        logs = [tmp_path / "default.jsonl", tmp_path / "same.jsonl"]
-        assert run_cli("simulate", "--workload", wl, "--out", logs[0]) == 0
-        assert run_cli("simulate", "--workload", wl, "--quantum-ms", 50, "--out", logs[1]) == 0
-        assert logs[0].read_bytes() == logs[1].read_bytes()
-        assert load_log_summary(str(logs[0])).quantum_ms == 50.0
-        capsys.readouterr()
-        code = run_cli("simulate", "--workload", wl, "--quantum-ms", 100, "--out", tmp_path / "x.jsonl")
+        log = tmp_path / "run.jsonl"
+        assert run_cli("simulate", "--workload", wl, "--out", log) == 0
+        assert load_log_summary(str(log)).quantum_ms == 50.0
+
+    @pytest.mark.parametrize(
+        "edits",
+        [
+            pytest.param({"instructions": "1e400"}, id="instructions-1e400"),
+            pytest.param({"target": "1e400"}, id="target-1e400"),
+            pytest.param({"seed": "1e400"}, id="seed-1e400"),
+            pytest.param({"target": "1" + "0" * 30}, id="target-1e30"),
+            pytest.param({"instructions": "1" + "0" * 40, "target": "1" + "0" * 30}, id="phase-1e40"),
+            pytest.param({"seed": "1" + "0" * 5000}, id="seed-5001-digits"),
+        ],
+    )
+    def test_bad_workload_file_fails_fast(self, workload_file, tmp_path, capsys, edits):
+        # JSON reads 1e400 as inf; a target of 10**30 instructions, in whole
+        # phase cycles or inside one long phase, would run to the engine's
+        # quantum limit; Python will not read an integer of over 4300 digits.
+        doc = json.loads(workload_file.read_text(encoding="utf-8"))
+        app = doc["apps"][0]
+        places = {
+            "instructions": (app["phases"][0], "instructions"),
+            "target": (app, "target_instructions"),
+            "seed": (doc, "seed"),
+        }
+        for where in edits:
+            owner, key = places[where]
+            owner[key] = f"@{where}@"
+        text = json.dumps(doc)
+        for where, literal in edits.items():
+            text = text.replace(f'"@{where}@"', literal)
+        wl = tmp_path / "bad.json"
+        wl.write_text(text, encoding="utf-8")
+        outs = [tmp_path / "x.jsonl", tmp_path / "x.metrics.json", tmp_path / "x.trace"]
+        start = time.perf_counter()
+        code = run_cli(
+            "simulate", "--workload", wl,
+            "--out", outs[0], "--metrics", outs[1], "--export-trace", outs[2],
+        )
+        assert time.perf_counter() - start < 1.0
         assert code == 1
-        assert "conflicts with the workload's quantum_ms 50.0" in capsys.readouterr().err
-        assert not (tmp_path / "x.jsonl").exists()
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not any(path.exists() for path in outs)
 
     def test_workload_without_quantum_ms_runs_at_100(self, workload_file, tmp_path):
         doc = json.loads(workload_file.read_text(encoding="utf-8"))

@@ -470,9 +470,13 @@ class TestRunSimulation:
             assert sorted(n for n in flat if n != IDLE_NODE) == ["a", "b", "c"]
 
     def test_max_quanta_guard(self, monkeypatch):
-        monkeypatch.setattr(engine, "MAX_QUANTA", 5)
         apps = [static_app("a", BE_VECTOR, 50.0), static_app("b", FE_VECTOR, 50.0)]
         workload = SimWorkload(apps=tuple(apps))
+        # Lowered after the workload passed its own check, which rejects an
+        # app that alone outlasts the limit.
+        monkeypatch.setattr(engine, "MAX_QUANTA", 5)
+        with pytest.raises(WorkloadError, match="5-quantum run limit"):
+            SimWorkload(apps=tuple(apps))
         with pytest.raises(ConfigError, match="MAX_QUANTA=5"):
             run(EngineConfig(workload=workload))
 

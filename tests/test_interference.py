@@ -29,6 +29,7 @@ from synpa import (
     predict_pair,
 )
 from synpa.errors import read_text, write_text
+from synpa.matcher import IDLE_WEIGHT
 
 from conftest import category_vectors, coefficient_models
 
@@ -206,18 +207,23 @@ class TestPairWeightMatrix:
         # Mixed-case and underscore ids sort on both sides of IDLE_NODE,
         # so the padding position is exercised for odd rosters.
         ids = sorted(ids)
-        vectors = {a: data.draw(category_vectors()) for a in ids}
-        predictions = {
-            (a, b): predict_pair(REFERENCE_COEFFICIENTS, vectors[a], vectors[b])
-            for i, a in enumerate(ids)
-            for b in ids[i + 1 :]
-        }
-        want = build_graph(predictions)
-        got = graph_from_matrix(
-            ids, pair_weight_matrix(REFERENCE_COEFFICIENTS, [vectors[a] for a in ids])
-        )
-        assert got.nodes == want.nodes
-        assert got.matrix == want.matrix
+        vectors = [data.draw(category_vectors()) for _ in ids]
+        graph = build_graph(REFERENCE_COEFFICIENTS, ids, vectors)
+        nodes = sorted([*ids, IDLE_NODE]) if len(ids) % 2 else ids
+        assert graph.nodes == tuple(nodes)
+        vector = dict(zip(ids, vectors))
+        price = dict(zip(ids, fold_prices(REFERENCE_COEFFICIENTS, vectors).tolist()))
+        for i, a in enumerate(nodes):
+            assert graph.prices[i] == price.get(a, 0.0)
+            for j, b in enumerate(nodes):
+                if a == b:
+                    want = 0.0
+                elif IDLE_NODE in (a, b):
+                    want = IDLE_WEIGHT
+                else:
+                    pred = predict_pair(REFERENCE_COEFFICIENTS, vector[a], vector[b])
+                    want = pred.slowdown_i + pred.slowdown_j
+                assert graph.matrix[i, j] == want
 
     def test_odd_mixed_case_roster_pads_idle_in_sort_order(self):
         ids = sorted(["beta", "Alpha", "_x", "Zed", "a1"])

@@ -2,6 +2,7 @@
 matching, checked against an independent exhaustive-enumeration oracle
 using exact rational arithmetic."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -12,21 +13,22 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from synpa import (
-    CategoryTriple,
+    CategoryCoefficients,
     CategoryVector,
     IDLE_NODE,
     MatchingError,
-    PairPrediction,
+    ModelCoefficients,
+    ModelError,
     REFERENCE_COEFFICIENTS,
     SynergyGraph,
     build_graph,
     fold_prices,
     graph_from_matrix,
     min_weight_perfect_matching,
-    pair_weight_matrix,
     predict_pair,
 )
 from synpa.matcher import (
+    IDLE_WEIGHT,
     _assignment_start,
     _certified_fold,
     _check_certificate,
@@ -36,17 +38,6 @@ from synpa.matcher import (
 )
 
 from conftest import category_vectors, coefficient_models
-
-_ZERO_TRIPLE = CategoryTriple(fe=0.0, be=0.0, fdc=0.0)
-
-
-def make_prediction(slowdown_i, slowdown_j):
-    return PairPrediction(
-        smt_i=_ZERO_TRIPLE,
-        smt_j=_ZERO_TRIPLE,
-        slowdown_i=slowdown_i,
-        slowdown_j=slowdown_j,
-    )
 
 
 def graph_from_weights(weights):
@@ -168,8 +159,7 @@ def model_graph(rng, n):
     """Pairing graph of ``n`` random category vectors under the reference
     model: near-additive weights, a cost per thread plus a small pair term."""
     ids = [f"t{i:02d}" for i in range(n)]
-    weights = pair_weight_matrix(REFERENCE_COEFFICIENTS, model_vectors(rng, n))
-    return graph_from_matrix(ids, weights)
+    return build_graph(REFERENCE_COEFFICIENTS, ids, model_vectors(rng, n))
 
 
 def networkx_pairs(nx, graph):
@@ -185,93 +175,70 @@ def networkx_pairs(nx, graph):
     return tuple(sorted((graph.nodes[min(p)], graph.nodes[max(p)]) for p in mate))
 
 
+def reference_vectors(n):
+    """``n`` fixed, distinct category vectors."""
+    return model_vectors(random.Random(n), n)
+
+
 class TestBuildGraph:
+    """The decision's graph: predicted pair weights and the model's fold prices."""
+
     def test_four_apps_six_edges(self):
-        apps = ["a", "b", "c", "d"]
-        predictions = {
-            (x, y): make_prediction(1.1, 1.2)
-            for i, x in enumerate(apps)
-            for y in apps[i + 1 :]
-        }
-        graph = build_graph(predictions)
+        graph = build_graph(REFERENCE_COEFFICIENTS, ["a", "b", "c", "d"], reference_vectors(4))
         assert graph.nodes == ("a", "b", "c", "d")
         assert len(edge_weights(graph)) == 6
 
     def test_edge_weight_is_sum_of_slowdowns(self):
-        graph = build_graph(
-            {
-                ("a", "b"): make_prediction(1.2, 1.4),
-                ("a", "c"): make_prediction(1.0, 1.0),
-                ("b", "c"): make_prediction(1.0, 1.0),
-                ("a", "d"): make_prediction(1.0, 1.0),
-                ("b", "d"): make_prediction(1.0, 1.0),
-                ("c", "d"): make_prediction(1.0, 1.0),
-            }
-        )
-        assert edge_weights(graph)[("a", "b")] == pytest.approx(2.6, abs=1e-12)
+        vectors = reference_vectors(4)
+        graph = build_graph(REFERENCE_COEFFICIENTS, ["a", "b", "c", "d"], vectors)
+        pred = predict_pair(REFERENCE_COEFFICIENTS, vectors[0], vectors[1])
+        assert edge_weights(graph)[("a", "b")] == pred.slowdown_i + pred.slowdown_j
 
     def test_odd_roster_adds_idle_node(self):
-        predictions = {
-            ("a", "b"): make_prediction(1.3, 1.2),
-            ("a", "c"): make_prediction(1.4, 1.1),
-            ("b", "c"): make_prediction(1.5, 1.6),
-        }
-        graph = build_graph(predictions)
-        assert len(graph.nodes) == 4
-        assert IDLE_NODE in graph.nodes
+        vectors = reference_vectors(3)
+        graph = build_graph(REFERENCE_COEFFICIENTS, ["a", "b", "c"], vectors)
+        assert graph.nodes == (IDLE_NODE, "a", "b", "c")
         for app in ("a", "b", "c"):
-            assert edge_weights(graph)[(IDLE_NODE, app)] == 1.0
+            assert edge_weights(graph)[(IDLE_NODE, app)] == IDLE_WEIGHT
+        want = [0.0, *fold_prices(REFERENCE_COEFFICIENTS, vectors).tolist()]
+        assert graph.prices.tolist() == want
 
     def test_even_roster_has_no_idle_node(self):
-        predictions = {("a", "b"): make_prediction(1.0, 1.0)}
-        graph = build_graph(predictions)
+        graph = build_graph(REFERENCE_COEFFICIENTS, ["a", "b"], reference_vectors(2))
         assert IDLE_NODE not in graph.nodes
 
     def test_missing_pair_rejected(self):
-        predictions = {
-            ("a", "b"): make_prediction(1.0, 1.0),
-            ("a", "c"): make_prediction(1.0, 1.0),
-            ("a", "d"): make_prediction(1.0, 1.0),
-            ("b", "c"): make_prediction(1.0, 1.0),
-            ("b", "d"): make_prediction(1.0, 1.0),
-            # (c, d) missing
-        }
+        # Three vectors for four ids leave the pairs of "d" unpredicted.
         with pytest.raises(MatchingError):
-            build_graph(predictions)
+            build_graph(REFERENCE_COEFFICIENTS, ["a", "b", "c", "d"], reference_vectors(3))
 
     def test_self_pair_rejected(self):
+        # A repeated id would pair a thread with itself.
         with pytest.raises(MatchingError):
-            build_graph({("a", "a"): make_prediction(1.0, 1.0)})
+            build_graph(REFERENCE_COEFFICIENTS, ["a", "a"], reference_vectors(2))
 
     def test_reserved_idle_id_rejected(self):
         with pytest.raises(MatchingError):
-            build_graph({(IDLE_NODE, "a"): make_prediction(1.0, 1.0)})
-
-    def test_negative_weight_rejected(self):
-        with pytest.raises(MatchingError):
-            build_graph({("a", "b"): make_prediction(-2.0, 0.5)})
+            build_graph(REFERENCE_COEFFICIENTS, [IDLE_NODE, "a"], reference_vectors(2))
 
     def test_non_finite_weight_rejected(self):
-        with pytest.raises(MatchingError):
-            build_graph({("a", "b"): make_prediction(math.inf, 1.0)})
+        huge = CategoryCoefficients(alpha=1e308, beta=1e308, gamma=1e308, rho=0.0)
+        model = ModelCoefficients(fdc=huge, fe=huge, be=huge)
+        with pytest.raises(ModelError):
+            build_graph(model, ["a", "b"], reference_vectors(2))
 
 
 class TestSynergyGraph:
     def test_weight_lookup_is_symmetric(self):
-        graph = build_graph({("a", "b"): make_prediction(1.0, 1.5)})
-        assert graph.matrix == [[0.0, 2.5], [2.5, 0.0]]
-
-    def test_reversed_key_is_canonicalized(self):
-        graph = build_graph({("b", "a"): make_prediction(1.0, 1.5)})
-        assert graph.nodes == ("a", "b")
-        assert graph.matrix[0][1] == 2.5
+        graph = build_graph(REFERENCE_COEFFICIENTS, ["a", "b", "c", "d"], reference_vectors(4))
+        assert (graph.matrix == graph.matrix.T).all()
+        assert graph.matrix.diagonal().tolist() == [0.0] * 4
 
     def test_missing_edge_rejected(self):
         # An odd roster: the idle padding must not fill the missing pair.
+        matrix = np.array([[0.0, 2.0, 2.0], [2.0, 0.0, np.nan], [2.0, np.nan, 0.0]])
         with pytest.raises(MatchingError):
-            build_graph(
-                {("a", "b"): make_prediction(1.0, 1.0), ("a", "c"): make_prediction(1.0, 1.0)}
-            )
+            graph_from_matrix(("a", "b", "c"), matrix)
 
     def test_non_finite_weight_rejected(self):
         with pytest.raises(MatchingError):
@@ -292,6 +259,30 @@ class TestSynergyGraph:
     def test_graph_from_matrix_rejects_bad_input(self, nodes, matrix):
         with pytest.raises(MatchingError):
             graph_from_matrix(nodes, np.array(matrix))
+
+    @pytest.mark.parametrize(
+        "nodes, matrix, prices",
+        [
+            pytest.param(("b", "a"), [[0.0, 1.0], [1.0, 0.0]], [0.0, 0.0], id="unsorted"),
+            pytest.param(("a", "b"), [[0.0, 1.0], [2.0, 0.0]], [0.0, 0.0], id="asymmetric"),
+            pytest.param(("a", "b"), [[1.0, 1.0], [1.0, 1.0]], [0.0, 0.0], id="diagonal"),
+            pytest.param(("a", "b"), [[0.0, 1.0], [1.0, 0.0]], [0.0, math.nan], id="nan-price"),
+            pytest.param(("a", "b"), [[0.0, 1.0], [1.0, 0.0]], [0.0], id="price-count"),
+        ],
+    )
+    def test_bad_graph_rejected(self, nodes, matrix, prices):
+        with pytest.raises(MatchingError):
+            SynergyGraph(nodes, matrix, prices)
+
+    def test_arrays_are_read_only(self):
+        weights = np.array([[0.0, 1.0], [1.0, 0.0]])
+        graph = graph_from_matrix(("a", "b"), weights, [1.0, 2.0])
+        weights[0, 1] = weights[1, 0] = 5.0  # the graph holds its own copy
+        assert graph.matrix[0, 1] == 1.0
+        with pytest.raises(ValueError):
+            graph.matrix[0, 1] = 0.5
+        with pytest.raises(ValueError):
+            graph.prices[0] = 0.5
 
 
 class TestMinWeightMatching:
@@ -405,9 +396,8 @@ class TestMinWeightMatching:
     def test_odd_node_count_rejected(self):
         # graph_from_matrix pads an odd roster, so build an unpadded one.
         ones = [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]]
-        graph = SynergyGraph(("a", "b", "c"), ones)
-        with pytest.raises(MatchingError):
-            min_weight_perfect_matching(graph)
+        with pytest.raises(MatchingError, match=f"pad with {IDLE_NODE!r}"):
+            SynergyGraph(("a", "b", "c"), ones, [0.0] * 3)
 
     def test_empty_graph(self):
         assert min_weight_perfect_matching(graph_from_matrix((), np.zeros((0, 0)))) == ()
@@ -433,13 +423,8 @@ class TestMinWeightMatching:
                 assert min_weight_perfect_matching(scaled) == base
 
     def test_idle_pairing_leaves_worst_fit_alone(self):
-        predictions = {
-            ("a", "b"): make_prediction(1.0, 1.1),  # weight 2.1
-            ("a", "c"): make_prediction(1.4, 1.4),  # weight 2.8
-            ("b", "c"): make_prediction(1.4, 1.5),  # weight 2.9
-        }
-        graph = build_graph(predictions)
-        result = min_weight_perfect_matching(graph)
+        weights = [[0.0, 2.1, 2.8], [2.1, 0.0, 2.9], [2.8, 2.9, 0.0]]
+        result = min_weight_perfect_matching(graph_from_matrix(("a", "b", "c"), weights))
         # Best total pairs a with b (2.1 + 1.0) and leaves c alone.
         assert result == ((IDLE_NODE, "c"), ("a", "b"))
 
@@ -454,7 +439,7 @@ def start_instances(draw):
         model = draw(st.one_of(st.just(REFERENCE_COEFFICIENTS), coefficient_models()))
         vectors = draw(st.lists(category_vectors(), min_size=2, max_size=12))
         ids = [f"t{i:02d}" for i in range(len(vectors))]
-        matrix = graph_from_matrix(ids, pair_weight_matrix(model, vectors)).matrix
+        matrix = build_graph(model, ids, vectors).matrix
     else:
         n = draw(st.sampled_from([2, 4, 6, 8, 10, 12]))
         rng = random.Random(draw(st.integers(0, 2**32 - 1)))
@@ -517,64 +502,64 @@ class TestAssignmentStart:
 def priced_graphs(draw):
     """A 2-12 node graph (``random_graph`` weights, ties included, or the
     weights of random category vectors under the reference or a random
-    model, odd rosters padded with the idle node) and one finite price
+    model, odd rosters padded with the idle node) with one finite price
     per node: zeros, uniform in +-1e3 or +-1e300, or fold prices."""
     kind = draw(st.sampled_from(["uniform", "ties", "model"]))
     scales = [0.0, 1e3, 1e300]
     if kind == "model":
         model = draw(st.one_of(st.just(REFERENCE_COEFFICIENTS), coefficient_models()))
         vectors = draw(st.lists(category_vectors(), min_size=2, max_size=12))
-        ids = [f"t{i:02d}" for i in range(len(vectors))]
-        graph = graph_from_matrix(ids, pair_weight_matrix(model, vectors))
+        graph = build_graph(model, [f"t{i:02d}" for i in range(len(vectors))], vectors)
         scales.append("fold")
     else:
         n = draw(st.sampled_from([2, 4, 6, 8, 10, 12]))
         graph = random_graph(random.Random(draw(st.integers(0, 2**32 - 1))), n, ties=kind == "ties")
     scale = draw(st.sampled_from(scales))
     if scale == "fold":
-        price = dict(zip(ids, fold_prices(model, vectors).tolist()))
-        return graph, [price.get(a, 0.0) for a in graph.nodes]  # 0 for the idle node
+        return graph
     n = len(graph.nodes)
     price = st.floats(-scale, scale) if scale else st.just(0.0)
-    return graph, draw(st.lists(price, min_size=n, max_size=n))
+    return dataclasses.replace(graph, prices=draw(st.lists(price, min_size=n, max_size=n)))
 
 
 class TestPricedStart:
     """Prices only seed the assignment start: no finite price changes a result."""
 
     @settings(max_examples=300, deadline=None)
-    @given(instance=priced_graphs())
-    def test_prices_never_change_the_result(self, instance):
-        graph, prices = instance
+    @given(graph=priced_graphs())
+    def test_prices_never_change_the_result(self, graph):
         n = len(graph.nodes)
         scores, shift = _exact_scores(graph.matrix)
         # The blossom runs here even on graphs the public entry point
         # settles by the fold certificate.
         want = sorted(solve_dp(n, scores))
-        assert sorted(_solve_blossom(n, scores, _score_units(prices, shift))) == want
-        assert min_weight_perfect_matching(graph, prices) == min_weight_perfect_matching(graph)
+        assert sorted(_solve_blossom(n, scores, _score_units(graph.prices, shift))) == want
+        unpriced = dataclasses.replace(graph, prices=np.zeros(n))
+        assert min_weight_perfect_matching(graph) == min_weight_perfect_matching(unpriced)
 
     @pytest.mark.parametrize("n", [32, 64])
     def test_large_priced_instances_match_networkx(self, n):
         nx = pytest.importorskip("networkx")
         rng = random.Random(n + 3)
         ids = [f"t{i:02d}" for i in range(n)]
-        vectors = model_vectors(rng, n)
-        model = graph_from_matrix(ids, pair_weight_matrix(REFERENCE_COEFFICIENTS, vectors))
+        model = build_graph(REFERENCE_COEFFICIENTS, ids, model_vectors(rng, n))
         cases = [
-            (model, fold_prices(REFERENCE_COEFFICIENTS, vectors).tolist()),
+            (model, model.prices),
             (model, [rng.uniform(-5.0, 5.0) for _ in range(n)]),
             (random_graph(rng, n), [rng.uniform(-1e3, 1e3) for _ in range(n)]),
             (random_graph(rng, n, ties=True), [rng.uniform(-5.0, 5.0) for _ in range(n)]),
         ]
         for graph, prices in cases:
-            assert min_weight_perfect_matching(graph, prices) == networkx_pairs(nx, graph)
+            graph = dataclasses.replace(graph, prices=prices)
+            assert min_weight_perfect_matching(graph) == networkx_pairs(nx, graph)
 
     def test_bad_prices_rejected(self):
         graph = random_graph(random.Random(0), 10)
         for prices in ([0.0] * 9, [0.0] * 9 + [math.nan], [math.inf] + [0.0] * 9):
             with pytest.raises(MatchingError, match="finite"):
-                min_weight_perfect_matching(graph, prices)
+                dataclasses.replace(graph, prices=prices)
+            with pytest.raises(MatchingError, match="prices"):
+                graph_from_matrix(graph.nodes, graph.matrix, prices)
 
 
 def draw_pairing(draw, n):
@@ -599,7 +584,7 @@ def draw_planted(draw, n):
 
 @st.composite
 def certificate_instances(draw):
-    """A 2-16 node graph and one finite price per node.  Model kinds: the
+    """A 2-16 node graph with one finite price per node.  Model kinds: the
     weights of category vectors (drawn freely, or seeded random ones
     with distinct values) under the reference or a random model, at
     their fold prices, odd rosters padded with the idle node.  Planted
@@ -613,10 +598,7 @@ def certificate_instances(draw):
             vectors = draw(st.lists(category_vectors(), min_size=2, max_size=16))
         else:
             vectors = model_vectors(random.Random(draw(st.integers(0, 2**32 - 1))), draw(st.integers(2, 16)))
-        ids = [f"t{i:02d}" for i in range(len(vectors))]
-        graph = graph_from_matrix(ids, pair_weight_matrix(model, vectors))
-        price = dict(zip(ids, fold_prices(model, vectors).tolist()))
-        return graph, [price.get(a, 0.0) for a in graph.nodes]  # 0 for the idle node
+        return build_graph(model, [f"t{i:02d}" for i in range(len(vectors))], vectors)
     n = draw(st.sampled_from(range(2, 17, 2)))
     weights, _ = draw_planted(draw, n)
     if draw(st.booleans()):
@@ -628,12 +610,12 @@ def certificate_instances(draw):
         weights[i, j] = weights[j, i] = 1.0
     grid = st.integers(-1, 1).map(lambda k: k / 4.0)
     prices = draw(st.one_of(st.just([0.0] * n), st.lists(grid, min_size=n, max_size=n)))
-    return graph_from_matrix([f"t{i:02d}" for i in range(n)], weights), prices
+    return graph_from_matrix([f"t{i:02d}" for i in range(n)], weights, prices)
 
 
 @st.composite
 def headroom_instances(draw):
-    """A 4-10 node graph and its prices that would certify but that no
+    """A 4-10 node graph with prices that would certify but that no
     int64 scale holds exactly: :func:`draw_planted` weights, which
     certify at zero prices, either all scaled by ``2**t`` with one
     planted pair below ``2**(t - 57)`` (its bits lie under the scale, and
@@ -651,36 +633,34 @@ def headroom_instances(draw):
     else:
         big = math.ldexp(draw(st.floats(1.0, 2.0, exclude_max=True)), draw(st.integers(60, 1023)))
         prices[draw(st.integers(0, n - 1))] = draw(st.sampled_from([big, -big]))
-    return graph_from_matrix([f"t{i:02d}" for i in range(n)], weights), prices
+    return graph_from_matrix([f"t{i:02d}" for i in range(n)], weights, prices)
 
 
 class TestFoldCertificate:
     """The int64 fold certificate that settles most decisions before the blossom."""
 
     @settings(max_examples=300, deadline=None)
-    @given(instance=certificate_instances())
-    def test_certified_pairs_are_the_dp_and_blossom_optimum(self, instance):
-        graph, prices = instance
+    @given(graph=certificate_instances())
+    def test_certified_pairs_are_the_dp_and_blossom_optimum(self, graph):
         n = len(graph.nodes)
-        pairs = _certified_fold(np.array(graph.matrix), np.array(prices))
+        pairs = _certified_fold(graph.matrix, graph.prices)
         event(f"certified: {pairs is not None}")
         scores, shift = _exact_scores(graph.matrix)
         want = sorted(solve_dp(n, scores))
         if pairs is not None:
             assert sorted(pairs) == want
-            assert sorted(_solve_blossom(n, scores, _score_units(prices, shift))) == want
-        assert min_weight_perfect_matching(graph, prices) == tuple(
+            assert sorted(_solve_blossom(n, scores, _score_units(graph.prices, shift))) == want
+        assert min_weight_perfect_matching(graph) == tuple(
             sorted((graph.nodes[i], graph.nodes[j]) for i, j in want)
         )
 
     @settings(max_examples=200, deadline=None)
-    @given(instance=headroom_instances())
-    def test_weights_off_the_int64_scale_fall_back(self, instance):
-        graph, prices = instance
-        assert _certified_fold(np.array(graph.matrix), np.array(prices)) is None
+    @given(graph=headroom_instances())
+    def test_weights_off_the_int64_scale_fall_back(self, graph):
+        assert _certified_fold(graph.matrix, graph.prices) is None
         scores, _ = _exact_scores(graph.matrix)
         want = sorted(solve_dp(len(graph.nodes), scores))
-        got = min_weight_perfect_matching(graph, prices)
+        got = min_weight_perfect_matching(graph)
         assert got == tuple(sorted((graph.nodes[i], graph.nodes[j]) for i, j in want))
 
     @pytest.mark.parametrize("n", [8, 16, 64])
@@ -688,11 +668,9 @@ class TestFoldCertificate:
         # A certificate that rejected everything would still be exact,
         # only slow, and no optimality test would notice.
         for seed in range(10):
-            rng = random.Random(seed)
-            vectors = model_vectors(rng, n)
-            weights = pair_weight_matrix(REFERENCE_COEFFICIENTS, vectors)
-            np.fill_diagonal(weights, 0.0)
-            pairs = _certified_fold(weights, fold_prices(REFERENCE_COEFFICIENTS, vectors))
+            ids = [f"t{i:02d}" for i in range(n)]
+            graph = build_graph(REFERENCE_COEFFICIENTS, ids, model_vectors(random.Random(seed), n))
+            pairs = _certified_fold(graph.matrix, graph.prices)
             assert pairs is not None
             assert len(pairs) == n // 2
 
@@ -766,27 +744,24 @@ class TestEndToEndWithInterferenceModel:
             "app5": CategoryVector(fe=0.60, be=0.10, fdc=0.30),
         }
 
-    def _predictions(self, vectors, scale=1.0):
+    def _graph(self, vectors, scale=1.0):
+        """The roster's graph with every predicted slowdown scaled by ``scale``."""
         apps = sorted(vectors)
-        predictions = {}
+        weights = np.zeros((len(apps), len(apps)))
         for i, a in enumerate(apps):
-            for b in apps[i + 1 :]:
+            for j, b in enumerate(apps[i + 1 :], start=i + 1):
                 pred = predict_pair(REFERENCE_COEFFICIENTS, vectors[a], vectors[b])
-                predictions[(a, b)] = make_prediction(
-                    pred.slowdown_i * scale, pred.slowdown_j * scale
-                )
-        return predictions
+                weights[i, j] = weights[j, i] = pred.slowdown_i * scale + pred.slowdown_j * scale
+        return graph_from_matrix(apps, weights)
 
     def test_uniform_slowdown_scaling_preserves_selection(self):
         vectors = self._roster_vectors()
-        base = min_weight_perfect_matching(build_graph(self._predictions(vectors)))
+        base = min_weight_perfect_matching(self._graph(vectors))
         for k in (2.0, 0.25, 3.0):
-            scaled = min_weight_perfect_matching(
-                build_graph(self._predictions(vectors, scale=k))
-            )
-            assert scaled == base
+            assert min_weight_perfect_matching(self._graph(vectors, scale=k)) == base
 
     def test_model_driven_matching_agrees_with_oracle(self):
         vectors = self._roster_vectors()
-        graph = build_graph(self._predictions(vectors))
+        apps = sorted(vectors)
+        graph = build_graph(REFERENCE_COEFFICIENTS, apps, [vectors[a] for a in apps])
         assert min_weight_perfect_matching(graph) == oracle_best(graph)
