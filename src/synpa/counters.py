@@ -109,7 +109,7 @@ class TraceHeader:
 def _parse_header(line: str) -> TraceHeader:
     try:
         doc = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or an integer of over 4300 digits
         raise TraceError(f"header is not valid JSON: {exc}", line=1) from None
     if not isinstance(doc, dict):
         raise TraceError("header must be a JSON object", line=1)

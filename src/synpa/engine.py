@@ -456,20 +456,30 @@ class _EstimateStore:
     def __init__(self) -> None:
         self._vectors: dict[str, CategoryVector] = {}
         self._ages: dict[str, int] = {}
+        self._effective: dict[str, CategoryVector] = {}  # until the estimate or age changes
 
     def update(self, app_id: str, vector: CategoryVector) -> None:
         self._vectors[app_id] = vector
         self._ages[app_id] = 0
+        self._effective.pop(app_id, None)
 
     def mark_stale(self, app_id: str) -> None:
         if app_id in self._ages:
             self._ages[app_id] += 1
+            self._effective.pop(app_id, None)
 
     def forget(self, app_id: str) -> None:
         self._vectors.pop(app_id, None)
         self._ages.pop(app_id, None)
+        self._effective.pop(app_id, None)
 
     def effective(self, app_id: str) -> CategoryVector:
+        vector = self._effective.get(app_id)
+        if vector is None:
+            vector = self._effective[app_id] = self._decayed(app_id)
+        return vector
+
+    def _decayed(self, app_id: str) -> CategoryVector:
         vector = self._vectors.get(app_id)
         if vector is None:
             return UNIFORM_VECTOR

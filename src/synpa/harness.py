@@ -347,7 +347,7 @@ def load_log_summary(path: str) -> ScheduleLog:
     try:
         header = json.loads(lines[0])
         summary_doc = json.loads(lines[-1])
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or an integer of over 4300 digits
         raise ConfigError(f"{path}: not a run log: {exc}") from None
     if not isinstance(header, dict) or header.get("kind") != "schedule-log":
         raise ConfigError(f"{path}: not a run log (bad header)")

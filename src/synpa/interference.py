@@ -88,7 +88,7 @@ class ModelCoefficients:
     def from_json(cls, text: str) -> "ModelCoefficients":
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON, or an integer of over 4300 digits
             raise ModelError(f"coefficient file is not valid JSON: {exc}") from None
         if not isinstance(doc, dict) or doc.get("version") != COEFFICIENTS_VERSION:
             raise ModelError("coefficient file missing or unsupported version")
@@ -186,7 +186,11 @@ def pair_weight_matrix(
     float64 operation is the scalar path's, in the same order.  The
     diagonal is zero.
     """
-    st = _category_matrix(vectors)
+    return _pair_weights(model, _category_matrix(vectors))
+
+
+def _pair_weights(model: ModelCoefficients, st: np.ndarray) -> np.ndarray:
+    """:func:`pair_weight_matrix` of the vectors whose category matrix is ``st``."""
 
     def co_run(k: int, name: str) -> np.ndarray:
         """``[i, j]``: forward() of category ``name`` for ``i`` next to ``j``."""
@@ -228,13 +232,17 @@ def fold_prices(
     (:func:`synpa.matcher.min_weight_perfect_matching`); they never
     change its result.
     """
-    st = _category_matrix(vectors)
+    return _fold_prices(model, _category_matrix(vectors))
+
+
+def _fold_prices(model: ModelCoefficients, st: np.ndarray) -> np.ndarray:
+    """:func:`fold_prices` of the vectors whose category matrix is ``st``."""
     coeffs = [model.category(name) for name in CATEGORIES]
     slopes = np.array([c.beta + c.gamma for c in coeffs])
     prices = sum(c.alpha for c in coeffs) + st @ slopes
     rho = np.array([c.rho for c in coeffs])
     k = int(np.argmax(rho))
-    if rho[k] > 0.0 and len(vectors) > 1:
+    if rho[k] > 0.0 and len(st) > 1:
         order = np.argsort(st[:, k], kind="stable")
         x = st[order, k]
         steps = rho[k] * np.diff(x) * (x[:0:-1] + x[-2::-1])

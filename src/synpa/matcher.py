@@ -10,10 +10,17 @@ from the threads' estimated category vectors, and
 
 Exactness and determinism
 -------------------------
-Most decisions end at the fold certificate (:func:`_certified_fold`):
-in exact int64 units, each thread's unique cheapest partner at the
-given prices, when the choice is mutual, proves the pairs the unique
-optimum.  The rest go to one exact solver.  There, edge weights
+Most decisions end at the fold certificate (:func:`_certified_fold`).
+In exact int64 units, the edges that are a cheapest partner of both
+their ends at the given prices form a tight graph, and any perfect
+matching of it is optimal (dual feasibility and complementary
+slackness).  When each thread's cheapest partner is unique and the
+choice is mutual, that graph is the unique optimum.  Threads that share
+one estimate tie instead; their near-least columns are lifted in price,
+and when every component of the tight graph is one edge, a hub
+component or a balanced complete bipartite graph, its lexicographically
+smallest perfect matching is read off directly.  The rest go to one exact
+solver.  There, edge weights
 (floats, hence dyadic rationals) become *exact* integers over a common
 denominator, each with a strictly dominated tie-break term folded in,
 so that the optimum is unique: among all minimum-weight matchings, the
@@ -42,13 +49,14 @@ import math
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
+from itertools import compress
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .dispatch import CategoryTriple
 from .errors import MatchingError
-from .interference import ModelCoefficients, fold_prices, pair_weight_matrix
+from .interference import ModelCoefficients, _category_matrix, _fold_prices, _pair_weights
 
 #: Node id used to pad an odd roster; the thread paired with it runs alone.
 IDLE_NODE = "__idle__"
@@ -105,11 +113,12 @@ def build_graph(
     ``vectors[i]`` estimates the isolated behavior of the ``i``-th of the
     sorted, distinct ``app_ids``.  Edges weigh each pair's predicted
     combined slowdown (:func:`synpa.interference.pair_weight_matrix`) and
-    nodes carry the model's fold prices, which usually certify the optimum.
+    nodes carry the model's fold prices
+    (:func:`synpa.interference.fold_prices`), which usually certify the
+    optimum.  Both come from one category matrix of the vectors.
     """
-    return graph_from_matrix(
-        app_ids, pair_weight_matrix(model, vectors), fold_prices(model, vectors)
-    )
+    st = _category_matrix(vectors)
+    return graph_from_matrix(app_ids, _pair_weights(model, st), _fold_prices(model, st))
 
 
 def graph_from_matrix(
@@ -618,35 +627,173 @@ def _check_certificate(
             raise MatchingError(f"matched edge ({u}, {mate[u]}) is not tight")
 
 
+#: The fold certificate's cost of pairing a node with itself: none is least.
+_SELF = np.iinfo(np.int64).max
+
+
 def _certified_fold(weights: np.ndarray, prices: np.ndarray) -> list[tuple[int, int]] | None:
-    """The optimal pairs if every node's cheapest partner proves them, else None.
+    """The optimal pairs if the nodes' cheapest partners prove them, else None.
 
     Weights and prices are scaled by a power of two ``2**e >= 1`` that
     puts every magnitude below ``2**58``, or they fall back.  The scaled
     weights ``S`` must be exact integers; the prices ``P`` are rounded
     toward zero (any integers serve).  So ``R[i, j] = S[i, j] - P[j]``
     off the diagonal is below ``2**59`` in magnitude, well inside int64.
-    If each row ``i`` has a unique least entry ``R[i, sigma(i)]`` and
-    ``sigma`` is an involution without a fixed point, take ``u_i = R[i,
-    sigma(i)]`` and duals ``y_i = (u_i + P_i) / 2``.  ``S`` is
-    symmetric, so every edge's reduced cost ``S[i, j] - y_i - y_j =
-    ((R[i, j] - u_i) + (R[j, i] - u_j)) / 2`` is at least 0, and it is 0
-    exactly on the pairs of ``sigma``.  A perfect matching weighs
-    ``sum(y)`` plus the reduced costs of its edges, so ``sigma``'s pairs
-    weigh ``sum(y)`` and every other perfect matching more: they are the
-    unique optimum, hence the tie-broken one too.
+
+    For any integer prices, take ``m_i = min_j R[i, j]`` and duals ``y_i
+    = (m_i + P_i) / 2``.  ``S`` is symmetric, so every edge's reduced
+    cost ``S[i, j] - y_i - y_j = ((R[i, j] - m_i) + (R[j, i] - m_j)) /
+    2`` is at least 0, and it is 0 exactly on the *tight graph* ``T``,
+    the edges that are a least entry of both their rows.  A perfect
+    matching weighs ``sum(y)`` plus the reduced costs of its edges, so
+    if ``T`` has a perfect matching, the optimal matchings are exactly
+    ``T``'s perfect matchings, and the tie-broken optimum is the
+    lexicographically smallest of them.
+
+    First the given prices: if each row has a unique least entry
+    ``R[i, sigma(i)]`` and ``sigma`` is an involution without a fixed
+    point, ``T`` is ``sigma``'s pairs alone, the unique optimum.
+    Otherwise rows tie, mostly because threads share one estimate and
+    hence one price and one row.  The prices of such copies' near-least
+    columns are lifted (:func:`_lift`, at most ``2**20``, so ``R`` stays
+    below ``2**60`` in magnitude: numpy's int64 array arithmetic wraps
+    without a warning, and this bound is what keeps it exact), and the
+    pairs are ``T``'s lexicographically smallest perfect matching when
+    :func:`_tight_matching` can read it off ``T``'s components.
+    """
+    costs = _scaled_costs(weights, prices)
+    if costs is None:
+        return None
+    reduced, units = costs
+    sigma = reduced.argmin(axis=1).tolist()
+    unique = np.count_nonzero(reduced == reduced.min(axis=1, keepdims=True)) == len(sigma)
+    if unique and all(sigma[j] == i for i, j in enumerate(sigma)):
+        return [(i, j) for i, j in enumerate(sigma) if i < j]
+    reduced -= _lift(reduced, units)
+    np.fill_diagonal(reduced, _SELF)
+    least = reduced == reduced.min(axis=1, keepdims=True)
+    return _tight_matching(least & least.T)
+
+
+def _scaled_costs(weights: np.ndarray, prices: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """``(R, P)`` of :func:`_certified_fold` in int64, or None off the scale.
+
+    ``R``'s diagonal is :data:`_SELF`.
     """
     e = 58 - math.frexp(max(weights.max(), prices.max(), -prices.min()))[1]
     scaled = np.ldexp(weights, e)
     if e < 0 or not (scaled == np.trunc(scaled)).all():
         return None
-    reduced = scaled.astype(np.int64) - np.ldexp(prices, e).astype(np.int64)
-    np.fill_diagonal(reduced, np.iinfo(np.int64).max)
-    sigma = reduced.argmin(axis=1).tolist()
-    unique = np.count_nonzero(reduced == reduced.min(axis=1, keepdims=True)) == len(sigma)
-    if not unique or any(sigma[j] != i for i, j in enumerate(sigma)):
+    units = np.ldexp(prices, e).astype(np.int64)
+    reduced = scaled.astype(np.int64) - units
+    np.fill_diagonal(reduced, _SELF)
+    return reduced, units
+
+
+#: How far above its least entry, in the scaled units of
+#: :func:`_certified_fold`, a tied row's column counts as near-least.
+_LIFT_SLACK = 2**20
+
+
+def _lift(reduced: np.ndarray, units: np.ndarray) -> np.ndarray:
+    """Column price lifts that level the rows of threads sharing a price.
+
+    Threads with equal integer prices ``units`` are candidate copies.
+    For each such group, take its first row ``r`` of ``reduced`` and its
+    least entry ``u``: every column ``j`` with ``r[j] <= u +
+    _LIFT_SLACK`` gets the step ``r[j] - u``, and every column of the
+    group takes the largest step among its near columns, so that the
+    first row's own column, which that row cannot price, moves with its
+    copies.  A column's lift is its largest step over all groups, in
+    ``[0, _LIFT_SLACK]``.  Lifted prices are integer prices too, so a
+    lift decides only how often the certificate succeeds, never what it
+    returns.
+    """
+    groups: dict[int, list[int]] = {}
+    for i, unit in enumerate(units.tolist()):
+        groups.setdefault(unit, []).append(i)
+    lift = np.zeros(len(units), dtype=np.int64)
+    for members in groups.values():
+        if len(members) < 2:
+            continue
+        row = reduced[members[0]]
+        least = row.min()
+        # 0 off the near columns, the diagonal included; no entry overflows.
+        steps = np.where(row <= least + _LIFT_SLACK, row, least) - least
+        np.maximum(lift, steps, out=lift)
+        lift[members] = np.maximum(lift[members], steps[members].max())
+    return lift
+
+
+def _tight_matching(tight: np.ndarray) -> list[tuple[int, int]] | None:
+    """The lexicographically smallest perfect matching of ``tight``, or None.
+
+    ``tight`` is a symmetric boolean adjacency matrix with a false
+    diagonal.  Each connected component must have one of these shapes,
+    else the result is None:
+
+    (a) one edge;
+    (b) a *hub component*: its hubs ``H`` are adjacent to every other
+        vertex of it, every other vertex is adjacent to exactly ``H``,
+        ``|H| >= |rest|`` and ``|H| - |rest|`` is even;
+    (c) a complete bipartite graph with equal sides.
+
+    In each, the smallest free vertex takes the smallest free partner
+    that still lets its component be completed: in (b), a hub may take
+    a hub only while the free hubs outnumber the free others by 2 or
+    more, and in (c) the ``k``-th smallest vertex of one side pairs with
+    the ``k``-th smallest of the other.  A matching's sorted pair list
+    lists the partners of ever-later smallest free vertices, and
+    components are independent, so the union of these per-component
+    choices is the lexicographically smallest perfect matching.
+    """
+    if not tight.any(axis=1).all():
         return None
-    return [(i, j) for i, j in enumerate(sigma) if i < j]
+    n = len(tight)
+    adjacent = [frozenset(compress(range(n), row)) for row in tight.tolist()]
+    seen = [False] * n
+    pairs = []
+    for root, reach in enumerate(adjacent):
+        if seen[root]:
+            continue
+        if len(reach) == 1 and len(adjacent[min(reach)]) == 1:  # one edge
+            v = min(reach)
+            seen[v] = True
+            pairs.append((root, v))
+            continue
+        members, todo = {root}, [root]
+        while todo:
+            new = adjacent[todo.pop()] - members
+            members |= new
+            todo += new
+        members = sorted(members)
+        for v in members:
+            seen[v] = True
+        hubs = {v for v in members if len(adjacent[v]) == len(members) - 1}
+        rest = [v for v in members if v not in hubs]
+        spare = len(hubs) - len(rest)  # free hubs minus free others
+        if spare >= 0 and spare % 2 == 0 and all(adjacent[v] == hubs for v in rest):
+            free = members
+            while free:
+                v, *free = free
+                if v in hubs and spare >= 2:
+                    w = free[0]
+                else:  # a rest vertex takes a hub, a hub with no spare a rest vertex
+                    w = next(x for x in free if (x in hubs) != (v in hubs))
+                spare -= 2 * (v in hubs and w in hubs)
+                free.remove(w)
+                pairs.append((v, w))
+            continue
+        side = [v for v in members if v not in reach]  # the root's side
+        if (
+            len(side) * 2 == len(members)
+            and all(adjacent[v] == reach for v in side)
+            and all(adjacent[v] == set(side) for v in reach)
+        ):
+            pairs += [(min(a, b), max(a, b)) for a, b in zip(side, sorted(reach))]
+            continue
+        return None
+    return pairs
 
 
 def min_weight_perfect_matching(graph: SynergyGraph) -> tuple[tuple[str, str], ...]:

@@ -741,6 +741,28 @@ class TestFileBoundary:
         assert "Traceback" not in err
         assert list(out.iterdir()) == []  # inputs are read before any output
 
+    @pytest.mark.parametrize("command, option, kind", [
+        ("simulate", "--coefficients", "coefficients"),
+        ("replay", "--trace", "trace"),
+        ("report", None, "log"),
+    ])
+    def test_huge_json_integer_is_domain_error(
+        self, good_inputs, tmp_path, capsys, command, option, kind
+    ):
+        # Python will not read an integer literal of over 4300 digits; each
+        # of these files starts with a JSON object, which gains such a key.
+        text = good_inputs[kind].read_text(encoding="utf-8")
+        bad = tmp_path / "bad"
+        bad.write_text('{"huge": 1' + "0" * 5000 + ", " + text[1:], encoding="utf-8")
+        out = tmp_path / "out"
+        out.mkdir()
+        code = run_cli(*_swap(_commands(good_inputs, out)[command], option, bad))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: "), err
+        assert "Traceback" not in err
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("command, option", [
         ("train", "--out"),
         ("train", "--report"),

@@ -306,6 +306,31 @@ class TestEngineConfig:
             cycles_per_quantum(4e-7)
 
 
+class TestEstimateStore:
+    def test_decayed_estimates_follow_every_change(self):
+        # Each effective estimate is built once and kept until the app's
+        # estimate or age changes.
+        store = engine._EstimateStore()
+        uniform = engine.UNIFORM_VECTOR
+        assert store.effective("a") is uniform
+        store.update("a", BE_VECTOR)
+        assert store.effective("a") is BE_VECTOR
+        for age in (1, 2):
+            store.mark_stale("a")
+            w = engine.ESTIMATE_DECAY**age
+            decayed = store.effective("a")
+            assert decayed == CategoryVector(
+                fe=w * BE_VECTOR.fe + (1.0 - w) * uniform.fe,
+                be=w * BE_VECTOR.be + (1.0 - w) * uniform.be,
+                fdc=w * BE_VECTOR.fdc + (1.0 - w) * uniform.fdc,
+            )
+            assert store.effective("a") is decayed
+        store.update("a", FE_VECTOR)
+        assert store.effective("a") is FE_VECTOR
+        store.forget("a")
+        assert store.effective("a") is uniform
+
+
 class TestRunSimulation:
     def _run(self, apps, policy="synpa", seed=0, noise=0.0, **kwargs):
         workload = SimWorkload(apps=tuple(apps), noise_sigma=noise)

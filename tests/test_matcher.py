@@ -27,12 +27,16 @@ from synpa import (
     min_weight_perfect_matching,
     predict_pair,
 )
+from synpa.dispatch import UNIFORM_VECTOR
 from synpa.matcher import (
     IDLE_WEIGHT,
+    _LIFT_SLACK,
     _assignment_start,
     _certified_fold,
     _check_certificate,
     _exact_scores,
+    _lift,
+    _scaled_costs,
     _score_units,
     _solve_blossom,
 )
@@ -341,9 +345,8 @@ class TestMinWeightMatching:
 
     def test_large_instance_matches_enumeration_oracle(self):
         # 14 nodes, 135135 matchings enumerated.  The tie instances have
-        # several minimum-weight matchings, so the fold certificate, which
-        # proves a unique optimum, rejects them and the blossom must apply
-        # the lexicographic tie-break.
+        # several minimum-weight matchings, so the fold certificate or the
+        # blossom must apply the lexicographic tie-break.
         for seed, ties in ((3, False), (4, False), (3, True), (4, True)):
             rng = random.Random(seed)
             graph = random_graph(rng, 14, ties=ties)
@@ -582,20 +585,36 @@ def draw_planted(draw, n):
     return weights, pairs
 
 
+def tied_weights(n, edges):
+    """``n`` x ``n`` weights: ``edges`` maps pairs to their weights, and
+    every other edge weighs 1.5, so at zero prices the rows tie at their
+    least listed weight."""
+    weights = np.full((n, n), 1.5)
+    for (i, j), w in edges.items():
+        weights[i, j] = weights[j, i] = w
+    np.fill_diagonal(weights, 0.0)
+    return weights
+
+
 @st.composite
 def certificate_instances(draw):
     """A 2-16 node graph with one finite price per node.  Model kinds: the
-    weights of category vectors (drawn freely, or seeded random ones
-    with distinct values) under the reference or a random model, at
-    their fold prices, odd rosters padded with the idle node.  Planted
-    kinds: :func:`draw_planted` with up to two more edges, or a second
-    perfect matching, at weight 1 too, so that rows tie at their least
-    weight, at zero prices or prices on a quarter grid."""
-    kind = draw(st.sampled_from(["model", "seeded", "planted"]))
+    weights of category vectors (drawn freely, seeded random ones with
+    distinct values, or copies of up to four drawn vectors and the
+    uniform prior, as threads that share one estimate) under the
+    reference or a random model, at their fold prices, odd rosters
+    padded with the idle node.  Planted kinds: :func:`draw_planted` with
+    up to two more edges, or a second perfect matching, at weight 1 too,
+    so that rows tie at their least weight, at zero prices or prices on a
+    quarter grid."""
+    kind = draw(st.sampled_from(["model", "seeded", "copies", "planted"]))
     if kind != "planted":
         model = REFERENCE_COEFFICIENTS if draw(st.booleans()) else draw(coefficient_models())
         if kind == "model":
             vectors = draw(st.lists(category_vectors(), min_size=2, max_size=16))
+        elif kind == "copies":
+            pool = draw(st.lists(category_vectors(), min_size=1, max_size=4)) + [UNIFORM_VECTOR]
+            vectors = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=16))
         else:
             vectors = model_vectors(random.Random(draw(st.integers(0, 2**32 - 1))), draw(st.integers(2, 16)))
         return build_graph(model, [f"t{i:02d}" for i in range(len(vectors))], vectors)
@@ -666,19 +685,157 @@ class TestFoldCertificate:
     @pytest.mark.parametrize("n", [8, 16, 64])
     def test_fold_prices_certify_model_graphs(self, n):
         # A certificate that rejected everything would still be exact,
-        # only slow, and no optimality test would notice.
+        # only slow, and no optimality test would notice.  Rosters that
+        # repeat vectors (every vector twice, or half the threads at the
+        # uniform prior, as after degraded inversions) tie at every row.
+        ids = [f"t{i:02d}" for i in range(n)]
         for seed in range(10):
-            ids = [f"t{i:02d}" for i in range(n)]
-            graph = build_graph(REFERENCE_COEFFICIENTS, ids, model_vectors(random.Random(seed), n))
-            pairs = _certified_fold(graph.matrix, graph.prices)
-            assert pairs is not None
-            assert len(pairs) == n // 2
+            distinct = model_vectors(random.Random(seed), n)
+            half = distinct[: n // 2]
+            for vectors in (distinct, half * 2, half + [UNIFORM_VECTOR] * (n // 2)):
+                graph = build_graph(REFERENCE_COEFFICIENTS, ids, vectors)
+                pairs = _certified_fold(graph.matrix, graph.prices)
+                assert pairs is not None
+                assert len(pairs) == n // 2
 
-    def test_tied_rows_fall_back(self):
-        # All weights equal: every row ties, so the blossom's tie-break decides.
+    def test_all_equal_weights_certify_to_the_dp_answer(self):
+        # Every row ties everywhere: the tight graph is complete, and its
+        # lexicographically smallest perfect matching is the tie-broken one.
         weights = np.ones((4, 4))
         np.fill_diagonal(weights, 0.0)
-        assert _certified_fold(weights, np.zeros(4)) is None
+        scores, _ = _exact_scores(weights)
+        assert _certified_fold(weights, np.zeros(4)) == [(0, 1), (2, 3)] == solve_dp(4, scores)
+
+    @pytest.mark.parametrize("n, ones, want", [
+        # (a) one-edge components: row 0 ties at 1 and 2, but only 0-1 is
+        # mutual, since 2's least weight is its edge to 3.
+        pytest.param(4, {(0, 1): 1.0, (0, 2): 1.0, (2, 3): 0.75}, [(0, 1), (2, 3)], id="edges"),
+        # (b) hubs 0-3 adjacent to all, 4 and 5 to the hubs only: hub 0
+        # may take hub 1, but then hubs 2 and 3 must take 4 and 5; with an
+        # edge 6-7 beside it.
+        pytest.param(
+            8, {**{(i, j): 1.0 for i in range(4) for j in range(i + 1, 6)}, (6, 7): 1.0},
+            [(0, 1), (2, 4), (3, 5), (6, 7)], id="hubs",
+        ),
+        # (c) the complete bipartite graph between {0, 3, 4} and {1, 2, 5}.
+        pytest.param(
+            6, {(i, j): 1.0 for i in (0, 3, 4) for j in (1, 2, 5)},
+            [(0, 1), (2, 3), (4, 5)], id="bipartite",
+        ),
+    ])
+    def test_tight_shapes_certify(self, n, ones, want):
+        weights = tied_weights(n, ones)
+        scores, _ = _exact_scores(weights)
+        assert sorted(_certified_fold(weights, np.zeros(n))) == want == sorted(solve_dp(n, scores))
+
+    @pytest.mark.parametrize("n, ones", [
+        # Hubs 0-2 and others 3, 4: three hubs less two others is odd; a
+        # tied triangle 5-7 beside it.
+        pytest.param(8, {
+            **{(i, j): 1.0 for i in range(3) for j in range(i + 1, 5)},
+            **{(i, j): 1.0 for i in range(5, 8) for j in range(i + 1, 8)},
+        }, id="odd-hubs"),
+        # A tied triangle whose rows all want it, and a fourth node that
+        # wants the triangle too.
+        pytest.param(4, {(0, 1): 1.0, (0, 2): 1.0, (1, 2): 1.0}, id="triangle"),
+    ])
+    def test_unmatched_tight_shapes_fall_back(self, n, ones):
+        weights = tied_weights(n, ones)
+        scores, _ = _exact_scores(weights)
+        want = sorted(solve_dp(n, scores))
+        pairs = _certified_fold(weights, np.zeros(n))
+        assert pairs is None or sorted(pairs) == want
+        nodes = [f"t{i:02d}" for i in range(n)]
+        got = min_weight_perfect_matching(graph_from_matrix(nodes, weights))
+        assert got == tuple((nodes[i], nodes[j]) for i, j in want)
+
+
+#: The largest float below ``2**58``: magnitudes at the top of the
+#: certificate's int64 scale.
+TOP = 2.0**58 - 32.0
+
+
+def python_costs(weights, prices):
+    """``R = S - P`` of the fold certificate and the lift, in Python
+    integers: the values its int64 arrays must hold."""
+    n = len(prices)
+    e = 58 - math.frexp(max(max(map(max, weights)), max(prices), -min(prices)))[1]
+    s = [[int(math.ldexp(w, e)) for w in row] for row in weights]
+    p = [int(math.ldexp(x, e)) for x in prices]  # rounded toward zero
+    r = [[s[i][j] - p[j] for j in range(n)] for i in range(n)]
+    lift = [0] * n
+    for value in set(p):
+        group = [i for i in range(n) if p[i] == value]
+        if len(group) < 2:
+            continue
+        row = r[group[0]]
+        least = min(x for j, x in enumerate(row) if j != group[0])
+        near = {j: x - least for j, x in enumerate(row) if j != group[0] and x - least <= _LIFT_SLACK}
+        for j, step in near.items():
+            lift[j] = max(lift[j], step)
+        own = [step for j, step in near.items() if j in group]
+        for j in group:
+            lift[j] = max(lift[j], max(own, default=0))
+    return r, lift
+
+
+@st.composite
+def extreme_cost_instances(draw):
+    """A 2-10 node graph at the top of the certificate's int64 scale:
+    weights up to ``TOP`` and prices at about ``+-TOP``, shared by copies,
+    with many entries within ``_LIFT_SLACK`` of each other, all scaled by
+    a common power of two no greater than 1."""
+    n = draw(st.sampled_from(range(2, 11, 2)))
+    near = st.integers(0, _LIFT_SLACK // 32).map(lambda k: 32.0 * k)
+    level = st.sampled_from([0.0, 2.0**57, TOP - _LIFT_SLACK])
+    weights = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            weights[i, j] = weights[j, i] = draw(level) + draw(near)
+    pool = draw(st.lists(st.sampled_from([TOP, -TOP, 0.0]).flatmap(
+        lambda x: near.map(lambda d: x - d if x > 0 else x + d)), min_size=1, max_size=3))
+    prices = np.array(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+    t = draw(st.sampled_from([-40, -8, 0]))
+    return np.ldexp(weights, t), np.ldexp(prices, t)
+
+
+class TestInt64Headroom:
+    """numpy int64 array arithmetic wraps without a warning, so the
+    certificate's costs are checked against Python integers at the top of
+    its scale."""
+
+    def check(self, weights, prices):
+        r, lift = python_costs(weights.tolist(), prices.tolist())
+        reduced, units = _scaled_costs(weights, prices)
+        got_lift = _lift(reduced, units)
+        lifted = reduced - got_lift
+        n = len(prices)
+        off = ~np.eye(n, dtype=bool)
+        assert reduced[off].tolist() == [r[i][j] for i in range(n) for j in range(n) if i != j]
+        assert got_lift.tolist() == lift
+        assert lifted[off].tolist() == [
+            r[i][j] - lift[j] for i in range(n) for j in range(n) if i != j
+        ]
+        assert all(abs(r[i][j] - lift[j]) < 2**60 for i in range(n) for j in range(n))
+        return r, lift
+
+    def test_planted_extremes(self):
+        # Copies {0, 1} at price -TOP and {2, 3} at +TOP: row 0 has its
+        # least entry at column 2 and column 3 exactly the slack above it;
+        # edges of weight TOP against price -TOP give R near 2**59.
+        weights = np.full((6, 6), TOP)
+        weights[0, 2] = weights[2, 0] = 0.0
+        weights[0, 3] = weights[3, 0] = float(_LIFT_SLACK)
+        np.fill_diagonal(weights, 0.0)
+        prices = np.array([-TOP, -TOP, TOP, TOP, 0.0, 2.0**57])
+        r, lift = self.check(weights, prices)
+        assert max(lift) == _LIFT_SLACK
+        assert max(map(max, r)) == 2 * int(TOP) and min(map(min, r)) == -int(TOP)
+
+    @settings(max_examples=200, deadline=None)
+    @given(instance=extreme_cost_instances())
+    def test_int64_costs_equal_python_integers(self, instance):
+        self.check(*instance)
 
 
 class TestCertificate:
