@@ -10,10 +10,11 @@ per (quantum, thread):
 
 Profile files (see :mod:`synpa.trainer`) use the same layout with an
 extra ``committed_instructions`` column and a ``mode`` field in the
-header.  Counter values are nonnegative integers; rows are ordered by
-``(quantum, thread)`` and each thread occupies a contiguous range of
-quanta.  Replay reads a whole trace at once with :func:`open_trace`,
-which hands the engine its samples grouped by quantum.
+header.  Counter values are nonnegative integers below 2**64, as in a
+64-bit hardware counter; rows are ordered by ``(quantum, thread)`` and
+each thread occupies a contiguous range of quanta.  Replay reads a
+whole trace at once with :func:`open_trace`, which hands the engine its
+samples grouped by quantum.
 """
 
 from __future__ import annotations
@@ -46,6 +47,9 @@ COMMITTED_COLUMN = "committed_instructions"
 
 _COUNTER_FIELDS = ("cpu_cycles", "inst_spec", "stall_frontend", "stall_backend")
 
+#: Counter values are below this bound: hardware PMU counters are 64-bit.
+COUNTER_LIMIT = 2**64
+
 
 @dataclass(frozen=True)
 class RawCounterSample:
@@ -65,6 +69,8 @@ class RawCounterSample:
                 raise TraceError(f"{name} must be an integer, got {value!r}")
             if value < 0:
                 raise TraceError(f"{name} must be nonnegative, got {value}")
+            if value >= COUNTER_LIMIT:
+                raise TraceError(f"{name} must be below 2**64")
         if not self.thread_id:
             raise TraceError("thread_id must be a non-empty string")
 
@@ -198,8 +204,8 @@ def parse_counter_text(
                 done = int(row[6])
             except ValueError as exc:
                 raise TraceError(f"bad committed count: {exc}", line=lineno) from None
-            if done < 0:
-                raise TraceError("committed_instructions must be >= 0", line=lineno)
+            if not 0 <= done < COUNTER_LIMIT:
+                raise TraceError("committed_instructions must be >= 0 and below 2**64", line=lineno)
             committed.append(done)
 
     _validate_roster(header, samples)

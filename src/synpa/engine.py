@@ -20,7 +20,9 @@ are logged against fixed observations).
 The simulator models one kind of 2-way SMT core, defined once here: it
 dispatches :data:`DISPATCH_WIDTH` operations per cycle at
 :data:`CYCLES_PER_MS` cycles per millisecond.  The simulator advances
-each app through a cyclic sequence of phases.  An app's isolated
+each app through a cyclic sequence of phases: an app's progress is one
+instruction count, and its phase is read from a table of phase end
+offsets (:meth:`SyntheticApp.phase_at`).  An app's isolated
 progress rate (:func:`isolated_rate`) is ``fdc * DISPATCH_WIDTH *
 cycles_per_quantum`` instructions per quantum; co-running divides that
 by the pair's model-predicted slowdown.  Completed apps are relaunched
@@ -30,9 +32,12 @@ app has finished its first launch.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -86,6 +91,14 @@ def isolated_rate(vector: CategoryVector, cycles_per_quantum: int) -> float:
     return vector.fdc * DISPATCH_WIDTH * cycles_per_quantum
 
 
+def whole_number(value: object, field: str) -> int:
+    """``value`` as an int if it is a whole JSON number within float range
+    (``1e9`` is valid); raises :class:`ValueError` otherwise."""
+    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max or value % 1:
+        raise ValueError(f"{field} must be a whole number within float range")
+    return int(value)
+
+
 # ---------------------------------------------------------------------------
 # Synthetic workloads
 
@@ -123,17 +136,33 @@ class SyntheticApp:
         if self.app_id == IDLE_NODE:
             raise WorkloadError(f"app id {IDLE_NODE!r} is reserved")
 
+    @functools.cached_property
+    def phase_ends(self) -> tuple[int, ...]:
+        """Each phase's end offset within one cycle of the phases."""
+        return tuple(itertools.accumulate(p.instructions for p in self.phases))
+
+    def phase_at(self, done: float) -> Phase:
+        """The phase a launch is in after ``done`` instructions."""
+        ends = self.phase_ends
+        if done >= ends[-1]:  # only then: a float cannot divide by a total beyond float range
+            done %= ends[-1]
+        return self.phases[bisect.bisect_right(ends, done)]
+
     def isolated_quanta(self, cycles_per_quantum: int) -> float:
-        """Ground-truth isolated duration of one launch, in quanta."""
-        remaining = float(self.target_instructions)
+        """Ground-truth isolated duration of one launch, in quanta.
+
+        Each phase runs once per whole cycle of the phases in the
+        target, then the target's rest runs in phase order.  Raises
+        :class:`OverflowError` when a phase's share of the target is
+        beyond float range.
+        """
+        whole, rest = divmod(self.target_instructions, self.phase_ends[-1])
         quanta = 0.0
-        for phase in itertools.cycle(self.phases):
-            rate = isolated_rate(phase.vector, cycles_per_quantum)
-            take = min(remaining, phase.instructions)
-            quanta += take / rate
-            remaining -= take
-            if remaining <= 0.0:
-                return quanta
+        for p in self.phases:
+            take = min(rest, p.instructions)
+            quanta += (whole * p.instructions + take) / isolated_rate(p.vector, cycles_per_quantum)
+            rest -= take
+        return quanta
 
     def to_dict(self) -> dict:
         return {
@@ -154,14 +183,14 @@ class SyntheticApp:
             phases = tuple(
                 Phase(
                     vector=CategoryVector(**{k: float(v) for k, v in p["vector"].items()}),
-                    instructions=int(p["instructions"]),
+                    instructions=whole_number(p["instructions"], "instructions"),
                 )
                 for p in doc["phases"]
             )
             return cls(
                 app_id=str(doc["app_id"]),
                 phases=phases,
-                target_instructions=int(doc["target_instructions"]),
+                target_instructions=whole_number(doc["target_instructions"], "target_instructions"),
             )
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise WorkloadError(f"bad synthetic app definition: {exc}") from None
@@ -186,15 +215,8 @@ class SimWorkload:
             raise WorkloadError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         cycles = cycles_per_quantum(self.quantum_ms)
         for app in self.apps:
-            # One launch run alone, in O(phases): each phase runs once per
-            # whole cycle of the phases, then the target's rest runs in order.
-            whole, rest = divmod(app.target_instructions, sum(p.instructions for p in app.phases))
-            quanta = 0.0
             try:
-                for p in app.phases:
-                    take = min(rest, p.instructions)
-                    quanta += (whole * p.instructions + take) / isolated_rate(p.vector, cycles)
-                    rest -= take
+                quanta = app.isolated_quanta(cycles)
             except OverflowError:  # instruction counts beyond any float
                 quanta = math.inf
             if quanta > MAX_QUANTA:
@@ -203,30 +225,20 @@ class SimWorkload:
 
 @dataclass
 class AppSimState:
-    """Mutable per-app progress within a simulation."""
+    """Mutable per-app progress within a simulation.
+
+    ``done`` counts the instructions of the running launch; its phase is
+    read from the app's phase table, so a relaunch resets ``done`` alone.
+    """
 
     app: SyntheticApp
-    phase_index: int = 0
-    into_phase: float = 0.0
     done: float = 0.0
     launches: int = 1
     first_completion: int | None = None
 
     @property
     def vector(self) -> CategoryVector:
-        return self.app.phases[self.phase_index].vector
-
-    def _advance_phases(self, committed: float) -> None:
-        remaining = committed
-        while remaining > 1e-9:
-            budget = self.app.phases[self.phase_index].instructions
-            left = budget - self.into_phase
-            if remaining < left - 1e-9:
-                self.into_phase += remaining
-                return
-            remaining -= left
-            self.phase_index = (self.phase_index + 1) % len(self.app.phases)
-            self.into_phase = 0.0
+        return self.app.phase_at(self.done).vector
 
     def commit(self, amount: float, quantum: int) -> tuple[float, bool]:
         """Record progress; returns (clipped amount, completed this launch)."""
@@ -234,14 +246,10 @@ class AppSimState:
         completed = amount >= remaining
         if completed:
             amount = remaining
-        self._advance_phases(amount)
-        if completed:
             if self.first_completion is None:
                 self.first_completion = quantum
             # Relaunch a fresh instance to keep SMT pressure constant.
             self.launches += 1
-            self.phase_index = 0
-            self.into_phase = 0.0
             self.done = 0.0
         else:
             self.done += amount
@@ -272,52 +280,35 @@ def sim_step(
     Observed category values are the ground-truth forward predictions
     plus optional Gaussian noise (clamped at zero); progress always uses
     the noiseless slowdown.  An app paired with the idle node runs at
-    isolated speed.  States are mutated in place (progress, phase
-    advance, relaunch-on-completion).
+    isolated speed.  States are mutated in place (progress and
+    relaunch-on-completion).  Noise is drawn and progress committed per
+    pair in sorted order, the lower id first.
     """
     results: dict[str, StepResult] = {}
     for a, b in sorted(tuple(sorted(p)) for p in pairs):
         if a == IDLE_NODE or b == IDLE_NODE:
             solo = a if b == IDLE_NODE else b
-            st = states[solo].vector
-            base = {name: st.get(name) for name in CATEGORIES}
-            _emit(results, states, solo, base, 1.0, noise_sigma, rng, quantum,
-                  cycles_per_quantum)
-            continue
-        pred = predict_pair(ground_truth, states[a].vector, states[b].vector)
-        _emit(results, states, a, pred.smt_i.as_dict(), pred.slowdown_i,
-              noise_sigma, rng, quantum, cycles_per_quantum)
-        _emit(results, states, b, pred.smt_j.as_dict(), pred.slowdown_j,
-              noise_sigma, rng, quantum, cycles_per_quantum)
+            runs = ((solo, states[solo].vector, 1.0),)
+        else:
+            pred = predict_pair(ground_truth, states[a].vector, states[b].vector)
+            runs = ((a, pred.smt_i, pred.slowdown_i), (b, pred.smt_j, pred.slowdown_j))
+        for app_id, base, slowdown in runs:
+            observed = {}
+            for name in CATEGORIES:
+                value = getattr(base, name)
+                if noise_sigma > 0.0:
+                    value += noise_sigma * rng.standard_normal()
+                observed[name] = value if value > 0.0 else 0.0
+            state = states[app_id]
+            amount = isolated_rate(state.vector, cycles_per_quantum) / slowdown
+            committed, completed = state.commit(amount, quantum)
+            results[app_id] = StepResult(
+                observed=CategoryTriple(**observed),
+                slowdown=slowdown,
+                committed=committed,
+                completed=completed,
+            )
     return results
-
-
-def _emit(
-    results: dict[str, StepResult],
-    states: Mapping[str, AppSimState],
-    app_id: str,
-    base: Mapping[str, float],
-    slowdown: float,
-    noise_sigma: float,
-    rng: np.random.Generator,
-    quantum: int,
-    cycles_per_quantum: int,
-) -> None:
-    observed = {}
-    for name in CATEGORIES:
-        value = base[name]
-        if noise_sigma > 0.0:
-            value += noise_sigma * rng.standard_normal()
-        observed[name] = value if value > 0.0 else 0.0
-    state = states[app_id]
-    amount = isolated_rate(state.vector, cycles_per_quantum) / slowdown
-    committed, completed = state.commit(amount, quantum)
-    results[app_id] = StepResult(
-        observed=CategoryTriple(**observed),
-        slowdown=slowdown,
-        committed=committed,
-        completed=completed,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -447,51 +438,38 @@ def initial_assignment(
 class _EstimateStore:
     """Last-good isolated-behavior estimates with staleness aging.
 
-    A degraded inversion leaves the previous estimate in place; when
-    consumed, an estimate that is ``age`` quanta stale is blended toward
-    the uniform prior with weight ``ESTIMATE_DECAY ** age``, so stale
-    information gradually stops driving pairing decisions.
+    A degraded inversion leaves the previous estimate in place and ages
+    it: an estimate that is ``age`` quanta stale is blended toward the
+    uniform prior with weight ``ESTIMATE_DECAY ** age``, so stale
+    information gradually stops driving pairing decisions.  Each entry
+    holds the last good estimate, its age and the blend in effect.
     """
 
     def __init__(self) -> None:
-        self._vectors: dict[str, CategoryVector] = {}
-        self._ages: dict[str, int] = {}
-        self._effective: dict[str, CategoryVector] = {}  # until the estimate or age changes
+        self._entries: dict[str, tuple[CategoryVector, int, CategoryVector]] = {}
 
     def update(self, app_id: str, vector: CategoryVector) -> None:
-        self._vectors[app_id] = vector
-        self._ages[app_id] = 0
-        self._effective.pop(app_id, None)
+        self._entries[app_id] = (vector, 0, vector)
 
     def mark_stale(self, app_id: str) -> None:
-        if app_id in self._ages:
-            self._ages[app_id] += 1
-            self._effective.pop(app_id, None)
-
-    def forget(self, app_id: str) -> None:
-        self._vectors.pop(app_id, None)
-        self._ages.pop(app_id, None)
-        self._effective.pop(app_id, None)
-
-    def effective(self, app_id: str) -> CategoryVector:
-        vector = self._effective.get(app_id)
-        if vector is None:
-            vector = self._effective[app_id] = self._decayed(app_id)
-        return vector
-
-    def _decayed(self, app_id: str) -> CategoryVector:
-        vector = self._vectors.get(app_id)
-        if vector is None:
-            return UNIFORM_VECTOR
-        age = self._ages.get(app_id, 0)
-        if age == 0:
-            return vector
+        if app_id not in self._entries:
+            return
+        vector, age, _ = self._entries[app_id]
+        age += 1
         w = ESTIMATE_DECAY**age
-        return CategoryVector(
+        decayed = CategoryVector(
             fe=w * vector.fe + (1.0 - w) * UNIFORM_VECTOR.fe,
             be=w * vector.be + (1.0 - w) * UNIFORM_VECTOR.be,
             fdc=w * vector.fdc + (1.0 - w) * UNIFORM_VECTOR.fdc,
         )
+        self._entries[app_id] = (vector, age, decayed)
+
+    def forget(self, app_id: str) -> None:
+        self._entries.pop(app_id, None)
+
+    def effective(self, app_id: str) -> CategoryVector:
+        entry = self._entries.get(app_id)
+        return UNIFORM_VECTOR if entry is None else entry[2]
 
 
 def _update_estimates(

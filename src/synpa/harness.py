@@ -19,7 +19,9 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .dispatch import AppClass, CategoryTriple, CategoryVector, classify
-from .engine import CYCLES_PER_MS, MAX_QUANTA, Phase, ScheduleLog, SyntheticApp, isolated_rate
+from .engine import (
+    CYCLES_PER_MS, MAX_QUANTA, Phase, ScheduleLog, SyntheticApp, isolated_rate, whole_number,
+)
 from .errors import ConfigError, WorkloadError, read_text
 
 WORKLOAD_VERSION = 1
@@ -249,7 +251,7 @@ class WorkloadSpec:
             return cls(
                 name=str(doc["name"]),
                 recipe=str(doc["recipe"]),
-                seed=int(doc["seed"]),
+                seed=whole_number(doc["seed"], "seed"),
                 apps=apps,
                 classes=classes,
                 quantum_ms=float(doc.get("quantum_ms", 100.0)),

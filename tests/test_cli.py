@@ -6,11 +6,15 @@ determinism contract: identical inputs and seeds give identical bytes.
 """
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
 
+import synpa
 from synpa import (
     IDLE_NODE,
     AppClass,
@@ -32,6 +36,21 @@ from conftest import write_profile_corpus, CORPUS_APPS, CORPUS_PAIRS
 
 def run_cli(*argv) -> int:
     return main([str(a) for a in argv])
+
+
+def write_phase_workload(path, instructions, target):
+    """Two apps, each cycling through two phases of ``instructions``."""
+    vectors = ({"fe": 0.2, "be": 0.3, "fdc": 0.5}, {"fe": 0.6, "be": 0.2, "fdc": 0.2})
+    phases = [{"instructions": instructions, "vector": v} for v in vectors]
+    apps = [
+        {"app_id": a, "class": "other", "target_instructions": target, "phases": phases}
+        for a in ("a", "b")
+    ]
+    doc = {
+        "version": 1, "name": "phases", "recipe": "mixed", "seed": 0, "quantum_ms": 100.0,
+        "apps": apps,
+    }
+    path.write_text(json.dumps(doc), encoding="utf-8")
 
 
 @pytest.fixture(scope="module")
@@ -369,6 +388,12 @@ class TestSimulate:
             pytest.param({"target": "1" + "0" * 30}, id="target-1e30"),
             pytest.param({"instructions": "1" + "0" * 40, "target": "1" + "0" * 30}, id="phase-1e40"),
             pytest.param({"seed": "1" + "0" * 5000}, id="seed-5001-digits"),
+            # Counts are whole JSON numbers within float range.
+            pytest.param({"target": "270000000.9"}, id="target-fraction"),
+            pytest.param({"target": "true"}, id="target-bool"),
+            pytest.param({"instructions": '"100000000"'}, id="instructions-string"),
+            pytest.param({"instructions": "1" + "0" * 400}, id="instructions-401-digits"),
+            pytest.param({"seed": "1.5"}, id="seed-fraction"),
         ],
     )
     def test_bad_workload_file_fails_fast(self, workload_file, tmp_path, capsys, edits):
@@ -400,6 +425,50 @@ class TestSimulate:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert not any(path.exists() for path in outs)
+
+    def test_whole_float_counts_are_valid(self, workload_file, tmp_path):
+        # 1e9 in a workload file is the count 1000000000.
+        doc = json.loads(workload_file.read_text(encoding="utf-8"))
+        doc["seed"] = float(doc["seed"])
+        for app in doc["apps"]:
+            app["target_instructions"] = float(app["target_instructions"])
+            for phase in app["phases"]:
+                phase["instructions"] = float(phase["instructions"])
+        wl = tmp_path / "floats.json"
+        wl.write_text(json.dumps(doc), encoding="utf-8")
+        logs = [tmp_path / "floats.jsonl", tmp_path / "ints.jsonl"]
+        assert run_cli("simulate", "--workload", wl, "--out", logs[0]) == 0
+        assert run_cli("simulate", "--workload", workload_file, "--out", logs[1]) == 0
+        assert logs[0].read_bytes() == logs[1].read_bytes()
+
+    def test_short_phases_finish_fast(self, tmp_path):
+        # Two 1-instruction phases under a 10**9 target: the phase table
+        # reads each quantum's phase at once, where a walk phase by phase
+        # would take hundreds of millions of steps.  A subprocess keeps a
+        # hang from stalling the suite.
+        wl, out = tmp_path / "short.json", tmp_path / "short.jsonl"
+        write_phase_workload(wl, 1, 10**9)
+        src = str(pathlib.Path(synpa.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "synpa.cli", "simulate", "--workload", str(wl), "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=30,
+        )
+        assert proc.returncode == 0, proc.stderr
+        summary = load_log_summary(str(out))
+        # Half the instructions in each phase: rates 2e8 and 8e7 per quantum.
+        assert summary.iso_quanta == {"a": 8.75, "b": 8.75}
+        assert summary.first_completion == {"a": 11, "b": 11}
+
+    def test_phases_beyond_float_range_run(self, tmp_path):
+        # A pair of 10**308-instruction phases: one cycle holds more
+        # instructions than a float can count.
+        wl, out = tmp_path / "long.json", tmp_path / "long.jsonl"
+        write_phase_workload(wl, 10**308, 10**9)
+        assert run_cli("simulate", "--workload", wl, "--out", out) == 0
+        summary = load_log_summary(str(out))
+        assert summary.iso_quanta == {"a": 5.0, "b": 5.0}  # all in the first phase
+        assert summary.total_quanta == 9
 
     def test_workload_without_quantum_ms_runs_at_100(self, workload_file, tmp_path):
         doc = json.loads(workload_file.read_text(encoding="utf-8"))
@@ -491,6 +560,18 @@ class TestReplay:
         code = run_cli("replay", "--trace", bad, "--out", tmp_path / "x.jsonl")
         assert code == 1
         assert f"error: line 1: {field}" in capsys.readouterr().err
+
+    def test_counter_beyond_64_bits_is_domain_error(self, trace_file, tmp_path, capsys):
+        header, columns, first, rest = trace_file.read_text(encoding="utf-8").split("\n", 3)
+        fields = first.split(",")
+        fields[2] = "1" + "0" * 400  # cpu_cycles
+        bad = tmp_path / "huge.trace"
+        bad.write_text("\n".join([header, columns, ",".join(fields), rest]), encoding="utf-8")
+        out = tmp_path / "x.jsonl"
+        code = run_cli("replay", "--trace", bad, "--out", out)
+        assert code == 1
+        assert capsys.readouterr().err == "error: line 3: cpu_cycles must be below 2**64\n"
+        assert not out.exists()
 
     def test_thread_without_rows_is_domain_error(self, trace_file, tmp_path, capsys):
         header, rest = trace_file.read_text(encoding="utf-8").split("\n", 1)

@@ -116,6 +116,15 @@ class TestParsing:
             parse_counter_text(make_text(rows))
         assert err.value.line == 3
 
+    def test_counter_beyond_64_bits_rejected_with_line_number(self):
+        # Hardware counters are 64-bit; the largest value still parses.
+        _, samples, _ = parse_counter_text(make_text([f"0,t0,{2**64 - 1},400,100,200"]))
+        assert samples[0].cpu_cycles == 2**64 - 1
+        rows = ["0,t0,1000,400,100,200", f"0,t1,1000,{2**64},100,200"]
+        with pytest.raises(TraceError, match="inst_spec must be below 2\\*\\*64") as err:
+            parse_counter_text(make_text(rows))
+        assert err.value.line == 4
+
     def test_version_mismatch_rejected(self):
         header = HEADER.replace('"version":1', '"version":9')
         with pytest.raises(TraceError, match="version"):
@@ -206,3 +215,16 @@ class TestRoundTrip:
         assert header2.mode == "isolated"
         assert samples2 == samples
         assert counts == [700, 650]
+
+    def test_committed_count_beyond_64_bits_rejected(self):
+        header = TraceHeader(
+            dispatch_width=4, quantum_ms=100.0, threads=("t0",), mode="isolated"
+        )
+        sample = RawCounterSample(
+            quantum_index=0, thread_id="t0", cpu_cycles=1000, inst_spec=800,
+            stall_frontend=100, stall_backend=100,
+        )
+        text = format_trace(header, [sample], {(0, "t0"): 2**64})
+        with pytest.raises(TraceError, match="below 2\\*\\*64") as err:
+            parse_counter_text(text, require_committed=True)
+        assert err.value.line == 3

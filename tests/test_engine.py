@@ -4,10 +4,12 @@ simulation step, the run loop shared by simulation and trace replay
 determinism."""
 
 import dataclasses
+import itertools
 import json
 import math
 import os
 import tempfile
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -131,6 +133,25 @@ class TestWorkloadTypes:
         # 2000 (1q) + 1000 (1q) + 1500 at 2000/q (0.75q) = 2.75 quanta.
         assert app.isolated_quanta(1000) == pytest.approx(2.75, abs=1e-12)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        instructions=st.lists(st.integers(1, 2**70), min_size=1, max_size=4),
+        target=st.integers(1, 2**80),
+        cycles=st.integers(1, 10**9),
+    )
+    def test_isolated_quanta_is_the_exact_sum(self, instructions, target, cycles):
+        vectors = itertools.cycle((BE_VECTOR, FE_VECTOR, CategoryVector(fe=0.2, be=0.3, fdc=0.5)))
+        phases = tuple(Phase(vector=v, instructions=n) for v, n in zip(vectors, instructions))
+        app = SyntheticApp(app_id="a", phases=phases, target_instructions=target)
+        # Each phase runs its instructions once per whole cycle, plus its
+        # overlap with the rest of the target, at its own isolated rate.
+        whole, rest = divmod(target, sum(instructions))
+        exact = Fraction(0)
+        for phase, start in zip(phases, itertools.accumulate([0, *instructions])):
+            ran = whole * phase.instructions + min(max(rest - start, 0), phase.instructions)
+            exact += ran / Fraction(engine.isolated_rate(phase.vector, cycles))
+        assert abs(Fraction(app.isolated_quanta(cycles)) - exact) <= Fraction(1e-15) * exact
+
     def test_app_dict_round_trip(self):
         app = static_app("demo", BE_VECTOR, 3.5)
         restored = SyntheticApp.from_dict(app.to_dict())
@@ -247,7 +268,7 @@ class TestSimStep:
         assert state.first_completion == 2
         assert state.launches == 2
         assert state.done == 0.0
-        assert state.phase_index == 0
+        assert state.vector == vector
 
     def test_phase_advances_on_budget_boundary(self):
         v1 = CategoryVector(fe=0.2, be=0.3, fdc=0.5)
@@ -267,9 +288,66 @@ class TestSimStep:
             np.random.default_rng(0), 1, QUANTUM_CYCLES,
         )
         # Exactly one phase budget of work was committed.
-        assert states["a"].phase_index == 1
-        assert states["a"].into_phase == 0.0
+        assert states["a"].done == int(rate1)
         assert states["a"].vector == v2
+
+
+def reference_walk(app, commits):
+    """Step through the phases one at a time, as the engine did before
+    its phase table; yields each commit's phase and launch position."""
+    index, into, done = 0, 0.0, 0.0
+    for amount in commits:
+        completed = amount >= app.target_instructions - done
+        if completed:
+            amount = app.target_instructions - done
+        left_to_walk = amount
+        while left_to_walk > 1e-9:
+            left = app.phases[index].instructions - into
+            if left_to_walk < left - 1e-9:
+                into += left_to_walk
+                break
+            left_to_walk -= left
+            index = (index + 1) % len(app.phases)
+            into = 0.0
+        if completed:
+            index, into, done = 0, 0.0, 0.0
+        else:
+            done += amount
+        yield app.phases[index], done
+
+
+class TestPhaseTable:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        instructions=st.lists(st.integers(1, 40), min_size=1, max_size=5),
+        target=st.integers(1, 400),
+        quarters=st.lists(st.integers(0, 240), max_size=30),
+    )
+    def test_agrees_with_a_step_by_step_walk(self, instructions, target, quarters):
+        # Quarter-instruction commits keep both walks exact in floats.
+        vectors = itertools.cycle((BE_VECTOR, FE_VECTOR))
+        phases = tuple(Phase(vector=v, instructions=n) for v, n in zip(vectors, instructions))
+        app = SyntheticApp(app_id="a", phases=phases, target_instructions=target)
+        state = AppSimState(app=app)
+        commits = [q / 4 for q in quarters]
+        for quantum, (amount, (phase, done)) in enumerate(
+            zip(commits, reference_walk(app, commits)), start=1
+        ):
+            state.commit(amount, quantum)
+            assert state.done == done
+            assert app.phase_at(state.done) is phase
+
+    def test_phases_beyond_float_range(self):
+        # The cycle total (2 * 10**308) is beyond float range; positions
+        # inside the first cycle never divide by it.
+        phases = (
+            Phase(vector=BE_VECTOR, instructions=10**308),
+            Phase(vector=FE_VECTOR, instructions=10**308),
+        )
+        app = SyntheticApp(app_id="a", phases=phases, target_instructions=10**9)
+        assert app.phase_at(0.0) is phases[0]
+        assert app.phase_at(1.5e308) is phases[1]
+        assert app.isolated_quanta(QUANTUM_CYCLES) == 10**9 / rate_of(BE_VECTOR)
 
 
 class TestEngineConfig:
