@@ -56,6 +56,7 @@ from .interference import (
     CategoryCoefficients,
     ModelCoefficients,
     PairPrediction,
+    co_run_slowdowns,
     fold_prices,
     forward,
     invert,

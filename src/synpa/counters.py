@@ -63,6 +63,16 @@ class RawCounterSample:
     stall_backend: int
 
     def __post_init__(self) -> None:
+        # One chained test; the loop below names a failing field.
+        if (
+            type(self.quantum_index) is int and 0 <= self.quantum_index < COUNTER_LIMIT
+            and type(self.cpu_cycles) is int and 0 <= self.cpu_cycles < COUNTER_LIMIT
+            and type(self.inst_spec) is int and 0 <= self.inst_spec < COUNTER_LIMIT
+            and type(self.stall_frontend) is int and 0 <= self.stall_frontend < COUNTER_LIMIT
+            and type(self.stall_backend) is int and 0 <= self.stall_backend < COUNTER_LIMIT
+            and self.thread_id
+        ):
+            return
         for name in ("quantum_index",) + _COUNTER_FIELDS:
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
@@ -112,6 +122,17 @@ class TraceHeader:
         return json.dumps(doc, sort_keys=True)
 
 
+def json_number(value: object, field: str) -> float:
+    """``value`` as a float if it is a JSON number within float range (a
+    bool or a string is not); raises :class:`ValueError` otherwise."""
+    try:
+        if type(value) in (int, float):
+            return float(value)
+    except OverflowError:  # an integer beyond float range
+        pass
+    raise ValueError(f"{field} must be a number within float range")
+
+
 def _parse_header(line: str) -> TraceHeader:
     try:
         doc = json.loads(line)
@@ -129,10 +150,14 @@ def _parse_header(line: str) -> TraceHeader:
     if not isinstance(threads, list) or not all(isinstance(t, str) for t in threads):
         raise TraceError("header 'threads' must be a list of strings", line=1)
     try:
+        quantum_ms = json_number(doc["quantum_ms"], "quantum_ms")
+    except ValueError as exc:
+        raise TraceError(str(exc), line=1) from None
+    try:
         return TraceHeader(
             version=int(doc["version"]),
             dispatch_width=width,
-            quantum_ms=float(doc["quantum_ms"]),
+            quantum_ms=quantum_ms,
             threads=tuple(threads),
             mode=doc.get("mode"),
             partner=doc.get("partner"),
@@ -155,6 +180,14 @@ def read_counter_file(
     :class:`RosterError` when rows disagree with the header roster.
     """
     return parse_counter_text(read_text(path), require_committed=require_committed)
+
+
+def _count(field: str, name: str) -> int:
+    """A count field of a CSV row: ASCII digits only, as the trace writer
+    emits them (``int`` alone would take signs, spaces and underscores)."""
+    if field.isascii() and field.isdigit():
+        return int(field)
+    raise ValueError(f"{name} must be ASCII digits, got {field!r}")
 
 
 def parse_counter_text(
@@ -187,12 +220,12 @@ def parse_counter_text(
             )
         try:
             sample = RawCounterSample(
-                quantum_index=int(row[0]),
+                quantum_index=_count(row[0], "quantum"),
                 thread_id=row[1],
-                cpu_cycles=int(row[2]),
-                inst_spec=int(row[3]),
-                stall_frontend=int(row[4]),
-                stall_backend=int(row[5]),
+                cpu_cycles=_count(row[2], "cpu_cycles"),
+                inst_spec=_count(row[3], "inst_spec"),
+                stall_frontend=_count(row[4], "stall_frontend"),
+                stall_backend=_count(row[5], "stall_backend"),
             )
         except ValueError as exc:
             raise TraceError(f"bad counter value: {exc}", line=lineno) from None
@@ -201,7 +234,7 @@ def parse_counter_text(
         samples.append(sample)
         if require_committed:
             try:
-                done = int(row[6])
+                done = _count(row[6], COMMITTED_COLUMN)
             except ValueError as exc:
                 raise TraceError(f"bad committed count: {exc}", line=lineno) from None
             if not 0 <= done < COUNTER_LIMIT:

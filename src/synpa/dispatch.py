@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 from .counters import RawCounterSample
@@ -25,6 +26,9 @@ from .errors import DegenerateSampleError, ModelError
 
 #: Canonical category iteration order used throughout the package.
 CATEGORIES = ("fdc", "fe", "be")
+
+#: The largest finite float; a category value beyond it is not finite.
+_MAX = sys.float_info.max
 
 #: Classification thresholds on isolated-execution category fractions.
 BACKEND_BOUND_THRESHOLD = 0.65
@@ -52,6 +56,11 @@ class CategoryTriple:
     fdc: float
 
     def __post_init__(self) -> None:
+        try:  # one chained test; the loop below names a failing field
+            if 0.0 <= self.fe <= _MAX and 0.0 <= self.be <= _MAX and 0.0 <= self.fdc <= _MAX:
+                return
+        except TypeError:
+            pass
         for name in CATEGORIES:
             value = getattr(self, name)
             if not math.isfinite(value):
@@ -73,6 +82,7 @@ class CategoryTriple:
 
 
 _VECTOR_SUM_TOL = 1e-9
+_VECTOR_MAX = 1.0 + _VECTOR_SUM_TOL
 
 
 @dataclass(frozen=True)
@@ -80,6 +90,16 @@ class CategoryVector(CategoryTriple):
     """A normalized category triple: entries in [0, 1] summing to 1."""
 
     def __post_init__(self) -> None:
+        try:  # one chained test; the checks below name a failing field
+            if (
+                0.0 <= self.fe <= _VECTOR_MAX
+                and 0.0 <= self.be <= _VECTOR_MAX
+                and 0.0 <= self.fdc <= _VECTOR_MAX
+                and abs(self.fe + self.be + self.fdc - 1.0) <= _VECTOR_SUM_TOL
+            ):
+                return
+        except TypeError:
+            pass
         super().__post_init__()
         for name in CATEGORIES:
             value = getattr(self, name)

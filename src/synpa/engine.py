@@ -6,8 +6,9 @@ Each scheduling quantum the engine:
 2. keeps the pairs whose threads are all present and pairs the rest,
 3. estimates every thread's isolated behavior by inverting the
    interference model on each pair's observations,
-4. predicts the combined slowdown of every possible pair from those
-   estimates, and
+4. predicts every thread's slowdown next to every other from those
+   estimates, once, as one matrix (replay logs the model slowdowns of
+   the pairs in effect from it), and
 5. solves a minimum-weight perfect matching to pick the next quantum's
    thread-to-core assignment.
 
@@ -43,7 +44,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .counters import RawCounterSample, TraceHeader, open_trace
+from .counters import RawCounterSample, TraceHeader, json_number, open_trace
 from .dispatch import (
     CATEGORIES,
     CategoryTriple,
@@ -54,7 +55,9 @@ from .dispatch import (
     normalize_triple,
 )
 from .errors import ConfigError, TraceError, WorkloadError
-from .interference import ModelCoefficients, REFERENCE_COEFFICIENTS, invert, predict_pair
+from .interference import (
+    REFERENCE_COEFFICIENTS, ModelCoefficients, co_run_slowdowns, invert, predict_pair,
+)
 from .matcher import IDLE_NODE, build_graph, min_weight_perfect_matching
 
 #: Nominal simulated clock: cycles per millisecond (1 GHz).
@@ -182,7 +185,7 @@ class SyntheticApp:
         try:
             phases = tuple(
                 Phase(
-                    vector=CategoryVector(**{k: float(v) for k, v in p["vector"].items()}),
+                    vector=CategoryVector(**{k: json_number(v, k) for k, v in p["vector"].items()}),
                     instructions=whole_number(p["instructions"], "instructions"),
                 )
                 for p in doc["phases"]
@@ -349,7 +352,7 @@ class QuantumRecord:
     estimates: dict[str, CategoryVector]  # fresh ST estimates after this quantum
     degraded: dict[str, bool]  # apps whose inversion fell back this quantum
     committed: dict[str, float]
-    slowdown: dict[str, float]  # ground truth in simulation; model estimate in replay
+    slowdown: dict[str, float]  # ground truth in simulation; the model's in replay
     migrations: int  # pairs not in the previous record
 
 
@@ -590,10 +593,15 @@ def run(config: EngineConfig) -> ScheduleLog:
         else:
             fresh, degraded = {}, {}
 
+        if config.policy == "synpa" or workload is None:
+            # The model's view of this quantum, evaluated once: replay logs
+            # its slowdowns and the decision weighs its pairs with it.
+            vectors = [estimates.effective(a) for a in present]
+            co_run = co_run_slowdowns(config.coefficients, vectors)
         if workload is not None:
             slowdown = {a: results[a].slowdown for a in present}
         else:
-            slowdown = _model_slowdowns(pairs, estimates, config.coefficients)
+            slowdown = _model_slowdowns(pairs, present, co_run)
         records.append(
             QuantumRecord(
                 quantum=quantum,
@@ -607,8 +615,8 @@ def run(config: EngineConfig) -> ScheduleLog:
             )
         )
         if config.policy == "synpa":  # ``present`` is sorted, as build_graph needs
-            vectors = [estimates.effective(a) for a in present]
-            pairs = min_weight_perfect_matching(build_graph(config.coefficients, present, vectors))
+            graph = build_graph(config.coefficients, present, vectors, co_run)
+            pairs = min_weight_perfect_matching(graph)
 
     if workload is not None:
         summary = dict(
@@ -666,19 +674,22 @@ def _pair_present(
 
 
 def _model_slowdowns(
-    pairs: Sequence[tuple[str, str]],
-    estimates: _EstimateStore,
-    model: ModelCoefficients,
+    pairs: Sequence[tuple[str, str]], present: Sequence[str], co_run: np.ndarray
 ) -> dict[str, float]:
+    """Each thread's slowdown under the pairs in effect, read off the
+    co-run slowdown matrix of the ``present`` threads; 1.0 next to the
+    idle node."""
+    index = {a: i for i, a in enumerate(present)}
+    rows = co_run.tolist()
     out: dict[str, float] = {}
     for a, b in pairs:
         if a == IDLE_NODE or b == IDLE_NODE:
             solo = a if b == IDLE_NODE else b
             out[solo] = 1.0
             continue
-        pred = predict_pair(model, estimates.effective(a), estimates.effective(b))
-        out[a] = pred.slowdown_i
-        out[b] = pred.slowdown_j
+        i, j = index[a], index[b]
+        out[a] = rows[i][j]
+        out[b] = rows[j][i]
     return out
 
 

@@ -18,6 +18,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .counters import json_number
 from .dispatch import AppClass, CategoryTriple, CategoryVector, classify
 from .engine import (
     CYCLES_PER_MS, MAX_QUANTA, Phase, ScheduleLog, SyntheticApp, isolated_rate, whole_number,
@@ -254,7 +255,7 @@ class WorkloadSpec:
                 seed=whole_number(doc["seed"], "seed"),
                 apps=apps,
                 classes=classes,
-                quantum_ms=float(doc.get("quantum_ms", 100.0)),
+                quantum_ms=json_number(doc.get("quantum_ms", 100.0), "quantum_ms"),
             )
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise WorkloadError(f"bad workload file: {exc}") from None

@@ -13,7 +13,15 @@ categories is the thread's slowdown (>= 1 in practice).
 
 The *inverse* direction recovers the isolated fractions of both threads
 from one quantum's pair of observed co-run category triples by solving
-the two-equation bilinear system per category.
+the two-equation bilinear system per category.  One plain-float kernel
+(:func:`_solve`) does that solve for :func:`invert` and
+:func:`invert_category` alike.
+
+The forward direction has a scalar form (:func:`predict_pair`) and a
+matrix form over a whole roster (:func:`co_run_slowdowns`), which agree
+bit for bit.  The engine evaluates the matrix once per quantum: the
+decision's pair weights (:func:`pair_weight_matrix`) and replay's logged
+slowdowns are both read off it.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dispatch import CATEGORIES, CategoryTriple, CategoryVector, normalize_triple
+from .dispatch import CATEGORIES, UNIFORM_VECTOR, CategoryTriple, CategoryVector
 from .errors import ModelError
 
 COEFFICIENTS_VERSION = 1
@@ -36,6 +44,10 @@ _EXACT_RESIDUAL_TOL = 1e-8
 #: |rho| below this is treated as a linear model.
 _LINEAR_RHO_TOL = 1e-12
 _SINGULAR_TOL = 1e-12
+_EXACT_RESIDUAL_TOL_SQ = _EXACT_RESIDUAL_TOL**2
+#: Slack around the unit square when testing whether a root lies in it.
+_SLACK = 1e-9
+_UNIT_SLACK = 1.0 + _SLACK
 
 
 @dataclass(frozen=True)
@@ -176,21 +188,23 @@ def _category_matrix(vectors: Sequence[CategoryTriple]) -> np.ndarray:
     )
 
 
-def pair_weight_matrix(
+def co_run_slowdowns(
     model: ModelCoefficients, vectors: Sequence[CategoryTriple]
 ) -> np.ndarray:
-    """Predicted combined slowdown of every pair of threads, as a matrix.
+    """Predicted slowdown of every thread next to every other, as a matrix.
 
-    Entry ``[i, j]`` (``i != j``) equals ``slowdown_i + slowdown_j`` of
+    Entry ``[i, j]`` (``i != j``) is the slowdown of ``vectors[i]``
+    next to ``vectors[j]``, and equals ``slowdown_i`` of
     ``predict_pair(model, vectors[i], vectors[j])`` bit for bit: each
     float64 operation is the scalar path's, in the same order.  The
-    diagonal is zero.
+    diagonal holds each thread next to a copy of itself.  Raises
+    :class:`ModelError` when a predicted slowdown is not finite.
     """
-    return _pair_weights(model, _category_matrix(vectors))
+    return _co_run_slowdowns(model, _category_matrix(vectors))
 
 
-def _pair_weights(model: ModelCoefficients, st: np.ndarray) -> np.ndarray:
-    """:func:`pair_weight_matrix` of the vectors whose category matrix is ``st``."""
+def _co_run_slowdowns(model: ModelCoefficients, st: np.ndarray) -> np.ndarray:
+    """:func:`co_run_slowdowns` of the vectors whose category matrix is ``st``."""
 
     def co_run(k: int, name: str) -> np.ndarray:
         """``[i, j]``: forward() of category ``name`` for ``i`` next to ``j``."""
@@ -201,9 +215,28 @@ def _pair_weights(model: ModelCoefficients, st: np.ndarray) -> np.ndarray:
 
     with np.errstate(over="ignore", invalid="ignore"):
         fdc, fe, be = (co_run(k, name) for k, name in enumerate(CATEGORIES))
-        slowdown = fdc + fe + be  # thread i's slowdown next to thread j
-        if not np.isfinite(slowdown).all():
-            raise ModelError("predicted slowdown is not finite")
+        slowdown = fdc + fe + be
+    if not np.isfinite(slowdown).all():
+        raise ModelError("predicted slowdown is not finite")
+    return slowdown
+
+
+def pair_weight_matrix(
+    model: ModelCoefficients, vectors: Sequence[CategoryTriple]
+) -> np.ndarray:
+    """Predicted combined slowdown of every pair of threads, as a matrix.
+
+    Entry ``[i, j]`` (``i != j``) equals ``slowdown_i + slowdown_j`` of
+    ``predict_pair(model, vectors[i], vectors[j])`` bit for bit: the sum
+    of the two entries of :func:`co_run_slowdowns`.  The diagonal is
+    zero.
+    """
+    return _pair_weights(co_run_slowdowns(model, vectors))
+
+
+def _pair_weights(slowdown: np.ndarray) -> np.ndarray:
+    """The pair weights of the co-run slowdown matrix ``slowdown``."""
+    with np.errstate(over="ignore"):
         weights = slowdown + slowdown.T
     np.fill_diagonal(weights, 0.0)
     return weights
@@ -261,98 +294,137 @@ class CategorySolution:
     exact: bool  # residual at solution below tolerance
 
 
-def _residual(coeffs: CategoryCoefficients, x: float, y: float, u: float, v: float) -> float:
-    ru = coeffs.alpha + coeffs.beta * x + coeffs.gamma * y + coeffs.rho * x * y - u
-    rv = coeffs.alpha + coeffs.beta * y + coeffs.gamma * x + coeffs.rho * x * y - v
-    return ru * ru + rv * rv
+def _solve(
+    a: float, b: float, g: float, r: float, u: float, v: float
+) -> tuple[float, float, bool]:
+    """:func:`invert_category` on plain floats: ``(x, y, exact)`` for the
+    form ``(alpha, beta, gamma, rho) = (a, b, g, r)`` and the
+    observations ``u`` and ``v``.
 
+    The steps, in order:
 
-def _linear_seed(coeffs: CategoryCoefficients, u: float, v: float) -> tuple[float, float]:
-    """Solve the system with rho treated as zero.
+    * the linear seed, the system solved with ``rho`` taken as zero
+      (``beta == +/-gamma`` falls back to the symmetric solution and the
+      all-zero form to (0, 0));
+    * the roots of the quadratic left by the difference of the two
+      equations, each polished by up to 12 damped Newton steps that keep
+      the best iterate: every root in the unit square, or else the root
+      nearest the seed; the solution is the polished root whose start is
+      nearest the seed, the first on ties;
+    * when that is not an exact solve in the square, the exact minimiser
+      of the squared residual over the square.
 
-    Degenerate 2x2 systems (beta == +/-gamma) fall back to the
-    symmetric solution; an all-zero form yields (0, 0).
+    That minimiser: with ``det J = (beta - gamma) * (beta + gamma + rho
+    * (x + y))``, an interior stationary point off the singular line
+    ``x + y = s`` (``s = -(beta + gamma) / rho``) has an invertible
+    Jacobian and is therefore an exact root.  With ``beta == gamma`` the
+    difference of the two residuals is constant and their bilinear sum
+    is extremal on the boundary; with ``rho == 0`` and ``beta ==
+    -gamma`` both residuals depend on ``x - y`` only.  The minimum is
+    thus among the solution and the polished roots, the four edge minima
+    (both residuals are linear along an edge) and the stationary points
+    of the quartic residual along the singular line, each clipped to the
+    square.  Ties keep the first candidate in that order.
+
+    ``tests/reference_inversion.py`` keeps these steps as separate
+    helpers: the reference this kernel matches bit for bit.
     """
-    a, b, g = coeffs.alpha, coeffs.beta, coeffs.gamma
+    if not math.isfinite(u):
+        raise ModelError("observed category value u must be finite")
+    if not math.isfinite(v):
+        raise ModelError("observed category value v must be finite")
+
     det = b * b - g * g
     if abs(det) > _SINGULAR_TOL:
-        x = (b * (u - a) - g * (v - a)) / det
-        y = (b * (v - a) - g * (u - a)) / det
-        return x, y
-    s = b + g
-    if abs(s) > _SINGULAR_TOL:
-        mean = 0.5 * (u + v) - a
-        return mean / s, mean / s
-    return 0.0, 0.0
+        sx = (b * (u - a) - g * (v - a)) / det
+        sy = (b * (v - a) - g * (u - a)) / det
+    elif abs(b + g) > _SINGULAR_TOL:
+        sx = sy = (0.5 * (u + v) - a) / (b + g)
+    else:
+        sx = sy = 0.0
 
+    x, y = sx, sy
+    polished = []  # the Newton results of the roots in the square
+    if abs(r) >= _LINEAR_RHO_TOL:
+        if abs(b - g) > _SINGULAR_TOL:
+            # y = x - d with d fixed by the difference of the equations.
+            d, target = (u - v) / (b - g), u
+        else:
+            # beta == gamma: the difference carries no information; fall
+            # back to the symmetric assumption x == y on the mean equation.
+            d, target = 0.0, 0.5 * (u + v)
+        qb = b + g - r * d
+        qc = a - g * d - target
+        disc = qb * qb - 4.0 * r * qc
+        roots = []
+        if disc >= 0.0:
+            sq = math.sqrt(disc)
+            # Numerically stable pair of roots (r != 0 here).
+            q = -0.5 * (qb + sq) if qb >= 0.0 else -0.5 * (qb - sq)
+            roots = [q / r, qc / q] if abs(q) > 0.0 else [q / r]
+        roots = [(root, root - d) for root in roots]
 
-def _newton_refine(
-    coeffs: CategoryCoefficients, x: float, y: float, u: float, v: float
-) -> tuple[float, float]:
-    """A few damped Newton steps on the 2x2 system; keeps the best iterate."""
-    best = (x, y, _residual(coeffs, x, y, u, v))
-    for _ in range(12):
-        fx = coeffs.alpha + coeffs.beta * x + coeffs.gamma * y + coeffs.rho * x * y - u
-        fy = coeffs.alpha + coeffs.beta * y + coeffs.gamma * x + coeffs.rho * x * y - v
-        j11 = coeffs.beta + coeffs.rho * y
-        j12 = coeffs.gamma + coeffs.rho * x
-        j21 = coeffs.gamma + coeffs.rho * y
-        j22 = coeffs.beta + coeffs.rho * x
-        det = j11 * j22 - j12 * j21
-        if abs(det) < _SINGULAR_TOL:
-            break
-        dx = (fx * j22 - fy * j12) / det
-        dy = (fy * j11 - fx * j21) / det
-        x, y = x - dx, y - dy
-        res = _residual(coeffs, x, y, u, v)
-        if res < best[2]:
-            best = (x, y, res)
-        if res < 1e-28:
-            break
-    return best[0], best[1]
+        def from_seed(c: tuple[float, float]) -> float:
+            return (c[0] - sx) ** 2 + (c[1] - sy) ** 2
 
+        starts = [
+            c for c in roots
+            if -_SLACK <= c[0] <= _UNIT_SLACK and -_SLACK <= c[1] <= _UNIT_SLACK
+        ]
+        in_box = bool(starts)
+        if not in_box and roots:
+            starts = [min(roots, key=from_seed)]
+        for px, py in starts:
+            fx = a + b * px + g * py + r * px * py - u
+            fy = a + b * py + g * px + r * px * py - v
+            bx, by, best = px, py, fx * fx + fy * fy
+            for _ in range(12):
+                j11 = b + r * py
+                j12 = g + r * px
+                j21 = g + r * py
+                j22 = b + r * px
+                jdet = j11 * j22 - j12 * j21
+                if abs(jdet) < _SINGULAR_TOL:
+                    break
+                dx = (fx * j22 - fy * j12) / jdet
+                dy = (fy * j11 - fx * j21) / jdet
+                px, py = px - dx, py - dy
+                fx = a + b * px + g * py + r * px * py - u
+                fy = a + b * py + g * px + r * px * py - v
+                res = fx * fx + fy * fy
+                if res < best:
+                    bx, by, best = px, py, res
+                if res < 1e-28:
+                    break
+            polished.append((bx, by))
+        if starts:  # the polished start nearest the seed, the first on ties
+            x, y = polished[min(range(len(starts)), key=lambda k: from_seed(starts[k]))]
+        if not in_box:
+            polished = []
 
-def _clip_unit(value: float) -> float:
-    return min(max(value, 0.0), 1.0)
+    ru = a + b * x + g * y + r * x * y - u
+    rv = a + b * y + g * x + r * x * y - v
+    scale = u * u + v * v
+    bound = _EXACT_RESIDUAL_TOL_SQ * (scale if scale > 1.0 else 1.0)
+    if ru * ru + rv * rv <= bound and -_SLACK <= x <= _UNIT_SLACK and -_SLACK <= y <= _UNIT_SLACK:
+        return (0.0 if x < 0.0 else 1.0 if x > 1.0 else x,
+                0.0 if y < 0.0 else 1.0 if y > 1.0 else y, True)
 
-
-def _edge_minimum(c1: float, d1: float, c2: float, d2: float) -> float:
-    """Minimiser over [0, 1] of ``(c1 + d1 t)^2 + (c2 + d2 t)^2``."""
-    denom = d1 * d1 + d2 * d2
-    if denom == 0.0:
-        return 0.0
-    return _clip_unit(-(c1 * d1 + c2 * d2) / denom)
-
-
-def _box_minimum(
-    coeffs: CategoryCoefficients, u: float, v: float, roots: list[tuple[float, float]]
-) -> tuple[float, float]:
-    """Exact minimiser of the squared residual over the unit square.
-
-    With ``det J = (beta - gamma) * (beta + gamma + rho * (x + y))``, an
-    interior stationary point off the singular line ``x + y = s`` (``s =
-    -(beta + gamma) / rho``) has an invertible Jacobian and is therefore
-    an exact root.  With ``beta == gamma`` the difference of the two
-    residuals is constant and their bilinear sum is extremal on the
-    boundary; with ``rho == 0`` and ``beta == -gamma`` both residuals
-    depend on ``x - y`` only.  The minimum is thus among the solver's
-    ``roots`` (clipped to the square), the four edge minima (both
-    residuals are linear along an edge), and the stationary points of
-    the quartic residual along the singular line.  Ties keep the first
-    candidate in that order.
-    """
-    a, b, g, r = coeffs.alpha, coeffs.beta, coeffs.gamma, coeffs.rho
-    candidates = [(_clip_unit(x), _clip_unit(y)) for x, y in roots]
+    # The least squares fit over the unit square, from its candidates.
+    candidates = [(x, y), *polished]
     for fixed in (0.0, 1.0):
         # x == fixed: ru = (a + b x - u) + (g + r x) y, rv = (a + g x - v) + (b + r x) y.
-        y = _edge_minimum(a + b * fixed - u, g + r * fixed, a + g * fixed - v, b + r * fixed)
-        candidates.append((fixed, y))
+        c1, d1, c2, d2 = a + b * fixed - u, g + r * fixed, a + g * fixed - v, b + r * fixed
+        denom = d1 * d1 + d2 * d2
+        candidates.append((fixed, 0.0 if denom == 0.0 else -(c1 * d1 + c2 * d2) / denom))
     for fixed in (0.0, 1.0):
-        x = _edge_minimum(a + g * fixed - u, b + r * fixed, a + b * fixed - v, g + r * fixed)
-        candidates.append((x, fixed))
+        c1, d1, c2, d2 = a + g * fixed - u, b + r * fixed, a + b * fixed - v, g + r * fixed
+        denom = d1 * d1 + d2 * d2
+        candidates.append((0.0 if denom == 0.0 else -(c1 * d1 + c2 * d2) / denom, fixed))
     if r != 0.0 and b != g:
         s = -(b + g) / r
-        lo, hi = max(0.0, s - 1.0), min(1.0, s)
+        lo = s - 1.0 if s - 1.0 > 0.0 else 0.0
+        hi = s if s < 1.0 else 1.0
         if lo < hi:
             # On x = t, y = s - t: ru = p - 2 g t - r t^2, rv = q - 2 b t - r t^2,
             # and dR/dt / 4 is the cubic below.
@@ -360,10 +432,20 @@ def _box_minimum(
             q = a + b * s - v
             cubic = [2.0 * r * r, 3.0 * r * (b + g), 2.0 * (b * b + g * g) - r * (p + q),
                      -(g * p + b * q)]
-            for t in np.roots(cubic).real:
-                t = min(max(float(t), lo), hi)
-                candidates.append((t, _clip_unit(s - t)))
-    return min(candidates, key=lambda c: _residual(coeffs, c[0], c[1], u, v))
+            for t in np.roots(cubic).real.tolist():
+                t = lo if lo > t else t
+                t = hi if hi < t else t
+                candidates.append((t, s - t))
+    least = lx = ly = None
+    for cx, cy in candidates:
+        cx = 0.0 if cx < 0.0 else 1.0 if cx > 1.0 else cx
+        cy = 0.0 if cy < 0.0 else 1.0 if cy > 1.0 else cy
+        ru = a + b * cx + g * cy + r * cx * cy - u
+        rv = a + b * cy + g * cx + r * cx * cy - v
+        res = ru * ru + rv * rv
+        if least is None or res < least:
+            least, lx, ly = res, cx, cy
+    return lx, ly, least <= bound
 
 
 def invert_category(
@@ -378,70 +460,11 @@ def invert_category(
     ties) is polished by Newton iteration.  When no consistent solution
     exists in the unit square, the result is the least-squares fit
     constrained to the square, computed in closed form, and ``exact`` is
-    False.  ``x`` and ``y`` always lie in [0, 1].
+    False.  ``x`` and ``y`` always lie in [0, 1].  :func:`invert` runs
+    the same solve (:func:`_solve`) on each category.
     """
-    for name, value in (("u", u), ("v", v)):
-        if not math.isfinite(value):
-            raise ModelError(f"observed category value {name} must be finite")
-
-    seed = _linear_seed(coeffs, u, v)
-    polished: list[tuple[float, float]] = []
-
-    if abs(coeffs.rho) < _LINEAR_RHO_TOL:
-        x, y = seed
-    else:
-        b, g, r = coeffs.beta, coeffs.gamma, coeffs.rho
-        if abs(b - g) > _SINGULAR_TOL:
-            # y = x - d with d fixed by the difference of the equations.
-            d, target = (u - v) / (b - g), u
-        else:
-            # beta == gamma: the difference carries no information; fall
-            # back to the symmetric assumption x == y on the mean equation.
-            d, target = 0.0, 0.5 * (u + v)
-        qa = r
-        qb = b + g - r * d
-        qc = coeffs.alpha - g * d - target
-        disc = qb * qb - 4.0 * qa * qc
-        roots: list[float] = []
-        if disc >= 0.0:
-            sq = math.sqrt(disc)
-            # Numerically stable pair of roots.
-            q = -0.5 * (qb + sq) if qb >= 0.0 else -0.5 * (qb - sq)
-            if abs(qa) > 0.0:
-                roots.append(q / qa)
-            if abs(q) > 0.0:
-                roots.append(qc / q)
-        candidates = [(root, root - d) for root in roots]
-
-        slack = 1e-9
-        in_box = [
-            c
-            for c in candidates
-            if -slack <= c[0] <= 1.0 + slack and -slack <= c[1] <= 1.0 + slack
-        ]
-        polished = [_newton_refine(coeffs, cx, cy, u, v) for cx, cy in in_box]
-
-        def from_seed(c: tuple[float, float]) -> float:
-            return (c[0] - seed[0]) ** 2 + (c[1] - seed[1]) ** 2
-
-        # Nearest the linear seed on ties between admissible roots.
-        if in_box:
-            _, (x, y) = min(zip(in_box, polished), key=lambda cp: from_seed(cp[0]))
-        elif candidates:
-            x, y = _newton_refine(coeffs, *min(candidates, key=from_seed), u, v)
-        else:
-            x, y = seed
-
-    residual = _residual(coeffs, x, y, u, v)
-    scale = max(1.0, u * u + v * v)
-    in_unit = -1e-9 <= x <= 1.0 + 1e-9 and -1e-9 <= y <= 1.0 + 1e-9
-    if residual <= _EXACT_RESIDUAL_TOL**2 * scale and in_unit:
-        return CategorySolution(x=_clip_unit(x), y=_clip_unit(y), exact=True)
-
-    lx, ly = _box_minimum(coeffs, u, v, [(x, y)] + polished)
-    lres = _residual(coeffs, lx, ly, u, v)
-    exact = lres <= _EXACT_RESIDUAL_TOL**2 * scale
-    return CategorySolution(x=lx, y=ly, exact=exact)
+    x, y, exact = _solve(coeffs.alpha, coeffs.beta, coeffs.gamma, coeffs.rho, u, v)
+    return CategorySolution(x=x, y=y, exact=exact)
 
 
 @dataclass(frozen=True)
@@ -466,16 +489,24 @@ def invert(
     no consistent solution and used the least-squares fallback; callers
     should prefer an earlier good estimate in that case.
     """
-    xs: dict[str, float] = {}
-    ys: dict[str, float] = {}
-    degraded = False
-    for name in CATEGORIES:
-        sol = invert_category(model.category(name), smt_ij.get(name), smt_ji.get(name))
-        xs[name] = sol.x
-        ys[name] = sol.y
-        degraded = degraded or not sol.exact
+    c = model.fdc
+    fdc_i, fdc_j, fdc_exact = _solve(c.alpha, c.beta, c.gamma, c.rho, smt_ij.fdc, smt_ji.fdc)
+    c = model.fe
+    fe_i, fe_j, fe_exact = _solve(c.alpha, c.beta, c.gamma, c.rho, smt_ij.fe, smt_ji.fe)
+    c = model.be
+    be_i, be_j, be_exact = _solve(c.alpha, c.beta, c.gamma, c.rho, smt_ij.be, smt_ji.be)
     return InversionResult(
-        st_i=normalize_triple(CategoryTriple(**xs)),
-        st_j=normalize_triple(CategoryTriple(**ys)),
-        degraded=degraded,
+        st_i=_unit_vector(fdc_i, fe_i, be_i),
+        st_j=_unit_vector(fdc_j, fe_j, be_j),
+        degraded=not (fdc_exact and fe_exact and be_exact),
     )
+
+
+def _unit_vector(fdc: float, fe: float, be: float) -> CategoryVector:
+    """``normalize_triple`` of the solved triple, built as one vector."""
+    total = fdc + fe + be
+    if total != total:  # a NaN entry: the triple's check names it
+        CategoryTriple(fe=fe, be=be, fdc=fdc)
+    if total <= 1e-12:
+        return UNIFORM_VECTOR
+    return CategoryVector(fe=fe / total, be=be / total, fdc=fdc / total)

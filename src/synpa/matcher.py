@@ -56,7 +56,9 @@ import numpy as np
 
 from .dispatch import CategoryTriple
 from .errors import MatchingError
-from .interference import ModelCoefficients, _category_matrix, _fold_prices, _pair_weights
+from .interference import (
+    ModelCoefficients, _category_matrix, _co_run_slowdowns, _fold_prices, _pair_weights,
+)
 
 #: Node id used to pad an odd roster; the thread paired with it runs alone.
 IDLE_NODE = "__idle__"
@@ -106,7 +108,10 @@ class SynergyGraph:
 
 
 def build_graph(
-    model: ModelCoefficients, app_ids: Sequence[str], vectors: Sequence[CategoryTriple]
+    model: ModelCoefficients,
+    app_ids: Sequence[str],
+    vectors: Sequence[CategoryTriple],
+    slowdown: np.ndarray | None = None,
 ) -> SynergyGraph:
     """The pairing graph of one decision.
 
@@ -115,10 +120,15 @@ def build_graph(
     combined slowdown (:func:`synpa.interference.pair_weight_matrix`) and
     nodes carry the model's fold prices
     (:func:`synpa.interference.fold_prices`), which usually certify the
-    optimum.  Both come from one category matrix of the vectors.
+    optimum.  Both come from one category matrix of the vectors.  A
+    caller that holds the vectors' co-run slowdown matrix already
+    (:func:`synpa.interference.co_run_slowdowns`, as the engine does for
+    its log) passes it as ``slowdown``; it is evaluated here otherwise.
     """
     st = _category_matrix(vectors)
-    return graph_from_matrix(app_ids, _pair_weights(model, st), _fold_prices(model, st))
+    if slowdown is None:
+        slowdown = _co_run_slowdowns(model, st)
+    return graph_from_matrix(app_ids, _pair_weights(slowdown), _fold_prices(model, st))
 
 
 def graph_from_matrix(

@@ -1,0 +1,241 @@
+"""The per-category inverse solve written step by step: the reference
+that :func:`synpa.interference.invert` and
+:func:`synpa.interference.invert_category` must match bit for bit
+(``test_interference.TestInversionOracle``), as the subset DP in
+``test_matcher.py`` is for the matcher.
+
+Each step is its own helper here: the linear seed, the damped Newton
+polish, the squared residual, the clip to [0, 1], the edge minimum and
+the closed-form minimum over the unit square.  The package runs the
+same arithmetic, in the same order, as one plain-float kernel.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from synpa.dispatch import CATEGORIES, CategoryTriple, normalize_triple
+from synpa.errors import ModelError
+from synpa.interference import (
+    CategoryCoefficients,
+    CategorySolution,
+    InversionResult,
+    ModelCoefficients,
+)
+
+_EXACT_RESIDUAL_TOL = 1e-8
+_LINEAR_RHO_TOL = 1e-12
+_SINGULAR_TOL = 1e-12
+
+
+def _residual(coeffs: CategoryCoefficients, x: float, y: float, u: float, v: float) -> float:
+    ru = coeffs.alpha + coeffs.beta * x + coeffs.gamma * y + coeffs.rho * x * y - u
+    rv = coeffs.alpha + coeffs.beta * y + coeffs.gamma * x + coeffs.rho * x * y - v
+    return ru * ru + rv * rv
+
+
+def _linear_seed(coeffs: CategoryCoefficients, u: float, v: float) -> tuple[float, float]:
+    """Solve the system with rho treated as zero.
+
+    Degenerate 2x2 systems (beta == +/-gamma) fall back to the
+    symmetric solution; an all-zero form yields (0, 0).
+    """
+    a, b, g = coeffs.alpha, coeffs.beta, coeffs.gamma
+    det = b * b - g * g
+    if abs(det) > _SINGULAR_TOL:
+        x = (b * (u - a) - g * (v - a)) / det
+        y = (b * (v - a) - g * (u - a)) / det
+        return x, y
+    s = b + g
+    if abs(s) > _SINGULAR_TOL:
+        mean = 0.5 * (u + v) - a
+        return mean / s, mean / s
+    return 0.0, 0.0
+
+
+def _newton_refine(
+    coeffs: CategoryCoefficients, x: float, y: float, u: float, v: float
+) -> tuple[float, float]:
+    """A few damped Newton steps on the 2x2 system; keeps the best iterate."""
+    best = (x, y, _residual(coeffs, x, y, u, v))
+    for _ in range(12):
+        fx = coeffs.alpha + coeffs.beta * x + coeffs.gamma * y + coeffs.rho * x * y - u
+        fy = coeffs.alpha + coeffs.beta * y + coeffs.gamma * x + coeffs.rho * x * y - v
+        j11 = coeffs.beta + coeffs.rho * y
+        j12 = coeffs.gamma + coeffs.rho * x
+        j21 = coeffs.gamma + coeffs.rho * y
+        j22 = coeffs.beta + coeffs.rho * x
+        det = j11 * j22 - j12 * j21
+        if abs(det) < _SINGULAR_TOL:
+            break
+        dx = (fx * j22 - fy * j12) / det
+        dy = (fy * j11 - fx * j21) / det
+        x, y = x - dx, y - dy
+        res = _residual(coeffs, x, y, u, v)
+        if res < best[2]:
+            best = (x, y, res)
+        if res < 1e-28:
+            break
+    return best[0], best[1]
+
+
+def _clip_unit(value: float) -> float:
+    return min(max(value, 0.0), 1.0)
+
+
+def _edge_minimum(c1: float, d1: float, c2: float, d2: float) -> float:
+    """Minimiser over [0, 1] of ``(c1 + d1 t)^2 + (c2 + d2 t)^2``."""
+    denom = d1 * d1 + d2 * d2
+    if denom == 0.0:
+        return 0.0
+    return _clip_unit(-(c1 * d1 + c2 * d2) / denom)
+
+
+def _box_minimum(
+    coeffs: CategoryCoefficients, u: float, v: float, roots: list[tuple[float, float]]
+) -> tuple[float, float]:
+    """Exact minimiser of the squared residual over the unit square.
+
+    With ``det J = (beta - gamma) * (beta + gamma + rho * (x + y))``, an
+    interior stationary point off the singular line ``x + y = s`` (``s =
+    -(beta + gamma) / rho``) has an invertible Jacobian and is therefore
+    an exact root.  With ``beta == gamma`` the difference of the two
+    residuals is constant and their bilinear sum is extremal on the
+    boundary; with ``rho == 0`` and ``beta == -gamma`` both residuals
+    depend on ``x - y`` only.  The minimum is thus among the solver's
+    ``roots`` (clipped to the square), the four edge minima (both
+    residuals are linear along an edge), and the stationary points of
+    the quartic residual along the singular line.  Ties keep the first
+    candidate in that order.
+    """
+    a, b, g, r = coeffs.alpha, coeffs.beta, coeffs.gamma, coeffs.rho
+    candidates = [(_clip_unit(x), _clip_unit(y)) for x, y in roots]
+    for fixed in (0.0, 1.0):
+        # x == fixed: ru = (a + b x - u) + (g + r x) y, rv = (a + g x - v) + (b + r x) y.
+        y = _edge_minimum(a + b * fixed - u, g + r * fixed, a + g * fixed - v, b + r * fixed)
+        candidates.append((fixed, y))
+    for fixed in (0.0, 1.0):
+        x = _edge_minimum(a + g * fixed - u, b + r * fixed, a + b * fixed - v, g + r * fixed)
+        candidates.append((x, fixed))
+    if r != 0.0 and b != g:
+        s = -(b + g) / r
+        lo, hi = max(0.0, s - 1.0), min(1.0, s)
+        if lo < hi:
+            # On x = t, y = s - t: ru = p - 2 g t - r t^2, rv = q - 2 b t - r t^2,
+            # and dR/dt / 4 is the cubic below.
+            p = a + g * s - u
+            q = a + b * s - v
+            cubic = [2.0 * r * r, 3.0 * r * (b + g), 2.0 * (b * b + g * g) - r * (p + q),
+                     -(g * p + b * q)]
+            for t in np.roots(cubic).real:
+                t = min(max(float(t), lo), hi)
+                candidates.append((t, _clip_unit(s - t)))
+    return min(candidates, key=lambda c: _residual(coeffs, c[0], c[1], u, v))
+
+
+def invert_category(
+    coeffs: CategoryCoefficients, u: float, v: float
+) -> CategorySolution:
+    """Recover both threads' isolated values for one category.
+
+    Solves ``u = f(x, y)``, ``v = f(y, x)`` where ``f`` is the forward
+    form.  With ``rho == 0`` this is a 2x2 linear solve; otherwise the
+    difference of the two equations eliminates one unknown and leaves a
+    quadratic, whose root in the unit square (nearest the linear seed on
+    ties) is polished by Newton iteration.  When no consistent solution
+    exists in the unit square, the result is the least-squares fit
+    constrained to the square, computed in closed form, and ``exact`` is
+    False.  ``x`` and ``y`` always lie in [0, 1].
+    """
+    for name, value in (("u", u), ("v", v)):
+        if not math.isfinite(value):
+            raise ModelError(f"observed category value {name} must be finite")
+
+    seed = _linear_seed(coeffs, u, v)
+    polished: list[tuple[float, float]] = []
+
+    if abs(coeffs.rho) < _LINEAR_RHO_TOL:
+        x, y = seed
+    else:
+        b, g, r = coeffs.beta, coeffs.gamma, coeffs.rho
+        if abs(b - g) > _SINGULAR_TOL:
+            # y = x - d with d fixed by the difference of the equations.
+            d, target = (u - v) / (b - g), u
+        else:
+            # beta == gamma: the difference carries no information; fall
+            # back to the symmetric assumption x == y on the mean equation.
+            d, target = 0.0, 0.5 * (u + v)
+        qa = r
+        qb = b + g - r * d
+        qc = coeffs.alpha - g * d - target
+        disc = qb * qb - 4.0 * qa * qc
+        roots: list[float] = []
+        if disc >= 0.0:
+            sq = math.sqrt(disc)
+            # Numerically stable pair of roots.
+            q = -0.5 * (qb + sq) if qb >= 0.0 else -0.5 * (qb - sq)
+            if abs(qa) > 0.0:
+                roots.append(q / qa)
+            if abs(q) > 0.0:
+                roots.append(qc / q)
+        candidates = [(root, root - d) for root in roots]
+
+        slack = 1e-9
+        in_box = [
+            c
+            for c in candidates
+            if -slack <= c[0] <= 1.0 + slack and -slack <= c[1] <= 1.0 + slack
+        ]
+        polished = [_newton_refine(coeffs, cx, cy, u, v) for cx, cy in in_box]
+
+        def from_seed(c: tuple[float, float]) -> float:
+            return (c[0] - seed[0]) ** 2 + (c[1] - seed[1]) ** 2
+
+        # Nearest the linear seed on ties between admissible roots.
+        if in_box:
+            _, (x, y) = min(zip(in_box, polished), key=lambda cp: from_seed(cp[0]))
+        elif candidates:
+            x, y = _newton_refine(coeffs, *min(candidates, key=from_seed), u, v)
+        else:
+            x, y = seed
+
+    residual = _residual(coeffs, x, y, u, v)
+    scale = max(1.0, u * u + v * v)
+    in_unit = -1e-9 <= x <= 1.0 + 1e-9 and -1e-9 <= y <= 1.0 + 1e-9
+    if residual <= _EXACT_RESIDUAL_TOL**2 * scale and in_unit:
+        return CategorySolution(x=_clip_unit(x), y=_clip_unit(y), exact=True)
+
+    lx, ly = _box_minimum(coeffs, u, v, [(x, y)] + polished)
+    lres = _residual(coeffs, lx, ly, u, v)
+    exact = lres <= _EXACT_RESIDUAL_TOL**2 * scale
+    return CategorySolution(x=lx, y=ly, exact=exact)
+
+
+def invert(
+    model: ModelCoefficients, smt_ij: CategoryTriple, smt_ji: CategoryTriple
+) -> InversionResult:
+    """Estimate both threads' isolated vectors from co-run observations.
+
+    ``smt_ij`` holds the observed category values of thread *i* while
+    paired with *j*, and ``smt_ji`` the reverse; both must come from the
+    same core and quantum.  Each category is solved independently (each
+    solution lies in [0, 1]), and the resulting triples are
+    renormalized to sum to 1.  ``degraded`` is set when any category had
+    no consistent solution and used the least-squares fallback; callers
+    should prefer an earlier good estimate in that case.
+    """
+    xs: dict[str, float] = {}
+    ys: dict[str, float] = {}
+    degraded = False
+    for name in CATEGORIES:
+        sol = invert_category(model.category(name), smt_ij.get(name), smt_ji.get(name))
+        xs[name] = sol.x
+        ys[name] = sol.y
+        degraded = degraded or not sol.exact
+    return InversionResult(
+        st_i=normalize_triple(CategoryTriple(**xs)),
+        st_j=normalize_triple(CategoryTriple(**ys)),
+        degraded=degraded,
+    )

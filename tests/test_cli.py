@@ -394,6 +394,10 @@ class TestSimulate:
             pytest.param({"instructions": '"100000000"'}, id="instructions-string"),
             pytest.param({"instructions": "1" + "0" * 400}, id="instructions-401-digits"),
             pytest.param({"seed": "1.5"}, id="seed-fraction"),
+            # Other numbers are JSON numbers too, not strings or bools.
+            pytest.param({"fe": lambda fe: json.dumps(repr(fe))}, id="vector-string"),
+            pytest.param({"quantum_ms": '"100"'}, id="quantum-string"),
+            pytest.param({"quantum_ms": "true"}, id="quantum-bool"),
         ],
     )
     def test_bad_workload_file_fails_fast(self, workload_file, tmp_path, capsys, edits):
@@ -406,12 +410,16 @@ class TestSimulate:
             "instructions": (app["phases"][0], "instructions"),
             "target": (app, "target_instructions"),
             "seed": (doc, "seed"),
+            "fe": (app["phases"][0]["vector"], "fe"),
+            "quantum_ms": (doc, "quantum_ms"),
         }
-        for where in edits:
+        literals = {}
+        for where, literal in edits.items():
             owner, key = places[where]
+            literals[where] = literal(owner[key]) if callable(literal) else literal
             owner[key] = f"@{where}@"
         text = json.dumps(doc)
-        for where, literal in edits.items():
+        for where, literal in literals.items():
             text = text.replace(f'"@{where}@"', literal)
         wl = tmp_path / "bad.json"
         wl.write_text(text, encoding="utf-8")
@@ -540,6 +548,9 @@ class TestReplay:
 
     @pytest.mark.parametrize("field, value", [
         ("quantum_ms", "NaN"), ("quantum_ms", "Infinity"), ("dispatch_width", "4.9"),
+        # A JSON string, a bool or an integer beyond float range is no quantum.
+        ("quantum_ms", '"100"'), ("quantum_ms", "true"),
+        pytest.param("quantum_ms", "1" + "0" * 400, id="quantum_ms-401-digits"),
         # Positive and finite, but under one simulator cycle.
         ("quantum_ms", "1e-09"),
         # A declared thread named like the odd-roster padding node.

@@ -90,7 +90,11 @@ class TestParsing:
             parse_counter_text("not json\n" + COLS + "\n")
         assert err.value.line == 1
 
-    @pytest.mark.parametrize("quantum_ms", ["NaN", "Infinity"])
+    @pytest.mark.parametrize(
+        "quantum_ms",
+        # Also a JSON string, a bool and an integer beyond float range.
+        ["NaN", "Infinity", '"100"', "true", pytest.param("1" + "0" * 400, id="401-digits")],
+    )
     def test_non_finite_quantum_ms_rejected(self, quantum_ms):
         header = HEADER.replace('"quantum_ms":100', f'"quantum_ms":{quantum_ms}')
         with pytest.raises(TraceError, match="quantum_ms") as err:
@@ -124,6 +128,32 @@ class TestParsing:
         with pytest.raises(TraceError, match="inst_spec must be below 2\\*\\*64") as err:
             parse_counter_text(make_text(rows))
         assert err.value.line == 4
+
+    @pytest.mark.parametrize(
+        "row, field",
+        [
+            pytest.param("0,t0,1_000,400,100,200", "cpu_cycles", id="underscore"),
+            pytest.param("0,t0,1000, 400 ,100,200", "inst_spec", id="padding"),
+            pytest.param("0,t0,1000,400,+100,200", "stall_frontend", id="plus-sign"),
+            pytest.param("0,t0,1000,400,100,-0", "stall_backend", id="minus-zero"),
+            pytest.param("0,t0,1000,400,100,", "stall_backend", id="empty"),
+            pytest.param("0,t0,1000,\u0664\u0660\u0660,100,200", "inst_spec", id="arabic-digits"),
+            pytest.param(" 0,t0,1000,400,100,200", "quantum", id="padded-quantum"),
+        ],
+    )
+    def test_counter_fields_are_ascii_digits(self, row, field):
+        # int() alone would read each of these rows; a trace writer emits
+        # plain digits, so anything else is a hand edit to reject.
+        rows = ["0,t1,1000,400,100,200"] if field == "quantum" else []
+        with pytest.raises(TraceError, match=f"{field} must be ASCII digits") as err:
+            parse_counter_text(make_text([row, *rows]))
+        assert err.value.line == 3
+
+    def test_counter_fields_of_2_to_the_64_keep_their_message(self):
+        rows = [f"0,t0,{2**64},400,100,200"]
+        with pytest.raises(TraceError, match="cpu_cycles must be below 2\\*\\*64") as err:
+            parse_counter_text(make_text(rows))
+        assert err.value.line == 3
 
     def test_version_mismatch_rejected(self):
         header = HEADER.replace('"version":1', '"version":9')
@@ -226,5 +256,18 @@ class TestRoundTrip:
         )
         text = format_trace(header, [sample], {(0, "t0"): 2**64})
         with pytest.raises(TraceError, match="below 2\\*\\*64") as err:
+            parse_counter_text(text, require_committed=True)
+        assert err.value.line == 3
+
+    def test_committed_count_is_ascii_digits(self):
+        header = TraceHeader(
+            dispatch_width=4, quantum_ms=100.0, threads=("t0",), mode="isolated"
+        )
+        sample = RawCounterSample(
+            quantum_index=0, thread_id="t0", cpu_cycles=1000, inst_spec=800,
+            stall_frontend=100, stall_backend=100,
+        )
+        text = format_trace(header, [sample], {(0, "t0"): 700}).replace(",700\n", ",7_00\n")
+        with pytest.raises(TraceError, match="committed_instructions must be ASCII digits") as err:
             parse_counter_text(text, require_committed=True)
         assert err.value.line == 3

@@ -40,6 +40,7 @@ from synpa import (
     trace_from_log,
 )
 from synpa import engine
+from synpa.dispatch import UNIFORM_VECTOR
 from synpa.harness import make_synthetic_app
 
 QUANTUM_CYCLES = 100 * CYCLES_PER_MS  # default quantum at the nominal clock
@@ -709,6 +710,43 @@ class TestReplay:
         # Migrations count pairs not in the previous record: (idle, c)
         # is new in quantum 7, the first without d.
         assert [r.migrations for r in log.records] == [2, 0, 0, 0, 0, 0, 1, 0, 0, 0]
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_logged_slowdowns_are_the_model_predictions(self, tmp_path, policy):
+        # Five threads (one sits with the idle node), "e" joins at the
+        # fourth quantum, and the fractions vary so that some inversions
+        # degrade and some do not.
+        from conftest import counters_for_fractions
+
+        threads = ("a", "b", "c", "d", "e")
+        rng = np.random.default_rng(11)
+        samples = []
+        for quantum in range(12):
+            for thread in threads[:4] if quantum < 3 else threads:
+                fe, fdc = rng.uniform(0.05, 0.45), rng.uniform(0.1, 0.5)
+                samples.append(counters_for_fractions(quantum, thread, fe, fdc, cycles=10**6))
+        header = TraceHeader(dispatch_width=4, quantum_ms=100.0, threads=threads)
+        path = tmp_path / "late.trace"
+        path.write_text(format_trace(header, samples), encoding="utf-8")
+
+        log = run(EngineConfig(trace_path=str(path), policy=policy, seed=2))
+        assert [len(r.observed) for r in log.records] == [4] * 3 + [5] * 9
+        degraded = [v for r in log.records for v in r.degraded.values()]
+        if policy == "synpa":
+            assert any(degraded) and not all(degraded)
+        for record in log.records:
+            assert set(record.slowdown) == set(record.observed)
+            # The estimates in effect: the fresh ones under synpa, the
+            # uniform prior under the policies that never invert.
+            effective = {a: record.estimates.get(a, UNIFORM_VECTOR) for a in record.observed}
+            for a, b in record.pairs:
+                if IDLE_NODE in (a, b):
+                    assert record.slowdown[b if a == IDLE_NODE else a] == 1.0
+                    continue
+                pred = predict_pair(REFERENCE_COEFFICIENTS, effective[a], effective[b])
+                assert record.slowdown[a] == pred.slowdown_i
+                assert record.slowdown[b] == pred.slowdown_j
+        assert any(IDLE_NODE in p for p in log.records[-1].pairs)
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_reserved_thread_id_rejected(self, tmp_path, policy):

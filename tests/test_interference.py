@@ -20,6 +20,7 @@ from synpa import (
     ModelError,
     REFERENCE_COEFFICIENTS,
     build_graph,
+    co_run_slowdowns,
     fold_prices,
     forward,
     graph_from_matrix,
@@ -31,6 +32,7 @@ from synpa import (
 from synpa.errors import read_text, write_text
 from synpa.matcher import IDLE_WEIGHT
 
+import reference_inversion
 from conftest import category_vectors, coefficient_models
 
 ZERO = CategoryCoefficients(alpha=0.0, beta=0.0, gamma=0.0, rho=0.0)
@@ -182,6 +184,12 @@ class TestPairWeightMatrix:
         for (i, j), want in scalar_pair_weights(model, vectors).items():
             assert matrix[i, j] == want
         assert all(matrix[i, i] == 0.0 for i in range(len(vectors)))
+        # Each thread's own entry, which replay logs as its model slowdown.
+        slowdowns = co_run_slowdowns(model, vectors)
+        assert slowdowns.shape == matrix.shape
+        for i, a in enumerate(vectors):
+            for j, b in enumerate(vectors):
+                assert slowdowns[i, j] == predict_pair(model, a, b).slowdown_i
 
     def test_clamp_at_zero_is_bit_equal(self):
         # Negative intercepts drive every category below zero for the
@@ -211,6 +219,13 @@ class TestPairWeightMatrix:
         graph = build_graph(REFERENCE_COEFFICIENTS, ids, vectors)
         nodes = sorted([*ids, IDLE_NODE]) if len(ids) % 2 else ids
         assert graph.nodes == tuple(nodes)
+        # The engine hands over the co-run slowdowns it already holds.
+        given_slowdowns = build_graph(
+            REFERENCE_COEFFICIENTS, ids, vectors, co_run_slowdowns(REFERENCE_COEFFICIENTS, vectors)
+        )
+        assert given_slowdowns.nodes == graph.nodes
+        assert given_slowdowns.matrix.tobytes() == graph.matrix.tobytes()
+        assert given_slowdowns.prices.tobytes() == graph.prices.tobytes()
         vector = dict(zip(ids, vectors))
         price = dict(zip(ids, fold_prices(REFERENCE_COEFFICIENTS, vectors).tolist()))
         for i, a in enumerate(nodes):
@@ -239,6 +254,8 @@ class TestPairWeightMatrix:
         vectors = [CategoryVector(fe=0.5, be=0.25, fdc=0.25)] * 2
         with pytest.raises(ModelError):
             pair_weight_matrix(model, vectors)
+        with pytest.raises(ModelError, match="predicted slowdown is not finite"):
+            co_run_slowdowns(model, vectors)
 
 
 GRID_X, GRID_Y = np.meshgrid(np.linspace(0.0, 1.0, 201), np.linspace(0.0, 1.0, 201))
@@ -534,6 +551,136 @@ class TestInvert:
         pred = predict_pair(REFERENCE_COEFFICIENTS, st, st)
         result = invert(REFERENCE_COEFFICIENTS, pred.smt_i, pred.smt_j)
         assert not result.degraded
+
+
+def bits(*values):
+    """Floats as their exact bit patterns (``-0.0`` differs from ``0.0``)."""
+    return tuple(float(x).hex() for x in values)
+
+
+def result_bits(result):
+    return (*bits(*(result.st_i.get(n) for n in CATEGORIES)),
+            *bits(*(result.st_j.get(n) for n in CATEGORIES)), result.degraded)
+
+
+def outcome(fn, *args):
+    """``fn(*args)``, or the type and message of the ModelError it raises."""
+    try:
+        return fn(*args)
+    except ModelError as exc:
+        return ModelError, str(exc)
+
+
+@st.composite
+def oracle_forms(draw):
+    """One category's form: arbitrary, ``rho = 0``, ``beta = +/-gamma``,
+    all zero, a singular line ``x + y = -(beta + gamma) / rho`` crossing
+    the unit square (the solver's ``np.roots`` branch), or a reference
+    form."""
+    kind = draw(st.sampled_from(
+        ["any", "linear", "beta_eq_gamma", "beta_eq_minus_gamma", "zero", "singular_line",
+         "reference"]
+    ))
+    if kind == "reference":
+        return REFERENCE_COEFFICIENTS.category(draw(st.sampled_from(CATEGORIES)))
+    coeff = st.floats(-2.0, 2.0)
+    alpha, beta, gamma, rho = (draw(coeff) for _ in range(4))
+    if kind == "linear":
+        rho = 0.0
+    elif kind == "beta_eq_gamma":
+        gamma = beta
+    elif kind == "beta_eq_minus_gamma":
+        gamma = -beta
+    elif kind == "zero":
+        alpha = beta = gamma = rho = 0.0
+    elif kind == "singular_line":
+        rho = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.05, 2.0))
+        line = draw(st.floats(0.05, 1.95))
+        half_gap = draw(st.floats(-1.0, 1.0).filter(lambda h: abs(h) > 1e-3))
+        beta, gamma = -0.5 * rho * line + half_gap, -0.5 * rho * line - half_gap
+    return CategoryCoefficients(alpha=alpha, beta=beta, gamma=gamma, rho=rho)
+
+
+@st.composite
+def oracle_observations(draw, model):
+    """A pair's co-run triples: the model's exact forward prediction, that
+    prediction with noise (clamped at zero), or replay-style normalized
+    fractions, which the model rarely fits and so mostly degrade."""
+    kind = draw(st.sampled_from(["exact", "noisy", "fractions"]))
+    if kind == "fractions":
+        return tuple(CategoryTriple(**draw(category_vectors()).as_dict()) for _ in range(2))
+    pred = predict_pair(model, draw(category_vectors()), draw(category_vectors()))
+    if kind == "exact":
+        return pred.smt_i, pred.smt_j
+    noise = st.floats(-0.05, 0.05)
+    return tuple(
+        CategoryTriple(**{n: max(0.0, smt.get(n) + draw(noise)) for n in CATEGORIES})
+        for smt in (pred.smt_i, pred.smt_j)
+    )
+
+
+class TestInversionOracle:
+    """The plain-float kernel against the step-by-step solver it replaced
+    (``tests/reference_inversion.py``): the same floats, bit for bit."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(forms=st.tuples(oracle_forms(), oracle_forms(), oracle_forms()), data=st.data())
+    def test_invert_equals_the_reference(self, forms, data):
+        model = ModelCoefficients(fdc=forms[0], fe=forms[1], be=forms[2])
+        smt_ij, smt_ji = data.draw(oracle_observations(model))
+        got = outcome(invert, model, smt_ij, smt_ji)
+        want = outcome(reference_inversion.invert, model, smt_ij, smt_ji)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert result_bits(got) == result_bits(want)
+
+    @settings(max_examples=600, deadline=None)
+    @given(case=st.one_of(inversion_cases(), st.tuples(oracle_forms(), st.floats(-3.0, 3.0),
+                                                       st.floats(-3.0, 3.0))))
+    def test_invert_category_equals_the_reference(self, case):
+        got = invert_category(*case)
+        want = reference_inversion.invert_category(*case)
+        assert (*bits(got.x, got.y), got.exact) == (*bits(want.x, want.y), want.exact)
+
+    def test_singular_line_branch_is_covered(self, monkeypatch):
+        # Observations no point of the square fits, for forms whose
+        # singular line crosses it: the least squares fit solves the cubic
+        # along that line.  In the last case the fit is the point of that
+        # line at x = 0.0098, near where the line leaves the square.
+        calls = []
+        roots = np.roots
+        monkeypatch.setattr(np, "roots", lambda p: calls.append(p) or roots(p))
+        line_08 = CategoryCoefficients(alpha=0.1, beta=0.1, gamma=0.7, rho=-1.0)
+        cases = [(line_08, u, v) for u, v in [(2.0, -1.0), (0.9, 0.1), (-0.5, 1.5), (0.3, 0.3)]]
+        near_edge = CategoryCoefficients(
+            alpha=0.7904631773539146, beta=0.5250586258891646,
+            gamma=-0.5834388750775749, rho=0.06175615765294634,
+        )
+        cases.append((near_edge, -0.3628974471383968, 0.5965284560483473))
+        for case in cases:
+            got = invert_category(*case)
+            want = reference_inversion.invert_category(*case)
+            assert (*bits(got.x, got.y), got.exact) == (*bits(want.x, want.y), want.exact)
+        assert len(calls) >= len(cases) - 2
+        got = invert_category(*cases[-1])
+        assert not got.exact and abs(got.x - 0.0098246) < 1e-6
+
+    def test_errors_match(self):
+        coeffs = REFERENCE_COEFFICIENTS.fdc
+        for u, v in [(math.inf, 0.3), (0.3, math.nan), (math.nan, math.inf)]:
+            assert outcome(invert_category, coeffs, u, v) == outcome(
+                reference_inversion.invert_category, coeffs, u, v
+            )
+        # A form of absurd magnitudes whose solve overflows to NaN in fe
+        # alone: both name that category.
+        wild = CategoryCoefficients(alpha=4.6e-48, beta=-1.07e287, gamma=1.29e-281, rho=0.0)
+        model = ModelCoefficients(fdc=REFERENCE_COEFFICIENTS.fdc, fe=wild, be=REFERENCE_COEFFICIENTS.be)
+        smt_ij = CategoryTriple(fe=0.0, be=0.3, fdc=0.4)
+        smt_ji = CategoryTriple(fe=1e300, be=0.3, fdc=0.4)
+        got = outcome(invert, model, smt_ij, smt_ji)
+        want = outcome(reference_inversion.invert, model, smt_ij, smt_ji)
+        assert got == want == (ModelError, "category fe must be finite, got nan")
 
 
 class TestCoefficientSerialization:
