@@ -20,6 +20,7 @@ samples grouped by quantum.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -28,7 +29,10 @@ from itertools import groupby
 from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
-from .errors import RosterError, TraceError, read_text
+from .errors import (
+    RosterError, TraceError, json_document, json_list, json_number, json_string, read_text,
+    whole_number,
+)
 
 TRACE_VERSION = 1
 
@@ -87,85 +91,49 @@ class RawCounterSample:
 
 @dataclass(frozen=True)
 class TraceHeader:
-    """Parsed JSON header of a trace or profile file."""
+    """Parsed JSON header of a trace or profile file, the file's line 1:
+    its errors name that line."""
 
     dispatch_width: int
     quantum_ms: float
     threads: tuple[str, ...]
-    version: int = TRACE_VERSION
     mode: str | None = None  # "isolated" | "paired" (profiles only)
-    partner: str | None = None  # co-runner app id for paired profiles
 
     def __post_init__(self) -> None:
-        if self.version != TRACE_VERSION:
-            raise TraceError(f"unsupported trace version {self.version}")
         if self.dispatch_width < 1:
-            raise TraceError(f"dispatch_width must be >= 1, got {self.dispatch_width}")
+            raise TraceError(f"dispatch_width must be >= 1, got {self.dispatch_width}", line=1)
         if not (math.isfinite(self.quantum_ms) and self.quantum_ms > 0):
-            raise TraceError(f"quantum_ms must be positive and finite, got {self.quantum_ms}")
+            raise TraceError(
+                f"quantum_ms must be positive and finite, got {self.quantum_ms}", line=1
+            )
         if len(set(self.threads)) != len(self.threads):
-            raise TraceError("duplicate thread ids in header roster")
+            raise TraceError("duplicate thread ids in header roster", line=1)
         if self.mode not in (None, "isolated", "paired"):
-            raise TraceError(f"unknown profile mode {self.mode!r}")
+            raise TraceError(f"unknown profile mode {self.mode!r}", line=1)
 
     def to_json(self) -> str:
         doc = {
-            "version": self.version,
+            "version": TRACE_VERSION,
             "dispatch_width": self.dispatch_width,
             "quantum_ms": self.quantum_ms,
             "threads": list(self.threads),
         }
         if self.mode is not None:
             doc["mode"] = self.mode
-        if self.partner is not None:
-            doc["partner"] = self.partner
         return json.dumps(doc, sort_keys=True)
 
 
-def json_number(value: object, field: str) -> float:
-    """``value`` as a float if it is a JSON number within float range (a
-    bool or a string is not); raises :class:`ValueError` otherwise."""
-    try:
-        if type(value) in (int, float):
-            return float(value)
-    except OverflowError:  # an integer beyond float range
-        pass
-    raise ValueError(f"{field} must be a number within float range")
-
-
 def _parse_header(line: str) -> TraceHeader:
-    try:
-        doc = json.loads(line)
-    except ValueError as exc:  # bad JSON, or an integer of over 4300 digits
-        raise TraceError(f"header is not valid JSON: {exc}", line=1) from None
-    if not isinstance(doc, dict):
-        raise TraceError("header must be a JSON object", line=1)
-    for key in ("version", "dispatch_width", "quantum_ms", "threads"):
-        if key not in doc:
-            raise TraceError(f"header missing required field {key!r}", line=1)
-    width = doc["dispatch_width"]
-    if not isinstance(width, int) or isinstance(width, bool):
-        raise TraceError(f"dispatch_width must be an integer, got {width!r}", line=1)
-    threads = doc["threads"]
-    if not isinstance(threads, list) or not all(isinstance(t, str) for t in threads):
-        raise TraceError("header 'threads' must be a list of strings", line=1)
-    try:
-        quantum_ms = json_number(doc["quantum_ms"], "quantum_ms")
-    except ValueError as exc:
-        raise TraceError(str(exc), line=1) from None
-    try:
-        return TraceHeader(
-            version=int(doc["version"]),
-            dispatch_width=width,
-            quantum_ms=quantum_ms,
-            threads=tuple(threads),
-            mode=doc.get("mode"),
-            partner=doc.get("partner"),
-        )
-    except TraceError as exc:
-        raise TraceError(str(exc), line=1) from None
-    except (TypeError, ValueError) as exc:
-        raise TraceError(f"bad header field: {exc}", line=1) from None
+    error = functools.partial(TraceError, line=1)
+    doc = json_document(line, error, version=TRACE_VERSION)
+    threads = json_list(doc.get("threads"), "threads", error)
+    mode = doc.get("mode")  # profiles only
+    return TraceHeader(
+        dispatch_width=whole_number(doc.get("dispatch_width"), "dispatch_width", error),
+        quantum_ms=json_number(doc.get("quantum_ms"), "quantum_ms", error),
+        threads=tuple(json_string(t, "threads", error) for t in threads),
+        mode=None if mode is None else json_string(mode, "mode", error),
+    )
 
 
 def read_counter_file(

@@ -38,13 +38,12 @@ import functools
 import itertools
 import json
 import math
-import sys
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .counters import RawCounterSample, TraceHeader, json_number, open_trace
+from .counters import RawCounterSample, TraceHeader, open_trace
 from .dispatch import (
     CATEGORIES,
     CategoryTriple,
@@ -54,7 +53,10 @@ from .dispatch import (
     normalize,
     normalize_triple,
 )
-from .errors import ConfigError, TraceError, WorkloadError
+from .errors import (
+    ConfigError, Fail, TraceError, WorkloadError, failing, json_list, json_number, json_object,
+    json_string, whole_number,
+)
 from .interference import (
     REFERENCE_COEFFICIENTS, ModelCoefficients, co_run_slowdowns, invert, predict_pair,
 )
@@ -76,30 +78,35 @@ ESTIMATE_DECAY = 0.5
 
 LOG_VERSION = 1
 
+#: A run log's header fields besides ``kind``, ``version`` and ``apps``,
+#: and its summary's per-app maps besides ``total_quanta``, each with the
+#: reader of its JSON values (see :func:`synpa.harness.load_log_summary`).
+LOG_HEADER = {
+    "mode": json_string, "policy": json_string, "seed": whole_number, "quantum_ms": json_number,
+    "dispatch_width": whole_number, "cycles_per_quantum": whole_number,
+    "noise_sigma": json_number,
+}
+LOG_SUMMARY = {
+    "first_completion": whole_number, "relaunches": whole_number,
+    "iso_quanta": json_number, "instructions": json_number,
+}
 
-def cycles_per_quantum(quantum_ms: float) -> int:
+
+def cycles_per_quantum(quantum_ms: float, error: Fail = ConfigError) -> int:
     """Simulated cycles in a quantum of ``quantum_ms`` milliseconds.
 
-    Raises :class:`ConfigError` unless the quantum is finite and at
-    least one cycle long.
+    Raises ``error`` (the reading format's, a :class:`ConfigError` by
+    default) unless the quantum is finite and at least one cycle long.
     """
     cycles = quantum_ms * CYCLES_PER_MS
     if not (math.isfinite(cycles) and round(cycles) >= 1):
-        raise ConfigError(f"quantum_ms must be finite and at least one cycle, got {quantum_ms}")
+        raise error(f"quantum_ms must be finite and at least one cycle, got {quantum_ms}")
     return round(cycles)
 
 
 def isolated_rate(vector: CategoryVector, cycles_per_quantum: int) -> float:
     """Instructions per quantum of a thread running alone with ``vector``."""
     return vector.fdc * DISPATCH_WIDTH * cycles_per_quantum
-
-
-def whole_number(value: object, field: str) -> int:
-    """``value`` as an int if it is a whole JSON number within float range
-    (``1e9`` is valid); raises :class:`ValueError` otherwise."""
-    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max or value % 1:
-        raise ValueError(f"{field} must be a whole number within float range")
-    return int(value)
 
 
 # ---------------------------------------------------------------------------
@@ -181,22 +188,21 @@ class SyntheticApp:
         }
 
     @classmethod
-    def from_dict(cls, doc: Mapping) -> "SyntheticApp":
-        try:
-            phases = tuple(
-                Phase(
-                    vector=CategoryVector(**{k: json_number(v, k) for k, v in p["vector"].items()}),
-                    instructions=whole_number(p["instructions"], "instructions"),
-                )
-                for p in doc["phases"]
-            )
-            return cls(
-                app_id=str(doc["app_id"]),
-                phases=phases,
-                target_instructions=whole_number(doc["target_instructions"], "target_instructions"),
-            )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise WorkloadError(f"bad synthetic app definition: {exc}") from None
+    def from_dict(cls, doc: object) -> "SyntheticApp":
+        """The app of one entry of a workload file's ``apps``."""
+        error = failing(WorkloadError, "bad synthetic app definition")
+        doc = json_object(doc, "app", error)
+        phases = []
+        for p in json_list(doc.get("phases"), "phases", error):
+            p = json_object(p, "phase", error)
+            vector = json_object(p.get("vector"), "vector", error, keys=CATEGORIES)
+            phases.append(Phase(
+                vector=CategoryVector(**{k: json_number(v, k, error) for k, v in vector.items()}),
+                instructions=whole_number(p.get("instructions"), "instructions", error),
+            ))
+        target = whole_number(doc.get("target_instructions"), "target_instructions", error)
+        app_id = json_string(doc.get("app_id"), "app_id", error)
+        return cls(app_id=app_id, phases=tuple(phases), target_instructions=target)
 
 
 @dataclass(frozen=True)
@@ -379,14 +385,8 @@ class ScheduleLog:
         header = {
             "kind": "schedule-log",
             "version": LOG_VERSION,
-            "mode": self.mode,
-            "policy": self.policy,
-            "seed": self.seed,
-            "quantum_ms": self.quantum_ms,
-            "dispatch_width": self.dispatch_width,
-            "cycles_per_quantum": self.cycles_per_quantum,
-            "noise_sigma": self.noise_sigma,
             "apps": list(self.apps),
+            **{key: getattr(self, key) for key in LOG_HEADER},
         }
         records = (
             {
@@ -401,13 +401,7 @@ class ScheduleLog:
             }
             for r in self.records
         )
-        summary = {
-            "first_completion": self.first_completion,
-            "relaunches": self.relaunches,
-            "iso_quanta": self.iso_quanta,
-            "instructions": self.instructions,
-            "total_quanta": self.total_quanta,
-        }
+        summary = {key: getattr(self, key) for key in (*LOG_SUMMARY, "total_quanta")}
         # sort_keys orders every level, so the dicts go in as they are.
         docs = [header, *records, {"summary": summary}]
         return "".join(json.dumps(doc, sort_keys=True) + "\n" for doc in docs)
@@ -540,10 +534,7 @@ def run(config: EngineConfig) -> ScheduleLog:
     else:
         header, trace_quanta = open_trace(config.trace_path)
         quantum_ms, dispatch_width = header.quantum_ms, header.dispatch_width
-        try:
-            cycles = cycles_per_quantum(quantum_ms)
-        except ConfigError as exc:
-            raise TraceError(str(exc), line=1) from None
+        cycles = cycles_per_quantum(quantum_ms, functools.partial(TraceError, line=1))
         if IDLE_NODE in header.threads:
             raise TraceError(f"threads must not include the reserved id {IDLE_NODE!r}", line=1)
         sampled = {s.thread_id for samples in trace_quanta for s in samples}

@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and its file boundary.
 
 Every error raised on a bad input or a violated contract derives from
 :class:`SynpaError`, so callers (and the CLI) can distinguish domain
@@ -6,11 +6,22 @@ failures from programming bugs.  :func:`read_text` and
 :func:`write_text` are the package's only file access, so a path that
 cannot be read or written is a :class:`ConfigError` naming it;
 :func:`check_writable` fails such a path before anything is written.
+
+Every JSON document the package reads (workload, coefficient, run-log
+and trace or profile header) becomes typed values here and only here:
+:func:`json_document` parses the text, requires an object and checks its
+``version`` (:func:`json_version`); :func:`json_object`, :func:`json_list`, :func:`json_string`,
+:func:`json_number` and :func:`whole_number` read its fields.  Each
+reader raises the format's ``error`` (see :func:`failing`), so a bad
+field is reported as that format's :class:`SynpaError`.
 """
 
 from __future__ import annotations
 
+import json
 import os
+import sys
+from typing import Callable, Iterable
 
 
 class SynpaError(Exception):
@@ -96,3 +107,74 @@ def check_writable(*paths: str | None) -> None:
             raise ConfigError(f"cannot write {path!r}: is a directory")
         if not os.path.isdir(os.path.dirname(path) or "."):
             raise ConfigError(f"cannot write {path!r}: its directory does not exist")
+
+
+#: Turns a message into the reading format's error.
+Fail = Callable[[str], SynpaError]
+
+
+def failing(kind: type[SynpaError], prefix: str) -> Fail:
+    """The ``error`` of a format whose messages start with ``prefix``."""
+    return lambda message: kind(f"{prefix}: {message}")
+
+
+def json_document(text: str, error: Fail, version: int | None = None) -> dict:
+    """The JSON object ``text`` holds, of ``version`` if given (see
+    :func:`json_version`)."""
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:  # bad JSON, or an integer of over 4300 digits
+        raise error(f"not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise error("not a JSON object")
+    if version is not None:
+        json_version(doc, version, error)
+    return doc
+
+
+def json_version(doc: dict, version: int, error: Fail) -> None:
+    """Fail unless ``doc``'s ``version`` is the whole number ``version``."""
+    if whole_number(doc.get("version"), "version", error) != version:
+        raise error(f"unsupported version {doc['version']}, expected {version}")
+
+
+def json_object(value: object, field: str, error: Fail, keys: Iterable | None = None) -> dict:
+    """``value`` if it is a JSON object, with exactly ``keys`` if given."""
+    if not isinstance(value, dict):
+        raise error(f"{field} must be a JSON object")
+    if keys is not None and set(value) != set(keys):
+        raise error(f"{field} must have exactly the keys {sorted(keys)}")
+    return value
+
+
+def json_list(value: object, field: str, error: Fail) -> list:
+    """``value`` if it is a JSON list."""
+    if not isinstance(value, list):
+        raise error(f"{field} must be a JSON list")
+    return value
+
+
+def json_string(value: object, field: str, error: Fail) -> str:
+    """``value`` if it is a JSON string."""
+    if not isinstance(value, str):
+        raise error(f"{field} must be a string")
+    return value
+
+
+def json_number(value: object, field: str, error: Fail) -> float:
+    """``value`` as a float if it is a JSON number within float range (a
+    bool or a string is not)."""
+    try:
+        if type(value) in (int, float):
+            return float(value)
+    except OverflowError:  # an integer beyond float range
+        pass
+    raise error(f"{field} must be a number within float range")
+
+
+def whole_number(value: object, field: str, error: Fail) -> int:
+    """``value`` as an int if it is a whole JSON number within float range
+    (``1e9`` is valid)."""
+    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max or value % 1:
+        raise error(f"{field} must be a whole number within float range")
+    return int(value)

@@ -9,6 +9,7 @@ aggregator that discards outliers until the turnaround times are stable.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import math
@@ -18,12 +19,15 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .counters import json_number
 from .dispatch import AppClass, CategoryTriple, CategoryVector, classify
 from .engine import (
-    CYCLES_PER_MS, MAX_QUANTA, Phase, ScheduleLog, SyntheticApp, isolated_rate, whole_number,
+    CYCLES_PER_MS, LOG_HEADER, LOG_SUMMARY, LOG_VERSION, MAX_QUANTA, Phase, ScheduleLog,
+    SyntheticApp, cycles_per_quantum, isolated_rate,
 )
-from .errors import ConfigError, WorkloadError, read_text
+from .errors import (
+    ConfigError, WorkloadError, failing, json_document, json_list, json_number, json_object,
+    json_string, json_version, read_text, whole_number,
+)
 
 WORKLOAD_VERSION = 1
 
@@ -238,27 +242,24 @@ class WorkloadSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "WorkloadSpec":
-        try:
-            doc = json.loads(text)
-        except ValueError as exc:  # bad JSON, or an integer of over 4300 digits
-            raise WorkloadError(f"workload file is not valid JSON: {exc}") from None
-        if not isinstance(doc, dict) or doc.get("version") != WORKLOAD_VERSION:
-            raise WorkloadError("workload file missing or unsupported version")
-        try:
-            apps = tuple(SyntheticApp.from_dict(entry) for entry in doc["apps"])
-            classes = {
-                str(entry["app_id"]): AppClass(entry["class"]) for entry in doc["apps"]
-            }
-            return cls(
-                name=str(doc["name"]),
-                recipe=str(doc["recipe"]),
-                seed=whole_number(doc["seed"], "seed"),
-                apps=apps,
-                classes=classes,
-                quantum_ms=json_number(doc.get("quantum_ms", 100.0), "quantum_ms"),
-            )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise WorkloadError(f"bad workload file: {exc}") from None
+        error = failing(WorkloadError, "bad workload file")
+        doc = json_document(text, error, version=WORKLOAD_VERSION)
+        entries = json_list(doc.get("apps"), "apps", error)
+        apps = tuple(SyntheticApp.from_dict(entry) for entry in entries)
+        classes = {}
+        for app, entry in zip(apps, entries):  # each entry is an object, as from_dict checked
+            try:
+                classes[app.app_id] = AppClass(json_string(entry.get("class"), "class", error))
+            except ValueError:
+                raise error(f"class must be one of {[c.value for c in AppClass]}") from None
+        return cls(
+            name=json_string(doc.get("name"), "name", error),
+            recipe=json_string(doc.get("recipe"), "recipe", error),
+            seed=whole_number(doc.get("seed"), "seed", error),
+            apps=apps,
+            classes=classes,
+            quantum_ms=json_number(doc.get("quantum_ms", 100.0), "quantum_ms", error),
+        )
 
 
 def gen_workload(
@@ -343,43 +344,35 @@ def load_log_summary(path: str) -> ScheduleLog:
 
     Per-quantum records are not rehydrated (``records`` comes back
     empty); the result carries everything :func:`compute_metrics` needs.
+    Each per-app map of the summary is keyed by exactly the header's
+    ``apps`` (``iso_quanta``, filled by simulation logs only, may be
+    empty), and ``cycles_per_quantum`` is ``quantum_ms`` in simulator
+    cycles.
     """
+    error = failing(ConfigError, f"{path}: bad run log")
     lines = [line for line in read_text(path).splitlines() if line.strip()]
     if len(lines) < 2:
         raise ConfigError(f"{path}: not a run log (too short)")
-    try:
-        header = json.loads(lines[0])
-        summary_doc = json.loads(lines[-1])
-    except ValueError as exc:  # bad JSON, or an integer of over 4300 digits
-        raise ConfigError(f"{path}: not a run log: {exc}") from None
-    if not isinstance(header, dict) or header.get("kind") != "schedule-log":
+    header = json_document(lines[0], error)
+    if header.get("kind") != "schedule-log":
         raise ConfigError(f"{path}: not a run log (bad header)")
-    summary = summary_doc.get("summary") if isinstance(summary_doc, dict) else None
+    summary = json_document(lines[-1], error).get("summary")
     if not isinstance(summary, dict):
         raise ConfigError(f"{path}: run log has no summary line")
-    try:
-        return ScheduleLog(
-            policy=str(header["policy"]),
-            seed=int(header["seed"]),
-            quantum_ms=float(header["quantum_ms"]),
-            dispatch_width=int(header["dispatch_width"]),
-            cycles_per_quantum=int(header["cycles_per_quantum"]),
-            noise_sigma=float(header["noise_sigma"]),
-            apps=tuple(str(a) for a in header["apps"]),
-            records=(),
-            first_completion={
-                str(k): int(v) for k, v in summary["first_completion"].items()
-            },
-            relaunches={str(k): int(v) for k, v in summary["relaunches"].items()},
-            iso_quanta={str(k): float(v) for k, v in summary["iso_quanta"].items()},
-            instructions={
-                str(k): float(v) for k, v in summary["instructions"].items()
-            },
-            total_quanta=int(summary["total_quanta"]),
-            mode=str(header["mode"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: bad run log: {exc}") from None
+    json_version(header, LOG_VERSION, error)  # after the checks that this is a log at all
+    fields = {key: read(header.get(key), key, error) for key, read in LOG_HEADER.items()}
+    apps = json_list(header.get("apps"), "apps", error)
+    apps = tuple(json_string(a, "apps", error) for a in apps)
+    for key, read in LOG_SUMMARY.items():
+        found = summary.get(key)
+        keys = None if key == "iso_quanta" and found == {} else apps
+        found = json_object(found, key, error, keys)
+        fields[key] = {a: read(v, key, error) for a, v in found.items()}
+    cycles = cycles_per_quantum(fields["quantum_ms"], error)
+    if fields["cycles_per_quantum"] != cycles:
+        raise error(f"cycles_per_quantum must be {cycles} for quantum_ms {fields['quantum_ms']}")
+    total = whole_number(summary.get("total_quanta"), "total_quanta", error)
+    return ScheduleLog(apps=apps, records=(), total_quanta=total, **fields)
 
 
 def turnaround_time(log: ScheduleLog) -> int:
@@ -397,8 +390,8 @@ def fairness(speedups: Iterable[float]) -> float:
     values = list(speedups)
     if not values:
         raise ConfigError("fairness needs at least one speedup")
-    if any(v <= 0 for v in values):
-        raise ConfigError("speedups must be positive")
+    if not all(0 < v < math.inf for v in values):  # NaN is neither
+        raise ConfigError("speedups must be positive and finite")
     mean = statistics.fmean(values)
     return 1.0 - statistics.pstdev(values, mu=mean) / mean
 
@@ -408,7 +401,7 @@ def ipc_geomean(values: Iterable[float]) -> float:
     vals = list(values)
     if not vals:
         raise ConfigError("ipc_geomean needs at least one value")
-    if any(v < 0 for v in vals):
+    if not all(v >= 0 for v in vals):  # NaN is not
         raise ConfigError("IPC values must be nonnegative")
     if any(v == 0 for v in vals):
         return 0.0
@@ -430,18 +423,7 @@ class MetricsReport:
     ipc: dict[str, float]
 
     def to_json(self) -> str:
-        doc = {
-            "kind": "metrics",
-            "policy": self.policy,
-            "seed": self.seed,
-            "turnaround_quanta": self.turnaround_quanta,
-            "turnaround_ms": self.turnaround_ms,
-            "fairness": self.fairness,
-            "ipc_geomean": self.ipc_geomean,
-            "zero_ipc": self.zero_ipc,
-            "speedups": self.speedups,
-            "ipc": self.ipc,
-        }
+        doc = {"kind": "metrics", **dataclasses.asdict(self)}
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
@@ -494,19 +476,7 @@ class AggregateReport:
     ipc_geomean_mean: float
 
     def to_json(self) -> str:
-        doc = {
-            "kind": "aggregate",
-            "n_runs": self.n_runs,
-            "n_retained": self.n_retained,
-            "discarded": list(self.discarded),
-            "cv_threshold": self.cv_threshold,
-            "tt_cv": self.tt_cv,
-            "cv_met": self.cv_met,
-            "turnaround_quanta_mean": self.turnaround_quanta_mean,
-            "turnaround_ms_mean": self.turnaround_ms_mean,
-            "fairness_mean": self.fairness_mean,
-            "ipc_geomean_mean": self.ipc_geomean_mean,
-        }
+        doc = {"kind": "aggregate", **dataclasses.asdict(self)}
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 

@@ -26,6 +26,7 @@ slowdowns are both read off it.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -35,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from .dispatch import CATEGORIES, UNIFORM_VECTOR, CategoryTriple, CategoryVector
-from .errors import ModelError
+from .errors import ModelError, failing, json_document, json_number, json_object, json_string
 
 COEFFICIENTS_VERSION = 1
 
@@ -48,6 +49,12 @@ _EXACT_RESIDUAL_TOL_SQ = _EXACT_RESIDUAL_TOL**2
 #: Slack around the unit square when testing whether a root lies in it.
 _SLACK = 1e-9
 _UNIT_SLACK = 1.0 + _SLACK
+#: The error of a form so large that its solve leaves float range.
+_OVERFLOW = "inversion overflows: the form's values are beyond float range"
+
+
+#: The coefficients of one category's form, in order.
+_FORM_FIELDS = ("alpha", "beta", "gamma", "rho")
 
 
 @dataclass(frozen=True)
@@ -60,7 +67,7 @@ class CategoryCoefficients:
     rho: float
 
     def __post_init__(self) -> None:
-        for name in ("alpha", "beta", "gamma", "rho"):
+        for name in _FORM_FIELDS:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ModelError(f"coefficient {name} must be finite, got {value!r}")
@@ -80,50 +87,31 @@ class ModelCoefficients:
             raise ModelError(f"unknown category {name!r}")
         return getattr(self, name)
 
-    def to_json(self) -> str:
-        doc = {
+    def as_dict(self) -> dict:
+        """The coefficient file's document."""
+        return {
             "version": COEFFICIENTS_VERSION,
             "provenance": self.provenance,
-            "categories": {
-                name: {
-                    "alpha": self.category(name).alpha,
-                    "beta": self.category(name).beta,
-                    "gamma": self.category(name).gamma,
-                    "rho": self.category(name).rho,
-                }
-                for name in CATEGORIES
-            },
+            "categories": {name: dataclasses.asdict(self.category(name)) for name in CATEGORIES},
         }
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+    def to_json(self) -> str:
+        return json.dumps(self.as_dict(), sort_keys=True, indent=2) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "ModelCoefficients":
-        try:
-            doc = json.loads(text)
-        except ValueError as exc:  # bad JSON, or an integer of over 4300 digits
-            raise ModelError(f"coefficient file is not valid JSON: {exc}") from None
-        if not isinstance(doc, dict) or doc.get("version") != COEFFICIENTS_VERSION:
-            raise ModelError("coefficient file missing or unsupported version")
-        cats = doc.get("categories")
-        if not isinstance(cats, dict) or set(cats) != set(CATEGORIES):
-            raise ModelError(f"coefficient file must define categories {CATEGORIES}")
+        error = failing(ModelError, "bad coefficient file")
+        doc = json_document(text, error, version=COEFFICIENTS_VERSION)
+        cats = json_object(doc.get("categories"), "categories", error, keys=CATEGORIES)
         parsed = {}
         for name in CATEGORIES:
-            entry = cats[name]
-            try:
-                parsed[name] = CategoryCoefficients(
-                    alpha=float(entry["alpha"]),
-                    beta=float(entry["beta"]),
-                    gamma=float(entry["gamma"]),
-                    rho=float(entry["rho"]),
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ModelError(f"bad coefficients for category {name}: {exc}") from None
+            entry = json_object(cats[name], name, error)
+            parsed[name] = CategoryCoefficients(
+                **{key: json_number(entry.get(key), f"{name}.{key}", error) for key in _FORM_FIELDS}
+            )
         return cls(
-            fdc=parsed["fdc"],
-            fe=parsed["fe"],
-            be=parsed["be"],
-            provenance=str(doc.get("provenance", "unspecified")),
+            **parsed,
+            provenance=json_string(doc.get("provenance", "unspecified"), "provenance", error),
         )
 
 
@@ -365,7 +353,10 @@ def _solve(
         roots = [(root, root - d) for root in roots]
 
         def from_seed(c: tuple[float, float]) -> float:
-            return (c[0] - sx) ** 2 + (c[1] - sy) ** 2
+            try:
+                return (c[0] - sx) ** 2 + (c[1] - sy) ** 2
+            except OverflowError:  # a root too far off for floats
+                raise ModelError(_OVERFLOW) from None
 
         starts = [
             c for c in roots
@@ -432,6 +423,11 @@ def _solve(
             q = a + b * s - v
             cubic = [2.0 * r * r, 3.0 * r * (b + g), 2.0 * (b * b + g * g) - r * (p + q),
                      -(g * p + b * q)]
+            # np.roots divides by the leading nonzero coefficient; a form too
+            # large for floats overflows there or before.
+            lead = next((c for c in cubic if c != 0.0), 1.0)
+            if not all(math.isfinite(c / lead) for c in cubic):
+                raise ModelError(_OVERFLOW)
             for t in np.roots(cubic).real.tolist():
                 t = lo if lo > t else t
                 t = hi if hi < t else t

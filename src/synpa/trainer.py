@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counters import TraceHeader, read_counter_file
+from .counters import read_counter_file
 from .dispatch import CATEGORIES, CategoryTriple, CategoryVector, characterize, normalize
 from .errors import AlignmentError, FitError, RankDeficientError, TraceError
 from .interference import CategoryCoefficients, ModelCoefficients
@@ -87,18 +87,21 @@ def load_profiles(path: str) -> list[Profile]:
     if header.mode is None:
         raise TraceError(f"{path}: profile file must declare a mode in its header")
 
-    per_thread: dict[str, list[tuple[CategoryVector, int]]] = {
-        t: [] for t in header.threads
-    }
+    per_thread: dict[str, list[ProfileRecord]] = {t: [] for t in header.threads}
     for sample, done in zip(samples, committed):
         vector = normalize(characterize(sample, header.dispatch_width))
-        per_thread[sample.thread_id].append((vector, done))
+        per_thread[sample.thread_id].append(ProfileRecord(vector=vector, committed=done))
+
+    def profile(app: str, partner: str | None) -> Profile:
+        return Profile(
+            app_id=app, mode=header.mode, partner=partner, records=tuple(per_thread[app]),
+            dispatch_width=header.dispatch_width, quantum_ms=header.quantum_ms,
+        )
 
     if header.mode == "isolated":
         if len(header.threads) != 1:
             raise TraceError(f"{path}: isolated profile must hold exactly one thread")
-        app = header.threads[0]
-        return [_build_profile(app, "isolated", None, per_thread[app], header)]
+        return [profile(header.threads[0], None)]
 
     if len(header.threads) != 2:
         raise TraceError(f"{path}: paired profile must hold exactly two threads")
@@ -108,27 +111,7 @@ def load_profiles(path: str) -> list[Profile]:
             f"{path}: paired threads cover different numbers of quanta "
             f"({len(per_thread[a])} vs {len(per_thread[b])})"
         )
-    return [
-        _build_profile(a, "paired", b, per_thread[a], header),
-        _build_profile(b, "paired", a, per_thread[b], header),
-    ]
-
-
-def _build_profile(
-    app: str,
-    mode: str,
-    partner: str | None,
-    rows: list[tuple[CategoryVector, int]],
-    header: TraceHeader,
-) -> Profile:
-    return Profile(
-        app_id=app,
-        mode=mode,
-        partner=partner,
-        records=tuple(ProfileRecord(vector=v, committed=c) for v, c in rows),
-        dispatch_width=header.dispatch_width,
-        quantum_ms=header.quantum_ms,
-    )
+    return [profile(a, b), profile(b, a)]
 
 
 @dataclass(frozen=True)
@@ -241,7 +224,7 @@ class FitReport:
 
     def to_json(self) -> str:
         doc = {
-            "coefficients": json.loads(self.coefficients.to_json()),
+            "coefficients": self.coefficients.as_dict(),
             "mse": {k: self.mse[k] for k in CATEGORIES},
             "n_samples": self.n_samples,
             "n_train": self.n_train,

@@ -28,6 +28,7 @@ from synpa.interference import (
 _EXACT_RESIDUAL_TOL = 1e-8
 _LINEAR_RHO_TOL = 1e-12
 _SINGULAR_TOL = 1e-12
+_OVERFLOW = "inversion overflows: the form's values are beyond float range"
 
 
 def _residual(coeffs: CategoryCoefficients, x: float, y: float, u: float, v: float) -> float:
@@ -129,6 +130,9 @@ def _box_minimum(
             q = a + b * s - v
             cubic = [2.0 * r * r, 3.0 * r * (b + g), 2.0 * (b * b + g * g) - r * (p + q),
                      -(g * p + b * q)]
+            lead = next((c for c in cubic if c != 0.0), 1.0)
+            if not all(math.isfinite(c / lead) for c in cubic):
+                raise ModelError(_OVERFLOW)
             for t in np.roots(cubic).real:
                 t = min(max(float(t), lo), hi)
                 candidates.append((t, _clip_unit(s - t)))
@@ -191,7 +195,10 @@ def invert_category(
         polished = [_newton_refine(coeffs, cx, cy, u, v) for cx, cy in in_box]
 
         def from_seed(c: tuple[float, float]) -> float:
-            return (c[0] - seed[0]) ** 2 + (c[1] - seed[1]) ** 2
+            try:
+                return (c[0] - seed[0]) ** 2 + (c[1] - seed[1]) ** 2
+            except OverflowError:
+                raise ModelError(_OVERFLOW) from None
 
         # Nearest the linear seed on ties between admissible roots.
         if in_box:

@@ -682,6 +682,31 @@ class TestInversionOracle:
         want = outcome(reference_inversion.invert, model, smt_ij, smt_ji)
         assert got == want == (ModelError, "category fe must be finite, got nan")
 
+    @pytest.mark.parametrize("form, u, v", [
+        # The least squares fit's cubic along the singular line overflows.
+        ((-5.5e303, 1.0, 5.3e123, -1.95e285), 1e-300, 1e-300),
+        # The cubic is finite, but np.roots' division by its leading
+        # coefficient overflows.
+        ((1e200, 1e-160, -2e-160, 1e-160), 0.0, 0.0),
+        # A root's distance from the linear seed is beyond float range.
+        ((4.019989720705783e159, -1.258520914235268e-103, -516.9716548808993,
+          -2.6149097074748107e255), 2.07616969038684e303, 8.562023315913451e-112),
+    ], ids=["cubic", "cubic-over-lead", "root-distance"])
+    def test_overflowing_form_is_a_model_error(self, form, u, v):
+        # Finite forms of absurd magnitudes, as a hand-written coefficient
+        # file may hold: without the check, np.roots would meet the first two
+        # with a RuntimeWarning and a LinAlgError, and the third ends in an
+        # OverflowError.
+        wild = CategoryCoefficients(*form)
+        error = (ModelError, "inversion overflows: the form's values are beyond float range")
+        got = outcome(invert_category, wild, u, v)
+        assert got == outcome(reference_inversion.invert_category, wild, u, v) == error
+        model = ModelCoefficients(fdc=REFERENCE_COEFFICIENTS.fdc, fe=wild, be=REFERENCE_COEFFICIENTS.be)
+        smt_ij = CategoryTriple(fe=u, be=0.3, fdc=0.4)
+        smt_ji = CategoryTriple(fe=v, be=0.3, fdc=0.4)
+        got = outcome(invert, model, smt_ij, smt_ji)
+        assert got == outcome(reference_inversion.invert, model, smt_ij, smt_ji) == error
+
 
 class TestCoefficientSerialization:
     def test_json_round_trip(self):
