@@ -7,8 +7,9 @@ Each scheduling quantum the engine:
 3. estimates every thread's isolated behavior by inverting the
    interference model on each pair's observations,
 4. predicts every thread's slowdown next to every other from those
-   estimates, once, as one matrix (replay logs the model slowdowns of
-   the pairs in effect from it), and
+   estimates, once, as one matrix over one category matrix of them
+   (replay logs the model slowdowns of the pairs in effect from it, and
+   the decision weighs and prices pairs from both), and
 5. solves a minimum-weight perfect matching to pick the next quantum's
    thread-to-core assignment.
 
@@ -39,7 +40,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -54,11 +55,12 @@ from .dispatch import (
     normalize_triple,
 )
 from .errors import (
-    ConfigError, Fail, TraceError, WorkloadError, failing, json_list, json_number, json_object,
-    json_string, whole_number,
+    ConfigError, Fail, ModelError, TraceError, WorkloadError, failing, json_list, json_number,
+    json_object, json_string, whole_number,
 )
 from .interference import (
-    REFERENCE_COEFFICIENTS, ModelCoefficients, co_run_slowdowns, invert, predict_pair,
+    REFERENCE_COEFFICIENTS, ModelCoefficients, _category_matrix, _category_values,
+    _co_run_slowdowns, invert, predict_pair,
 )
 from .matcher import IDLE_NODE, build_graph, min_weight_perfect_matching
 
@@ -291,33 +293,38 @@ def sim_step(
     the noiseless slowdown.  An app paired with the idle node runs at
     isolated speed.  States are mutated in place (progress and
     relaunch-on-completion).  Noise is drawn and progress committed per
-    pair in sorted order, the lower id first.
+    pair in sorted order, the lower id first.  A zero predicted slowdown
+    (an infinitely fast app) raises :class:`ModelError` before any state
+    changes.
     """
-    results: dict[str, StepResult] = {}
+    runs = []  # (app id, noise-free observation, slowdown, isolated vector)
     for a, b in sorted(tuple(sorted(p)) for p in pairs):
         if a == IDLE_NODE or b == IDLE_NODE:
             solo = a if b == IDLE_NODE else b
-            runs = ((solo, states[solo].vector, 1.0),)
-        else:
-            pred = predict_pair(ground_truth, states[a].vector, states[b].vector)
-            runs = ((a, pred.smt_i, pred.slowdown_i), (b, pred.smt_j, pred.slowdown_j))
-        for app_id, base, slowdown in runs:
-            observed = {}
-            for name in CATEGORIES:
-                value = getattr(base, name)
-                if noise_sigma > 0.0:
-                    value += noise_sigma * rng.standard_normal()
-                observed[name] = value if value > 0.0 else 0.0
-            state = states[app_id]
-            amount = isolated_rate(state.vector, cycles_per_quantum) / slowdown
-            committed, completed = state.commit(amount, quantum)
-            results[app_id] = StepResult(
-                observed=CategoryTriple(**observed),
-                slowdown=slowdown,
-                committed=committed,
-                completed=completed,
-            )
+            vector = states[solo].vector
+            runs.append((solo, _clamped(_category_values(vector)), 1.0, vector))
+            continue
+        va, vb = states[a].vector, states[b].vector
+        pred = predict_pair(ground_truth, va, vb)
+        if pred.slowdown_i == 0.0 or pred.slowdown_j == 0.0:
+            raise ModelError(f"ground truth predicts a zero slowdown for the pair ({a}, {b})")
+        runs += ((a, pred.smt_i, pred.slowdown_i, va), (b, pred.smt_j, pred.slowdown_j, vb))
+    if noise_sigma > 0.0:
+        noise = iter(rng.standard_normal(3 * len(runs)).tolist())
+    results: dict[str, StepResult] = {}
+    for app_id, observed, slowdown, vector in runs:
+        if noise_sigma > 0.0:
+            observed = _clamped(v + noise_sigma * next(noise) for v in _category_values(observed))
+        amount = isolated_rate(vector, cycles_per_quantum) / slowdown
+        committed, completed = states[app_id].commit(amount, quantum)
+        results[app_id] = StepResult(observed, slowdown, committed, completed)
     return results
+
+
+def _clamped(values: Iterable[float]) -> CategoryTriple:
+    """The triple of the ``(fdc, fe, be)`` values, each clamped at zero."""
+    fdc, fe, be = (v if v > 0.0 else 0.0 for v in values)
+    return CategoryTriple(fe=fe, be=be, fdc=fdc)
 
 
 # ---------------------------------------------------------------------------
@@ -586,9 +593,9 @@ def run(config: EngineConfig) -> ScheduleLog:
 
         if config.policy == "synpa" or workload is None:
             # The model's view of this quantum, evaluated once: replay logs
-            # its slowdowns and the decision weighs its pairs with it.
-            vectors = [estimates.effective(a) for a in present]
-            co_run = co_run_slowdowns(config.coefficients, vectors)
+            # its slowdowns and the decision weighs and prices its pairs with it.
+            st = _category_matrix([estimates.effective(a) for a in present])
+            co_run = _co_run_slowdowns(config.coefficients, st)
         if workload is not None:
             slowdown = {a: results[a].slowdown for a in present}
         else:
@@ -606,7 +613,7 @@ def run(config: EngineConfig) -> ScheduleLog:
             )
         )
         if config.policy == "synpa":  # ``present`` is sorted, as build_graph needs
-            graph = build_graph(config.coefficients, present, vectors, co_run)
+            graph = build_graph(config.coefficients, present, st, co_run)
             pairs = min_weight_perfect_matching(graph)
 
     if workload is not None:

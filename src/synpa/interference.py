@@ -17,16 +17,18 @@ the two-equation bilinear system per category.  One plain-float kernel
 (:func:`_solve`) does that solve for :func:`invert` and
 :func:`invert_category` alike.
 
-The forward direction has a scalar form (:func:`predict_pair`) and a
-matrix form over a whole roster (:func:`co_run_slowdowns`), which agree
-bit for bit.  The engine evaluates the matrix once per quantum: the
-decision's pair weights (:func:`pair_weight_matrix`) and replay's logged
-slowdowns are both read off it.
+The forward direction has a plain-float pair form (:func:`predict_pair`,
+the simulator's) and a matrix form over a whole roster, one broadcast
+pass (:func:`co_run_slowdowns`); they agree bit for bit.  The engine
+builds the estimates' category matrix and the forward matrix once per
+quantum: the decision's pair weights (:func:`pair_weight_matrix`) and
+fold prices and replay's logged slowdowns all come from them.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -87,6 +89,25 @@ class ModelCoefficients:
             raise ModelError(f"unknown category {name!r}")
         return getattr(self, name)
 
+    @functools.cached_property
+    def _forms(self) -> tuple[tuple[float, float, float, float], ...]:
+        """Each category's ``(alpha, beta, gamma, rho)``, in :data:`CATEGORIES` order."""
+        return tuple(dataclasses.astuple(getattr(self, name)) for name in CATEGORIES)
+
+    @functools.cached_property
+    def _form_arrays(self) -> tuple[np.ndarray, ...]:
+        """:attr:`_forms` as alpha, beta, gamma and rho arrays over the
+        categories, each shaped ``(3, 1, 1)`` to broadcast over pairs."""
+        return tuple(np.array(self._forms).T.reshape(4, len(CATEGORIES), 1, 1))
+
+    @functools.cached_property
+    def _fold_terms(self) -> tuple[float, np.ndarray, int, float]:
+        """What :func:`fold_prices` reads: the alpha sum, ``beta + gamma`` per
+        category, and the category ``k`` of the largest ``rho`` (first on ties) with its ``rho``."""
+        alphas, slopes, rho = zip(*((a, b + g, r) for a, b, g, r in self._forms))
+        k = int(np.argmax(rho))
+        return sum(alphas), np.array(slopes), k, rho[k]
+
     def as_dict(self) -> dict:
         """The coefficient file's document."""
         return {
@@ -136,6 +157,9 @@ def forward(coeffs: CategoryCoefficients, ci: float, cj: float) -> float:
     return value if value > 0.0 else 0.0
 
 
+_category_values = attrgetter(*CATEGORIES)
+
+
 @dataclass(frozen=True)
 class PairPrediction:
     """Predicted co-run behavior of an (i, j) thread pair."""
@@ -149,24 +173,20 @@ class PairPrediction:
 def predict_pair(
     model: ModelCoefficients, st_i: CategoryTriple, st_j: CategoryTriple
 ) -> PairPrediction:
-    """Predict both threads' co-run categories and slowdowns."""
-    vals_i = {}
-    vals_j = {}
-    for name in CATEGORIES:
-        coeffs = model.category(name)
-        vals_i[name] = forward(coeffs, st_i.get(name), st_j.get(name))
-        vals_j[name] = forward(coeffs, st_j.get(name), st_i.get(name))
-    smt_i = CategoryTriple(**vals_i)
-    smt_j = CategoryTriple(**vals_j)
+    """Predict both threads' co-run categories and slowdowns: each
+    category's :func:`forward` both ways, on plain floats."""
+    values = []
+    for (a, b, g, r), ci, cj in zip(model._forms, _category_values(st_i), _category_values(st_j)):
+        vi = a + b * ci + g * cj + r * ci * cj
+        vj = a + b * cj + g * ci + r * cj * ci
+        values.append((vi if vi > 0.0 else 0.0, vj if vj > 0.0 else 0.0))
+    (fdc_i, fdc_j), (fe_i, fe_j), (be_i, be_j) = values
     return PairPrediction(
-        smt_i=smt_i,
-        smt_j=smt_j,
-        slowdown_i=smt_i.fdc + smt_i.fe + smt_i.be,
-        slowdown_j=smt_j.fdc + smt_j.fe + smt_j.be,
+        smt_i=CategoryTriple(fe=fe_i, be=be_i, fdc=fdc_i),
+        smt_j=CategoryTriple(fe=fe_j, be=be_j, fdc=fdc_j),
+        slowdown_i=fdc_i + fe_i + be_i,
+        slowdown_j=fdc_j + fe_j + be_j,
     )
-
-
-_category_values = attrgetter(*CATEGORIES)
 
 
 def _category_matrix(vectors: Sequence[CategoryTriple]) -> np.ndarray:
@@ -192,18 +212,18 @@ def co_run_slowdowns(
 
 
 def _co_run_slowdowns(model: ModelCoefficients, st: np.ndarray) -> np.ndarray:
-    """:func:`co_run_slowdowns` of the vectors whose category matrix is ``st``."""
+    """:func:`co_run_slowdowns` of the vectors whose category matrix is ``st``.
 
-    def co_run(k: int, name: str) -> np.ndarray:
-        """``[i, j]``: forward() of category ``name`` for ``i`` next to ``j``."""
-        c = model.category(name)
-        ci, cj = st[:, k, None], st[None, :, k]
-        value = c.alpha + c.beta * ci + c.gamma * cj + c.rho * ci * cj
-        return np.where(value > 0.0, value, 0.0)
-
+    One broadcast pass: ``value[k, i, j]`` is :func:`forward` of category
+    ``k`` for ``i`` next to ``j``.
+    """
+    a, b, g, r = model._form_arrays
+    x = np.ascontiguousarray(st.T)  # [k, i]: contiguous rows broadcast fastest
+    ci, cj = x[:, :, None], x[:, None, :]
     with np.errstate(over="ignore", invalid="ignore"):
-        fdc, fe, be = (co_run(k, name) for k, name in enumerate(CATEGORIES))
-        slowdown = fdc + fe + be
+        value = a + b * ci + g * cj + r * ci * cj
+        value = np.where(value > 0.0, value, 0.0)
+        slowdown = value[0] + value[1] + value[2]
     if not np.isfinite(slowdown).all():
         raise ModelError("predicted slowdown is not finite")
     return slowdown
@@ -258,15 +278,12 @@ def fold_prices(
 
 def _fold_prices(model: ModelCoefficients, st: np.ndarray) -> np.ndarray:
     """:func:`fold_prices` of the vectors whose category matrix is ``st``."""
-    coeffs = [model.category(name) for name in CATEGORIES]
-    slopes = np.array([c.beta + c.gamma for c in coeffs])
-    prices = sum(c.alpha for c in coeffs) + st @ slopes
-    rho = np.array([c.rho for c in coeffs])
-    k = int(np.argmax(rho))
-    if rho[k] > 0.0 and len(st) > 1:
+    alphas, slopes, k, rho = model._fold_terms
+    prices = alphas + st @ slopes
+    if rho > 0.0 and len(st) > 1:
         order = np.argsort(st[:, k], kind="stable")
         x = st[order, k]
-        steps = rho[k] * np.diff(x) * (x[:0:-1] + x[-2::-1])
+        steps = rho * np.diff(x) * (x[:0:-1] + x[-2::-1])
         q = np.empty(len(x))
         q[order] = np.concatenate(([0.0], np.cumsum(steps)))
         prices += q

@@ -110,7 +110,7 @@ class SynergyGraph:
 def build_graph(
     model: ModelCoefficients,
     app_ids: Sequence[str],
-    vectors: Sequence[CategoryTriple],
+    vectors: Sequence[CategoryTriple] | np.ndarray,
     slowdown: np.ndarray | None = None,
 ) -> SynergyGraph:
     """The pairing graph of one decision.
@@ -121,11 +121,12 @@ def build_graph(
     nodes carry the model's fold prices
     (:func:`synpa.interference.fold_prices`), which usually certify the
     optimum.  Both come from one category matrix of the vectors.  A
-    caller that holds the vectors' co-run slowdown matrix already
+    caller that holds that matrix already passes it as ``vectors``, and
+    one that holds the vectors' co-run slowdown matrix
     (:func:`synpa.interference.co_run_slowdowns`, as the engine does for
-    its log) passes it as ``slowdown``; it is evaluated here otherwise.
+    its log) passes it as ``slowdown``; each is built here otherwise.
     """
-    st = _category_matrix(vectors)
+    st = vectors if isinstance(vectors, np.ndarray) else _category_matrix(vectors)
     if slowdown is None:
         slowdown = _co_run_slowdowns(model, st)
     return graph_from_matrix(app_ids, _pair_weights(slowdown), _fold_prices(model, st))
@@ -149,8 +150,9 @@ def graph_from_matrix(
     n = len(nodes)
     if IDLE_NODE in nodes:
         raise MatchingError(f"{IDLE_NODE!r} is reserved for odd-roster padding")
-    matrix = np.array(weights, dtype=float)
-    prices = np.zeros(n) if prices is None else np.array(prices, dtype=float)
+    # The graph copies both arrays; copy here only what must change first.
+    matrix = np.asarray(weights, dtype=float)
+    prices = np.zeros(n) if prices is None else np.asarray(prices, dtype=float)
     if matrix.shape != (n, n) or prices.shape != (n,):
         raise MatchingError(f"{n} ids need {n} x {n} weights and {n} prices")
     if n % 2 == 1:
@@ -159,7 +161,10 @@ def graph_from_matrix(
         matrix = np.insert(matrix, at, IDLE_WEIGHT, axis=0)
         matrix = np.insert(matrix, at, IDLE_WEIGHT, axis=1)
         prices = np.insert(prices, at, 0.0)
-    np.fill_diagonal(matrix, 0.0)
+    diagonal = matrix.diagonal()
+    if diagonal.tobytes() != bytes(diagonal.nbytes):  # anything but 0.0 there
+        matrix = matrix.copy()
+        np.fill_diagonal(matrix, 0.0)
     return SynergyGraph(tuple(nodes), matrix, prices)
 
 

@@ -47,6 +47,19 @@ def coefficient_models():
     return st.builds(ModelCoefficients, fdc=category, fe=category, be=category)
 
 
+def forward_models():
+    """Finite interference models for the forward direction: coefficients
+    in [-2, 2], exact zeros of either sign, and any finite float, so that
+    terms vanish, clamps meet ``-0.0`` and ``nan`` and sums leave float
+    range."""
+    huge = st.floats(1e300, 1.7e308)
+    coeff = st.one_of(
+        st.floats(-2.0, 2.0), st.sampled_from([0.0, -0.0]), huge, huge.map(float.__neg__),
+    )
+    category = st.builds(CategoryCoefficients, alpha=coeff, beta=coeff, gamma=coeff, rho=coeff)
+    return st.builds(ModelCoefficients, fdc=category, fe=category, be=category)
+
+
 def counters_for_fractions(
     quantum: int, thread: str, fe: float, fdc: float, cycles: int = CYCLES
 ) -> RawCounterSample:

@@ -8,6 +8,7 @@ determinism contract: identical inputs and seeds give identical bytes.
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import time
@@ -499,6 +500,26 @@ class TestSimulate:
         )
         assert code == 1
         assert "error: noise_sigma" in capsys.readouterr().err
+        assert not (tmp_path / "x.jsonl").exists()
+
+    @pytest.mark.parametrize("policy", ["synpa", "random", "static"])
+    def test_zero_ground_truth_slowdown_is_domain_error(
+        self, workload_file, tmp_path, capsys, policy
+    ):
+        # Every category clamps to 0, so every pair's slowdown is 0.
+        form = {"alpha": -1.0, "beta": 0.0, "gamma": 0.0, "rho": 0.0}
+        model = tmp_path / "zero.json"
+        model.write_text(json.dumps({
+            "version": 1, "categories": {name: form for name in ("fdc", "fe", "be")},
+        }), encoding="utf-8")
+        code = run_cli(
+            "simulate", "--workload", workload_file, "--ground-truth", model,
+            "--policy", policy, "--out", tmp_path / "x.jsonl",
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: ground truth predicts a zero slowdown for the pair "
+                            r"\(\w+, \w+\)\n", err)
         assert not (tmp_path / "x.jsonl").exists()
 
 

@@ -1,5 +1,6 @@
 """Tests for the engine: synthetic workloads, the per-quantum
-simulation step, the run loop shared by simulation and trace replay
+simulation step (checked bit for bit against a pair-by-pair reference),
+the run loop shared by simulation and trace replay
 (checked against an exhaustive matching oracle), migration counts, and
 determinism."""
 
@@ -9,6 +10,7 @@ import json
 import math
 import os
 import tempfile
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -25,6 +27,7 @@ from synpa import (
     CategoryVector,
     ConfigError,
     EngineConfig,
+    ModelError,
     Phase,
     REFERENCE_COEFFICIENTS,
     SimWorkload,
@@ -39,9 +42,12 @@ from synpa import (
     sim_step,
     trace_from_log,
 )
-from synpa import engine
+from synpa import engine, interference, matcher
 from synpa.dispatch import UNIFORM_VECTOR
 from synpa.harness import make_synthetic_app
+
+import reference_simulator
+from conftest import coefficient_models, forward_models
 
 QUANTUM_CYCLES = 100 * CYCLES_PER_MS  # default quantum at the nominal clock
 WIDTH = 4
@@ -291,6 +297,28 @@ class TestSimStep:
         # Exactly one phase budget of work was committed.
         assert states["a"].done == int(rate1)
         assert states["a"].vector == v2
+
+    def test_zero_slowdown_is_a_model_error(self):
+        # Every category clamps to 0: the pair would run infinitely fast.
+        zero = interference.CategoryCoefficients(alpha=-1.0, beta=0.0, gamma=0.0, rho=0.0)
+        model = interference.ModelCoefficients(fdc=zero, fe=zero, be=zero)
+        vectors = (BE_VECTOR, FE_VECTOR, FE_VECTOR)
+        states = self._states(*(static_app(a, v, 10.0) for a, v in zip("abc", vectors)))
+        with pytest.raises(ModelError, match=r"zero slowdown for the pair \(a, b\)"):
+            sim_step(states, [("b", "a"), ("c", IDLE_NODE)], model, 0.0,
+                     np.random.default_rng(0), 1, QUANTUM_CYCLES)
+        assert all(s.done == 0.0 for s in states.values())
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**40])
+    def test_one_noise_draw_is_the_scalar_stream(self, seed):
+        # sim_step draws a quantum's noise at once; numpy must give the
+        # same floats, and leave the same state, as one draw per value.
+        for k in (0, 1, 3, 48, 999):
+            batch, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+            drawn = batch.standard_normal(k).tolist()
+            want = [scalar.standard_normal() for _ in range(k)]
+            assert [x.hex() for x in drawn] == [float(x).hex() for x in want]
+            assert batch.bit_generator.state == scalar.bit_generator.state
 
 
 def reference_walk(app, commits):
@@ -833,3 +861,114 @@ class TestDecisionProperties:
             for cut_policy in POLICIES:
                 cut = run(EngineConfig(trace_path=path, policy=cut_policy, seed=seed))
                 assert_pairs_cover_present(cut)
+
+
+@st.composite
+def phase_vectors(draw):
+    """Category vectors with ``fdc > 0`` whose other entries may be zeros of
+    either sign."""
+    part = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, -0.0]))
+    fdc, fe, be = draw(st.floats(1e-3, 1.0)), draw(part), draw(part)
+    total = fdc + fe + be
+    return CategoryVector(fe=fe / total, be=be / total, fdc=fdc / total)
+
+
+@st.composite
+def sim_step_cases(draw):
+    """Apps with random phase tables part way through a launch, and a
+    pairing of them in any order and orientation, with the idle node when
+    their count is odd."""
+    names = st.text("aAzZ_09", min_size=1, max_size=3)
+    ids = draw(st.lists(names, min_size=1, max_size=9, unique=True))
+    apps = []
+    for app_id in ids:
+        phases = tuple(
+            Phase(vector=draw(phase_vectors()), instructions=draw(st.integers(1, 10**10)))
+            for _ in range(draw(st.integers(1, 4)))
+        )
+        apps.append((SyntheticApp(app_id=app_id, phases=phases,
+                                  target_instructions=draw(st.integers(1, 10**11))),
+                     draw(st.floats(0.0, 1.0, exclude_max=True))))
+    order = draw(st.permutations([*ids, IDLE_NODE] if len(ids) % 2 else ids))
+    pairs = [tuple(order[k : k + 2]) for k in range(0, len(order), 2)]
+    return apps, [p if draw(st.booleans()) else p[::-1] for p in pairs]
+
+
+def step_outcome(step, states, *args):
+    """A step's results and the states after it, or the error it raised."""
+    try:
+        results = step(states, *args)
+    except (ModelError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+    progress = [(s.done, s.launches, s.first_completion) for s in states.values()]
+    return repr(results), repr(progress)
+
+
+class TestSimulatorOracle:
+    """``sim_step`` against today's step written pair by pair
+    (``tests/reference_simulator.py``): the same floats, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=sim_step_cases(),
+           model=st.one_of(st.just(REFERENCE_COEFFICIENTS), coefficient_models(), forward_models()),
+           noise=st.one_of(st.just(0.0), st.floats(1e-3, 1.0)),
+           seed=st.integers(0, 2**64 - 1), cycles=st.integers(1, 10**9),
+           quanta=st.integers(1, 3))
+    def test_step_equals_the_reference(self, case, model, noise, seed, cycles, quanta):
+        apps, pairs = case
+        states = {a.app_id: AppSimState(app=a, done=f * a.target_instructions) for a, f in apps}
+        oracle = {a: dataclasses.replace(s) for a, s in states.items()}
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for quantum in range(1, quanta + 1):
+            got = step_outcome(sim_step, states, pairs, model, noise, rng, quantum, cycles)
+            want = step_outcome(reference_simulator.sim_step, oracle, pairs, model, noise,
+                                oracle_rng, quantum, cycles)
+            if want[0] is ZeroDivisionError:
+                # The reference divides by the zero slowdown; the step names the pair.
+                assert got[0] is ModelError and "zero slowdown for the pair" in got[1]
+                return
+            assert got == want
+            if want[0] is ModelError:
+                return
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+class TestForwardOncePerQuantum:
+    """The model's view of a quantum is built once: one category matrix of
+    the estimates and one forward matrix, which the log and the decision
+    share."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = Counter()
+        for module in (interference, matcher, engine):
+            for name in ("_category_matrix", "_co_run_slowdowns"):
+
+                def counted(*args, _name=name, _original=getattr(module, name)):
+                    counts[_name] += 1
+                    return _original(*args)
+
+                monkeypatch.setattr(module, name, counted)
+        return counts
+
+    def _workload(self):
+        return SimWorkload(apps=tuple(
+            static_app(app_id, vector, 4.3)
+            for app_id, vector in zip("abcde", (BE_VECTOR, FE_VECTOR) * 3)
+        ), noise_sigma=0.02)
+
+    @pytest.mark.parametrize("policy, per_quantum", [("synpa", 1), ("random", 0), ("static", 0)])
+    def test_simulate(self, counts, policy, per_quantum):
+        log = run(EngineConfig(workload=self._workload(), policy=policy, seed=1))
+        want = per_quantum * log.total_quanta
+        assert log.total_quanta > 1
+        assert counts["_category_matrix"] == counts["_co_run_slowdowns"] == want
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_replay(self, counts, tmp_path, policy):
+        sim = run(EngineConfig(workload=self._workload(), seed=1))
+        path = tmp_path / "run.trace"
+        path.write_text(format_trace(*trace_from_log(sim)), encoding="utf-8")
+        counts.clear()
+        log = run(EngineConfig(trace_path=str(path), policy=policy, seed=1))
+        assert counts["_category_matrix"] == counts["_co_run_slowdowns"] == log.total_quanta

@@ -33,7 +33,8 @@ from synpa.errors import read_text, write_text
 from synpa.matcher import IDLE_WEIGHT
 
 import reference_inversion
-from conftest import category_vectors, coefficient_models
+import reference_simulator
+from conftest import category_vectors, coefficient_models, forward_models
 
 ZERO = CategoryCoefficients(alpha=0.0, beta=0.0, gamma=0.0, rho=0.0)
 ZERO_MODEL = ModelCoefficients(fdc=ZERO, fe=ZERO, be=ZERO, provenance="zero")
@@ -162,6 +163,16 @@ class TestPredictPair:
             assert pred.smt_i.get(name) == forward(coeffs, st_a.get(name), st_b.get(name))
             assert pred.smt_j.get(name) == forward(coeffs, st_b.get(name), st_a.get(name))
 
+    @settings(max_examples=300, deadline=None)
+    @given(model=st.one_of(st.just(REFERENCE_COEFFICIENTS), forward_models()),
+           st_i=category_vectors(), st_j=category_vectors())
+    def test_equals_the_per_category_reference(self, model, st_i, st_j):
+        # The plain-float kernel against forward() one category at a time
+        # (tests/reference_simulator.py): the same floats, or the same error.
+        assert repr(outcome(predict_pair, model, st_i, st_j)) == repr(outcome(
+            reference_simulator.predict_pair, model, st_i, st_j
+        ))
+
 
 def scalar_pair_weights(model, vectors):
     """Every ``(i, j)`` pair weight through ``predict_pair``."""
@@ -174,22 +185,42 @@ def scalar_pair_weights(model, vectors):
     return weights
 
 
+def same_bits(x, y):
+    """Whether two floats are the same float64, the sign of zero included."""
+    return np.float64(x).tobytes() == np.float64(y).tobytes()
+
+
+def scalar_finite(model, a, b):
+    """Whether ``predict_pair`` gives ``a`` next to ``b`` a finite slowdown."""
+    try:
+        return math.isfinite(predict_pair(model, a, b).slowdown_i)
+    except ModelError:  # a category value beyond float range
+        return False
+
+
 class TestPairWeightMatrix:
-    @settings(max_examples=200, deadline=None)
-    @given(model=st.one_of(st.just(REFERENCE_COEFFICIENTS), coefficient_models()),
+    @settings(max_examples=300, deadline=None)
+    @given(model=st.one_of(st.just(REFERENCE_COEFFICIENTS), coefficient_models(), forward_models()),
            vectors=st.lists(category_vectors(), min_size=0, max_size=9))
     def test_bit_equal_to_predict_pair(self, model, vectors):
-        matrix = pair_weight_matrix(model, vectors)
+        try:
+            matrix = pair_weight_matrix(model, vectors)
+        except ModelError:
+            # Then some pair's slowdown leaves float range on the scalar path too.
+            assert not all(scalar_finite(model, a, b) for a in vectors for b in vectors)
+            with pytest.raises(ModelError, match="predicted slowdown is not finite"):
+                co_run_slowdowns(model, vectors)
+            return
         assert matrix.shape == (len(vectors), len(vectors))
         for (i, j), want in scalar_pair_weights(model, vectors).items():
-            assert matrix[i, j] == want
-        assert all(matrix[i, i] == 0.0 for i in range(len(vectors)))
+            assert same_bits(matrix[i, j], want)
+        assert all(same_bits(matrix[i, i], 0.0) for i in range(len(vectors)))
         # Each thread's own entry, which replay logs as its model slowdown.
         slowdowns = co_run_slowdowns(model, vectors)
         assert slowdowns.shape == matrix.shape
         for i, a in enumerate(vectors):
             for j, b in enumerate(vectors):
-                assert slowdowns[i, j] == predict_pair(model, a, b).slowdown_i
+                assert same_bits(slowdowns[i, j], predict_pair(model, a, b).slowdown_i)
 
     def test_clamp_at_zero_is_bit_equal(self):
         # Negative intercepts drive every category below zero for the
