@@ -166,12 +166,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     if single:
         log = run_one(policies[0], seeds[0])
+        trace = format_trace(*trace_from_log(log)) if args.export_trace else None
         write_text(args.out, log.to_jsonl())
         metrics = compute_metrics(log)
         if args.metrics:
             write_text(args.metrics, metrics.to_json())
-        if args.export_trace:
-            write_text(args.export_trace, format_trace(*trace_from_log(log)))
+        if trace:
+            write_text(args.export_trace, trace)
         fair = "n/a" if metrics.fairness is None else f"{metrics.fairness:.4f}"
         print(
             f"policy={log.policy} seed={log.seed} quanta={log.total_quanta} "

@@ -1,33 +1,33 @@
 """Hardware-counter samples and the trace and profile file formats.
 
-A trace file carries one JSON header line followed by CSV rows, one row
-per (quantum, thread):
+A trace file carries one JSON header line, a column line and one row
+per (quantum, thread) of fixed comma-separated fields, never quoted:
 
     {"version": 1, "dispatch_width": 4, "quantum_ms": 100.0, "threads": ["a", "b"]}
     quantum,thread,cpu_cycles,inst_spec,stall_frontend,stall_backend
     0,a,1000,1200,200,300
     ...
 
-Profile files (see :mod:`synpa.trainer`) use the same layout with an
-extra ``committed_instructions`` column and a ``mode`` field in the
-header.  Counter values are nonnegative integers below 2**64, as in a
-64-bit hardware counter; rows are ordered by ``(quantum, thread)`` and
-each thread occupies a contiguous range of quanta.  Replay reads a
-whole trace at once with :func:`open_trace`, which hands the engine its
-samples grouped by quantum.
+A profile file (see :mod:`synpa.trainer`) has a ``mode`` in its header
+and exactly then an extra ``committed_instructions`` column.  Thread ids
+hold no comma or line break.  Counts are ASCII digits below 2**64, as
+in a 64-bit hardware counter.  Rows are ordered by ``(quantum, thread)``
+with no quantum skipped, and each thread's quanta are contiguous.
+:func:`parse_counter_text` checks each row as it reads it, in one pass,
+and names the line of the first defect.  Replay reads a whole trace at
+once with :func:`open_trace`, which hands the engine its samples
+grouped by quantum.
 """
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
 import json
 import math
 from dataclasses import dataclass
 from itertools import groupby
 from operator import attrgetter
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .errors import (
     RosterError, TraceError, json_document, json_list, json_number, json_string, read_text,
@@ -36,20 +36,13 @@ from .errors import (
 
 TRACE_VERSION = 1
 
-#: CSV columns common to traces and profiles, in file order.
-TRACE_COLUMNS = (
-    "quantum",
-    "thread",
-    "cpu_cycles",
-    "inst_spec",
-    "stall_frontend",
-    "stall_backend",
-)
+_COUNTER_FIELDS = ("cpu_cycles", "inst_spec", "stall_frontend", "stall_backend")
+
+#: Columns common to traces and profiles, in file order.
+TRACE_COLUMNS = ("quantum", "thread") + _COUNTER_FIELDS
 
 #: Extra column present only in profile files.
 COMMITTED_COLUMN = "committed_instructions"
-
-_COUNTER_FIELDS = ("cpu_cycles", "inst_spec", "stall_frontend", "stall_backend")
 
 #: Counter values are below this bound: hardware PMU counters are 64-bit.
 COUNTER_LIMIT = 2**64
@@ -108,6 +101,9 @@ class TraceHeader:
             )
         if len(set(self.threads)) != len(self.threads):
             raise TraceError("duplicate thread ids in header roster", line=1)
+        for thread in self.threads:
+            if "," in thread or "".join(thread.splitlines()) != thread:
+                raise TraceError(f"thread id {thread!r} holds a comma or a line break", line=1)
         if self.mode not in (None, "isolated", "paired"):
             raise TraceError(f"unknown profile mode {self.mode!r}", line=1)
 
@@ -136,56 +132,61 @@ def _parse_header(line: str) -> TraceHeader:
     )
 
 
-def read_counter_file(
-    path: str, *, require_committed: bool = False
-) -> tuple[TraceHeader, list[RawCounterSample], list[int]]:
-    """Parse a trace or profile file.
-
-    Returns ``(header, samples, committed)`` where ``committed`` is the
-    per-row committed-instruction column (empty for plain traces).
-    Raises :class:`ConfigError` when the file cannot be read,
-    :class:`TraceError` with a line number on malformed input and
-    :class:`RosterError` when rows disagree with the header roster.
-    """
-    return parse_counter_text(read_text(path), require_committed=require_committed)
+def read_counter_file(path: str) -> tuple[TraceHeader, list[RawCounterSample], list[int]]:
+    """:func:`parse_counter_text` of a file; an unreadable one is a :class:`ConfigError`."""
+    return parse_counter_text(read_text(path))
 
 
 def _count(field: str, name: str) -> int:
-    """A count field of a CSV row: ASCII digits only, as the trace writer
-    emits them (``int`` alone would take signs, spaces and underscores)."""
-    if field.isascii() and field.isdigit():
-        return int(field)
-    raise ValueError(f"{name} must be ASCII digits, got {field!r}")
+    """A count field of a row: ASCII digits below 2**64, as the trace
+    writer emits them (``int`` alone would take signs, spaces and
+    underscores).  Over 20 significant digits is 2**64 or more, and is
+    not converted: ``int`` refuses strings of over 4300 digits."""
+    if not (field.isascii() and field.isdigit()):
+        raise TraceError(f"bad counter value: {name} must be ASCII digits, got {field!r}")
+    if len(field) <= 20 or len(field.lstrip("0")) <= 20:
+        value = int(field)
+        if value < COUNTER_LIMIT:
+            return value
+    raise TraceError(f"{name} must be below 2**64")
 
 
-def parse_counter_text(
-    text: str, *, require_committed: bool = False
-) -> tuple[TraceHeader, list[RawCounterSample], list[int]]:
+def parse_counter_text(text: str) -> tuple[TraceHeader, list[RawCounterSample], list[int]]:
+    """Parse a trace or profile in one pass over its lines.
+
+    Returns ``(header, samples, committed)`` where ``committed`` is the
+    per-row committed-instruction column, which a file has exactly when
+    its header has a ``mode`` (a profile); it is empty for a trace.
+    Every defect is a :class:`TraceError` naming its line: a row of
+    another field count, a count that is not ASCII digits below 2**64,
+    a thread outside the roster (:class:`RosterError`), a row not after
+    the previous one in ``(quantum, thread)`` order, a skipped quantum
+    and a gap in one thread's quanta.
+    """
     lines = text.splitlines()
     if not lines or not lines[0].strip():
         raise TraceError("empty file: missing JSON header", line=1)
     header = _parse_header(lines[0])
 
-    expected_cols = TRACE_COLUMNS + ((COMMITTED_COLUMN,) if require_committed else ())
+    profile = header.mode is not None
+    columns = TRACE_COLUMNS + ((COMMITTED_COLUMN,) if profile else ())
     if len(lines) < 2 or not lines[1].strip():
         raise TraceError("missing CSV column header", line=2)
-    reader = csv.reader(io.StringIO("\n".join(lines[1:])))
-    cols = tuple(c.strip() for c in next(reader))
-    if cols != expected_cols:
-        raise TraceError(
-            f"unexpected columns {cols!r}; expected {expected_cols!r}", line=2
-        )
+    found = tuple(c.strip() for c in lines[1].split(","))
+    if found != columns:
+        raise TraceError(f"unexpected columns {found!r}; expected {columns!r}", line=2)
 
+    roster = set(header.threads)
+    latest: dict[str, int] = {}  # each thread's last quantum so far
+    key: tuple[int, str] | None = None  # the previous row's (quantum, thread)
     samples: list[RawCounterSample] = []
     committed: list[int] = []
-    for offset, row in enumerate(reader):
-        lineno = offset + 3
-        if not row or (len(row) == 1 and not row[0].strip()):
+    for lineno, line in enumerate(lines[2:], start=3):
+        if not line.strip():
             continue
-        if len(row) != len(expected_cols):
-            raise TraceError(
-                f"expected {len(expected_cols)} fields, found {len(row)}", line=lineno
-            )
+        row = line.split(",")
+        if len(row) != len(columns):
+            raise TraceError(f"expected {len(columns)} fields, found {len(row)}", line=lineno)
         try:
             sample = RawCounterSample(
                 quantum_index=_count(row[0], "quantum"),
@@ -195,66 +196,49 @@ def parse_counter_text(
                 stall_frontend=_count(row[4], "stall_frontend"),
                 stall_backend=_count(row[5], "stall_backend"),
             )
-        except ValueError as exc:
-            raise TraceError(f"bad counter value: {exc}", line=lineno) from None
+            if profile:
+                committed.append(_count(row[6], COMMITTED_COLUMN))
         except TraceError as exc:
             raise TraceError(str(exc), line=lineno) from None
-        samples.append(sample)
-        if require_committed:
-            try:
-                done = _count(row[6], COMMITTED_COLUMN)
-            except ValueError as exc:
-                raise TraceError(f"bad committed count: {exc}", line=lineno) from None
-            if not 0 <= done < COUNTER_LIMIT:
-                raise TraceError("committed_instructions must be >= 0 and below 2**64", line=lineno)
-            committed.append(done)
-
-    _validate_roster(header, samples)
-    return header, samples, committed
-
-
-def _validate_roster(header: TraceHeader, samples: Sequence[RawCounterSample]) -> None:
-    """Check roster membership, row ordering and per-thread contiguity."""
-    roster = set(header.threads)
-    last_key: tuple[int, str] | None = None
-    seen: dict[str, list[int]] = {}
-    for sample in samples:
-        if sample.thread_id not in roster:
-            raise RosterError(
-                f"thread {sample.thread_id!r} not declared in header roster"
-            )
-        key = (sample.quantum_index, sample.thread_id)
-        if last_key is not None and key <= last_key:
-            raise TraceError(
-                f"rows out of order: {key} follows {last_key} "
-                "(must be sorted by (quantum, thread))"
-            )
-        last_key = key
-        seen.setdefault(sample.thread_id, []).append(sample.quantum_index)
-
-    for thread, quanta in sorted(seen.items()):
-        for a, b in zip(quanta, quanta[1:]):
-            if b != a + 1:
+        quantum, thread = sample.quantum_index, sample.thread_id
+        if thread not in roster:
+            raise RosterError(f"thread {thread!r} not declared in header roster", line=lineno)
+        if key is not None:
+            if (quantum, thread) <= key:
                 raise TraceError(
-                    f"thread {thread!r} has a gap between quanta {a} and {b}"
+                    f"rows out of order: {(quantum, thread)} follows {key} "
+                    "(must be sorted by (quantum, thread))",
+                    line=lineno,
                 )
+            if quantum > key[0] + 1:
+                raise TraceError(f"no samples for quantum {key[0] + 1}", line=lineno)
+        if latest.get(thread, quantum - 1) != quantum - 1:
+            raise TraceError(
+                f"thread {thread!r} has a gap between quanta {latest[thread]} and {quantum}",
+                line=lineno,
+            )
+        latest[thread] = quantum
+        key = (quantum, thread)
+        samples.append(sample)
 
-    # Every quantum between the global first and last must have samples:
-    # a silent quantum means some alive thread is missing.
-    if samples:
-        present = sorted({s.quantum_index for s in samples})
-        for a, b in zip(present, present[1:]):
-            if b != a + 1:
-                raise TraceError(f"no samples for quantum {a + 1}")
+    return header, samples, committed
 
 
 def open_trace(path: str) -> tuple[TraceHeader, list[list[RawCounterSample]]]:
     """Read a trace file; returns its header and its samples grouped by quantum.
 
     Groups come in quantum order, each in thread order, as the parser
-    enforces; no quantum between the first and the last is missing.
+    enforces.  Replay observes threads through their rows alone, so a
+    profile header and a roster thread without rows are a
+    :class:`TraceError` on line 1.
     """
     header, samples, _ = read_counter_file(path)
+    if header.mode is not None:
+        raise TraceError(f"a profile (mode {header.mode!r}) is not a trace", line=1)
+    sampled = {s.thread_id for s in samples}
+    silent = [a for a in header.threads if a not in sampled]
+    if silent:
+        raise TraceError(f"threads with no sample rows: {silent}", line=1)
     return header, [list(g) for _, g in groupby(samples, key=attrgetter("quantum_index"))]
 
 
@@ -265,21 +249,20 @@ def format_trace(
 ) -> str:
     """Serialize samples to the on-disk format.
 
-    Round trip guarantee: ``parse_counter_text(format_trace(h, s))``
-    reproduces ``(h, s)``.  Pass ``committed`` (keyed by
-    ``(quantum, thread)``) to emit the profile-file variant.
+    Round trip guarantee: ``parse_counter_text(format_trace(h, s, c))``
+    reproduces ``h`` and ``s``.  A profile header (one with a ``mode``)
+    writes the committed column from ``committed``, keyed by
+    ``(quantum, thread)``; a trace header writes none.
     """
-    cols = TRACE_COLUMNS + ((COMMITTED_COLUMN,) if committed is not None else ())
-    out = io.StringIO()
-    out.write(header.to_json() + "\n")
-    out.write(",".join(cols) + "\n")
-    rows = sorted(samples, key=lambda s: (s.quantum_index, s.thread_id))
-    for s in rows:
-        base = (
+    profile = header.mode is not None
+    cols = TRACE_COLUMNS + ((COMMITTED_COLUMN,) if profile else ())
+    out = [header.to_json(), ",".join(cols)]
+    for s in sorted(samples, key=lambda s: (s.quantum_index, s.thread_id)):
+        row = (
             f"{s.quantum_index},{s.thread_id},{s.cpu_cycles},"
             f"{s.inst_spec},{s.stall_frontend},{s.stall_backend}"
         )
-        if committed is not None:
-            base += f",{committed[(s.quantum_index, s.thread_id)]}"
-        out.write(base + "\n")
-    return out.getvalue()
+        if profile:
+            row += f",{committed[(s.quantum_index, s.thread_id)]}"
+        out.append(row)
+    return "\n".join(out) + "\n"

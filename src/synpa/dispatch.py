@@ -199,11 +199,18 @@ def normalize(breakdown: CategoryBreakdown) -> CategoryVector:
 
 
 def normalize_triple(triple: CategoryTriple) -> CategoryVector:
+    """:func:`unit_vector` of a triple."""
+    return unit_vector(triple.fdc, triple.fe, triple.be)
+
+
+def unit_vector(fdc: float, fe: float, be: float) -> CategoryVector:
     """Scale a triple to fractions of its total; uniform if the total is ~0."""
-    total = triple.total
+    total = fdc + fe + be
+    if total != total:  # a NaN entry: the triple's check names it
+        CategoryTriple(fe=fe, be=be, fdc=fdc)
     if total <= 1e-12:
         return UNIFORM_VECTOR
-    return CategoryVector(fe=triple.fe / total, be=triple.be / total, fdc=triple.fdc / total)
+    return CategoryVector(fe=fe / total, be=be / total, fdc=fdc / total)
 
 
 def classify(vector: CategoryTriple) -> AppClass:

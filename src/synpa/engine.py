@@ -294,8 +294,8 @@ def sim_step(
     isolated speed.  States are mutated in place (progress and
     relaunch-on-completion).  Noise is drawn and progress committed per
     pair in sorted order, the lower id first.  A zero predicted slowdown
-    (an infinitely fast app) raises :class:`ModelError` before any state
-    changes.
+    (an infinitely fast app) or an infinite one (an app that never
+    advances) raises :class:`ModelError` before any state changes.
     """
     runs = []  # (app id, noise-free observation, slowdown, isolated vector)
     for a, b in sorted(tuple(sorted(p)) for p in pairs):
@@ -308,6 +308,8 @@ def sim_step(
         pred = predict_pair(ground_truth, va, vb)
         if pred.slowdown_i == 0.0 or pred.slowdown_j == 0.0:
             raise ModelError(f"ground truth predicts a zero slowdown for the pair ({a}, {b})")
+        if not math.isfinite(pred.slowdown_i + pred.slowdown_j):
+            raise ModelError(f"ground truth predicts an infinite slowdown for the pair ({a}, {b})")
         runs += ((a, pred.smt_i, pred.slowdown_i, va), (b, pred.smt_j, pred.slowdown_j, vb))
     if noise_sigma > 0.0:
         noise = iter(rng.standard_normal(3 * len(runs)).tolist())
@@ -544,10 +546,6 @@ def run(config: EngineConfig) -> ScheduleLog:
         cycles = cycles_per_quantum(quantum_ms, functools.partial(TraceError, line=1))
         if IDLE_NODE in header.threads:
             raise TraceError(f"threads must not include the reserved id {IDLE_NODE!r}", line=1)
-        sampled = {s.thread_id for samples in trace_quanta for s in samples}
-        silent = [a for a in header.threads if a not in sampled]
-        if silent:
-            raise TraceError(f"threads with no sample rows: {silent}", line=1)
         app_ids = header.threads
         remaining = iter(trace_quanta)
 

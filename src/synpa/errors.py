@@ -38,8 +38,8 @@ class TraceError(SynpaError):
         self.line = line
 
 
-class RosterError(SynpaError):
-    """Trace contents disagree with the declared thread roster."""
+class RosterError(TraceError):
+    """A trace row names a thread the header's roster does not declare."""
 
 
 class DegenerateSampleError(SynpaError):

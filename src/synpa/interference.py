@@ -37,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dispatch import CATEGORIES, UNIFORM_VECTOR, CategoryTriple, CategoryVector
+from .dispatch import CATEGORIES, CategoryTriple, CategoryVector, unit_vector
 from .errors import ModelError, failing, json_document, json_number, json_object, json_string
 
 COEFFICIENTS_VERSION = 1
@@ -509,17 +509,7 @@ def invert(
     c = model.be
     be_i, be_j, be_exact = _solve(c.alpha, c.beta, c.gamma, c.rho, smt_ij.be, smt_ji.be)
     return InversionResult(
-        st_i=_unit_vector(fdc_i, fe_i, be_i),
-        st_j=_unit_vector(fdc_j, fe_j, be_j),
+        st_i=unit_vector(fdc_i, fe_i, be_i),
+        st_j=unit_vector(fdc_j, fe_j, be_j),
         degraded=not (fdc_exact and fe_exact and be_exact),
     )
-
-
-def _unit_vector(fdc: float, fe: float, be: float) -> CategoryVector:
-    """``normalize_triple`` of the solved triple, built as one vector."""
-    total = fdc + fe + be
-    if total != total:  # a NaN entry: the triple's check names it
-        CategoryTriple(fe=fe, be=be, fdc=fdc)
-    if total <= 1e-12:
-        return UNIFORM_VECTOR
-    return CategoryVector(fe=fe / total, be=be / total, fdc=fdc / total)

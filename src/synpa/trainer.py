@@ -83,7 +83,7 @@ def load_profiles(path: str) -> list[Profile]:
     hold the two co-running threads and yield two profiles that name
     each other as partner.
     """
-    header, samples, committed = read_counter_file(path, require_committed=True)
+    header, samples, committed = read_counter_file(path)
     if header.mode is None:
         raise TraceError(f"{path}: profile file must declare a mode in its header")
 

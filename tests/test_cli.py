@@ -523,6 +523,49 @@ class TestSimulate:
         assert not (tmp_path / "x.jsonl").exists()
 
 
+    @pytest.mark.parametrize("policy", ["synpa", "random", "static"])
+    def test_infinite_ground_truth_slowdown_is_domain_error(
+        self, workload_file, tmp_path, capsys, policy
+    ):
+        # Each category is finite, their sum is not: no app would ever
+        # commit an instruction, so the run would never end.
+        form = {"alpha": 1e308, "beta": 0.0, "gamma": 0.0, "rho": 0.0}
+        model = tmp_path / "huge.json"
+        model.write_text(json.dumps({
+            "version": 1, "categories": {name: form for name in ("fdc", "fe", "be")},
+        }), encoding="utf-8")
+        outs = [tmp_path / name for name in ("x.jsonl", "x.m.json", "x.trace")]
+        code = run_cli(
+            "simulate", "--workload", workload_file, "--ground-truth", model,
+            "--policy", policy, "--out", outs[0], "--metrics", outs[1], "--export-trace", outs[2],
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: ground truth predicts an infinite slowdown for the pair "
+                            r"\(\w+, \w+\)\n", err)
+        assert not any(out.exists() for out in outs)
+
+    @pytest.mark.parametrize("app_id", ["b,00", "b\n00", "b\u2028"])
+    def test_exported_thread_id_must_be_a_trace_field(self, tmp_path, capsys, app_id):
+        # A trace row is split on commas and lines: the export refuses an
+        # id it could not read back, before any output is written.
+        workload = tmp_path / "wl.json"
+        write_phase_workload(workload, 10**9, 10**9)
+        doc = json.loads(workload.read_text(encoding="utf-8"))
+        doc["apps"][1]["app_id"] = app_id
+        workload.write_text(json.dumps(doc), encoding="utf-8")
+        outs = [tmp_path / name for name in ("x.jsonl", "x.m.json", "x.trace")]
+        code = run_cli(
+            "simulate", "--workload", workload,
+            "--out", outs[0], "--metrics", outs[1], "--export-trace", outs[2],
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: line 1: thread id {app_id!r} holds a comma or a line break\n"
+        assert not any(out.exists() for out in outs)
+        assert run_cli("simulate", "--workload", workload, "--out", outs[0]) == 0
+
+
 class TestReplay:
     @pytest.fixture()
     def trace_file(self, workload_file, tmp_path):
@@ -615,6 +658,44 @@ class TestReplay:
         code = run_cli("replay", "--trace", bad, "--out", out)
         assert code == 1
         assert "error: line 1: threads with no sample rows: ['ghost']" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field, value", [
+        pytest.param(2, "9" * 200_000, id="200000-digits"),
+        pytest.param(2, "1" + "0" * 20, id="21-digits"),
+        pytest.param(1, '"a,b"', id="quoted-comma"),
+        pytest.param(3, "4\x00", id="nul"),
+    ])
+    def test_edited_row_field_is_domain_error(self, trace_file, tmp_path, capsys, field, value):
+        lines = trace_file.read_text(encoding="utf-8").split("\n")
+        fields = lines[3].split(",")
+        fields[field] = value
+        lines[3] = ",".join(fields)
+        bad = tmp_path / "edited.trace"
+        bad.write_text("\n".join(lines), encoding="utf-8")
+        out = tmp_path / "x.jsonl"
+        code = run_cli("replay", "--trace", bad, "--out", out)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 4: ") and "Traceback" not in err
+        assert not out.exists()
+
+    def test_rows_out_of_order_name_the_line(self, trace_file, tmp_path, capsys):
+        lines = trace_file.read_text(encoding="utf-8").split("\n")
+        lines[3], lines[4] = lines[4], lines[3]
+        bad = tmp_path / "swapped.trace"
+        bad.write_text("\n".join(lines), encoding="utf-8")
+        code = run_cli("replay", "--trace", bad, "--out", tmp_path / "x.jsonl")
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: line 5: rows out of order: ")
+
+    def test_profile_is_no_trace(self, profile_corpus, tmp_path, capsys):
+        out = tmp_path / "x.jsonl"
+        code = run_cli("replay", "--trace", profile_corpus[0], "--out", out)
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: line 1: a profile (mode 'isolated') is not a trace\n"
+        )
         assert not out.exists()
 
     def test_header_only_trace_is_domain_error(self, trace_file, tmp_path, capsys):

@@ -2,6 +2,8 @@
 serialization."""
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from synpa import (
     RawCounterSample,
@@ -12,6 +14,9 @@ from synpa import (
     open_trace,
     parse_counter_text,
 )
+from synpa.errors import SynpaError
+
+import reference_reader
 
 HEADER = '{"version":1,"dispatch_width":4,"quantum_ms":100,"threads":["t0","t1"]}'
 COLS = "quantum,thread,cpu_cycles,inst_spec,stall_frontend,stall_backend"
@@ -39,11 +44,14 @@ class TestParsing:
         assert [s.quantum_index for s in samples] == [0, 0, 1, 1, 2, 2]
 
     def test_empty_file_with_valid_header_yields_zero_samples(self, tmp_path):
-        header, samples, _ = parse_counter_text(make_text([]))
+        _, samples, _ = parse_counter_text(make_text([]))
         assert samples == []
+        # Replay schedules only threads it observes: open_trace refuses.
         path = tmp_path / "empty.trace"
         path.write_text(make_text([]))
-        assert open_trace(str(path)) == (header, [])
+        with pytest.raises(TraceError, match=r"threads with no sample rows: \['t0', 't1'\]") as err:
+            open_trace(str(path))
+        assert err.value.line == 1
 
     def test_quantum_gap_for_a_thread_is_rejected(self):
         rows = [
@@ -241,7 +249,7 @@ class TestRoundTrip:
         ]
         committed = {(0, "t0"): 700, (1, "t0"): 650}
         text = format_trace(header, samples, committed)
-        header2, samples2, counts = parse_counter_text(text, require_committed=True)
+        header2, samples2, counts = parse_counter_text(text)
         assert header2.mode == "isolated"
         assert samples2 == samples
         assert counts == [700, 650]
@@ -256,7 +264,7 @@ class TestRoundTrip:
         )
         text = format_trace(header, [sample], {(0, "t0"): 2**64})
         with pytest.raises(TraceError, match="below 2\\*\\*64") as err:
-            parse_counter_text(text, require_committed=True)
+            parse_counter_text(text)
         assert err.value.line == 3
 
     def test_committed_count_is_ascii_digits(self):
@@ -269,5 +277,123 @@ class TestRoundTrip:
         )
         text = format_trace(header, [sample], {(0, "t0"): 700}).replace(",700\n", ",7_00\n")
         with pytest.raises(TraceError, match="committed_instructions must be ASCII digits") as err:
-            parse_counter_text(text, require_committed=True)
+            parse_counter_text(text)
         assert err.value.line == 3
+
+
+#: Thread ids of a drawn file: never ``foreign``, and no junk character.
+THREAD_IDS = st.text("abxyz01", min_size=1, max_size=3)
+COUNTS = st.one_of(st.integers(0, 5000), st.integers(0, 2**64 - 1))
+
+
+@st.composite
+def counter_files(draw):
+    """A valid trace or profile: its header, its samples in file order and
+    its committed counts by ``(quantum, thread)``.  One thread runs every
+    quantum; the others may arrive late, leave early or have no rows."""
+    threads = draw(st.lists(THREAD_IDS, min_size=1, max_size=4, unique=True))
+    header = TraceHeader(
+        dispatch_width=draw(st.integers(1, 8)), quantum_ms=draw(st.floats(1e-3, 1e3)),
+        threads=tuple(threads), mode=draw(st.sampled_from([None, "isolated", "paired"])),
+    )
+    first = draw(st.sampled_from([0, 7, 2**64 - 6]))
+    n = draw(st.integers(0, 5))
+    always = draw(st.sampled_from(threads))
+    samples, committed = [], {}
+    for thread in threads:
+        start = 0 if thread == always else draw(st.integers(0, n))
+        end = n if thread == always else draw(st.integers(start, n))
+        for q in range(first + start, first + end):
+            samples.append(RawCounterSample(q, thread, *(draw(COUNTS) for _ in range(4))))
+            committed[(q, thread)] = draw(COUNTS)
+    samples.sort(key=lambda s: (s.quantum_index, s.thread_id))
+    return header, samples, committed
+
+
+@st.composite
+def edited_files(draw):
+    """The text of a drawn file with rows swapped, duplicated, dropped,
+    added for a foreign thread and blank lines put in; and whether its
+    header is a profile's."""
+    header, samples, committed = draw(counter_files())
+    lines = format_trace(header, samples, committed).splitlines()
+    rows = lines[2:]
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(["swap", "duplicate", "drop", "foreign", "blank"]))
+        at = draw(st.integers(0, len(rows)))
+        if edit == "blank":
+            rows.insert(at, draw(st.sampled_from(["", " ", "\t"])))
+        elif rows and edit == "swap":
+            other = draw(st.integers(0, len(rows) - 1))
+            at = min(at, len(rows) - 1)
+            rows[at], rows[other] = rows[other], rows[at]
+        elif rows and edit == "duplicate":
+            rows.insert(at, draw(st.sampled_from(rows)))
+        elif rows and edit == "drop":
+            del rows[min(at, len(rows) - 1)]
+        elif samples and edit == "foreign":
+            fields = draw(st.sampled_from(lines[2:])).split(",")
+            fields[1] = "foreign"
+            rows.insert(at, ",".join(fields))
+    return "\n".join(lines[:2] + rows) + "\n", header.mode is not None
+
+
+def outcome(read, text, **options):
+    """What ``read`` returns for ``text``, or the domain error it raises."""
+    try:
+        return read(text, **options)
+    except SynpaError as exc:
+        return exc
+
+
+class TestReaderOracle:
+    """The one-pass reader against today's two-pass reader
+    (``tests/reference_reader.py``)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=edited_files())
+    def test_one_pass_reader_agrees_with_the_two_pass_reader(self, case):
+        text, profile = case
+        want = outcome(reference_reader.parse_counter_text, text, require_committed=profile)
+        got = outcome(parse_counter_text, text)
+        if isinstance(want, SynpaError):
+            # Every defect is reported, and on its line.
+            assert isinstance(got, TraceError) and got.line is not None
+        else:
+            assert got == want
+
+
+class TestFileProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(file=counter_files())
+    def test_format_then_parse_reproduces_the_file(self, file):
+        header, samples, committed = file
+        counts = [committed[(s.quantum_index, s.thread_id)] for s in samples]
+        got = parse_counter_text(format_trace(header, samples, committed))
+        assert got == (header, samples, counts if header.mode else [])
+
+    #: Text around a field that no writer emits: a quote, a comma, NUL,
+    #: whitespace, a line break, a sign and a 200 000-digit number.
+    JUNK = st.lists(
+        st.sampled_from(['"', ",", "\x00", " ", "\r", "\n", "_", "-", "9" * 200_000]),
+        max_size=3,
+    ).map("".join)
+
+    @settings(max_examples=200, deadline=None)
+    @given(file=counter_files(), data=st.data())
+    def test_an_edited_field_reads_the_same_or_is_a_domain_error(self, file, data):
+        header, samples, committed = file
+        assume(samples)
+        text = format_trace(header, samples, committed)
+        lines = text.split("\n")
+        k = data.draw(st.integers(2, len(samples) + 1), label="line index")
+        fields = lines[k].split(",")
+        i = data.draw(st.integers(0, len(fields) - 1), label="field")
+        zeros = "" if i == 1 else data.draw(st.text("0", max_size=2), label="zeros")
+        fields[i] = data.draw(self.JUNK) + zeros + fields[i] + data.draw(self.JUNK)
+        lines[k] = ",".join(fields)
+        got = outcome(parse_counter_text, "\n".join(lines))
+        if isinstance(got, SynpaError):
+            assert isinstance(got, TraceError) and got.line is not None
+        else:
+            assert got == parse_counter_text(text)

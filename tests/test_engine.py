@@ -9,6 +9,7 @@ import itertools
 import json
 import math
 import os
+import re
 import tempfile
 from collections import Counter
 from fractions import Fraction
@@ -306,6 +307,19 @@ class TestSimStep:
         states = self._states(*(static_app(a, v, 10.0) for a, v in zip("abc", vectors)))
         with pytest.raises(ModelError, match=r"zero slowdown for the pair \(a, b\)"):
             sim_step(states, [("b", "a"), ("c", IDLE_NODE)], model, 0.0,
+                     np.random.default_rng(0), 1, QUANTUM_CYCLES)
+        assert all(s.done == 0.0 for s in states.values())
+
+    def test_infinite_slowdown_is_a_model_error(self):
+        # Each category is finite, their sum is not: the pair would never
+        # commit an instruction.
+        huge = interference.CategoryCoefficients(alpha=1e308, beta=0.0, gamma=0.0, rho=0.0)
+        model = interference.ModelCoefficients(fdc=huge, fe=huge, be=huge)
+        vectors = (BE_VECTOR, FE_VECTOR, FE_VECTOR)
+        states = self._states(*(static_app(a, v, 10.0) for a, v in zip("abc", vectors)))
+        with pytest.raises(ModelError, match=r"^ground truth predicts an infinite slowdown "
+                                             r"for the pair \(a, b\)$"):
+            sim_step(states, [("c", IDLE_NODE), ("b", "a")], model, 0.0,
                      np.random.default_rng(0), 1, QUANTUM_CYCLES)
         assert all(s.done == 0.0 for s in states.values())
 
@@ -920,9 +934,17 @@ class TestSimulatorOracle:
         oracle = {a: dataclasses.replace(s) for a, s in states.items()}
         rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         for quantum in range(1, quanta + 1):
+            vectors = {a: s.vector for a, s in states.items()}
             got = step_outcome(sim_step, states, pairs, model, noise, rng, quantum, cycles)
             want = step_outcome(reference_simulator.sim_step, oracle, pairs, model, noise,
                                 oracle_rng, quantum, cycles)
+            if got[0] is ModelError and "infinite slowdown for the pair" in got[1]:
+                # The reference runs the pair at an infinite slowdown, which
+                # commits nothing ever; the step names the pair instead.
+                a, b = re.fullmatch(r".*\((\w+), (\w+)\)", got[1]).groups()
+                pred = reference_simulator.predict_pair(model, vectors[a], vectors[b])
+                assert math.isinf(pred.slowdown_i + pred.slowdown_j)
+                return
             if want[0] is ZeroDivisionError:
                 # The reference divides by the zero slowdown; the step names the pair.
                 assert got[0] is ModelError and "zero slowdown for the pair" in got[1]

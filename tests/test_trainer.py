@@ -297,14 +297,14 @@ class TestLoadProfiles:
             assert got.get(name) == pytest.approx(want.get(name), abs=1e-7)
 
     def test_missing_mode_rejected(self, tmp_path):
-        from synpa import TraceHeader, format_trace
-        from conftest import counters_for_fractions
-
-        header = TraceHeader(dispatch_width=4, quantum_ms=100.0, threads=("a",))
-        sample = counters_for_fractions(0, "a", 0.2, 0.5)
+        # Without a mode the file is a trace, so its committed column is
+        # unexpected; format_trace would not write it.
         path = tmp_path / "nomode.profile"
         path.write_text(
-            format_trace(header, [sample], {(0, "a"): sample.inst_spec}),
+            '{"dispatch_width": 4, "quantum_ms": 100.0, "threads": ["a"], "version": 1}\n'
+            "quantum,thread,cpu_cycles,inst_spec,stall_frontend,stall_backend,"
+            "committed_instructions\n"
+            "0,a,1000,400,200,300,400\n",
             encoding="utf-8",
         )
         with pytest.raises(TraceError):
