@@ -140,12 +140,13 @@ def read_counter_file(path: str) -> tuple[TraceHeader, list[RawCounterSample], l
 def _count(field: str, name: str) -> int:
     """A count field of a row: ASCII digits below 2**64, as the trace
     writer emits them (``int`` alone would take signs, spaces and
-    underscores).  Over 20 significant digits is 2**64 or more, and is
-    not converted: ``int`` refuses strings of over 4300 digits."""
+    underscores).  Leading zeros are stripped first, since ``int``
+    refuses over 4300 characters; over 20 digits left is 2**64 or more."""
     if not (field.isascii() and field.isdigit()):
         raise TraceError(f"bad counter value: {name} must be ASCII digits, got {field!r}")
-    if len(field) <= 20 or len(field.lstrip("0")) <= 20:
-        value = int(field)
+    digits = field.lstrip("0")
+    if len(digits) <= 20:
+        value = int(digits or "0")
         if value < COUNTER_LIMIT:
             return value
     raise TraceError(f"{name} must be below 2**64")
@@ -163,6 +164,11 @@ def parse_counter_text(text: str) -> tuple[TraceHeader, list[RawCounterSample], 
     the previous one in ``(quantum, thread)`` order, a skipped quantum
     and a gap in one thread's quanta.
     """
+    return _parse(text)[:3]
+
+
+def _parse(text: str) -> tuple[TraceHeader, list[RawCounterSample], list[int], dict[str, int]]:
+    """:func:`parse_counter_text`, plus each sampled thread's last quantum."""
     lines = text.splitlines()
     if not lines or not lines[0].strip():
         raise TraceError("empty file: missing JSON header", line=1)
@@ -221,7 +227,7 @@ def parse_counter_text(text: str) -> tuple[TraceHeader, list[RawCounterSample], 
         key = (quantum, thread)
         samples.append(sample)
 
-    return header, samples, committed
+    return header, samples, committed, latest
 
 
 def open_trace(path: str) -> tuple[TraceHeader, list[list[RawCounterSample]]]:
@@ -232,11 +238,10 @@ def open_trace(path: str) -> tuple[TraceHeader, list[list[RawCounterSample]]]:
     profile header and a roster thread without rows are a
     :class:`TraceError` on line 1.
     """
-    header, samples, _ = read_counter_file(path)
+    header, samples, _, latest = _parse(read_text(path))
     if header.mode is not None:
         raise TraceError(f"a profile (mode {header.mode!r}) is not a trace", line=1)
-    sampled = {s.thread_id for s in samples}
-    silent = [a for a in header.threads if a not in sampled]
+    silent = [a for a in header.threads if a not in latest]
     if silent:
         raise TraceError(f"threads with no sample rows: {silent}", line=1)
     return header, [list(g) for _, g in groupby(samples, key=attrgetter("quantum_index"))]

@@ -308,7 +308,7 @@ def sim_step(
         pred = predict_pair(ground_truth, va, vb)
         if pred.slowdown_i == 0.0 or pred.slowdown_j == 0.0:
             raise ModelError(f"ground truth predicts a zero slowdown for the pair ({a}, {b})")
-        if not math.isfinite(pred.slowdown_i + pred.slowdown_j):
+        if math.isinf(pred.slowdown_i) or math.isinf(pred.slowdown_j):
             raise ModelError(f"ground truth predicts an infinite slowdown for the pair ({a}, {b})")
         runs += ((a, pred.smt_i, pred.slowdown_i, va), (b, pred.smt_j, pred.slowdown_j, vb))
     if noise_sigma > 0.0:

@@ -663,6 +663,7 @@ class TestReplay:
     @pytest.mark.parametrize("field, value", [
         pytest.param(2, "9" * 200_000, id="200000-digits"),
         pytest.param(2, "1" + "0" * 20, id="21-digits"),
+        pytest.param(2, "0" * 5000 + "9" * 20, id="leading-zeros-then-20-nines"),
         pytest.param(1, '"a,b"', id="quoted-comma"),
         pytest.param(3, "4\x00", id="nul"),
     ])

@@ -157,6 +157,18 @@ class TestParsing:
             parse_counter_text(make_text([row, *rows]))
         assert err.value.line == 3
 
+    def test_leading_zeros_do_not_count_toward_the_digit_limit(self):
+        # int() refuses over 4300 characters, leading zeros included.
+        zeros = "0" * 5000
+        rows = [f"0,t0,{zeros}1000,400,100,{zeros}", f"0,t1,1000,400,100,{zeros}{2**64 - 1}"]
+        _, samples, _ = parse_counter_text(make_text(rows))
+        assert (samples[0].cpu_cycles, samples[0].stall_backend) == (1000, 0)
+        assert samples[1].stall_backend == 2**64 - 1
+        rows = [f"0,t0,1000,{zeros}{2**64},100,200"]
+        with pytest.raises(TraceError, match="inst_spec must be below 2\\*\\*64") as err:
+            parse_counter_text(make_text(rows))
+        assert err.value.line == 3
+
     def test_counter_fields_of_2_to_the_64_keep_their_message(self):
         rows = [f"0,t0,{2**64},400,100,200"]
         with pytest.raises(TraceError, match="cpu_cycles must be below 2\\*\\*64") as err:
@@ -374,6 +386,7 @@ class TestFileProperties:
 
     #: Text around a field that no writer emits: a quote, a comma, NUL,
     #: whitespace, a line break, a sign and a 200 000-digit number.
+    #: Leading zeros, up to 5000 of them, leave a count's value as it is.
     JUNK = st.lists(
         st.sampled_from(['"', ",", "\x00", " ", "\r", "\n", "_", "-", "9" * 200_000]),
         max_size=3,
@@ -389,7 +402,9 @@ class TestFileProperties:
         k = data.draw(st.integers(2, len(samples) + 1), label="line index")
         fields = lines[k].split(",")
         i = data.draw(st.integers(0, len(fields) - 1), label="field")
-        zeros = "" if i == 1 else data.draw(st.text("0", max_size=2), label="zeros")
+        zeros = "" if i == 1 else data.draw(
+            st.one_of(st.text("0", max_size=2), st.just("0" * 5000)), label="zeros"
+        )
         fields[i] = data.draw(self.JUNK) + zeros + fields[i] + data.draw(self.JUNK)
         lines[k] = ",".join(fields)
         got = outcome(parse_counter_text, "\n".join(lines))

@@ -323,6 +323,16 @@ class TestSimStep:
                      np.random.default_rng(0), 1, QUANTUM_CYCLES)
         assert all(s.done == 0.0 for s in states.values())
 
+    def test_finite_slowdowns_whose_sum_overflows_are_run(self):
+        # Each app's slowdown is finite; only their sum is beyond float range.
+        huge = interference.CategoryCoefficients(alpha=1e308, beta=0.0, gamma=0.0, rho=0.0)
+        zero = interference.CategoryCoefficients(alpha=0.0, beta=0.0, gamma=0.0, rho=0.0)
+        model = interference.ModelCoefficients(fdc=huge, fe=zero, be=zero)
+        states = self._states(static_app("a", BE_VECTOR, 10.0), static_app("b", FE_VECTOR, 10.0))
+        results = sim_step(states, [("a", "b")], model, 0.0,
+                           np.random.default_rng(0), 1, QUANTUM_CYCLES)
+        assert results["a"].slowdown == results["b"].slowdown == 1e308
+
     @pytest.mark.parametrize("seed", [0, 7, 2**40])
     def test_one_noise_draw_is_the_scalar_stream(self, seed):
         # sim_step draws a quantum's noise at once; numpy must give the

@@ -310,6 +310,17 @@ class TestLoadProfiles:
         with pytest.raises(TraceError):
             load_profiles(str(path))
 
+    def test_trace_is_not_a_profile(self, tmp_path):
+        from synpa import TraceHeader, format_trace
+        from conftest import counters_for_fractions
+
+        header = TraceHeader(dispatch_width=4, quantum_ms=100.0, threads=("a",))
+        path = tmp_path / "trace.profile"
+        path.write_text(format_trace(header, [counters_for_fractions(0, "a", 0.2, 0.5)]),
+                        encoding="utf-8")
+        with pytest.raises(TraceError, match="profile file must declare a mode"):
+            load_profiles(str(path))
+
 
 class TestFit:
     def test_exact_recovery_from_synthetic_data(self):
