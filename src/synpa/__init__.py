@@ -56,12 +56,12 @@ from .interference import (
     CategoryCoefficients,
     ModelCoefficients,
     PairPrediction,
+    category_matrix,
     co_run_slowdowns,
     fold_prices,
     forward,
     invert,
     invert_category,
-    pair_weight_matrix,
     predict_pair,
 )
 from .matcher import (

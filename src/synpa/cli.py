@@ -46,6 +46,11 @@ def _coefficients(path: str | None) -> ModelCoefficients:
     return ModelCoefficients.from_json(read_text(path))
 
 
+def _fairness(value: float | None) -> str:
+    """A fairness figure as printed: ``n/a`` when it is undefined."""
+    return "n/a" if value is None else f"{value:.4f}"
+
+
 def _seed(text: str) -> int:
     """argparse type of every seed option: numpy takes no negative seed."""
     try:
@@ -173,11 +178,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             write_text(args.metrics, metrics.to_json())
         if trace:
             write_text(args.export_trace, trace)
-        fair = "n/a" if metrics.fairness is None else f"{metrics.fairness:.4f}"
         print(
             f"policy={log.policy} seed={log.seed} quanta={log.total_quanta} "
             f"turnaround={metrics.turnaround_quanta}q ({metrics.turnaround_ms:.0f} ms) "
-            f"fairness={fair} ipc_geomean={metrics.ipc_geomean:.4f}"
+            f"fairness={_fairness(metrics.fairness)} ipc_geomean={metrics.ipc_geomean:.4f}"
         )
         print(f"wrote log to {args.out}")
         return 0
@@ -212,22 +216,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         if len(reports) >= 2:
             agg = aggregate_runs(reports, cv_threshold=args.cv_threshold)
             write_text(os.path.join(args.out, f"{policy}.aggregate.json"), agg.to_json())
-            fair = (
-                "n/a"
-                if agg.fairness_mean is None
-                else f"{agg.fairness_mean:.4f}"
-            )
             print(
                 f"policy={policy} runs={agg.n_retained}/{agg.n_runs} "
                 f"tt_mean={agg.turnaround_quanta_mean:.2f}q "
-                f"fairness_mean={fair} ipc_geomean_mean={agg.ipc_geomean_mean:.4f}"
+                f"fairness_mean={_fairness(agg.fairness_mean)} "
+                f"ipc_geomean_mean={agg.ipc_geomean_mean:.4f}"
             )
         else:
             m = reports[0]
-            fair = "n/a" if m.fairness is None else f"{m.fairness:.4f}"
             print(
                 f"policy={policy} runs=1/1 tt_mean={float(m.turnaround_quanta):.2f}q "
-                f"fairness_mean={fair} ipc_geomean_mean={m.ipc_geomean:.4f}"
+                f"fairness_mean={_fairness(m.fairness)} ipc_geomean_mean={m.ipc_geomean:.4f}"
             )
     print(f"wrote runs to {args.out}")
     return 0
@@ -268,10 +267,9 @@ def cmd_report(args: argparse.Namespace) -> int:
         check_cv_threshold(args.cv_threshold)
     reports = [compute_metrics(load_log_summary(path)) for path in args.logs]
     for path, m in zip(args.logs, reports):
-        fair = "n/a" if m.fairness is None else f"{m.fairness:.4f}"
         print(
             f"{path}: policy={m.policy} seed={m.seed} "
-            f"turnaround={m.turnaround_quanta}q fairness={fair} "
+            f"turnaround={m.turnaround_quanta}q fairness={_fairness(m.fairness)} "
             f"ipc_geomean={m.ipc_geomean:.4f}"
         )
     if args.csv:
@@ -283,16 +281,12 @@ def cmd_report(args: argparse.Namespace) -> int:
     if args.out:
         write_text(args.out, aggregate.to_json())
     stable = "stable" if aggregate.cv_met else "UNSTABLE"
-    fair = (
-        "n/a"
-        if aggregate.fairness_mean is None
-        else f"{aggregate.fairness_mean:.4f}"
-    )
     print(
         f"aggregate over {aggregate.n_retained}/{aggregate.n_runs} runs "
         f"({stable}, cv={aggregate.tt_cv:.4f}): "
         f"turnaround={aggregate.turnaround_quanta_mean:.2f}q "
-        f"fairness={fair} ipc_geomean={aggregate.ipc_geomean_mean:.4f}"
+        f"fairness={_fairness(aggregate.fairness_mean)} "
+        f"ipc_geomean={aggregate.ipc_geomean_mean:.4f}"
     )
     if aggregate.discarded:
         print(f"discarded outlier runs: {list(aggregate.discarded)}")

@@ -164,11 +164,6 @@ def parse_counter_text(text: str) -> tuple[TraceHeader, list[RawCounterSample], 
     the previous one in ``(quantum, thread)`` order, a skipped quantum
     and a gap in one thread's quanta.
     """
-    return _parse(text)[:3]
-
-
-def _parse(text: str) -> tuple[TraceHeader, list[RawCounterSample], list[int], dict[str, int]]:
-    """:func:`parse_counter_text`, plus each sampled thread's last quantum."""
     lines = text.splitlines()
     if not lines or not lines[0].strip():
         raise TraceError("empty file: missing JSON header", line=1)
@@ -227,7 +222,7 @@ def _parse(text: str) -> tuple[TraceHeader, list[RawCounterSample], list[int], d
         key = (quantum, thread)
         samples.append(sample)
 
-    return header, samples, committed, latest
+    return header, samples, committed
 
 
 def open_trace(path: str) -> tuple[TraceHeader, list[list[RawCounterSample]]]:
@@ -238,13 +233,17 @@ def open_trace(path: str) -> tuple[TraceHeader, list[list[RawCounterSample]]]:
     profile header and a roster thread without rows are a
     :class:`TraceError` on line 1.
     """
-    header, samples, _, latest = _parse(read_text(path))
+    header, samples, _ = read_counter_file(path)
     if header.mode is not None:
         raise TraceError(f"a profile (mode {header.mode!r}) is not a trace", line=1)
-    silent = [a for a in header.threads if a not in latest]
+    quanta, sampled = [], set()
+    for _, group in groupby(samples, key=attrgetter("quantum_index")):
+        quanta.append(list(group))
+        sampled.update(s.thread_id for s in quanta[-1])
+    silent = [a for a in header.threads if a not in sampled]
     if silent:
         raise TraceError(f"threads with no sample rows: {silent}", line=1)
-    return header, [list(g) for _, g in groupby(samples, key=attrgetter("quantum_index"))]
+    return header, quanta
 
 
 def format_trace(

@@ -20,12 +20,16 @@ import enum
 import math
 import sys
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .counters import RawCounterSample
 from .errors import DegenerateSampleError, ModelError
 
 #: Canonical category iteration order used throughout the package.
 CATEGORIES = ("fdc", "fe", "be")
+
+#: A triple's ``(fdc, fe, be)`` values, in :data:`CATEGORIES` order.
+category_values = attrgetter(*CATEGORIES)
 
 #: The largest finite float; a category value beyond it is not finite.
 _MAX = sys.float_info.max
@@ -196,11 +200,6 @@ def normalize(breakdown: CategoryBreakdown) -> CategoryVector:
         be=breakdown.be_units / total,
         fdc=breakdown.fdc_units / total,
     )
-
-
-def normalize_triple(triple: CategoryTriple) -> CategoryVector:
-    """:func:`unit_vector` of a triple."""
-    return unit_vector(triple.fdc, triple.fe, triple.be)
 
 
 def unit_vector(fdc: float, fe: float, be: float) -> CategoryVector:

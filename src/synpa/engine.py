@@ -50,17 +50,18 @@ from .dispatch import (
     CategoryTriple,
     CategoryVector,
     UNIFORM_VECTOR,
+    category_values,
     characterize,
     normalize,
-    normalize_triple,
+    unit_vector,
 )
 from .errors import (
     ConfigError, Fail, ModelError, TraceError, WorkloadError, failing, json_list, json_number,
     json_object, json_string, whole_number,
 )
 from .interference import (
-    REFERENCE_COEFFICIENTS, ModelCoefficients, _category_matrix, _category_values,
-    _co_run_slowdowns, invert, predict_pair,
+    REFERENCE_COEFFICIENTS, ModelCoefficients, category_matrix, co_run_slowdowns, invert,
+    predict_pair,
 )
 from .matcher import IDLE_NODE, build_graph, min_weight_perfect_matching
 
@@ -302,7 +303,7 @@ def sim_step(
         if a == IDLE_NODE or b == IDLE_NODE:
             solo = a if b == IDLE_NODE else b
             vector = states[solo].vector
-            runs.append((solo, _clamped(_category_values(vector)), 1.0, vector))
+            runs.append((solo, _clamped(category_values(vector)), 1.0, vector))
             continue
         va, vb = states[a].vector, states[b].vector
         pred = predict_pair(ground_truth, va, vb)
@@ -316,7 +317,7 @@ def sim_step(
     results: dict[str, StepResult] = {}
     for app_id, observed, slowdown, vector in runs:
         if noise_sigma > 0.0:
-            observed = _clamped(v + noise_sigma * next(noise) for v in _category_values(observed))
+            observed = _clamped(v + noise_sigma * next(noise) for v in category_values(observed))
         amount = isolated_rate(vector, cycles_per_quantum) / slowdown
         committed, completed = states[app_id].commit(amount, quantum)
         results[app_id] = StepResult(observed, slowdown, committed, completed)
@@ -490,7 +491,7 @@ def _update_estimates(
     for a, b in sorted(tuple(sorted(p)) for p in pairs):
         if a == IDLE_NODE or b == IDLE_NODE:
             solo = a if b == IDLE_NODE else b
-            vec = normalize_triple(results[solo].observed)
+            vec = unit_vector(*category_values(results[solo].observed))
             estimates.update(solo, vec)
             fresh[solo] = vec
             degraded[solo] = False
@@ -592,8 +593,8 @@ def run(config: EngineConfig) -> ScheduleLog:
         if config.policy == "synpa" or workload is None:
             # The model's view of this quantum, evaluated once: replay logs
             # its slowdowns and the decision weighs and prices its pairs with it.
-            st = _category_matrix([estimates.effective(a) for a in present])
-            co_run = _co_run_slowdowns(config.coefficients, st)
+            st = category_matrix([estimates.effective(a) for a in present])
+            co_run = co_run_slowdowns(config.coefficients, st)
         if workload is not None:
             slowdown = {a: results[a].slowdown for a in present}
         else:

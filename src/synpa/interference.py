@@ -13,16 +13,17 @@ categories is the thread's slowdown (>= 1 in practice).
 
 The *inverse* direction recovers the isolated fractions of both threads
 from one quantum's pair of observed co-run category triples by solving
-the two-equation bilinear system per category.  One plain-float kernel
-(:func:`_solve`) does that solve for :func:`invert` and
-:func:`invert_category` alike.
+the two-equation bilinear system per category: one plain-float kernel,
+:func:`invert_category`, which :func:`invert` runs on each category.
 
 The forward direction has a plain-float pair form (:func:`predict_pair`,
-the simulator's) and a matrix form over a whole roster, one broadcast
-pass (:func:`co_run_slowdowns`); they agree bit for bit.  The engine
-builds the estimates' category matrix and the forward matrix once per
-quantum: the decision's pair weights (:func:`pair_weight_matrix`) and
-fold prices and replay's logged slowdowns all come from them.
+the simulator's) and a roster form: one broadcast pass over the
+estimates' category matrix (:func:`category_matrix`) gives every
+thread's slowdown next to every other (:func:`co_run_slowdowns`), and
+agrees with the pair form bit for bit.  The engine builds both matrices
+once per quantum; the decision's pair weights
+(:func:`synpa.matcher.build_graph`), its fold prices
+(:func:`fold_prices`) and replay's logged slowdowns all come from them.
 """
 
 from __future__ import annotations
@@ -32,12 +33,11 @@ import functools
 import json
 import math
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
 
-from .dispatch import CATEGORIES, CategoryTriple, CategoryVector, unit_vector
+from .dispatch import CATEGORIES, CategoryTriple, CategoryVector, category_values, unit_vector
 from .errors import ModelError, failing, json_document, json_number, json_object, json_string
 
 COEFFICIENTS_VERSION = 1
@@ -157,9 +157,6 @@ def forward(coeffs: CategoryCoefficients, ci: float, cj: float) -> float:
     return value if value > 0.0 else 0.0
 
 
-_category_values = attrgetter(*CATEGORIES)
-
-
 @dataclass(frozen=True)
 class PairPrediction:
     """Predicted co-run behavior of an (i, j) thread pair."""
@@ -176,7 +173,7 @@ def predict_pair(
     """Predict both threads' co-run categories and slowdowns: each
     category's :func:`forward` both ways, on plain floats."""
     values = []
-    for (a, b, g, r), ci, cj in zip(model._forms, _category_values(st_i), _category_values(st_j)):
+    for (a, b, g, r), ci, cj in zip(model._forms, category_values(st_i), category_values(st_j)):
         vi = a + b * ci + g * cj + r * ci * cj
         vj = a + b * cj + g * ci + r * cj * ci
         values.append((vi if vi > 0.0 else 0.0, vj if vj > 0.0 else 0.0))
@@ -189,33 +186,25 @@ def predict_pair(
     )
 
 
-def _category_matrix(vectors: Sequence[CategoryTriple]) -> np.ndarray:
+def category_matrix(vectors: Sequence[CategoryTriple]) -> np.ndarray:
     """``[i, k]``: category ``CATEGORIES[k]`` of ``vectors[i]``."""
-    return np.array([_category_values(v) for v in vectors], dtype=float).reshape(
+    return np.array([category_values(v) for v in vectors], dtype=float).reshape(
         len(vectors), len(CATEGORIES)
     )
 
 
-def co_run_slowdowns(
-    model: ModelCoefficients, vectors: Sequence[CategoryTriple]
-) -> np.ndarray:
+def co_run_slowdowns(model: ModelCoefficients, st: np.ndarray) -> np.ndarray:
     """Predicted slowdown of every thread next to every other, as a matrix.
 
+    ``st`` is the :func:`category_matrix` of the threads' vectors.
     Entry ``[i, j]`` (``i != j``) is the slowdown of ``vectors[i]``
     next to ``vectors[j]``, and equals ``slowdown_i`` of
     ``predict_pair(model, vectors[i], vectors[j])`` bit for bit: each
     float64 operation is the scalar path's, in the same order.  The
-    diagonal holds each thread next to a copy of itself.  Raises
-    :class:`ModelError` when a predicted slowdown is not finite.
-    """
-    return _co_run_slowdowns(model, _category_matrix(vectors))
-
-
-def _co_run_slowdowns(model: ModelCoefficients, st: np.ndarray) -> np.ndarray:
-    """:func:`co_run_slowdowns` of the vectors whose category matrix is ``st``.
-
-    One broadcast pass: ``value[k, i, j]`` is :func:`forward` of category
-    ``k`` for ``i`` next to ``j``.
+    diagonal holds each thread next to a copy of itself.  One broadcast
+    pass: ``value[k, i, j]`` is :func:`forward` of category ``k`` for
+    ``i`` next to ``j``.  Raises :class:`ModelError` when a predicted
+    slowdown is not finite.
     """
     a, b, g, r = model._form_arrays
     x = np.ascontiguousarray(st.T)  # [k, i]: contiguous rows broadcast fastest
@@ -229,35 +218,13 @@ def _co_run_slowdowns(model: ModelCoefficients, st: np.ndarray) -> np.ndarray:
     return slowdown
 
 
-def pair_weight_matrix(
-    model: ModelCoefficients, vectors: Sequence[CategoryTriple]
-) -> np.ndarray:
-    """Predicted combined slowdown of every pair of threads, as a matrix.
-
-    Entry ``[i, j]`` (``i != j``) equals ``slowdown_i + slowdown_j`` of
-    ``predict_pair(model, vectors[i], vectors[j])`` bit for bit: the sum
-    of the two entries of :func:`co_run_slowdowns`.  The diagonal is
-    zero.
-    """
-    return _pair_weights(co_run_slowdowns(model, vectors))
-
-
-def _pair_weights(slowdown: np.ndarray) -> np.ndarray:
-    """The pair weights of the co-run slowdown matrix ``slowdown``."""
-    with np.errstate(over="ignore"):
-        weights = slowdown + slowdown.T
-    np.fill_diagonal(weights, 0.0)
-    return weights
-
-
-def fold_prices(
-    model: ModelCoefficients, vectors: Sequence[CategoryTriple]
-) -> np.ndarray:
+def fold_prices(model: ModelCoefficients, st: np.ndarray) -> np.ndarray:
     """Column prices under which each thread's cheapest partner is its fold.
 
-    Without the clamp at zero, the weight of a pair is ``a_i + a_j +
-    sum_c 2 * rho_c * x_ic * x_jc`` with the additive part ``a_j =
-    sum_c alpha_c + (beta_c + gamma_c) * x_jc``.  The price of thread
+    ``st`` is the :func:`category_matrix` of the threads' vectors, with
+    entries ``x_jc``.  Without the clamp at zero, the weight of a pair
+    is ``a_i + a_j + sum_c 2 * rho_c * x_ic * x_jc`` with the additive
+    part ``a_j = sum_c alpha_c + (beta_c + gamma_c) * x_jc``.  The price of thread
     ``j`` is ``a_j + q_j``, where ``q`` prices the fold along the
     category ``k`` with the largest positive ``rho`` (0 if there is
     none): with that category's values sorted ascending, ``q_(0) = 0``
@@ -273,11 +240,6 @@ def fold_prices(
     (:func:`synpa.matcher.min_weight_perfect_matching`); they never
     change its result.
     """
-    return _fold_prices(model, _category_matrix(vectors))
-
-
-def _fold_prices(model: ModelCoefficients, st: np.ndarray) -> np.ndarray:
-    """:func:`fold_prices` of the vectors whose category matrix is ``st``."""
     alphas, slopes, k, rho = model._fold_terms
     prices = alphas + st @ slopes
     if rho > 0.0 and len(st) > 1:
@@ -290,21 +252,16 @@ def _fold_prices(model: ModelCoefficients, st: np.ndarray) -> np.ndarray:
     return prices
 
 
-@dataclass(frozen=True)
-class CategorySolution:
-    """Per-category inverse solve: isolated values for both threads."""
-
-    x: float  # st value of thread i
-    y: float  # st value of thread j
-    exact: bool  # residual at solution below tolerance
-
-
-def _solve(
-    a: float, b: float, g: float, r: float, u: float, v: float
+def invert_category(
+    coeffs: CategoryCoefficients, u: float, v: float
 ) -> tuple[float, float, bool]:
-    """:func:`invert_category` on plain floats: ``(x, y, exact)`` for the
-    form ``(alpha, beta, gamma, rho) = (a, b, g, r)`` and the
-    observations ``u`` and ``v``.
+    """Recover both threads' isolated values for one category.
+
+    Solves ``u = f(x, y)``, ``v = f(y, x)`` where ``f`` is the forward
+    form, on plain floats, and returns ``(x, y, exact)``: ``x`` and
+    ``y`` always lie in [0, 1], and ``exact`` is False when no
+    consistent solution exists in the unit square and the result is the
+    least-squares fit constrained to the square.
 
     The steps, in order:
 
@@ -334,6 +291,7 @@ def _solve(
     ``tests/reference_inversion.py`` keeps these steps as separate
     helpers: the reference this kernel matches bit for bit.
     """
+    a, b, g, r = coeffs.alpha, coeffs.beta, coeffs.gamma, coeffs.rho
     if not math.isfinite(u):
         raise ModelError("observed category value u must be finite")
     if not math.isfinite(v):
@@ -461,25 +419,6 @@ def _solve(
     return lx, ly, least <= bound
 
 
-def invert_category(
-    coeffs: CategoryCoefficients, u: float, v: float
-) -> CategorySolution:
-    """Recover both threads' isolated values for one category.
-
-    Solves ``u = f(x, y)``, ``v = f(y, x)`` where ``f`` is the forward
-    form.  With ``rho == 0`` this is a 2x2 linear solve; otherwise the
-    difference of the two equations eliminates one unknown and leaves a
-    quadratic, whose root in the unit square (nearest the linear seed on
-    ties) is polished by Newton iteration.  When no consistent solution
-    exists in the unit square, the result is the least-squares fit
-    constrained to the square, computed in closed form, and ``exact`` is
-    False.  ``x`` and ``y`` always lie in [0, 1].  :func:`invert` runs
-    the same solve (:func:`_solve`) on each category.
-    """
-    x, y, exact = _solve(coeffs.alpha, coeffs.beta, coeffs.gamma, coeffs.rho, u, v)
-    return CategorySolution(x=x, y=y, exact=exact)
-
-
 @dataclass(frozen=True)
 class InversionResult:
     """Estimated isolated vectors for a co-running pair."""
@@ -502,12 +441,9 @@ def invert(
     no consistent solution and used the least-squares fallback; callers
     should prefer an earlier good estimate in that case.
     """
-    c = model.fdc
-    fdc_i, fdc_j, fdc_exact = _solve(c.alpha, c.beta, c.gamma, c.rho, smt_ij.fdc, smt_ji.fdc)
-    c = model.fe
-    fe_i, fe_j, fe_exact = _solve(c.alpha, c.beta, c.gamma, c.rho, smt_ij.fe, smt_ji.fe)
-    c = model.be
-    be_i, be_j, be_exact = _solve(c.alpha, c.beta, c.gamma, c.rho, smt_ij.be, smt_ji.be)
+    fdc_i, fdc_j, fdc_exact = invert_category(model.fdc, smt_ij.fdc, smt_ji.fdc)
+    fe_i, fe_j, fe_exact = invert_category(model.fe, smt_ij.fe, smt_ji.fe)
+    be_i, be_j, be_exact = invert_category(model.be, smt_ij.be, smt_ji.be)
     return InversionResult(
         st_i=unit_vector(fdc_i, fe_i, be_i),
         st_j=unit_vector(fdc_j, fe_j, be_j),

@@ -4,9 +4,10 @@ Nodes are thread ids; every unordered pair carries a weight equal to
 the predicted combined slowdown if the two threads share a core, and
 every node a price.  The assignment for the next quantum is the perfect
 matching minimizing the total weight.  A decision takes two calls:
-:func:`build_graph` predicts the weights and the model's fold prices
-from the threads' estimated category vectors, and
-:func:`min_weight_perfect_matching` solves the graph it returns.
+:func:`build_graph` sums the weights from the model's co-run slowdown
+matrix and prices the nodes from the threads' category matrix (both in
+:mod:`synpa.interference`), and :func:`min_weight_perfect_matching`
+solves the graph it returns.
 
 Exactness and determinism
 -------------------------
@@ -54,11 +55,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dispatch import CategoryTriple
 from .errors import MatchingError
-from .interference import (
-    ModelCoefficients, _category_matrix, _co_run_slowdowns, _fold_prices, _pair_weights,
-)
+from .interference import ModelCoefficients, fold_prices
 
 #: Node id used to pad an odd roster; the thread paired with it runs alone.
 IDLE_NODE = "__idle__"
@@ -108,28 +106,23 @@ class SynergyGraph:
 
 
 def build_graph(
-    model: ModelCoefficients,
-    app_ids: Sequence[str],
-    vectors: Sequence[CategoryTriple] | np.ndarray,
-    slowdown: np.ndarray | None = None,
+    model: ModelCoefficients, app_ids: Sequence[str], st: np.ndarray, slowdown: np.ndarray
 ) -> SynergyGraph:
     """The pairing graph of one decision.
 
-    ``vectors[i]`` estimates the isolated behavior of the ``i``-th of the
-    sorted, distinct ``app_ids``.  Edges weigh each pair's predicted
-    combined slowdown (:func:`synpa.interference.pair_weight_matrix`) and
-    nodes carry the model's fold prices
-    (:func:`synpa.interference.fold_prices`), which usually certify the
-    optimum.  Both come from one category matrix of the vectors.  A
-    caller that holds that matrix already passes it as ``vectors``, and
-    one that holds the vectors' co-run slowdown matrix
-    (:func:`synpa.interference.co_run_slowdowns`, as the engine does for
-    its log) passes it as ``slowdown``; each is built here otherwise.
+    Row ``i`` of ``st``, a :func:`synpa.interference.category_matrix`,
+    estimates the isolated behavior of the ``i``-th of the sorted,
+    distinct ``app_ids``, and ``slowdown`` is the model's
+    :func:`synpa.interference.co_run_slowdowns` of ``st``, which replay
+    also logs.  Edges weigh each pair's predicted combined
+    slowdown ``slowdown[i, j] + slowdown[j, i]``, and nodes carry the
+    model's fold prices (:func:`synpa.interference.fold_prices`), which
+    usually certify the optimum.
     """
-    st = vectors if isinstance(vectors, np.ndarray) else _category_matrix(vectors)
-    if slowdown is None:
-        slowdown = _co_run_slowdowns(model, st)
-    return graph_from_matrix(app_ids, _pair_weights(slowdown), _fold_prices(model, st))
+    with np.errstate(over="ignore"):
+        weights = slowdown + slowdown.T
+    np.fill_diagonal(weights, 0.0)
+    return graph_from_matrix(app_ids, weights, fold_prices(model, st))
 
 
 def graph_from_matrix(

@@ -15,6 +15,9 @@ from synpa import (
     ModelCoefficients,
     RawCounterSample,
     TraceHeader,
+    build_graph,
+    category_matrix,
+    co_run_slowdowns,
     format_trace,
     predict_pair,
 )
@@ -58,6 +61,13 @@ def forward_models():
     )
     category = st.builds(CategoryCoefficients, alpha=coeff, beta=coeff, gamma=coeff, rho=coeff)
     return st.builds(ModelCoefficients, fdc=category, fe=category, be=category)
+
+
+def decision_graph(model, app_ids, vectors):
+    """The pairing graph of ``vectors`` as the engine builds it: one
+    category matrix, its co-run slowdowns, then :func:`build_graph`."""
+    st = category_matrix(vectors)
+    return build_graph(model, app_ids, st, co_run_slowdowns(model, st))
 
 
 def counters_for_fractions(

@@ -16,11 +16,10 @@ import math
 
 import numpy as np
 
-from synpa.dispatch import CATEGORIES, CategoryTriple, normalize_triple
+from synpa.dispatch import CATEGORIES, CategoryTriple, category_values, unit_vector
 from synpa.errors import ModelError
 from synpa.interference import (
     CategoryCoefficients,
-    CategorySolution,
     InversionResult,
     ModelCoefficients,
 )
@@ -141,8 +140,8 @@ def _box_minimum(
 
 def invert_category(
     coeffs: CategoryCoefficients, u: float, v: float
-) -> CategorySolution:
-    """Recover both threads' isolated values for one category.
+) -> tuple[float, float, bool]:
+    """Recover both threads' isolated values for one category: ``(x, y, exact)``.
 
     Solves ``u = f(x, y)``, ``v = f(y, x)`` where ``f`` is the forward
     form.  With ``rho == 0`` this is a 2x2 linear solve; otherwise the
@@ -212,12 +211,12 @@ def invert_category(
     scale = max(1.0, u * u + v * v)
     in_unit = -1e-9 <= x <= 1.0 + 1e-9 and -1e-9 <= y <= 1.0 + 1e-9
     if residual <= _EXACT_RESIDUAL_TOL**2 * scale and in_unit:
-        return CategorySolution(x=_clip_unit(x), y=_clip_unit(y), exact=True)
+        return _clip_unit(x), _clip_unit(y), True
 
     lx, ly = _box_minimum(coeffs, u, v, [(x, y)] + polished)
     lres = _residual(coeffs, lx, ly, u, v)
     exact = lres <= _EXACT_RESIDUAL_TOL**2 * scale
-    return CategorySolution(x=lx, y=ly, exact=exact)
+    return lx, ly, exact
 
 
 def invert(
@@ -237,12 +236,12 @@ def invert(
     ys: dict[str, float] = {}
     degraded = False
     for name in CATEGORIES:
-        sol = invert_category(model.category(name), smt_ij.get(name), smt_ji.get(name))
-        xs[name] = sol.x
-        ys[name] = sol.y
-        degraded = degraded or not sol.exact
+        xs[name], ys[name], exact = invert_category(
+            model.category(name), smt_ij.get(name), smt_ji.get(name)
+        )
+        degraded = degraded or not exact
     return InversionResult(
-        st_i=normalize_triple(CategoryTriple(**xs)),
-        st_j=normalize_triple(CategoryTriple(**ys)),
+        st_i=unit_vector(*category_values(CategoryTriple(**xs))),
+        st_j=unit_vector(*category_values(CategoryTriple(**ys))),
         degraded=degraded,
     )

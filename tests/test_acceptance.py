@@ -179,8 +179,8 @@ def test_criterion_3_inversion_round_trip():
             for cj in grid:
                 u = forward(coeffs, ci, cj)
                 v = forward(coeffs, cj, ci)
-                solution = invert_category(coeffs, u, v)
-                worst = max(worst, abs(solution.x - ci), abs(solution.y - cj))
+                x, y, _ = invert_category(coeffs, u, v)
+                worst = max(worst, abs(x - ci), abs(y - cj))
         assert worst < 1e-6, f"category {name}: error {worst:.3g}"
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0, f"took {elapsed:.2f}s, budget 5s"

@@ -14,6 +14,7 @@ from synpa import (
     open_trace,
     parse_counter_text,
 )
+from synpa import counters
 from synpa.errors import SynpaError
 
 import reference_reader
@@ -229,6 +230,19 @@ class TestOpenTrace:
         ]
         _, samples, _ = parse_counter_text(well_formed_text())
         assert [s for group in quanta for s in group] == samples
+
+    def test_reads_through_read_counter_file(self, tmp_path, monkeypatch):
+        # The benchmark's tracer counts a trace's rows at
+        # synpa.counters.read_counter_file: open_trace must read through it.
+        calls = []
+        original = counters.read_counter_file
+        monkeypatch.setattr(
+            counters, "read_counter_file", lambda path: calls.append(path) or original(path)
+        )
+        path = tmp_path / "trace.csv"
+        path.write_text(well_formed_text())
+        open_trace(str(path))
+        assert calls == [str(path)]
 
 
 class TestRoundTrip:

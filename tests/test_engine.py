@@ -43,7 +43,7 @@ from synpa import (
     sim_step,
     trace_from_log,
 )
-from synpa import engine, interference, matcher
+from synpa import engine, interference
 from synpa.dispatch import UNIFORM_VECTOR
 from synpa.harness import make_synthetic_app
 
@@ -973,8 +973,8 @@ class TestForwardOncePerQuantum:
     @pytest.fixture
     def counts(self, monkeypatch):
         counts = Counter()
-        for module in (interference, matcher, engine):
-            for name in ("_category_matrix", "_co_run_slowdowns"):
+        for module in (interference, engine):
+            for name in ("category_matrix", "co_run_slowdowns"):
 
                 def counted(*args, _name=name, _original=getattr(module, name)):
                     counts[_name] += 1
@@ -994,7 +994,7 @@ class TestForwardOncePerQuantum:
         log = run(EngineConfig(workload=self._workload(), policy=policy, seed=1))
         want = per_quantum * log.total_quanta
         assert log.total_quanta > 1
-        assert counts["_category_matrix"] == counts["_co_run_slowdowns"] == want
+        assert counts["category_matrix"] == counts["co_run_slowdowns"] == want
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_replay(self, counts, tmp_path, policy):
@@ -1003,4 +1003,4 @@ class TestForwardOncePerQuantum:
         path.write_text(format_trace(*trace_from_log(sim)), encoding="utf-8")
         counts.clear()
         log = run(EngineConfig(trace_path=str(path), policy=policy, seed=1))
-        assert counts["_category_matrix"] == counts["_co_run_slowdowns"] == log.total_quanta
+        assert counts["category_matrix"] == counts["co_run_slowdowns"] == log.total_quanta

@@ -1,6 +1,6 @@
 """Tests for the pairwise interference model: forward form, pair
-prediction, the per-category inverse solver, and coefficient
-serialization, and the vectorized pair-weight matrix."""
+prediction, the roster's forward matrix and fold prices, the
+per-category inverse solver, and coefficient serialization."""
 
 import json
 import math
@@ -16,17 +16,17 @@ from synpa import (
     CategoryTriple,
     CategoryVector,
     IDLE_NODE,
+    MatchingError,
     ModelCoefficients,
     ModelError,
     REFERENCE_COEFFICIENTS,
     build_graph,
+    category_matrix,
     co_run_slowdowns,
     fold_prices,
     forward,
-    graph_from_matrix,
     invert,
     invert_category,
-    pair_weight_matrix,
     predict_pair,
 )
 from synpa.errors import read_text, write_text
@@ -34,7 +34,7 @@ from synpa.matcher import IDLE_WEIGHT
 
 import reference_inversion
 import reference_simulator
-from conftest import category_vectors, coefficient_models, forward_models
+from conftest import category_vectors, coefficient_models, decision_graph, forward_models
 
 ZERO = CategoryCoefficients(alpha=0.0, beta=0.0, gamma=0.0, rho=0.0)
 ZERO_MODEL = ModelCoefficients(fdc=ZERO, fe=ZERO, be=ZERO, provenance="zero")
@@ -199,28 +199,42 @@ def scalar_finite(model, a, b):
 
 
 class TestPairWeightMatrix:
+    """The roster's forward matrix (:func:`co_run_slowdowns` of a
+    :func:`category_matrix`) and the pair weights :func:`build_graph`
+    sums from it, against :func:`predict_pair` bit for bit."""
+
     @settings(max_examples=300, deadline=None)
     @given(model=st.one_of(st.just(REFERENCE_COEFFICIENTS), coefficient_models(), forward_models()),
            vectors=st.lists(category_vectors(), min_size=0, max_size=9))
     def test_bit_equal_to_predict_pair(self, model, vectors):
         try:
-            matrix = pair_weight_matrix(model, vectors)
-        except ModelError:
+            slowdowns = co_run_slowdowns(model, category_matrix(vectors))
+        except ModelError as exc:
             # Then some pair's slowdown leaves float range on the scalar path too.
             assert not all(scalar_finite(model, a, b) for a in vectors for b in vectors)
-            with pytest.raises(ModelError, match="predicted slowdown is not finite"):
-                co_run_slowdowns(model, vectors)
+            assert str(exc) == "predicted slowdown is not finite"
             return
-        assert matrix.shape == (len(vectors), len(vectors))
-        for (i, j), want in scalar_pair_weights(model, vectors).items():
-            assert same_bits(matrix[i, j], want)
-        assert all(same_bits(matrix[i, i], 0.0) for i in range(len(vectors)))
         # Each thread's own entry, which replay logs as its model slowdown.
-        slowdowns = co_run_slowdowns(model, vectors)
-        assert slowdowns.shape == matrix.shape
+        assert slowdowns.shape == (len(vectors), len(vectors))
         for i, a in enumerate(vectors):
             for j, b in enumerate(vectors):
                 assert same_bits(slowdowns[i, j], predict_pair(model, a, b).slowdown_i)
+        ids = [f"t{i}" for i in range(len(vectors))]
+        weights = scalar_pair_weights(model, vectors)
+        try:
+            with np.errstate(all="ignore"):  # a price may leave float range
+                graph = decision_graph(model, ids, vectors)
+        except MatchingError:
+            # Then a pair's weight or a thread's price leaves float range.
+            with np.errstate(all="ignore"):
+                prices = fold_prices(model, category_matrix(vectors))
+            assert not (all(map(math.isfinite, weights.values())) and np.isfinite(prices).all())
+            return
+        weight = {(a, b): graph.matrix[i, j]
+                  for i, a in enumerate(graph.nodes) for j, b in enumerate(graph.nodes)}
+        for (i, j), want in weights.items():
+            assert same_bits(weight[ids[i], ids[j]], want)
+        assert all(same_bits(weight[a, a], 0.0) for a in ids)
 
     def test_clamp_at_zero_is_bit_equal(self):
         # Negative intercepts drive every category below zero for the
@@ -231,9 +245,10 @@ class TestPairWeightMatrix:
             CategoryVector(fe=1.0, be=0.0, fdc=0.0),
             CategoryVector(fe=0.5, be=0.25, fdc=0.25),
             CategoryVector(fe=0.1, be=0.2, fdc=0.7),
+            CategoryVector(fe=0.0, be=1.0, fdc=0.0),
         ]
         assert forward(negative, 0.0, 0.25) == 0.0
-        matrix = pair_weight_matrix(model, vectors)
+        matrix = decision_graph(model, ["a", "b", "c", "d"], vectors).matrix
         for (i, j), want in scalar_pair_weights(model, vectors).items():
             assert matrix[i, j] == want
 
@@ -247,20 +262,16 @@ class TestPairWeightMatrix:
         # so the padding position is exercised for odd rosters.
         ids = sorted(ids)
         vectors = [data.draw(category_vectors()) for _ in ids]
-        graph = build_graph(REFERENCE_COEFFICIENTS, ids, vectors)
+        matrix = category_matrix(vectors)
+        graph = build_graph(
+            REFERENCE_COEFFICIENTS, ids, matrix, co_run_slowdowns(REFERENCE_COEFFICIENTS, matrix)
+        )
         nodes = sorted([*ids, IDLE_NODE]) if len(ids) % 2 else ids
         assert graph.nodes == tuple(nodes)
-        # The engine hands over the co-run slowdowns it already holds.
-        given_slowdowns = build_graph(
-            REFERENCE_COEFFICIENTS, ids, vectors, co_run_slowdowns(REFERENCE_COEFFICIENTS, vectors)
-        )
-        assert given_slowdowns.nodes == graph.nodes
-        assert given_slowdowns.matrix.tobytes() == graph.matrix.tobytes()
-        assert given_slowdowns.prices.tobytes() == graph.prices.tobytes()
         vector = dict(zip(ids, vectors))
-        price = dict(zip(ids, fold_prices(REFERENCE_COEFFICIENTS, vectors).tolist()))
+        price = dict(zip(ids, fold_prices(REFERENCE_COEFFICIENTS, matrix).tolist()))
         for i, a in enumerate(nodes):
-            assert graph.prices[i] == price.get(a, 0.0)
+            assert same_bits(graph.prices[i], price.get(a, 0.0))
             for j, b in enumerate(nodes):
                 if a == b:
                     want = 0.0
@@ -269,12 +280,12 @@ class TestPairWeightMatrix:
                 else:
                     pred = predict_pair(REFERENCE_COEFFICIENTS, vector[a], vector[b])
                     want = pred.slowdown_i + pred.slowdown_j
-                assert graph.matrix[i, j] == want
+                assert same_bits(graph.matrix[i, j], want)
 
     def test_odd_mixed_case_roster_pads_idle_in_sort_order(self):
         ids = sorted(["beta", "Alpha", "_x", "Zed", "a1"])
         vectors = [CategoryVector(fe=0.2, be=0.5, fdc=0.3)] * len(ids)
-        graph = graph_from_matrix(ids, pair_weight_matrix(REFERENCE_COEFFICIENTS, vectors))
+        graph = decision_graph(REFERENCE_COEFFICIENTS, ids, vectors)
         assert graph.nodes == ("Alpha", "Zed", IDLE_NODE, "_x", "a1", "beta")
         idle = graph.nodes.index(IDLE_NODE)
         assert all(w == 1.0 for j, w in enumerate(graph.matrix[idle]) if j != idle)
@@ -283,10 +294,10 @@ class TestPairWeightMatrix:
         huge = CategoryCoefficients(alpha=1e308, beta=1e308, gamma=1e308, rho=0.0)
         model = ModelCoefficients(fdc=huge, fe=huge, be=huge)
         vectors = [CategoryVector(fe=0.5, be=0.25, fdc=0.25)] * 2
-        with pytest.raises(ModelError):
-            pair_weight_matrix(model, vectors)
         with pytest.raises(ModelError, match="predicted slowdown is not finite"):
-            co_run_slowdowns(model, vectors)
+            co_run_slowdowns(model, category_matrix(vectors))
+        with pytest.raises(ModelError, match="predicted slowdown is not finite"):
+            decision_graph(model, ["a", "b"], vectors)
 
 
 GRID_X, GRID_Y = np.meshgrid(np.linspace(0.0, 1.0, 201), np.linspace(0.0, 1.0, 201))
@@ -361,6 +372,13 @@ def fold_models(draw):
     })
 
 
+def fold_terms(model, vectors):
+    """The pair weights ``w_ij`` (off the diagonal) and the fold prices of ``vectors``."""
+    matrix = category_matrix(vectors)
+    slowdowns = co_run_slowdowns(model, matrix)
+    return slowdowns + slowdowns.T, fold_prices(model, matrix)
+
+
 class TestFoldPrices:
     @settings(max_examples=300, deadline=None)
     @given(
@@ -372,8 +390,7 @@ class TestFoldPrices:
         x = [v.get(lead) for v in vectors]
         assume(len(set(x)) == len(x))
         n = len(vectors)
-        weights = pair_weight_matrix(model, vectors)
-        prices = fold_prices(model, vectors)
+        weights, prices = fold_terms(model, vectors)
         order = sorted(range(n), key=x.__getitem__)
         for rank, i in enumerate(order):
             partner = order[n - 1 - rank]
@@ -402,8 +419,7 @@ class TestFoldPrices:
             rest = {others[0]: (1.0 - x) * split, others[1]: (1.0 - x) * (1.0 - split)}
             vectors.append(CategoryVector(**{lead: x}, **rest))
         n = len(vectors)
-        weights = pair_weight_matrix(model, vectors)
-        prices = fold_prices(model, vectors)
+        weights, prices = fold_terms(model, vectors)
         order = sorted(range(n), key=levels.__getitem__)
         for rank, i in enumerate(order):
             partner = order[n - 1 - rank]
@@ -421,7 +437,7 @@ class TestFoldPrices:
             CategoryVector(fe=0.0, be=0.5, fdc=0.5),
         ]
         # 0.3 + 1.0 * fe + 0.75 * be + 0.75 * fdc
-        assert fold_prices(model, vectors).tolist() == pytest.approx([1.175, 1.05], abs=1e-12)
+        assert fold_prices(model, category_matrix(vectors)).tolist() == pytest.approx([1.175, 1.05], abs=1e-12)
 
     def test_fold_prices_of_a_reference_roster(self):
         # fdc carries the only pair term (rho 0.0314); with fdc values
@@ -447,7 +463,7 @@ class TestFoldPrices:
             + qj
             for v, qj in zip(vectors, q)
         ]
-        assert fold_prices(REFERENCE_COEFFICIENTS, vectors).tolist() == pytest.approx(want, abs=1e-12)
+        assert fold_prices(REFERENCE_COEFFICIENTS, category_matrix(vectors)).tolist() == pytest.approx(want, abs=1e-12)
 
 
 class TestInvertCategory:
@@ -456,10 +472,10 @@ class TestInvertCategory:
         # solves to (0, 0).
         for name in ("fe", "be"):
             coeffs = REFERENCE_COEFFICIENTS.category(name)
-            sol = invert_category(coeffs, coeffs.alpha, coeffs.alpha)
-            assert sol.x == pytest.approx(0.0, abs=1e-12)
-            assert sol.y == pytest.approx(0.0, abs=1e-12)
-            assert sol.exact
+            x, y, exact = invert_category(coeffs, coeffs.alpha, coeffs.alpha)
+            assert x == pytest.approx(0.0, abs=1e-12)
+            assert y == pytest.approx(0.0, abs=1e-12)
+            assert exact
 
     def test_linear_exact_solve(self):
         # rho = 0 makes the two-equation system an exact 2x2 solve.
@@ -467,10 +483,10 @@ class TestInvertCategory:
         x_true, y_true = 0.62, 0.17
         u = reference_forward(coeffs, x_true, y_true)
         v = reference_forward(coeffs, y_true, x_true)
-        sol = invert_category(coeffs, u, v)
-        assert sol.x == pytest.approx(x_true, abs=1e-9)
-        assert sol.y == pytest.approx(y_true, abs=1e-9)
-        assert sol.exact
+        x, y, exact = invert_category(coeffs, u, v)
+        assert x == pytest.approx(x_true, abs=1e-9)
+        assert y == pytest.approx(y_true, abs=1e-9)
+        assert exact
 
     @pytest.mark.parametrize("name", list(CATEGORIES))
     def test_round_trip_random(self, name):
@@ -487,19 +503,19 @@ class TestInvertCategory:
             y_true = rng.uniform(0.01, 0.99)
             u = reference_forward(coeffs, x_true, y_true)
             v = reference_forward(coeffs, y_true, x_true)
-            sol = invert_category(coeffs, u, v)
-            assert abs(sol.x - x_true) < 1e-6
-            assert abs(sol.y - y_true) < 1e-6
-            assert sol.exact
+            x, y, exact = invert_category(coeffs, u, v)
+            assert abs(x - x_true) < 1e-6
+            assert abs(y - y_true) < 1e-6
+            assert exact
 
     def test_singular_symmetric_fallback(self):
         # beta == gamma with rho = 0 leaves only x + y determined; the
         # solver picks the symmetric solution.
         coeffs = CategoryCoefficients(alpha=0.1, beta=0.5, gamma=0.5, rho=0.0)
-        sol = invert_category(coeffs, 0.6, 0.6)
-        assert sol.x == pytest.approx(0.5, abs=1e-12)
-        assert sol.y == pytest.approx(0.5, abs=1e-12)
-        assert sol.exact
+        x, y, exact = invert_category(coeffs, 0.6, 0.6)
+        assert x == pytest.approx(0.5, abs=1e-12)
+        assert y == pytest.approx(0.5, abs=1e-12)
+        assert exact
 
     def test_inconsistent_observation_degrades(self):
         # The frontend form cannot produce values above
@@ -512,10 +528,10 @@ class TestInvertCategory:
             (CategoryCoefficients(alpha=0.1, beta=0.5, gamma=0.5, rho=0.2), 0.3, 0.9),
         ]
         for coeffs, u, v in cases:
-            sol = invert_category(coeffs, u, v)
-            assert not sol.exact
-            assert 0.0 <= sol.x <= 1.0
-            assert 0.0 <= sol.y <= 1.0
+            x, y, exact = invert_category(coeffs, u, v)
+            assert not exact
+            assert 0.0 <= x <= 1.0
+            assert 0.0 <= y <= 1.0
 
     @settings(max_examples=300, deadline=None)
     @given(case=inversion_cases())
@@ -524,11 +540,11 @@ class TestInvertCategory:
         # in the unit square and no point of a dense grid over the
         # square fits the observations better.
         coeffs, u, v = case
-        sol = invert_category(coeffs, u, v)
-        assert 0.0 <= sol.x <= 1.0 and 0.0 <= sol.y <= 1.0
-        got = squared_residual(coeffs, sol.x, sol.y, u, v)
+        x, y, exact = invert_category(coeffs, u, v)
+        assert 0.0 <= x <= 1.0 and 0.0 <= y <= 1.0
+        got = squared_residual(coeffs, x, y, u, v)
         assert got <= float(squared_residual(coeffs, GRID_X, GRID_Y, u, v).min()) + 1e-9
-        if sol.exact:
+        if exact:
             assert got <= 1e-8**2 * max(1.0, u * u + v * v)
 
     def test_non_finite_observation_rejected(self):
@@ -587,6 +603,11 @@ class TestInvert:
 def bits(*values):
     """Floats as their exact bit patterns (``-0.0`` differs from ``0.0``)."""
     return tuple(float(x).hex() for x in values)
+
+
+def solution_bits(solution):
+    x, y, exact = solution
+    return (*bits(x, y), exact)
 
 
 def result_bits(result):
@@ -671,8 +692,7 @@ class TestInversionOracle:
                                                        st.floats(-3.0, 3.0))))
     def test_invert_category_equals_the_reference(self, case):
         got = invert_category(*case)
-        want = reference_inversion.invert_category(*case)
-        assert (*bits(got.x, got.y), got.exact) == (*bits(want.x, want.y), want.exact)
+        assert solution_bits(got) == solution_bits(reference_inversion.invert_category(*case))
 
     def test_singular_line_branch_is_covered(self, monkeypatch):
         # Observations no point of the square fits, for forms whose
@@ -691,11 +711,10 @@ class TestInversionOracle:
         cases.append((near_edge, -0.3628974471383968, 0.5965284560483473))
         for case in cases:
             got = invert_category(*case)
-            want = reference_inversion.invert_category(*case)
-            assert (*bits(got.x, got.y), got.exact) == (*bits(want.x, want.y), want.exact)
+            assert solution_bits(got) == solution_bits(reference_inversion.invert_category(*case))
         assert len(calls) >= len(cases) - 2
-        got = invert_category(*cases[-1])
-        assert not got.exact and abs(got.x - 0.0098246) < 1e-6
+        x, _, exact = invert_category(*cases[-1])
+        assert not exact and abs(x - 0.0098246) < 1e-6
 
     def test_errors_match(self):
         coeffs = REFERENCE_COEFFICIENTS.fdc

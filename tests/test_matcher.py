@@ -21,7 +21,7 @@ from synpa import (
     ModelError,
     REFERENCE_COEFFICIENTS,
     SynergyGraph,
-    build_graph,
+    category_matrix,
     fold_prices,
     graph_from_matrix,
     min_weight_perfect_matching,
@@ -41,7 +41,7 @@ from synpa.matcher import (
     _solve_blossom,
 )
 
-from conftest import category_vectors, coefficient_models
+from conftest import category_vectors, coefficient_models, decision_graph
 
 
 def graph_from_weights(weights):
@@ -163,7 +163,7 @@ def model_graph(rng, n):
     """Pairing graph of ``n`` random category vectors under the reference
     model: near-additive weights, a cost per thread plus a small pair term."""
     ids = [f"t{i:02d}" for i in range(n)]
-    return build_graph(REFERENCE_COEFFICIENTS, ids, model_vectors(rng, n))
+    return decision_graph(REFERENCE_COEFFICIENTS, ids, model_vectors(rng, n))
 
 
 def networkx_pairs(nx, graph):
@@ -188,53 +188,53 @@ class TestBuildGraph:
     """The decision's graph: predicted pair weights and the model's fold prices."""
 
     def test_four_apps_six_edges(self):
-        graph = build_graph(REFERENCE_COEFFICIENTS, ["a", "b", "c", "d"], reference_vectors(4))
+        graph = decision_graph(REFERENCE_COEFFICIENTS, ["a", "b", "c", "d"], reference_vectors(4))
         assert graph.nodes == ("a", "b", "c", "d")
         assert len(edge_weights(graph)) == 6
 
     def test_edge_weight_is_sum_of_slowdowns(self):
         vectors = reference_vectors(4)
-        graph = build_graph(REFERENCE_COEFFICIENTS, ["a", "b", "c", "d"], vectors)
+        graph = decision_graph(REFERENCE_COEFFICIENTS, ["a", "b", "c", "d"], vectors)
         pred = predict_pair(REFERENCE_COEFFICIENTS, vectors[0], vectors[1])
         assert edge_weights(graph)[("a", "b")] == pred.slowdown_i + pred.slowdown_j
 
     def test_odd_roster_adds_idle_node(self):
         vectors = reference_vectors(3)
-        graph = build_graph(REFERENCE_COEFFICIENTS, ["a", "b", "c"], vectors)
+        graph = decision_graph(REFERENCE_COEFFICIENTS, ["a", "b", "c"], vectors)
         assert graph.nodes == (IDLE_NODE, "a", "b", "c")
         for app in ("a", "b", "c"):
             assert edge_weights(graph)[(IDLE_NODE, app)] == IDLE_WEIGHT
-        want = [0.0, *fold_prices(REFERENCE_COEFFICIENTS, vectors).tolist()]
+        want = [0.0, *fold_prices(REFERENCE_COEFFICIENTS, category_matrix(vectors)).tolist()]
         assert graph.prices.tolist() == want
 
     def test_even_roster_has_no_idle_node(self):
-        graph = build_graph(REFERENCE_COEFFICIENTS, ["a", "b"], reference_vectors(2))
+        graph = decision_graph(REFERENCE_COEFFICIENTS, ["a", "b"], reference_vectors(2))
         assert IDLE_NODE not in graph.nodes
 
     def test_missing_pair_rejected(self):
         # Three vectors for four ids leave the pairs of "d" unpredicted.
         with pytest.raises(MatchingError):
-            build_graph(REFERENCE_COEFFICIENTS, ["a", "b", "c", "d"], reference_vectors(3))
+            decision_graph(REFERENCE_COEFFICIENTS, ["a", "b", "c", "d"], reference_vectors(3))
 
     def test_self_pair_rejected(self):
         # A repeated id would pair a thread with itself.
         with pytest.raises(MatchingError):
-            build_graph(REFERENCE_COEFFICIENTS, ["a", "a"], reference_vectors(2))
+            decision_graph(REFERENCE_COEFFICIENTS, ["a", "a"], reference_vectors(2))
 
     def test_reserved_idle_id_rejected(self):
         with pytest.raises(MatchingError):
-            build_graph(REFERENCE_COEFFICIENTS, [IDLE_NODE, "a"], reference_vectors(2))
+            decision_graph(REFERENCE_COEFFICIENTS, [IDLE_NODE, "a"], reference_vectors(2))
 
     def test_non_finite_weight_rejected(self):
         huge = CategoryCoefficients(alpha=1e308, beta=1e308, gamma=1e308, rho=0.0)
         model = ModelCoefficients(fdc=huge, fe=huge, be=huge)
         with pytest.raises(ModelError):
-            build_graph(model, ["a", "b"], reference_vectors(2))
+            decision_graph(model, ["a", "b"], reference_vectors(2))
 
 
 class TestSynergyGraph:
     def test_weight_lookup_is_symmetric(self):
-        graph = build_graph(REFERENCE_COEFFICIENTS, ["a", "b", "c", "d"], reference_vectors(4))
+        graph = decision_graph(REFERENCE_COEFFICIENTS, ["a", "b", "c", "d"], reference_vectors(4))
         assert (graph.matrix == graph.matrix.T).all()
         assert graph.matrix.diagonal().tolist() == [0.0] * 4
 
@@ -442,7 +442,7 @@ def start_instances(draw):
         model = draw(st.one_of(st.just(REFERENCE_COEFFICIENTS), coefficient_models()))
         vectors = draw(st.lists(category_vectors(), min_size=2, max_size=12))
         ids = [f"t{i:02d}" for i in range(len(vectors))]
-        matrix = build_graph(model, ids, vectors).matrix
+        matrix = decision_graph(model, ids, vectors).matrix
     else:
         n = draw(st.sampled_from([2, 4, 6, 8, 10, 12]))
         rng = random.Random(draw(st.integers(0, 2**32 - 1)))
@@ -512,7 +512,7 @@ def priced_graphs(draw):
     if kind == "model":
         model = draw(st.one_of(st.just(REFERENCE_COEFFICIENTS), coefficient_models()))
         vectors = draw(st.lists(category_vectors(), min_size=2, max_size=12))
-        graph = build_graph(model, [f"t{i:02d}" for i in range(len(vectors))], vectors)
+        graph = decision_graph(model, [f"t{i:02d}" for i in range(len(vectors))], vectors)
         scales.append("fold")
     else:
         n = draw(st.sampled_from([2, 4, 6, 8, 10, 12]))
@@ -545,7 +545,7 @@ class TestPricedStart:
         nx = pytest.importorskip("networkx")
         rng = random.Random(n + 3)
         ids = [f"t{i:02d}" for i in range(n)]
-        model = build_graph(REFERENCE_COEFFICIENTS, ids, model_vectors(rng, n))
+        model = decision_graph(REFERENCE_COEFFICIENTS, ids, model_vectors(rng, n))
         cases = [
             (model, model.prices),
             (model, [rng.uniform(-5.0, 5.0) for _ in range(n)]),
@@ -617,7 +617,7 @@ def certificate_instances(draw):
             vectors = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=16))
         else:
             vectors = model_vectors(random.Random(draw(st.integers(0, 2**32 - 1))), draw(st.integers(2, 16)))
-        return build_graph(model, [f"t{i:02d}" for i in range(len(vectors))], vectors)
+        return decision_graph(model, [f"t{i:02d}" for i in range(len(vectors))], vectors)
     n = draw(st.sampled_from(range(2, 17, 2)))
     weights, _ = draw_planted(draw, n)
     if draw(st.booleans()):
@@ -693,7 +693,7 @@ class TestFoldCertificate:
             distinct = model_vectors(random.Random(seed), n)
             half = distinct[: n // 2]
             for vectors in (distinct, half * 2, half + [UNIFORM_VECTOR] * (n // 2)):
-                graph = build_graph(REFERENCE_COEFFICIENTS, ids, vectors)
+                graph = decision_graph(REFERENCE_COEFFICIENTS, ids, vectors)
                 pairs = _certified_fold(graph.matrix, graph.prices)
                 assert pairs is not None
                 assert len(pairs) == n // 2
@@ -920,5 +920,5 @@ class TestEndToEndWithInterferenceModel:
     def test_model_driven_matching_agrees_with_oracle(self):
         vectors = self._roster_vectors()
         apps = sorted(vectors)
-        graph = build_graph(REFERENCE_COEFFICIENTS, apps, [vectors[a] for a in apps])
+        graph = decision_graph(REFERENCE_COEFFICIENTS, apps, [vectors[a] for a in apps])
         assert min_weight_perfect_matching(graph) == oracle_best(graph)
