@@ -226,9 +226,10 @@ class SimWorkload:
         if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0.0):
             raise WorkloadError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
         cycles = cycles_per_quantum(self.quantum_ms)
+        slowdown = max(1.0, self.ground_truth.max_slowdown)  # the slowest any app runs
         for app in self.apps:
             try:
-                quanta = app.isolated_quanta(cycles)
+                quanta = app.isolated_quanta(cycles) * slowdown
             except OverflowError:  # instruction counts beyond any float
                 quanta = math.inf
             if quanta > MAX_QUANTA:
@@ -295,8 +296,8 @@ def sim_step(
     isolated speed.  States are mutated in place (progress and
     relaunch-on-completion).  Noise is drawn and progress committed per
     pair in sorted order, the lower id first.  A zero predicted slowdown
-    (an infinitely fast app) or an infinite one (an app that never
-    advances) raises :class:`ModelError` before any state changes.
+    (an infinitely fast app; ``max_slowdown`` rules out only infinite
+    ones) raises :class:`ModelError` before any state changes.
     """
     runs = []  # (app id, noise-free observation, slowdown, isolated vector)
     for a, b in sorted(tuple(sorted(p)) for p in pairs):
@@ -309,8 +310,6 @@ def sim_step(
         pred = predict_pair(ground_truth, va, vb)
         if pred.slowdown_i == 0.0 or pred.slowdown_j == 0.0:
             raise ModelError(f"ground truth predicts a zero slowdown for the pair ({a}, {b})")
-        if math.isinf(pred.slowdown_i) or math.isinf(pred.slowdown_j):
-            raise ModelError(f"ground truth predicts an infinite slowdown for the pair ({a}, {b})")
         runs += ((a, pred.smt_i, pred.slowdown_i, va), (b, pred.smt_j, pred.slowdown_j, vb))
     if noise_sigma > 0.0:
         noise = iter(rng.standard_normal(3 * len(runs)).tolist())
@@ -497,18 +496,12 @@ def _update_estimates(
             degraded[solo] = False
             continue
         inv = invert(model, results[a].observed, results[b].observed)
-        if inv.degraded:
-            estimates.mark_stale(a)
-            estimates.mark_stale(b)
-            degraded[a] = degraded[b] = True
-            fresh[a] = estimates.effective(a)
-            fresh[b] = estimates.effective(b)
-        else:
-            estimates.update(a, inv.st_i)
-            estimates.update(b, inv.st_j)
-            fresh[a] = inv.st_i
-            fresh[b] = inv.st_j
-            degraded[a] = degraded[b] = False
+        for app, vec in ((a, inv.st_i), (b, inv.st_j)):
+            if inv.degraded:  # keep the last good estimate, aged
+                estimates.mark_stale(app)
+            else:
+                estimates.update(app, vec)
+            fresh[app], degraded[app] = estimates.effective(app), inv.degraded
     return fresh, degraded
 
 
@@ -718,9 +711,8 @@ def trace_from_log(log: ScheduleLog) -> tuple[TraceHeader, list[RawCounterSample
                 fe_frac = triple.fe / total
                 be_frac = triple.be / total
                 fdc_frac = triple.fdc / total
-            fe_cycles = int(round(cycles * fe_frac))
+            fe_cycles = int(round(cycles * fe_frac))  # at most cycles: fe <= total
             be_cycles = int(round(cycles * be_frac))
-            fe_cycles = min(fe_cycles, cycles)
             be_cycles = min(be_cycles, cycles - fe_cycles)
             inst = int(round(cycles * fdc_frac * log.dispatch_width))
             inst = min(inst, (cycles - fe_cycles - be_cycles) * log.dispatch_width)

@@ -53,6 +53,8 @@ _SLACK = 1e-9
 _UNIT_SLACK = 1.0 + _SLACK
 #: The error of a form so large that its solve leaves float range.
 _OVERFLOW = "inversion overflows: the form's values are beyond float range"
+#: Largest coefficient magnitude; fitted ones are O(1), at most 1.44 in the reference model.
+MAX_COEFFICIENT = 1e6
 
 
 #: The coefficients of one category's form, in order.
@@ -71,8 +73,8 @@ class CategoryCoefficients:
     def __post_init__(self) -> None:
         for name in _FORM_FIELDS:
             value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ModelError(f"coefficient {name} must be finite, got {value!r}")
+            if not abs(value) <= MAX_COEFFICIENT:  # NaN too
+                raise ModelError(f"coefficient {name} must be within +/-{MAX_COEFFICIENT:g}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -107,6 +109,14 @@ class ModelCoefficients:
         alphas, slopes, rho = zip(*((a, b + g, r) for a, b, g, r in self._forms))
         k = int(np.argmax(rho))
         return sum(alphas), np.array(slopes), k, rho[k]
+
+    @functools.cached_property
+    def max_slowdown(self) -> float:
+        """A finite bound on every predicted slowdown of category values in [0, 1]: per category, the
+        largest clamped form value at the unit square's corners (a bilinear form's extremes), plus
+        ``2**-49`` of its coefficient magnitudes, over twice the rounding of float forms (``7 * 2**-53``)."""
+        return sum(max(0.0, a, a + b, a + g, a + b + g + r) + 2.0**-49 * (abs(a) + abs(b) + abs(g) + abs(r))
+                   for a, b, g, r in self._forms)
 
     def as_dict(self) -> dict:
         """The coefficient file's document."""
@@ -203,19 +213,16 @@ def co_run_slowdowns(model: ModelCoefficients, st: np.ndarray) -> np.ndarray:
     float64 operation is the scalar path's, in the same order.  The
     diagonal holds each thread next to a copy of itself.  One broadcast
     pass: ``value[k, i, j]`` is :func:`forward` of category ``k`` for
-    ``i`` next to ``j``.  Raises :class:`ModelError` when a predicted
-    slowdown is not finite.
+    ``i`` next to ``j``.  With every coefficient within
+    :data:`MAX_COEFFICIENT`, no term overflows: each entry is at most the
+    model's finite ``max_slowdown``.
     """
     a, b, g, r = model._form_arrays
     x = np.ascontiguousarray(st.T)  # [k, i]: contiguous rows broadcast fastest
     ci, cj = x[:, :, None], x[:, None, :]
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = a + b * ci + g * cj + r * ci * cj
-        value = np.where(value > 0.0, value, 0.0)
-        slowdown = value[0] + value[1] + value[2]
-    if not np.isfinite(slowdown).all():
-        raise ModelError("predicted slowdown is not finite")
-    return slowdown
+    value = a + b * ci + g * cj + r * ci * cj
+    value = np.where(value > 0.0, value, 0.0)
+    return value[0] + value[1] + value[2]
 
 
 def fold_prices(model: ModelCoefficients, st: np.ndarray) -> np.ndarray:

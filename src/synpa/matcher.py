@@ -90,7 +90,7 @@ class SynergyGraph:
         matrix = np.array(self.matrix, dtype=float)
         prices = np.array(self.prices, dtype=float)
         if matrix.shape != (n, n) or not (
-            np.isfinite(matrix).all() and (matrix >= 0.0).all()
+            matrix.min(initial=0.0) >= 0.0 and matrix.max(initial=0.0) < math.inf
             and (matrix == matrix.T).all() and not matrix.diagonal().any()
         ):
             raise MatchingError(
@@ -117,10 +117,10 @@ def build_graph(
     also logs.  Edges weigh each pair's predicted combined
     slowdown ``slowdown[i, j] + slowdown[j, i]``, and nodes carry the
     model's fold prices (:func:`synpa.interference.fold_prices`), which
-    usually certify the optimum.
+    usually certify the optimum.  No weight overflows: each slowdown is
+    at most the model's ``max_slowdown``.
     """
-    with np.errstate(over="ignore"):
-        weights = slowdown + slowdown.T
+    weights = slowdown + slowdown.T
     np.fill_diagonal(weights, 0.0)
     return graph_from_matrix(app_ids, weights, fold_prices(model, st))
 

@@ -21,6 +21,7 @@ from synpa import (
     format_trace,
     predict_pair,
 )
+from synpa.interference import MAX_COEFFICIENT
 
 #: On CI (the ``CI`` environment variable is set) no property fails on a
 #: slow runner's deadline, and a failure prints the blob that replays it
@@ -51,13 +52,16 @@ def coefficient_models():
 
 
 def forward_models():
-    """Finite interference models for the forward direction: coefficients
-    in [-2, 2], exact zeros of either sign, and any finite float, so that
-    terms vanish, clamps meet ``-0.0`` and ``nan`` and sums leave float
-    range."""
-    huge = st.floats(1e300, 1.7e308)
+    """In-domain interference models for the forward direction:
+    coefficients in [-2, 2], anywhere up to +/-``MAX_COEFFICIENT`` and at
+    it, exact zeros of either sign, and tiny non-zero values, so that
+    terms vanish or underflow, clamps meet ``-0.0`` and every magnitude
+    the model domain allows is reached."""
+    tiny = st.floats(5e-324, 1e-300)
     coeff = st.one_of(
-        st.floats(-2.0, 2.0), st.sampled_from([0.0, -0.0]), huge, huge.map(float.__neg__),
+        st.floats(-2.0, 2.0), st.floats(-MAX_COEFFICIENT, MAX_COEFFICIENT),
+        st.sampled_from([0.0, -0.0, MAX_COEFFICIENT, -MAX_COEFFICIENT]),
+        tiny, tiny.map(float.__neg__),
     )
     category = st.builds(CategoryCoefficients, alpha=coeff, beta=coeff, gamma=coeff, rho=coeff)
     return st.builds(ModelCoefficients, fdc=category, fe=category, be=category)

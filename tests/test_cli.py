@@ -146,6 +146,22 @@ class TestTrain:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_out_of_bound_fit_writes_nothing(self, profile_corpus, tmp_path, capsys):
+        # Paired runs that commit one instruction a quantum read as
+        # slowdowns near 10**8, so the fitted forms leave the model domain:
+        # the fit fails before the coefficient or report file is written.
+        for path in map(pathlib.Path, profile_corpus):
+            if path.name.startswith("pair-"):
+                header, columns, *rows = path.read_text(encoding="utf-8").splitlines()
+                rows = [row.rsplit(",", 1)[0] + ",1" for row in rows]
+                path.write_text("\n".join([header, columns, *rows]) + "\n", encoding="utf-8")
+        outs = [tmp_path / "c.json", tmp_path / "fit.json"]
+        code = run_cli("train", *profile_corpus, "--out", outs[0], "--report", outs[1])
+        assert code == 1
+        assert re.fullmatch(r"error: coefficient (alpha|beta|gamma|rho) must be within "
+                            r"\+/-1e\+06, got \S+\n", capsys.readouterr().err)
+        assert not any(out.exists() for out in outs)
+
     def test_degenerate_split_is_domain_error(self, profile_corpus, tmp_path, capsys):
         code = run_cli(
             "train", *profile_corpus, "--out", tmp_path / "c.json", "--split", "1.5"
@@ -528,7 +544,8 @@ class TestSimulate:
         self, workload_file, tmp_path, capsys, policy
     ):
         # Each category is finite, their sum is not: no app would ever
-        # commit an instruction, so the run would never end.
+        # commit an instruction.  The coefficient is refused as the file
+        # is read, before any output is written.
         form = {"alpha": 1e308, "beta": 0.0, "gamma": 0.0, "rho": 0.0}
         model = tmp_path / "huge.json"
         model.write_text(json.dumps({
@@ -541,8 +558,28 @@ class TestSimulate:
         )
         assert code == 1
         err = capsys.readouterr().err
-        assert re.fullmatch(r"error: ground truth predicts an infinite slowdown for the pair "
-                            r"\(\w+, \w+\)\n", err)
+        assert err == "error: coefficient alpha must be within +/-1e+06, got 1e+308\n"
+        assert not any(out.exists() for out in outs)
+
+    def test_ground_truth_that_cannot_finish_is_refused(self, workload_file, tmp_path, capsys):
+        # Every category's intercept at 1e5 slows each 6-quantum app up to
+        # 3e5-fold: the run could exceed the run limit, so it is refused
+        # before its first quantum and writes nothing.
+        form = {"alpha": 1e5, "beta": 0.0, "gamma": 0.0, "rho": 0.0}
+        model = tmp_path / "slow.json"
+        model.write_text(json.dumps({
+            "version": 1, "categories": {name: form for name in ("fdc", "fe", "be")},
+        }), encoding="utf-8")
+        outs = [tmp_path / name for name in ("x.jsonl", "x.m.json", "x.trace")]
+        start = time.perf_counter()
+        code = run_cli(
+            "simulate", "--workload", workload_file, "--ground-truth", model, "--policy", "static",
+            "--out", outs[0], "--metrics", outs[1], "--export-trace", outs[2],
+        )
+        assert time.perf_counter() - start < 5.0
+        assert code == 1
+        assert re.fullmatch(r"error: app '\w+' cannot finish within the 1000000-quantum "
+                            r"run limit\n", capsys.readouterr().err)
         assert not any(out.exists() for out in outs)
 
     @pytest.mark.parametrize("app_id", ["b,00", "b\n00", "b\u2028"])

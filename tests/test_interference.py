@@ -4,6 +4,8 @@ per-category inverse solver, and coefficient serialization."""
 
 import json
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -16,7 +18,6 @@ from synpa import (
     CategoryTriple,
     CategoryVector,
     IDLE_NODE,
-    MatchingError,
     ModelCoefficients,
     ModelError,
     REFERENCE_COEFFICIENTS,
@@ -30,6 +31,7 @@ from synpa import (
     predict_pair,
 )
 from synpa.errors import read_text, write_text
+from synpa.interference import MAX_COEFFICIENT
 from synpa.matcher import IDLE_WEIGHT
 
 import reference_inversion
@@ -106,6 +108,15 @@ class TestForward:
             CategoryCoefficients(alpha=math.nan, beta=0.0, gamma=0.0, rho=0.0)
         with pytest.raises(ModelError):
             CategoryCoefficients(alpha=0.0, beta=math.inf, gamma=0.0, rho=0.0)
+
+    def test_coefficient_bound(self):
+        # The bound itself is in the domain; the next float out is not,
+        # and the error names the field.
+        CategoryCoefficients(alpha=MAX_COEFFICIENT, beta=-MAX_COEFFICIENT, gamma=0.0, rho=-0.0)
+        for value in (math.nextafter(MAX_COEFFICIENT, math.inf), -1e300, -math.inf):
+            with pytest.raises(ModelError, match=rf"^coefficient gamma must be within "
+                                                 rf"\+/-1e\+06, got {re.escape(repr(value))}$"):
+                CategoryCoefficients(alpha=0.0, beta=0.0, gamma=value, rho=0.0)
 
 
 class TestPredictPair:
@@ -190,14 +201,6 @@ def same_bits(x, y):
     return np.float64(x).tobytes() == np.float64(y).tobytes()
 
 
-def scalar_finite(model, a, b):
-    """Whether ``predict_pair`` gives ``a`` next to ``b`` a finite slowdown."""
-    try:
-        return math.isfinite(predict_pair(model, a, b).slowdown_i)
-    except ModelError:  # a category value beyond float range
-        return False
-
-
 class TestPairWeightMatrix:
     """The roster's forward matrix (:func:`co_run_slowdowns` of a
     :func:`category_matrix`) and the pair weights :func:`build_graph`
@@ -207,34 +210,46 @@ class TestPairWeightMatrix:
     @given(model=st.one_of(st.just(REFERENCE_COEFFICIENTS), coefficient_models(), forward_models()),
            vectors=st.lists(category_vectors(), min_size=0, max_size=9))
     def test_bit_equal_to_predict_pair(self, model, vectors):
-        try:
+        ids = [f"t{i}" for i in range(len(vectors))]
+        # In the model domain nothing leaves float range: numpy warns of no
+        # overflow or invalid operation, every slowdown is at most
+        # max_slowdown, and the graph's weights and prices are finite.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             slowdowns = co_run_slowdowns(model, category_matrix(vectors))
-        except ModelError as exc:
-            # Then some pair's slowdown leaves float range on the scalar path too.
-            assert not all(scalar_finite(model, a, b) for a in vectors for b in vectors)
-            assert str(exc) == "predicted slowdown is not finite"
-            return
+            graph = decision_graph(model, ids, vectors)
+        assert (slowdowns <= model.max_slowdown).all() and math.isfinite(model.max_slowdown)
+        assert np.isfinite(graph.matrix).all() and np.isfinite(graph.prices).all()
         # Each thread's own entry, which replay logs as its model slowdown.
         assert slowdowns.shape == (len(vectors), len(vectors))
         for i, a in enumerate(vectors):
             for j, b in enumerate(vectors):
                 assert same_bits(slowdowns[i, j], predict_pair(model, a, b).slowdown_i)
-        ids = [f"t{i}" for i in range(len(vectors))]
         weights = scalar_pair_weights(model, vectors)
-        try:
-            with np.errstate(all="ignore"):  # a price may leave float range
-                graph = decision_graph(model, ids, vectors)
-        except MatchingError:
-            # Then a pair's weight or a thread's price leaves float range.
-            with np.errstate(all="ignore"):
-                prices = fold_prices(model, category_matrix(vectors))
-            assert not (all(map(math.isfinite, weights.values())) and np.isfinite(prices).all())
-            return
         weight = {(a, b): graph.matrix[i, j]
                   for i, a in enumerate(graph.nodes) for j, b in enumerate(graph.nodes)}
         for (i, j), want in weights.items():
             assert same_bits(weight[ids[i], ids[j]], want)
         assert all(same_bits(weight[a, a], 0.0) for a in ids)
+
+    def test_max_slowdown_of_the_reference_model(self):
+        # The largest corners: fdc and be at (1, 1), fe at (1, any).
+        assert REFERENCE_COEFFICIENTS.max_slowdown == pytest.approx(
+            (0.0072 + 0.9060 + 0.0044 + 0.0314) + (0.2376 + 1.4111) + (0.2069 + 0.3431 + 1.4391),
+            rel=1e-14,
+        )
+        assert round(REFERENCE_COEFFICIENTS.max_slowdown, 3) == 4.587
+
+    def test_max_slowdown_bounds_rounding_on_a_flat_edge(self):
+        # fdc = 0.1 + x + y - x * y is exactly 1.1 along y = 1, its largest
+        # corner value, but the float form at x = 0.97 rounds above it.
+        flat = CategoryCoefficients(alpha=0.1, beta=1.0, gamma=1.0, rho=-1.0)
+        zero = CategoryCoefficients(alpha=0.0, beta=0.0, gamma=0.0, rho=0.0)
+        model = ModelCoefficients(fdc=flat, fe=zero, be=zero)
+        vectors = [CategoryVector(fe=0.03, be=0.0, fdc=0.97), CategoryVector(fe=0.0, be=0.0, fdc=1.0)]
+        slowdown = co_run_slowdowns(model, category_matrix(vectors))[0, 1]
+        assert slowdown > 0.1 + 1.0 + 1.0 - 1.0
+        assert slowdown <= model.max_slowdown
 
     def test_clamp_at_zero_is_bit_equal(self):
         # Negative intercepts drive every category below zero for the
@@ -291,13 +306,11 @@ class TestPairWeightMatrix:
         assert all(w == 1.0 for j, w in enumerate(graph.matrix[idle]) if j != idle)
 
     def test_non_finite_prediction_rejected(self):
-        huge = CategoryCoefficients(alpha=1e308, beta=1e308, gamma=1e308, rho=0.0)
-        model = ModelCoefficients(fdc=huge, fe=huge, be=huge)
-        vectors = [CategoryVector(fe=0.5, be=0.25, fdc=0.25)] * 2
-        with pytest.raises(ModelError, match="predicted slowdown is not finite"):
-            co_run_slowdowns(model, category_matrix(vectors))
-        with pytest.raises(ModelError, match="predicted slowdown is not finite"):
-            decision_graph(model, ["a", "b"], vectors)
+        # A form whose slowdowns would leave float range is refused where
+        # it is read, so no prediction ever meets it.
+        with pytest.raises(ModelError, match=r"^coefficient alpha must be within "
+                                             r"\+/-1e\+06, got 1e\+308$"):
+            CategoryCoefficients(alpha=1e308, beta=1e308, gamma=1e308, rho=0.0)
 
 
 GRID_X, GRID_Y = np.meshgrid(np.linspace(0.0, 1.0, 201), np.linspace(0.0, 1.0, 201))
@@ -722,31 +735,31 @@ class TestInversionOracle:
             assert outcome(invert_category, coeffs, u, v) == outcome(
                 reference_inversion.invert_category, coeffs, u, v
             )
-        # A form of absurd magnitudes whose solve overflows to NaN in fe
-        # alone: both name that category.
-        wild = CategoryCoefficients(alpha=4.6e-48, beta=-1.07e287, gamma=1.29e-281, rho=0.0)
+        # An in-domain form whose linear seed meets inf - inf on huge
+        # observations, so fe alone solves to NaN: both name that category.
+        wild = CategoryCoefficients(alpha=0.0, beta=1e6, gamma=5e5, rho=0.0)
         model = ModelCoefficients(fdc=REFERENCE_COEFFICIENTS.fdc, fe=wild, be=REFERENCE_COEFFICIENTS.be)
-        smt_ij = CategoryTriple(fe=0.0, be=0.3, fdc=0.4)
-        smt_ji = CategoryTriple(fe=1e300, be=0.3, fdc=0.4)
+        smt_ij = CategoryTriple(fe=1e303, be=0.3, fdc=0.4)
+        smt_ji = CategoryTriple(fe=1e303, be=0.3, fdc=0.4)
         got = outcome(invert, model, smt_ij, smt_ji)
         want = outcome(reference_inversion.invert, model, smt_ij, smt_ji)
         assert got == want == (ModelError, "category fe must be finite, got nan")
 
     @pytest.mark.parametrize("form, u, v", [
-        # The least squares fit's cubic along the singular line overflows.
-        ((-5.5e303, 1.0, 5.3e123, -1.95e285), 1e-300, 1e-300),
+        # The least squares fit's cubic along the singular line overflows:
+        # its p + q is beyond float range.
+        ((0.0, 1.0, -1.0 - 1e-12, 9e-13), 1e308, 1e308),
         # The cubic is finite, but np.roots' division by its leading
-        # coefficient overflows.
-        ((1e200, 1e-160, -2e-160, 1e-160), 0.0, 0.0),
+        # coefficient, a subnormal 2 * rho**2, overflows.
+        ((0.0, 1e-160, -1.5e-160, 1e-160), 1e150, 1e150),
         # A root's distance from the linear seed is beyond float range.
-        ((4.019989720705783e159, -1.258520914235268e-103, -516.9716548808993,
-          -2.6149097074748107e255), 2.07616969038684e303, 8.562023315913451e-112),
+        ((0.0, 1.0, 0.0, 1e-12), 1e300, 0.0),
     ], ids=["cubic", "cubic-over-lead", "root-distance"])
     def test_overflowing_form_is_a_model_error(self, form, u, v):
-        # Finite forms of absurd magnitudes, as a hand-written coefficient
-        # file may hold: without the check, np.roots would meet the first two
-        # with a RuntimeWarning and a LinAlgError, and the third ends in an
-        # OverflowError.
+        # In-domain forms with a tiny rho, next to observations beyond any
+        # forward value: without the check, np.roots would meet the first
+        # two with a RuntimeWarning and a LinAlgError, and the third ends in
+        # an OverflowError.
         wild = CategoryCoefficients(*form)
         error = (ModelError, "inversion overflows: the form's values are beyond float range")
         got = outcome(invert_category, wild, u, v)

@@ -17,7 +17,6 @@ from synpa import (
     CategoryVector,
     IDLE_NODE,
     MatchingError,
-    ModelCoefficients,
     ModelError,
     REFERENCE_COEFFICIENTS,
     SynergyGraph,
@@ -226,10 +225,10 @@ class TestBuildGraph:
             decision_graph(REFERENCE_COEFFICIENTS, [IDLE_NODE, "a"], reference_vectors(2))
 
     def test_non_finite_weight_rejected(self):
-        huge = CategoryCoefficients(alpha=1e308, beta=1e308, gamma=1e308, rho=0.0)
-        model = ModelCoefficients(fdc=huge, fe=huge, be=huge)
-        with pytest.raises(ModelError):
-            decision_graph(model, ["a", "b"], reference_vectors(2))
+        # A form whose weights would leave float range is refused where it
+        # is read, so no graph is ever built from it.
+        with pytest.raises(ModelError, match="^coefficient alpha must be within "):
+            CategoryCoefficients(alpha=1e308, beta=1e308, gamma=1e308, rho=0.0)
 
 
 class TestSynergyGraph:
@@ -272,11 +271,28 @@ class TestSynergyGraph:
             pytest.param(("a", "b"), [[1.0, 1.0], [1.0, 1.0]], [0.0, 0.0], id="diagonal"),
             pytest.param(("a", "b"), [[0.0, 1.0], [1.0, 0.0]], [0.0, math.nan], id="nan-price"),
             pytest.param(("a", "b"), [[0.0, 1.0], [1.0, 0.0]], [0.0], id="price-count"),
+            *(
+                pytest.param(("a", "b", "c", "d"), [[0.0, 1.0, 1.0, 1.0], [1.0, 0.0, 1.0, w],
+                                                    [1.0, 1.0, 0.0, 1.0], [1.0, w, 1.0, 0.0]],
+                             [0.0] * 4, id=f"weight-{w}")
+                for w in (math.nan, -math.inf, math.inf, -1.0)
+            ),
+            *(
+                pytest.param(("a", "b"), [[0.0, 1.0], [1.0, 0.0]], [p, 0.0], id=f"price-{p}")
+                for p in (-math.inf, math.inf)
+            ),
         ],
     )
     def test_bad_graph_rejected(self, nodes, matrix, prices):
         with pytest.raises(MatchingError):
             SynergyGraph(nodes, matrix, prices)
+
+    def test_signed_zero_weights_accepted(self):
+        # -0.0 is neither negative nor non-finite, off the diagonal or on it,
+        # and an empty roster has no weight to test.
+        matrix = np.array([[-0.0, -0.0], [-0.0, -0.0]])
+        assert SynergyGraph(("a", "b"), matrix, [0.0, 0.0]).matrix.tobytes() == matrix.tobytes()
+        assert SynergyGraph((), np.zeros((0, 0)), []).nodes == ()
 
     def test_arrays_are_read_only(self):
         weights = np.array([[0.0, 1.0], [1.0, 0.0]])
