@@ -136,6 +136,8 @@ def cmd_gen_workload(args: argparse.Namespace) -> int:
     grow = functools.partial(extra_synthetic_app, args.roster_seed, **settings)
     spec = gen_workload(args.recipe, roster, args.seed, size=args.size, grow=grow)
     spec = dataclasses.replace(spec, quantum_ms=args.quantum_ms)
+    # Refuse what ``simulate`` would refuse under its default ground truth.
+    SimWorkload(apps=spec.apps, quantum_ms=spec.quantum_ms)
     write_text(args.out, spec.to_json())
     classes = ", ".join(
         f"{a.app_id}:{spec.classes[a.app_id].value}" for a in spec.apps

@@ -40,7 +40,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -391,29 +391,73 @@ class ScheduleLog:
     mode: str = "simulate"  # "simulate" | "replay"
 
     def to_jsonl(self) -> str:
+        """The log as JSON lines: its header, one line per record (see
+        :func:`_record_lines`) and its summary, each as
+        ``json.dumps(sort_keys=True)`` writes it."""
         header = {
             "kind": "schedule-log",
             "version": LOG_VERSION,
             "apps": list(self.apps),
             **{key: getattr(self, key) for key in LOG_HEADER},
         }
-        records = (
-            {
-                "quantum": r.quantum,
-                "pairs": [list(p) for p in r.pairs],
-                "observed": {k: v.as_dict() for k, v in r.observed.items()},
-                "estimates": {k: v.as_dict() for k, v in r.estimates.items()},
-                "degraded": r.degraded,
-                "committed": r.committed,
-                "slowdown": r.slowdown,
-                "migrations": r.migrations,
-            }
-            for r in self.records
-        )
         summary = {key: getattr(self, key) for key in (*LOG_SUMMARY, "total_quanta")}
-        # sort_keys orders every level, so the dicts go in as they are.
-        docs = [header, *records, {"summary": summary}]
-        return "".join(json.dumps(doc, sort_keys=True) + "\n" for doc in docs)
+        return "".join((
+            json.dumps(header, sort_keys=True), "\n",
+            *_record_lines(self.records),
+            json.dumps({"summary": summary}, sort_keys=True), "\n",
+        ))
+
+
+#: A triple's JSON text, in ``sort_keys`` order, with its floats left as conversions.
+_TRIPLE = '{"be": %r, "fdc": %r, "fe": %r}'
+_JSON_BOOL = {True: "true", False: "false"}
+
+
+def _record_lines(records: Iterable[QuantumRecord]) -> Iterator[str]:
+    """Each record's line, byte-identical to ``json.dumps(sort_keys=True)``
+    of its fields, with a triple as its ``as_dict()`` and a pair as a list.
+
+    One template per roster holds the line's text in ``sort_keys`` order,
+    each app id encoded once by ``json.dumps``, with the values left as
+    conversions: ``%r`` per float, ``%d`` for ``quantum`` and
+    ``migrations``, ``%s`` per degraded flag and for the pairs list.  The
+    template is rebuilt only when a record's key sets change (in replay, as
+    a thread arrives or leaves), so a record costs one flat value list and
+    one formatting: its float reprs.  ``%r`` writes what JSON writes only
+    for a finite Python float (under numpy 2 a ``numpy.float64`` reads
+    ``np.float64(...)``), so every record value must be one, as the run
+    loop makes them.
+    """
+    encode = functools.cache(json.dumps)  # an app id's JSON string, encoded once
+
+    def fields(ids: Sequence[str], value: str) -> str:
+        return "{" + ", ".join(encode(a).replace("%", "%%") + ": " + value for a in ids) + "}"
+
+    last = template = None
+    for r in records:
+        maps = (r.committed, r.degraded, r.estimates, r.observed, r.slowdown)
+        if last is None or any(m.keys() != n.keys() for m, n in zip(maps, last)):
+            committed, degraded, estimates, observed, slowdown = map(sorted, maps)
+            template = (
+                f'{{"committed": {fields(committed, "%r")}, "degraded": {fields(degraded, "%s")}, '
+                f'"estimates": {fields(estimates, _TRIPLE)}, "migrations": %d, '
+                f'"observed": {fields(observed, _TRIPLE)}, "pairs": %s, "quantum": %d, '
+                f'"slowdown": {fields(slowdown, "%r")}}}\n'
+            )
+        last = maps
+        values = [r.committed[a] for a in committed]
+        values += [_JSON_BOOL[r.degraded[a]] for a in degraded]
+        for a in estimates:
+            t = r.estimates[a]
+            values += (t.be, t.fdc, t.fe)
+        values.append(r.migrations)
+        for a in observed:
+            t = r.observed[a]
+            values += (t.be, t.fdc, t.fe)
+        values.append("[" + ", ".join("[" + ", ".join(map(encode, p)) + "]" for p in r.pairs) + "]")
+        values.append(r.quantum)
+        values += [r.slowdown[a] for a in slowdown]
+        yield template % tuple(values)
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from .dispatch import CATEGORIES, CategoryTriple, CategoryVector, category_values, unit_vector
-from .errors import ModelError, failing, json_document, json_number, json_object, json_string
+from .errors import Fail, ModelError, failing, json_document, json_number, json_object, json_string
 
 COEFFICIENTS_VERSION = 1
 
@@ -72,9 +72,14 @@ class CategoryCoefficients:
 
     def __post_init__(self) -> None:
         for name in _FORM_FIELDS:
-            value = getattr(self, name)
-            if not abs(value) <= MAX_COEFFICIENT:  # NaN too
-                raise ModelError(f"coefficient {name} must be within +/-{MAX_COEFFICIENT:g}, got {value!r}")
+            _bounded(getattr(self, name), f"coefficient {name}", ModelError)
+
+
+def _bounded(value: float, field: str, error: Fail) -> float:
+    """``value`` if it is within +/-:data:`MAX_COEFFICIENT`; else ``error`` naming ``field``."""
+    if not abs(value) <= MAX_COEFFICIENT:  # NaN too
+        raise error(f"{field} must be within +/-{MAX_COEFFICIENT:g}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -137,9 +142,10 @@ class ModelCoefficients:
         parsed = {}
         for name in CATEGORIES:
             entry = json_object(cats[name], name, error)
-            parsed[name] = CategoryCoefficients(
-                **{key: json_number(entry.get(key), f"{name}.{key}", error) for key in _FORM_FIELDS}
-            )
+            parsed[name] = CategoryCoefficients(**{
+                key: _bounded(json_number(entry.get(key), f"{name}.{key}", error), f"{name}.{key}", error)
+                for key in _FORM_FIELDS
+            })
         return cls(
             **parsed,
             provenance=json_string(doc.get("provenance", "unspecified"), "provenance", error),

@@ -266,6 +266,20 @@ class TestGenWorkload:
         assert "error: iso_quanta" in capsys.readouterr().err
         assert not (tmp_path / "x.json").exists()
 
+    def test_workload_that_cannot_finish_is_refused(self, tmp_path, capsys):
+        # Each launch is within the run limit alone, but the reference
+        # ground truth can slow b03 past it: simulate would refuse the file,
+        # so gen-workload writes none, with simulate's message.
+        code = run_cli(
+            "gen-workload", "--recipe", "mixed", "--seed", 1,
+            "--iso-quanta", 300000, "--out", tmp_path / "x.json",
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: app 'b03' cannot finish within the 1000000-quantum run limit\n"
+        )
+        assert not (tmp_path / "x.json").exists()
+
 
 class TestSimulate:
     def test_single_run_writes_log_and_metrics(self, workload_file, tmp_path, capsys):
@@ -558,7 +572,7 @@ class TestSimulate:
         )
         assert code == 1
         err = capsys.readouterr().err
-        assert err == "error: coefficient alpha must be within +/-1e+06, got 1e+308\n"
+        assert err == "error: bad coefficient file: fdc.alpha must be within +/-1e+06, got 1e+308\n"
         assert not any(out.exists() for out in outs)
 
     def test_ground_truth_that_cannot_finish_is_refused(self, workload_file, tmp_path, capsys):

@@ -24,12 +24,14 @@ from synpa import (
     IDLE_NODE,
     POLICIES,
     AppSimState,
+    CategoryTriple,
     CategoryVector,
     ConfigError,
     EngineConfig,
     ModelError,
     Phase,
     REFERENCE_COEFFICIENTS,
+    ScheduleLog,
     SimWorkload,
     SyntheticApp,
     TraceError,
@@ -46,6 +48,7 @@ from synpa import engine, interference
 from synpa.dispatch import UNIFORM_VECTOR
 from synpa.harness import make_synthetic_app
 
+import reference_log
 import reference_simulator
 from conftest import coefficient_models, forward_models
 
@@ -840,11 +843,17 @@ def assert_pairs_cover_present(log):
         previous = set(record.pairs)
 
 
-def cut_to_spans(samples, spans):
-    """Keep each thread's samples inside its (first, last) quantum span.
+def cut_to_random_spans(data, log, samples):
+    """Keep each thread's samples of ``log``'s trace inside a drawn
+    (first, last) quantum span.
 
     Quanta left with no thread are dropped, since a trace has none.
     """
+    last = log.total_quanta - 1
+    spans = {}
+    for thread in log.apps:
+        first = data.draw(st.integers(0, last))
+        spans[thread] = (first, data.draw(st.integers(first, last)))
     kept = [s for s in samples
             if spans[s.thread_id][0] <= s.quantum_index <= spans[s.thread_id][1]]
     index = {q: k for k, q in enumerate(sorted({s.quantum_index for s in kept}))}
@@ -886,16 +895,81 @@ class TestDecisionProperties:
 
             # Threads that arrive late and depart early, under every policy.
             header, samples = trace_from_log(log)
-            last = log.total_quanta - 1
-            spans = {}
-            for thread in header.threads:
-                first = data.draw(st.integers(0, last))
-                spans[thread] = (first, data.draw(st.integers(first, last)))
             with open(path, "w", encoding="utf-8") as fh:
-                fh.write(format_trace(header, cut_to_spans(samples, spans)))
+                fh.write(format_trace(header, cut_to_random_spans(data, log, samples)))
             for cut_policy in POLICIES:
                 cut = run(EngineConfig(trace_path=path, policy=cut_policy, seed=seed))
                 assert_pairs_cover_present(cut)
+
+
+class TestLogWriterOracle:
+    """``ScheduleLog.to_jsonl`` against today's writer written record dict by
+    record dict (``tests/reference_log.py``): the same bytes."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(workload=small_workloads(), policy=st.sampled_from(POLICIES),
+           seed=st.integers(0, 2**16), data=st.data())
+    def test_log_equals_the_reference(self, workload, policy, seed, data):
+        log = run(EngineConfig(workload=workload, policy=policy, seed=seed))
+        assert log.to_jsonl() == reference_log.to_jsonl(log)
+        # Replays of the exported trace, whole and with each thread cut to
+        # a random span, so that the roster changes as threads come and go.
+        header, samples = trace_from_log(log)
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, rows in (("whole", samples), ("cut", cut_to_random_spans(data, log, samples))):
+                path = os.path.join(tmp, name + ".trace")
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(format_trace(header, rows))
+                for replay_policy in POLICIES:
+                    replayed = run(EngineConfig(trace_path=path, policy=replay_policy, seed=seed))
+                    assert replayed.to_jsonl() == reference_log.to_jsonl(replayed)
+
+    @staticmethod
+    def _log(records, apps):
+        return ScheduleLog(
+            policy="synpa", seed=0, quantum_ms=100.0, dispatch_width=WIDTH,
+            cycles_per_quantum=QUANTUM_CYCLES, noise_sigma=0.0, apps=apps,
+            records=tuple(records), first_completion={a: 1 for a in apps},
+            relaunches={a: 0 for a in apps}, iso_quanta={}, instructions={a: 1.0 for a in apps},
+            total_quanta=len(records),
+        )
+
+    @staticmethod
+    def _record(quantum, pairs, values, estimates=True):
+        """A record whose every float of app ``a`` is ``values[a]``."""
+        triples = {a: CategoryTriple(fe=v, be=v, fdc=v) for a, v in values.items()}
+        return engine.QuantumRecord(
+            quantum=quantum, pairs=pairs, observed=triples,
+            estimates=dict(reversed(triples.items())) if estimates else {},
+            degraded={a: v > 1.0 for a, v in values.items()} if estimates else {},
+            committed=dict(values), slowdown=dict(values), migrations=len(pairs),
+        )
+
+    def test_escaped_ids_and_float_extremes(self):
+        # Ids that JSON escapes or that a %-template would read as a
+        # conversion, and floats whose repr is the shortest round trip.
+        apps = ('q"uote', "back\\slash", "é", "日本", "50%", "%d%%", "%(x)s")
+        floats = (-0.0, 5e-324, 1e16, 1e-05, 0.1 + 0.2, 7.0)
+        values = dict(zip(apps, floats + (1e300,)))
+        pairs = ((apps[0], apps[1]), (apps[2], apps[3]), (apps[4], apps[5]), (IDLE_NODE, apps[6]))
+        log = self._log([self._record(1, pairs, values), self._record(2, pairs[:1], values)], apps)
+        text = log.to_jsonl()
+        assert text == reference_log.to_jsonl(log)
+        assert '"\\u65e5\\u672c"' in text and '"50%"' in text
+
+    def test_empty_estimates_and_a_roster_that_changes(self):
+        # Records without estimates (the random and static policies) and a
+        # roster that shrinks and grows again between records.
+        a, b, c = "a", "b", "c"
+        records = [
+            self._record(1, ((a, b), (IDLE_NODE, c)), {a: 0.5, b: 1.5, c: 2.5}, estimates=False),
+            self._record(2, ((a, c),), {a: 0.25, c: 3.0}),
+            self._record(3, ((a, b), (IDLE_NODE, c)), {a: 0.5, b: 1.5, c: 2.5}),
+            self._record(4, ((a, b), (IDLE_NODE, c)), {a: 1.0, b: 2.0, c: 4.0}, estimates=False),
+        ]
+        log = self._log(records, (a, b, c))
+        assert log.to_jsonl() == reference_log.to_jsonl(log)
+        assert '"estimates": {}' in log.to_jsonl().splitlines()[1]
 
 
 @st.composite

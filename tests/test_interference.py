@@ -811,6 +811,15 @@ class TestCoefficientSerialization:
         with pytest.raises(ModelError):
             ModelCoefficients.from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("name, key", [("fdc", "alpha"), ("fe", "rho"), ("be", "gamma")])
+    def test_out_of_bound_coefficient_names_file_and_field(self, name, key):
+        # The bound's error is the file's: it names the category and the field.
+        doc = json.loads(REFERENCE_COEFFICIENTS.to_json())
+        doc["categories"][name][key] = -1e300
+        with pytest.raises(ModelError, match=rf"^bad coefficient file: {name}\.{key} must be within "
+                                             r"\+/-1e\+06, got -1e\+300$"):
+            ModelCoefficients.from_json(json.dumps(doc))
+
     def test_unknown_category_lookup_rejected(self):
         with pytest.raises(ModelError):
             REFERENCE_COEFFICIENTS.category("retire")
