@@ -76,6 +76,7 @@ from .trainer import (
     Profile,
     ProfileRecord,
     align,
+    aligned_samples,
     evaluate,
     fit,
     load_profiles,

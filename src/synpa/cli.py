@@ -37,7 +37,7 @@ from .harness import (
     metrics_csv,
 )
 from .interference import REFERENCE_COEFFICIENTS, ModelCoefficients
-from .trainer import Profile, align, fit, load_profiles
+from .trainer import aligned_samples, fit
 
 
 def _coefficients(path: str | None) -> ModelCoefficients:
@@ -68,57 +68,15 @@ def _seed(text: str) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     check_writable(args.out, args.report)
-    isolated: dict[str, Profile] = {}
-    paired: dict[tuple[str, str], Profile] = {}
-    first = None  # (path, shape) of the first file
-    for path in args.profiles:
-        for profile in load_profiles(path):
-            # Alignment compares committed instructions per quantum, so
-            # every file must share the dispatch width and quantum length.
-            shape = (
-                f"dispatch_width {profile.dispatch_width}, "
-                f"quantum_ms {profile.quantum_ms}"
-            )
-            if first is None:
-                first = (path, shape)
-            elif shape != first[1]:
-                raise ConfigError(f"{path}: {shape} differ from {first[0]}: {first[1]}")
-            if profile.mode == "isolated":
-                if profile.app_id in isolated:
-                    raise ConfigError(
-                        f"duplicate isolated profile for {profile.app_id!r}"
-                    )
-                isolated[profile.app_id] = profile
-            else:
-                key = (profile.app_id, profile.partner)
-                if key in paired:
-                    raise ConfigError(
-                        f"duplicate paired profile for {key[0]!r} with {key[1]!r}"
-                    )
-                paired[key] = profile
-
-    samples = []
-    dropped = 0
-    for a, b in sorted(paired):
-        if a > b:  # a paired file yields both views; align each pair once
-            continue
-        for app in (a, b):
-            if app not in isolated:
-                raise ConfigError(f"no isolated baseline profile for {app!r}")
-        result = align(isolated[a], isolated[b], paired[(a, b)], paired[(b, a)])
-        samples.extend(result.samples)
-        dropped += result.dropped
-    if not samples:
-        raise ConfigError("profiles produced no training samples")
-
-    report = fit(samples, split=args.split, seed=args.seed)
+    aligned = aligned_samples(args.profiles)
+    report = fit(aligned.samples, split=args.split, seed=args.seed)
     write_text(args.out, report.coefficients.to_json())
     if args.report:
         write_text(args.report, report.to_json())
     mse = " ".join(f"{k}={report.mse[k]:.6g}" for k in ("fdc", "fe", "be"))
     print(
         f"trained on {report.n_train}/{report.n_samples} samples "
-        f"({dropped} quanta dropped in alignment); holdout mse {mse}"
+        f"({aligned.dropped} quanta dropped in alignment); holdout mse {mse}"
     )
     print(f"wrote coefficients to {args.out}")
     return 0

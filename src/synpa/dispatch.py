@@ -193,13 +193,12 @@ def characterize(sample: RawCounterSample, dispatch_width: int) -> CategoryBreak
 
 
 def normalize(breakdown: CategoryBreakdown) -> CategoryVector:
-    """Convert a breakdown to fractions of total cycles."""
-    total = breakdown.total_units
-    return CategoryVector(
-        fe=breakdown.fe_units / total,
-        be=breakdown.be_units / total,
-        fdc=breakdown.fdc_units / total,
-    )
+    """Convert a breakdown to fractions of total cycles.
+
+    The units partition ``total_units`` (at least 1) exactly, so
+    :func:`unit_vector` divides by that total.
+    """
+    return unit_vector(breakdown.fdc_units, breakdown.fe_units, breakdown.be_units)
 
 
 def unit_vector(fdc: float, fe: float, be: float) -> CategoryVector:

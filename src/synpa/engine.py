@@ -464,13 +464,6 @@ def _record_lines(records: Iterable[QuantumRecord]) -> Iterator[str]:
 # Policies
 
 
-def _pair_in_order(order: Sequence[str]) -> list[tuple[str, str]]:
-    """Pair consecutive threads, padding an odd count with the idle node."""
-    if len(order) % 2 == 1:
-        order = [*order, IDLE_NODE]
-    return [tuple(sorted(order[k : k + 2])) for k in range(0, len(order), 2)]
-
-
 def initial_assignment(
     policy: str, app_ids: Sequence[str], rng: np.random.Generator
 ) -> tuple[tuple[str, str], ...]:
@@ -482,7 +475,7 @@ def initial_assignment(
     """
     if policy in ("synpa", "random"):
         app_ids = [app_ids[i] for i in rng.permutation(len(app_ids))]
-    return tuple(sorted(_pair_in_order(app_ids)))
+    return _pair_present((), app_ids)
 
 
 class _EstimateStore:
@@ -580,6 +573,11 @@ def run(config: EngineConfig) -> ScheduleLog:
 
     else:
         header, trace_quanta = open_trace(config.trace_path)
+        if len(trace_quanta) > MAX_QUANTA:
+            raise TraceError(
+                f"trace holds {len(trace_quanta)} quanta, more than the "
+                f"{MAX_QUANTA}-quantum run limit"
+            )
         quantum_ms, dispatch_width = header.quantum_ms, header.dispatch_width
         cycles = cycles_per_quantum(quantum_ms, functools.partial(TraceError, line=1))
         if IDLE_NODE in header.threads:
@@ -698,13 +696,17 @@ def _pair_present(
     """Keep the pairs whose threads are all present; pair the rest in order.
 
     The rest are arrivals, partners of departed threads and a thread
-    that sat with the idle node.
+    that sat with the idle node.  Consecutive threads of the rest form a
+    pair; an odd count pads the last one with the idle node.
     """
     alive = set(present)
     kept = [p for p in pairs if p[0] in alive and p[1] in alive]
     paired = {m for p in kept for m in p}
     rest = [a for a in present if a not in paired]
-    return tuple(sorted(kept + _pair_in_order(rest)))
+    if len(rest) % 2 == 1:
+        rest.append(IDLE_NODE)
+    kept += [tuple(sorted(rest[k : k + 2])) for k in range(0, len(rest), 2)]
+    return tuple(sorted(kept))
 
 
 def _model_slowdowns(

@@ -9,9 +9,9 @@ rescales the observed co-run fractions by the locally measured
 slowdown so they are expressed relative to isolated execution — the
 quantity the forward model predicts.
 
-Fitting is per-category ordinary least squares on the regressors
-``[1, c_i, c_j, c_i * c_j]`` via the normal equations, with a
-pseudo-inverse fallback for ill-conditioned systems.
+:func:`aligned_samples` takes a set of profile files to the aligned
+samples, and :func:`fit` fits each category by one least-squares solve
+on the regressors ``[1, c_i, c_j, c_i * c_j]``.
 """
 
 from __future__ import annotations
@@ -19,16 +19,14 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
 from .counters import read_counter_file
 from .dispatch import CATEGORIES, CategoryTriple, CategoryVector, characterize, normalize
-from .errors import AlignmentError, FitError, RankDeficientError, TraceError
+from .errors import AlignmentError, ConfigError, FitError, RankDeficientError, TraceError
 from .interference import CategoryCoefficients, ModelCoefficients
-
-#: Condition-number threshold above which OLS switches to the pseudo-inverse.
-CONDITION_LIMIT = 1e12
 
 
 @dataclass(frozen=True)
@@ -209,6 +207,53 @@ def _scale(vector: CategoryVector, factor: float) -> CategoryTriple:
     )
 
 
+def aligned_samples(paths: Iterable[str]) -> AlignmentResult:
+    """Load profile files and align each paired run with its apps'
+    isolated profiles.
+
+    Alignment compares committed instructions per quantum, so the files
+    must share one dispatch width and quantum length.  Each app needs
+    exactly one isolated profile and each pair at most one paired run;
+    a file set that breaks this or yields no sample is a ConfigError.
+    """
+    isolated: dict[str, Profile] = {}
+    paired: dict[tuple[str, str], Profile] = {}
+    first = None  # (path, shape) of the first file
+    for path in paths:
+        for profile in load_profiles(path):
+            shape = f"dispatch_width {profile.dispatch_width}, quantum_ms {profile.quantum_ms}"
+            if first is None:
+                first = (path, shape)
+            elif shape != first[1]:
+                raise ConfigError(f"{path}: {shape} differ from {first[0]}: {first[1]}")
+            if profile.mode == "isolated":
+                if profile.app_id in isolated:
+                    raise ConfigError(f"duplicate isolated profile for {profile.app_id!r}")
+                isolated[profile.app_id] = profile
+            else:
+                key = (profile.app_id, profile.partner)
+                if key in paired:
+                    raise ConfigError(
+                        f"duplicate paired profile for {key[0]!r} with {key[1]!r}"
+                    )
+                paired[key] = profile
+
+    samples: list[AlignedSample] = []
+    dropped = 0
+    for a, b in sorted(paired):
+        if a > b:  # a paired file yields both views; align each pair once
+            continue
+        for app in (a, b):
+            if app not in isolated:
+                raise ConfigError(f"no isolated baseline profile for {app!r}")
+        result = align(isolated[a], isolated[b], paired[(a, b)], paired[(b, a)])
+        samples.extend(result.samples)
+        dropped += result.dropped
+    if not samples:
+        raise ConfigError("profiles produced no training samples")
+    return AlignmentResult(samples=tuple(samples), dropped=dropped)
+
+
 @dataclass(frozen=True)
 class FitReport:
     """Trained coefficients plus holdout quality and bookkeeping."""
@@ -220,7 +265,6 @@ class FitReport:
     n_validation: int
     split: float
     seed: int
-    used_pinv: dict[str, bool]
 
     def to_json(self) -> str:
         doc = {
@@ -231,7 +275,6 @@ class FitReport:
             "n_validation": self.n_validation,
             "split": self.split,
             "seed": self.seed,
-            "used_pinv": {k: self.used_pinv[k] for k in CATEGORIES},
         }
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
@@ -261,7 +304,7 @@ def _rows(samples: list[AlignedSample], category: str) -> tuple[np.ndarray, np.n
 
 
 def fit(samples, split: float = 0.8, seed: int = 0) -> FitReport:
-    """Fit per-category coefficients by OLS on aligned samples.
+    """Fit per-category coefficients by least squares on aligned samples.
 
     ``split`` is the training fraction; the rest is held out for the
     reported per-category MSE (with ``split == 1.0`` the MSE is
@@ -287,18 +330,12 @@ def fit(samples, split: float = 0.8, seed: int = 0) -> FitReport:
     validation = holdout if holdout else train
 
     coeffs: dict[str, CategoryCoefficients] = {}
-    used_pinv: dict[str, bool] = {}
     for category in CATEGORIES:
-        x_train, y_train = _rows(train, category)
-        if np.linalg.matrix_rank(x_train) < 4:
+        # rcond=None counts as zero every singular value below
+        # eps * max(M, N) * s_max: a rank below 4 leaves a coefficient free.
+        theta, _, rank, _ = np.linalg.lstsq(*_rows(train, category), rcond=None)
+        if rank < 4:
             raise RankDeficientError(category)
-        gram = x_train.T @ x_train
-        pinv = bool(np.linalg.cond(gram) > CONDITION_LIMIT)
-        if pinv:
-            theta = np.linalg.pinv(x_train) @ y_train
-        else:
-            theta = np.linalg.solve(gram, x_train.T @ y_train)
-        used_pinv[category] = pinv
         coeffs[category] = CategoryCoefficients(
             alpha=float(theta[0]),
             beta=float(theta[1]),
@@ -320,7 +357,6 @@ def fit(samples, split: float = 0.8, seed: int = 0) -> FitReport:
         n_validation=len(holdout),
         split=split,
         seed=seed,
-        used_pinv=used_pinv,
     )
 
 

@@ -761,6 +761,40 @@ class TestReplay:
         assert f"error: line 1: threads with no sample rows: {threads}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_trace_beyond_run_limit_is_refused_before_any_decision(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from synpa import TraceHeader, engine, format_trace
+        from conftest import counters_for_fractions
+
+        threads = ("a", "b", "c", "d")
+        header = TraceHeader(dispatch_width=4, quantum_ms=100.0, threads=threads)
+        samples = [
+            counters_for_fractions(q, t, 0.1 + 0.1 * k, 0.3)
+            for q in range(6) for k, t in enumerate(threads)
+        ]
+        trace = tmp_path / "six.trace"
+        trace.write_text(format_trace(header, samples), encoding="utf-8")
+        calls = []
+        solve = engine.min_weight_perfect_matching
+        monkeypatch.setattr(
+            engine, "min_weight_perfect_matching", lambda *a: calls.append(a) or solve(*a)
+        )
+        out, metrics = tmp_path / "x.jsonl", tmp_path / "x.m.json"
+        argv = ("replay", "--trace", trace, "--out", out, "--metrics", metrics)
+
+        monkeypatch.setattr(engine, "MAX_QUANTA", 5)
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err
+        assert err == "error: trace holds 6 quanta, more than the 5-quantum run limit\n"
+        assert not out.exists() and not metrics.exists()
+        assert calls == []
+
+        # At a limit of 6 the same trace replays, and the spy sees its decisions.
+        monkeypatch.setattr(engine, "MAX_QUANTA", 6)
+        assert run_cli(*argv) == 0
+        assert out.exists() and calls
+
 
 def test_fold_certificate_changes_no_log(tmp_path, monkeypatch):
     """Every log is byte-identical with the matcher's fold certificate on

@@ -161,6 +161,22 @@ class TestNormalize:
             v = normalize(characterize(s, rng.choice((1, 2, 4, 8))))
             assert abs(v.fe + v.be + v.fdc - 1.0) <= 1e-9
 
+    @settings(max_examples=500, deadline=None)
+    @given(
+        cycles=st.integers(1, 10**12),
+        inst=st.integers(0, 10**13),
+        fe=st.integers(0, 10**12),
+        be=st.integers(0, 10**12),
+        width=st.integers(1, 8),
+    )
+    def test_fractions_divide_by_total_units_bit_for_bit(self, cycles, inst, fe, be, width):
+        # The units sum to total_units exactly, clamped samples included,
+        # so dividing by their sum gives the same floats as dividing by it.
+        b = characterize(sample(cycles, inst, fe, be), width)
+        v = normalize(b)
+        total = b.total_units
+        assert (v.fe, v.be, v.fdc) == (b.fe_units / total, b.be_units / total, b.fdc_units / total)
+
 
 class TestVectors:
     def test_vector_validates_range(self):

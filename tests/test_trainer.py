@@ -23,6 +23,7 @@ from synpa import (
     REFERENCE_COEFFICIENTS,
     TraceError,
     align,
+    aligned_samples,
     evaluate,
     fit,
     load_profiles,
@@ -332,7 +333,6 @@ class TestFit:
         assert report.n_samples == 60
         assert report.n_train == 48
         assert report.n_validation == 12
-        assert not any(report.used_pinv.values())
 
     def test_constant_samples_rank_deficient(self):
         st = vector(0.3, 0.3, 0.4)
@@ -430,9 +430,73 @@ class TestFit:
         assert doc["n_samples"] == 25
         assert doc["split"] == 0.8
         assert doc["seed"] == 1
+        assert set(doc) == {
+            "coefficients", "mse", "n_samples", "n_train", "n_validation", "split", "seed",
+        }
         assert set(doc["mse"]) == set(CATEGORIES)
         restored = ModelCoefficients.from_json(json.dumps(doc["coefficients"]))
         assert restored == report.coefficients
+
+    def test_one_least_squares_solve_per_category(self, monkeypatch):
+        solve = np.linalg.lstsq
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counted)
+        fit(synthetic_samples(REFERENCE_COEFFICIENTS, 30, seed=2), split=0.8, seed=0)
+        assert calls == [(48, 4)] * len(CATEGORIES)
+
+    def test_ill_conditioned_full_rank_design(self):
+        # The frontend fraction of each partner equals the thread's own up
+        # to 1e-7, so two regressor columns nearly coincide: the design has
+        # full rank, but its Gram matrix's condition number exceeds 1e12.
+        # The fit is still the minimum-norm least-squares solution.
+        rng = random.Random(5)
+        noise = np.random.default_rng(5)
+        samples = []
+        for _ in range(60):
+            st_i = random_unit_vector(rng)
+            other = random_unit_vector(rng)
+            fe = st_i.fe + 1e-7 * rng.uniform(-1.0, 1.0)
+            be = other.be * (1.0 - fe) / (other.be + other.fdc)
+            st_j = vector(fe, be, 1.0 - fe - be)
+            vals_ij, vals_ji = {}, {}
+            for name in CATEGORIES:
+                coeffs = REFERENCE_COEFFICIENTS.category(name)
+                ci, cj = st_i.get(name), st_j.get(name)
+                vals_ij[name] = affine(coeffs, ci, cj) + 1e-4 * noise.standard_normal()
+                vals_ji[name] = affine(coeffs, cj, ci) + 1e-4 * noise.standard_normal()
+            samples.append(
+                AlignedSample(
+                    st_i=st_i, st_j=st_j,
+                    smt_ij=CategoryTriple(**vals_ij), smt_ji=CategoryTriple(**vals_ji),
+                    slowdown_i=sum(vals_ij.values()), slowdown_j=sum(vals_ji.values()),
+                )
+            )
+
+        report = fit(samples, split=1.0, seed=0)
+        for name in CATEGORIES:
+            xs, ys = [], []
+            for s in samples:
+                ci, cj = s.st_i.get(name), s.st_j.get(name)
+                xs += [(1.0, ci, cj, ci * cj), (1.0, cj, ci, cj * ci)]
+                ys += [s.smt_ij.get(name), s.smt_ji.get(name)]
+            x, y = np.array(xs), np.array(ys)
+            assert np.linalg.matrix_rank(x) == 4
+            if name == "fe":
+                assert np.linalg.cond(x.T @ x) > 1e12
+            c = report.coefficients.category(name)
+            got = np.array([c.alpha, c.beta, c.gamma, c.rho])
+            want = np.linalg.pinv(x) @ y
+            # The fe solution has coefficients near 28 in the nearly
+            # coincident directions; 1e-5 is about 4e-7 of that.
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-5)
+        mse = evaluate(report.coefficients, samples)
+        for name in CATEGORIES:
+            assert report.mse[name] == pytest.approx(mse[name], rel=1e-9)
 
 
 class TestEvaluate:
@@ -487,19 +551,10 @@ class TestEvaluate:
 
 class TestEndToEndCorpus:
     def test_training_on_corpus_recovers_reference_model(self, profile_corpus):
-        isolated = {}
-        paired = {}
-        for path in profile_corpus:
-            for profile in load_profiles(path):
-                if profile.mode == "isolated":
-                    isolated[profile.app_id] = profile
-                else:
-                    paired[(profile.app_id, profile.partner)] = profile
-        samples = []
-        for a, b in CORPUS_PAIRS:
-            result = align(isolated[a], isolated[b], paired[(a, b)], paired[(b, a)])
-            samples.extend(result.samples)
-        report = fit(samples, split=1.0, seed=0)
+        aligned = aligned_samples(profile_corpus)
+        assert len(aligned.samples) == 30 * len(CORPUS_PAIRS)
+        assert aligned.dropped == 0
+        report = fit(aligned.samples, split=1.0, seed=0)
         assert max_coefficient_error(report.coefficients, REFERENCE_COEFFICIENTS) < 1e-6
         for name in CATEGORIES:
             assert report.mse[name] < 1e-12
