@@ -67,7 +67,7 @@ def _seed(text: str) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    check_writable(args.out, args.report)
+    check_writable(args.out, args.report, inputs=args.profiles)
     aligned = aligned_samples(args.profiles)
     report = fit(aligned.samples, split=args.split, seed=args.seed)
     write_text(args.out, report.coefficients.to_json())
@@ -114,7 +114,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     seeds = list(dict.fromkeys(args.seed))
     single = len(policies) == 1 and len(seeds) == 1
     if single:
-        check_writable(args.out, args.metrics, args.export_trace)
+        check_writable(
+            args.out, args.metrics, args.export_trace,
+            inputs=(args.workload, args.coefficients, args.ground_truth),
+        )
     spec = WorkloadSpec.from_json(read_text(args.workload))
     workload = SimWorkload(
         apps=spec.apps,
@@ -197,7 +200,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
-    check_writable(args.out, args.metrics)
+    check_writable(args.out, args.metrics, inputs=(args.trace, args.coefficients))
     config = EngineConfig(
         coefficients=_coefficients(args.coefficients),
         policy=args.policy,
@@ -222,7 +225,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    check_writable(args.csv, args.out)
+    check_writable(args.csv, args.out, inputs=args.logs)
     if len(args.logs) >= 2:
         check_cv_threshold(args.cv_threshold)
     reports = [compute_metrics(load_log_summary(path)) for path in args.logs]

@@ -10,9 +10,10 @@ per (quantum, thread) of fixed comma-separated fields, never quoted:
 
 A profile file (see :mod:`synpa.trainer`) has a ``mode`` in its header
 and exactly then an extra ``committed_instructions`` column.  Thread ids
-hold no comma or line break.  Counts are ASCII digits below 2**64, as
-in a 64-bit hardware counter.  Rows are ordered by ``(quantum, thread)``
-with no quantum skipped, and each thread's quanta are contiguous.
+are non-empty and hold no comma or line break.  Counts are ASCII digits
+below 2**64, as in a 64-bit hardware counter.  Rows are ordered by
+``(quantum, thread)`` with no quantum skipped, and each thread's quanta
+are contiguous.
 :func:`parse_counter_text` checks each row as it reads it, in one pass,
 and names the line of the first defect.  Replay reads a whole trace at
 once with :func:`open_trace`, which hands the engine its samples
@@ -82,6 +83,25 @@ class RawCounterSample:
             raise TraceError("thread_id must be a non-empty string")
 
 
+def sample_from_fractions(
+    quantum_index: int, thread_id: str, *, fe: float, be: float, fdc: float,
+    cycles: int, dispatch_width: int,
+) -> RawCounterSample:
+    """A sample of ``cycles`` cycles that ``characterize`` then ``normalize``
+    read as ``(fe, be, fdc)``: fractions that are non-negative and sum to 1
+    up to float rounding, or all 0 (every cycle a revealed back-end stall).
+    It needs ``cycles >= 1``, exact as a float (up to 2**53, or any
+    ``cycles_per_quantum``), and ``cycles * dispatch_width < 2**64``.  The
+    sample never makes ``characterize`` clamp, and after ``normalize``
+    each category is within ``2 / cycles`` of its input: ``fe`` is off by
+    at most ``0.5 / cycles``, ``inst_spec`` loses at most one cycle of
+    slots to the ``min``, and ``be`` is the rest."""
+    stall_fe = round(cycles * fe)  # at most cycles: fe <= 1
+    stall_be = min(round(cycles * be), cycles - stall_fe)
+    inst = min(round(cycles * fdc * dispatch_width), (cycles - stall_fe - stall_be) * dispatch_width)
+    return RawCounterSample(quantum_index, thread_id, cycles, inst, stall_fe, stall_be)
+
+
 @dataclass(frozen=True)
 class TraceHeader:
     """Parsed JSON header of a trace or profile file, the file's line 1:
@@ -102,6 +122,8 @@ class TraceHeader:
         if len(set(self.threads)) != len(self.threads):
             raise TraceError("duplicate thread ids in header roster", line=1)
         for thread in self.threads:
+            if not thread:
+                raise TraceError("thread ids must be non-empty", line=1)
             if "," in thread or "".join(thread.splitlines()) != thread:
                 raise TraceError(f"thread id {thread!r} holds a comma or a line break", line=1)
         if self.mode not in (None, "isolated", "paired"):

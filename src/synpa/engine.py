@@ -44,7 +44,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .counters import RawCounterSample, TraceHeader, open_trace
+from .counters import RawCounterSample, TraceHeader, open_trace, sample_from_fractions
 from .dispatch import (
     CATEGORIES,
     CategoryTriple,
@@ -734,42 +734,21 @@ def _model_slowdowns(
 
 
 def trace_from_log(log: ScheduleLog) -> tuple[TraceHeader, list[RawCounterSample]]:
-    """Synthesize a counter trace reproducing a simulation log's observations.
-
-    Each app-quantum becomes a counter row whose characterized,
-    normalized breakdown approximates the logged observation (up to
-    integer rounding of the counters).
-    """
-    header = TraceHeader(
-        dispatch_width=log.dispatch_width,
-        quantum_ms=log.quantum_ms,
-        threads=tuple(log.apps),
-    )
-    cycles = log.cycles_per_quantum
+    """A counter trace of a simulation log's observations: each
+    app-quantum is the :func:`~synpa.counters.sample_from_fractions` row
+    of its observation's fractions, all 0 for an all-zero observation."""
+    header = TraceHeader(log.dispatch_width, log.quantum_ms, tuple(log.apps))
     samples: list[RawCounterSample] = []
     for record in log.records:
         for app in sorted(record.observed):
             triple = record.observed[app]
             total = triple.total
             if total <= 0.0:
-                fe_frac, be_frac, fdc_frac = 0.0, 0.0, 0.0
+                fe = be = fdc = 0.0
             else:
-                fe_frac = triple.fe / total
-                be_frac = triple.be / total
-                fdc_frac = triple.fdc / total
-            fe_cycles = int(round(cycles * fe_frac))  # at most cycles: fe <= total
-            be_cycles = int(round(cycles * be_frac))
-            be_cycles = min(be_cycles, cycles - fe_cycles)
-            inst = int(round(cycles * fdc_frac * log.dispatch_width))
-            inst = min(inst, (cycles - fe_cycles - be_cycles) * log.dispatch_width)
-            samples.append(
-                RawCounterSample(
-                    quantum_index=record.quantum - 1,
-                    thread_id=app,
-                    cpu_cycles=cycles,
-                    inst_spec=inst,
-                    stall_frontend=fe_cycles,
-                    stall_backend=be_cycles,
-                )
-            )
+                fe, be, fdc = triple.fe / total, triple.be / total, triple.fdc / total
+            samples.append(sample_from_fractions(
+                record.quantum - 1, app, fe=fe, be=be, fdc=fdc,
+                cycles=log.cycles_per_quantum, dispatch_width=log.dispatch_width,
+            ))
     return header, samples

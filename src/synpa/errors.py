@@ -5,7 +5,8 @@ Every error raised on a bad input or a violated contract derives from
 failures from programming bugs.  :func:`read_text` and
 :func:`write_text` are the package's only file access, so a path that
 cannot be read or written is a :class:`ConfigError` naming it;
-:func:`check_writable` fails such a path before anything is written.
+:func:`check_writable` fails such a path, and an output that is also
+an input or another output of the same call, before anything is written.
 
 Every JSON document the package reads (workload, coefficient, run-log
 and trace or profile header) becomes typed values here and only here:
@@ -99,14 +100,21 @@ def write_text(path: str, text: str) -> None:
         raise ConfigError(f"cannot write {path!r}: {exc}") from None
 
 
-def check_writable(*paths: str | None) -> None:
+def check_writable(*paths: str | None, inputs: Iterable[str | None] = ()) -> None:
     """Fail as :func:`write_text` would on a directory or a path in a
-    missing directory; unset paths (``None``) are skipped."""
+    missing directory, and fail an output that resolves to one of the
+    call's ``inputs`` or to an earlier output; unset paths (``None``)
+    are skipped."""
+    taken = {os.path.realpath(path): "an input" for path in filter(None, inputs)}
     for path in filter(None, paths):
         if os.path.isdir(path):
             raise ConfigError(f"cannot write {path!r}: is a directory")
         if not os.path.isdir(os.path.dirname(path) or "."):
             raise ConfigError(f"cannot write {path!r}: its directory does not exist")
+        real = os.path.realpath(path)
+        if real in taken:
+            raise ConfigError(f"cannot write {path!r}: it is also {taken[real]} of this call")
+        taken[real] = "another output"
 
 
 #: Turns a message into the reading format's error.

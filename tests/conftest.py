@@ -13,7 +13,6 @@ from synpa import (
     CategoryCoefficients,
     CategoryVector,
     ModelCoefficients,
-    RawCounterSample,
     TraceHeader,
     build_graph,
     category_matrix,
@@ -21,6 +20,7 @@ from synpa import (
     format_trace,
     predict_pair,
 )
+from synpa.counters import sample_from_fractions
 from synpa.interference import MAX_COEFFICIENT
 
 #: On CI (the ``CI`` environment variable is set) no property fails on a
@@ -74,31 +74,6 @@ def decision_graph(model, app_ids, vectors):
     return build_graph(model, app_ids, st, co_run_slowdowns(model, st))
 
 
-def counters_for_fractions(
-    quantum: int, thread: str, fe: float, fdc: float, cycles: int = CYCLES
-) -> RawCounterSample:
-    """A raw sample whose normalized breakdown is (fe, 1-fe-fdc, fdc).
-
-    The inverse of the characterization arithmetic: frontend-stall cycles
-    and speculative instructions are rounded to the nearest counter unit,
-    so the realized fractions match the requested ones to ~1e-8.  The
-    measured backend-stall counter is set to 70% of the leftover stall
-    cycles; the rest surfaces as revealed stalls, exercising that path.
-    """
-    stall_fe = round(cycles * fe)
-    inst = round(cycles * WIDTH * fdc)
-    dispatch = cycles - stall_fe - (inst + WIDTH - 1) // WIDTH
-    stall_be = max((dispatch * 7) // 10, 0)
-    return RawCounterSample(
-        quantum_index=quantum,
-        thread_id=thread,
-        cpu_cycles=cycles,
-        inst_spec=inst,
-        stall_frontend=stall_fe,
-        stall_backend=stall_be,
-    )
-
-
 def write_profile_corpus(
     dirpath: str,
     model: ModelCoefficients,
@@ -126,7 +101,10 @@ def write_profile_corpus(
         samples = []
         committed = {}
         for q in range(n_iso):
-            s = counters_for_fractions(q, app_id, vec.fe, vec.fdc, cycles)
+            s = sample_from_fractions(
+                q, app_id, fe=vec.fe, be=1 - vec.fe - vec.fdc, fdc=vec.fdc, cycles=cycles,
+                dispatch_width=WIDTH,
+            )
             samples.append(s)
             committed[(q, app_id)] = s.inst_spec
         path = os.path.join(dirpath, f"iso-{app_id}.profile")
@@ -147,8 +125,10 @@ def write_profile_corpus(
         for q in range(n_paired):
             for app_id, vec, smt in ((a, apps[a], pred.smt_i), (b, apps[b], pred.smt_j)):
                 slowdown = smt.fe + smt.be + smt.fdc
-                s = counters_for_fractions(
-                    q, app_id, smt.fe / slowdown, smt.fdc / slowdown, cycles
+                fe, fdc = smt.fe / slowdown, smt.fdc / slowdown
+                s = sample_from_fractions(
+                    q, app_id, fe=fe, be=1 - fe - fdc, fdc=fdc, cycles=cycles,
+                    dispatch_width=WIDTH,
                 )
                 samples.append(s)
                 committed[(q, app_id)] = max(

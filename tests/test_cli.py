@@ -9,6 +9,7 @@ import json
 import os
 import pathlib
 import re
+import shutil
 import subprocess
 import sys
 import time
@@ -24,6 +25,7 @@ from synpa import (
     read_counter_file,
 )
 from synpa import matcher
+from synpa.counters import sample_from_fractions
 from synpa.cli import main
 from synpa.harness import (
     WorkloadSpec,
@@ -596,7 +598,7 @@ class TestSimulate:
                             r"run limit\n", capsys.readouterr().err)
         assert not any(out.exists() for out in outs)
 
-    @pytest.mark.parametrize("app_id", ["b,00", "b\n00", "b\u2028"])
+    @pytest.mark.parametrize("app_id", ["b,00", "b\n00", "b\u2028", pytest.param("", id="empty")])
     def test_exported_thread_id_must_be_a_trace_field(self, tmp_path, capsys, app_id):
         # A trace row is split on commas and lines: the export refuses an
         # id it could not read back, before any output is written.
@@ -612,7 +614,11 @@ class TestSimulate:
         )
         assert code == 1
         err = capsys.readouterr().err
-        assert err == f"error: line 1: thread id {app_id!r} holds a comma or a line break\n"
+        message = (
+            f"thread id {app_id!r} holds a comma or a line break" if app_id
+            else "thread ids must be non-empty"
+        )
+        assert err == f"error: line 1: {message}\n"
         assert not any(out.exists() for out in outs)
         assert run_cli("simulate", "--workload", workload, "--out", outs[0]) == 0
 
@@ -765,12 +771,14 @@ class TestReplay:
         self, tmp_path, capsys, monkeypatch
     ):
         from synpa import TraceHeader, engine, format_trace
-        from conftest import counters_for_fractions
 
         threads = ("a", "b", "c", "d")
         header = TraceHeader(dispatch_width=4, quantum_ms=100.0, threads=threads)
         samples = [
-            counters_for_fractions(q, t, 0.1 + 0.1 * k, 0.3)
+            sample_from_fractions(
+                q, t, fe=0.1 + 0.1 * k, be=0.6 - 0.1 * k, fdc=0.3, cycles=10**8,
+                dispatch_width=4,
+            )
             for q in range(6) for k, t in enumerate(threads)
         ]
         trace = tmp_path / "six.trace"
@@ -1081,6 +1089,49 @@ class TestFileBoundary:
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error: cannot write {str(bad)!r}: ")
         assert list(out.iterdir()) == []
+
+    # An output named as an input (``target`` None: the first
+    # positional) or as another output of the same call.
+    @pytest.mark.parametrize("command, option, target, role", [
+        ("train", "--out", None, "an input"),
+        ("train", "--report", "--out", "another output"),
+        ("simulate", "--out", "--workload", "an input"),
+        ("simulate", "--metrics", "--coefficients", "an input"),
+        ("simulate", "--export-trace", "--ground-truth", "an input"),
+        ("simulate", "--export-trace", "--out", "another output"),
+        ("replay", "--out", "--trace", "an input"),
+        ("replay", "--metrics", "--coefficients", "an input"),
+        ("replay", "--metrics", "--out", "another output"),
+        ("report", "--csv", None, "an input"),
+        ("report", "--out", "--csv", "another output"),
+    ])
+    def test_output_that_is_another_file_of_the_call(
+        self, good_inputs, tmp_path, capsys, command, option, target, role
+    ):
+        # Copies, so that an overwrite here cannot spoil the shared inputs.
+        copies = tmp_path / "in"
+        copies.mkdir()
+
+        def copy(path):
+            shutil.copyfile(path, copies / os.path.basename(path))
+            return copies / os.path.basename(path)
+
+        inputs = {
+            kind: [copy(p) for p in path] if kind == "profiles" else copy(path)
+            for kind, path in good_inputs.items()
+        }
+        before = {p: p.read_bytes() for p in copies.iterdir()}
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = _commands(inputs, out)[command]
+        same = argv[1] if target is None else argv[argv.index(target) + 1]
+        code = run_cli(*_swap(argv, option, same))
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: cannot write {str(same)!r}: it is also {role} of this call\n"
+        )
+        assert list(out.iterdir()) == []
+        assert {p: p.read_bytes() for p in copies.iterdir()} == before
 
     def test_run_directory_that_is_a_file(self, good_inputs, tmp_path, capsys):
         # Several runs write into --out as a directory, creating missing

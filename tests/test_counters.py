@@ -10,11 +10,14 @@ from synpa import (
     RosterError,
     TraceError,
     TraceHeader,
+    characterize,
     format_trace,
+    normalize,
     open_trace,
     parse_counter_text,
 )
 from synpa import counters
+from synpa.counters import sample_from_fractions
 from synpa.errors import SynpaError
 
 import reference_reader
@@ -215,6 +218,63 @@ class TestSampleInvariants:
                 stall_frontend=0,
                 stall_backend=0,
             )
+
+
+class TestHeader:
+    @pytest.mark.parametrize("rows", [[], ["0,,1000,400,100,200"]])
+    def test_empty_thread_id_is_refused_on_line_one(self, rows):
+        header = '{"version":1,"dispatch_width":4,"quantum_ms":100,"threads":["t0",""]}'
+        with pytest.raises(TraceError, match="^line 1: thread ids must be non-empty$"):
+            parse_counter_text(make_text(rows, header))
+
+
+@st.composite
+def simplex_fractions(draw):
+    """``(fe, be, fdc)`` on the simplex, corners and zeros included, or
+    the all-zero triple."""
+    parts = [draw(st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0))) for _ in range(3)]
+    total = sum(parts)
+    return tuple(x / total for x in parts) if total else (0.0, 0.0, 0.0)
+
+
+class TestSampleFromFractions:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        fractions=simplex_fractions(), cycles=st.integers(1, 10**12),
+        width=st.integers(1, 8), quantum=st.integers(0, 2**64 - 1),
+    )
+    def test_inverts_characterize_within_two_cycles(self, fractions, cycles, width, quantum):
+        fe, be, fdc = fractions
+        sample = sample_from_fractions(
+            quantum, "t", fe=fe, be=be, fdc=fdc, cycles=cycles, dispatch_width=width
+        )
+        breakdown = characterize(sample, width)
+        assert not breakdown.clamped
+        got = normalize(breakdown)
+        if fractions == (0.0, 0.0, 0.0):  # only revealed back-end stalls
+            assert (got.fe, got.be, got.fdc) == (0.0, 1.0, 0.0)
+        else:
+            for want, value in zip(fractions, (got.fe, got.be, got.fdc)):
+                assert abs(value - want) <= 2 / cycles
+        header = TraceHeader(dispatch_width=width, quantum_ms=100.0, threads=("t",))
+        assert parse_counter_text(format_trace(header, [sample])) == (header, [sample], [])
+
+    @pytest.mark.parametrize("fractions, cycles, width, counts", [
+        # fe and be both round up (3.5 -> 4), so inst_spec's 12 slots
+        # are clipped to the 8 left: one cycle of slots.
+        ((0.35, 0.35, 0.3), 10, 4, (8, 4, 4)),
+        # The all-zero triple: every cycle a revealed back-end stall.
+        ((0.0, 0.0, 0.0), 10**8, 4, (0, 0, 0)),
+        # 13 * 0.9 * 5 is 58.50000000000001 from the left, 58.5 in any
+        # other order, which rounds to 58.
+        ((0.1, 0.0, 0.9), 13, 5, (59, 1, 0)),
+    ])
+    def test_exact_counts(self, fractions, cycles, width, counts):
+        fe, be, fdc = fractions
+        sample = sample_from_fractions(
+            3, "t", fe=fe, be=be, fdc=fdc, cycles=cycles, dispatch_width=width
+        )
+        assert sample == RawCounterSample(3, "t", cycles, *counts)
 
 
 class TestOpenTrace:

@@ -45,6 +45,7 @@ from synpa import (
     trace_from_log,
 )
 from synpa import engine, interference
+from synpa.counters import sample_from_fractions
 from synpa.dispatch import UNIFORM_VECTOR
 from synpa.harness import make_synthetic_app
 
@@ -752,15 +753,13 @@ class TestReplay:
         header = TraceHeader(
             dispatch_width=4, quantum_ms=100.0, threads=("a", "b", "c", "d")
         )
-        from conftest import counters_for_fractions
-
         samples = []
         for quantum in range(10):
             threads = ("a", "b", "c", "d") if quantum < 6 else ("a", "b", "c")
             for thread in threads:
-                samples.append(
-                    counters_for_fractions(quantum, thread, 0.2, 0.4, cycles=10**6)
-                )
+                samples.append(sample_from_fractions(
+                    quantum, thread, fe=0.2, be=0.4, fdc=0.4, cycles=10**6, dispatch_width=4
+                ))
         path = tmp_path / "departed.trace"
         path.write_text(format_trace(header, samples), encoding="utf-8")
 
@@ -782,15 +781,16 @@ class TestReplay:
         # Five threads (one sits with the idle node), "e" joins at the
         # fourth quantum, and the fractions vary so that some inversions
         # degrade and some do not.
-        from conftest import counters_for_fractions
-
         threads = ("a", "b", "c", "d", "e")
         rng = np.random.default_rng(11)
         samples = []
         for quantum in range(12):
             for thread in threads[:4] if quantum < 3 else threads:
                 fe, fdc = rng.uniform(0.05, 0.45), rng.uniform(0.1, 0.5)
-                samples.append(counters_for_fractions(quantum, thread, fe, fdc, cycles=10**6))
+                samples.append(sample_from_fractions(
+                    quantum, thread, fe=fe, be=1 - fe - fdc, fdc=fdc, cycles=10**6,
+                    dispatch_width=4,
+                ))
         header = TraceHeader(dispatch_width=4, quantum_ms=100.0, threads=threads)
         path = tmp_path / "late.trace"
         path.write_text(format_trace(header, samples), encoding="utf-8")
@@ -816,12 +816,12 @@ class TestReplay:
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_reserved_thread_id_rejected(self, tmp_path, policy):
-        from conftest import counters_for_fractions
-
         threads = (IDLE_NODE, "a", "b")
         header = TraceHeader(dispatch_width=4, quantum_ms=100.0, threads=threads)
         samples = [
-            counters_for_fractions(quantum, thread, 0.2, 0.4, cycles=10**6)
+            sample_from_fractions(
+                quantum, thread, fe=0.2, be=0.4, fdc=0.4, cycles=10**6, dispatch_width=4
+            )
             for quantum in range(3)
             for thread in threads
         ]

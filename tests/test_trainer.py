@@ -28,6 +28,7 @@ from synpa import (
     fit,
     load_profiles,
 )
+from synpa.counters import sample_from_fractions
 from conftest import CORPUS_APPS, CORPUS_PAIRS
 
 UNIFORM = CategoryVector(fe=1.0 / 3.0, be=1.0 / 3.0, fdc=1.0 / 3.0)
@@ -313,12 +314,13 @@ class TestLoadProfiles:
 
     def test_trace_is_not_a_profile(self, tmp_path):
         from synpa import TraceHeader, format_trace
-        from conftest import counters_for_fractions
 
         header = TraceHeader(dispatch_width=4, quantum_ms=100.0, threads=("a",))
         path = tmp_path / "trace.profile"
-        path.write_text(format_trace(header, [counters_for_fractions(0, "a", 0.2, 0.5)]),
-                        encoding="utf-8")
+        sample = sample_from_fractions(
+            0, "a", fe=0.2, be=0.3, fdc=0.5, cycles=10**8, dispatch_width=4
+        )
+        path.write_text(format_trace(header, [sample]), encoding="utf-8")
         with pytest.raises(TraceError, match="profile file must declare a mode"):
             load_profiles(str(path))
 
