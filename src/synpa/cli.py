@@ -26,6 +26,7 @@ from .errors import ConfigError, SynpaError, check_writable, read_text, write_te
 from .harness import (
     MAX_WORKLOAD_SIZE,
     RECIPES,
+    MetricsReport,
     WorkloadSpec,
     aggregate_runs,
     check_cv_threshold,
@@ -60,6 +61,51 @@ def _seed(text: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
     return value
+
+
+def _write_run(log, out: str, metrics: str | None = None, trace: str | None = None) -> MetricsReport:
+    """Write a run's log, and its metrics and counter trace where named;
+    the trace is built first, so a run it cannot export writes nothing."""
+    text = format_trace(*trace_from_log(log)) if trace else None
+    write_text(out, log.to_jsonl())
+    report = compute_metrics(log)
+    if metrics:
+        write_text(metrics, report.to_json())
+    if text:
+        write_text(trace, text)
+    return report
+
+
+def _summarize(
+    labels: Sequence[str], reports: Sequence[MetricsReport], cv_threshold: float, out: str | None
+) -> None:
+    """Print each run's metrics and, over two runs or more, their aggregate
+    (written to ``out`` if named) and the runs it discards."""
+    for label, m in zip(labels, reports):
+        print(
+            f"{label}: policy={m.policy} seed={m.seed} "
+            f"turnaround={m.turnaround_quanta}q fairness={_fairness(m.fairness)} "
+            f"ipc_geomean={m.ipc_geomean:.4f}"
+        )
+    if len(reports) < 2:
+        print("aggregate skipped: needs at least two runs")
+        return
+    aggregate = aggregate_runs(reports, cv_threshold=cv_threshold)
+    if out:
+        write_text(out, aggregate.to_json())
+    stable = "stable" if aggregate.cv_met else "UNSTABLE"
+    print(
+        f"aggregate over {aggregate.n_retained}/{aggregate.n_runs} runs "
+        f"({stable}, cv={aggregate.tt_cv:.4f}): "
+        f"turnaround={aggregate.turnaround_quanta_mean:.2f}q "
+        f"fairness={_fairness(aggregate.fairness_mean)} "
+        f"ipc_geomean={aggregate.ipc_geomean_mean:.4f}; "
+        f"all runs: turnaround={aggregate.turnaround_quanta_mean_all:.2f}q "
+        f"sd={aggregate.turnaround_quanta_pstdev_all:.2f}q"
+    )
+    if aggregate.discarded:
+        dropped = (f"{labels[i]} ({reports[i].turnaround_quanta}q)" for i in aggregate.discarded)
+        print(f"discarded outlier runs: {', '.join(dropped)}")
 
 
 # ---------------------------------------------------------------------------
@@ -112,12 +158,10 @@ def cmd_gen_workload(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     policies = list(dict.fromkeys(args.policy))
     seeds = list(dict.fromkeys(args.seed))
+    inputs = (args.workload, args.coefficients, args.ground_truth)
     single = len(policies) == 1 and len(seeds) == 1
     if single:
-        check_writable(
-            args.out, args.metrics, args.export_trace,
-            inputs=(args.workload, args.coefficients, args.ground_truth),
-        )
+        check_writable(args.out, args.metrics, args.export_trace, inputs=inputs)
     spec = WorkloadSpec.from_json(read_text(args.workload))
     workload = SimWorkload(
         apps=spec.apps,
@@ -125,22 +169,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         noise_sigma=args.noise_sigma,
         quantum_ms=spec.quantum_ms,  # the apps are sized for the file's quanta
     )
-    coefficients = _coefficients(args.coefficients)
-
-    def run_one(policy: str, seed: int):
-        return run(
-            EngineConfig(coefficients=coefficients, policy=policy, seed=seed, workload=workload)
-        )
+    config = functools.partial(
+        EngineConfig, coefficients=_coefficients(args.coefficients), workload=workload
+    )
 
     if single:
-        log = run_one(policies[0], seeds[0])
-        trace = format_trace(*trace_from_log(log)) if args.export_trace else None
-        write_text(args.out, log.to_jsonl())
-        metrics = compute_metrics(log)
-        if args.metrics:
-            write_text(args.metrics, metrics.to_json())
-        if trace:
-            write_text(args.export_trace, trace)
+        log = run(config(policy=policies[0], seed=seeds[0]))
+        metrics = _write_run(log, args.out, args.metrics, args.export_trace)
         print(
             f"policy={log.policy} seed={log.seed} quanta={log.total_quanta} "
             f"turnaround={metrics.turnaround_quanta}q ({metrics.turnaround_ms:.0f} ms) "
@@ -149,8 +184,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         print(f"wrote log to {args.out}")
         return 0
 
-    # Multiple runs: --out is a directory; emit per-run logs and metrics,
-    # a flat CSV, per-policy aggregates, and comparison rows.
+    # Several runs: --out is a directory holding what single runs with
+    # --metrics and a report over their logs would write.
     if args.metrics or args.export_trace:
         raise ConfigError("--metrics/--export-trace need a single policy and seed")
     if len(seeds) >= 2:
@@ -159,38 +194,22 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         os.makedirs(args.out, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot write {args.out!r}: {exc}") from None
-
-    per_policy = {}
-    for policy in policies:
-        reports = []
-        for seed in seeds:
-            log = run_one(policy, seed)
-            stem = f"{policy}-s{seed}"
-            write_text(os.path.join(args.out, stem + ".jsonl"), log.to_jsonl())
-            report = compute_metrics(log)
-            write_text(os.path.join(args.out, stem + ".metrics.json"), report.to_json())
-            reports.append(report)
-        per_policy[policy] = reports
-
-    flat = [m for policy in policies for m in per_policy[policy]]
-    write_text(os.path.join(args.out, "runs.csv"), metrics_csv(flat))
-    for policy in policies:
-        reports = per_policy[policy]
-        if len(reports) >= 2:
-            agg = aggregate_runs(reports, cv_threshold=args.cv_threshold)
-            write_text(os.path.join(args.out, f"{policy}.aggregate.json"), agg.to_json())
-            print(
-                f"policy={policy} runs={agg.n_retained}/{agg.n_runs} "
-                f"tt_mean={agg.turnaround_quanta_mean:.2f}q "
-                f"fairness_mean={_fairness(agg.fairness_mean)} "
-                f"ipc_geomean_mean={agg.ipc_geomean_mean:.4f}"
-            )
-        else:
-            m = reports[0]
-            print(
-                f"policy={policy} runs=1/1 tt_mean={float(m.turnaround_quanta):.2f}q "
-                f"fairness_mean={_fairness(m.fairness)} ipc_geomean_mean={m.ipc_geomean:.4f}"
-            )
+    path = functools.partial(os.path.join, args.out)
+    labels = {p: [f"{p}-s{s}" for s in seeds] for p in policies}
+    files = (".jsonl", ".metrics.json")  # each run's log and metrics
+    aggregates = {p: path(f"{p}.aggregate.json") if len(seeds) >= 2 else None for p in policies}
+    check_writable(
+        *(path(label + ext) for p in policies for label in labels[p] for ext in files),
+        path("runs.csv"), *aggregates.values(), inputs=inputs,
+    )
+    reports = {
+        p: [_write_run(run(config(policy=p, seed=s)), *(path(label + ext) for ext in files))
+            for s, label in zip(seeds, labels[p])]
+        for p in policies
+    }
+    write_text(path("runs.csv"), metrics_csv([m for p in policies for m in reports[p]]))
+    for p in policies:
+        _summarize(labels[p], reports[p], args.cv_threshold, aggregates[p])
     print(f"wrote runs to {args.out}")
     return 0
 
@@ -201,17 +220,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_replay(args: argparse.Namespace) -> int:
     check_writable(args.out, args.metrics, inputs=(args.trace, args.coefficients))
-    config = EngineConfig(
+    log = run(EngineConfig(
         coefficients=_coefficients(args.coefficients),
         policy=args.policy,
         seed=args.seed,
         trace_path=args.trace,
-    )
-    log = run(config)
-    write_text(args.out, log.to_jsonl())
-    metrics = compute_metrics(log)
-    if args.metrics:
-        write_text(args.metrics, metrics.to_json())
+    ))
+    metrics = _write_run(log, args.out, args.metrics)
     print(
         f"policy={log.policy} seed={log.seed} quanta={log.total_quanta} "
         f"turnaround={metrics.turnaround_quanta}q ipc_geomean={metrics.ipc_geomean:.4f}"
@@ -225,34 +240,15 @@ def cmd_replay(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    if args.out and len(args.logs) < 2:
+        raise ConfigError("--out needs at least two logs to aggregate")
     check_writable(args.csv, args.out, inputs=args.logs)
     if len(args.logs) >= 2:
         check_cv_threshold(args.cv_threshold)
     reports = [compute_metrics(load_log_summary(path)) for path in args.logs]
-    for path, m in zip(args.logs, reports):
-        print(
-            f"{path}: policy={m.policy} seed={m.seed} "
-            f"turnaround={m.turnaround_quanta}q fairness={_fairness(m.fairness)} "
-            f"ipc_geomean={m.ipc_geomean:.4f}"
-        )
     if args.csv:
         write_text(args.csv, metrics_csv(reports))
-    if len(reports) < 2:
-        print("aggregate skipped: needs at least two runs")
-        return 0
-    aggregate = aggregate_runs(reports, cv_threshold=args.cv_threshold)
-    if args.out:
-        write_text(args.out, aggregate.to_json())
-    stable = "stable" if aggregate.cv_met else "UNSTABLE"
-    print(
-        f"aggregate over {aggregate.n_retained}/{aggregate.n_runs} runs "
-        f"({stable}, cv={aggregate.tt_cv:.4f}): "
-        f"turnaround={aggregate.turnaround_quanta_mean:.2f}q "
-        f"fairness={_fairness(aggregate.fairness_mean)} "
-        f"ipc_geomean={aggregate.ipc_geomean_mean:.4f}"
-    )
-    if aggregate.discarded:
-        print(f"discarded outlier runs: {list(aggregate.discarded)}")
+    _summarize(args.logs, reports, args.cv_threshold, args.out)
     return 0
 
 

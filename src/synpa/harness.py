@@ -462,7 +462,7 @@ def compute_metrics(log: ScheduleLog) -> MetricsReport:
 
 @dataclass(frozen=True)
 class AggregateReport:
-    """Repeated-runs aggregation with outlier discard."""
+    """Repeated-runs aggregation with outlier discard; ``*_all`` fields count every run."""
 
     n_runs: int
     n_retained: int
@@ -471,6 +471,8 @@ class AggregateReport:
     tt_cv: float
     cv_met: bool
     turnaround_quanta_mean: float
+    turnaround_quanta_mean_all: float
+    turnaround_quanta_pstdev_all: float
     turnaround_ms_mean: float
     fairness_mean: float | None
     ipc_geomean_mean: float
@@ -551,6 +553,8 @@ def aggregate_runs(
         turnaround_quanta_mean=statistics.fmean(
             [r.turnaround_quanta for r in kept]
         ),
+        turnaround_quanta_mean_all=statistics.fmean([r.turnaround_quanta for r in reports]),
+        turnaround_quanta_pstdev_all=statistics.pstdev([r.turnaround_quanta for r in reports]),
         turnaround_ms_mean=statistics.fmean([r.turnaround_ms for r in kept]),
         fairness_mean=(
             statistics.fmean(fairness_values) if fairness_values else None

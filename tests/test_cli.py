@@ -29,6 +29,7 @@ from synpa.counters import sample_from_fractions
 from synpa.cli import main
 from synpa.harness import (
     WorkloadSpec,
+    aggregate_runs,
     classify_app,
     compute_metrics,
     load_log_summary,
@@ -352,9 +353,40 @@ class TestSimulate:
             assert agg["n_runs"] == 3
         csv_lines = (out_dir / "runs.csv").read_text(encoding="utf-8").strip().split("\n")
         assert len(csv_lines) == 7  # header + 2 policies x 3 seeds
+        # Per policy, what ``report`` over its logs prints: a line per run,
+        # then the aggregate.
         stdout = capsys.readouterr().out
-        assert stdout.count("policy=synpa") == 1
-        assert stdout.count("policy=random") == 1
+        for policy in ("synpa", "random"):
+            for seed in (0, 1, 2):
+                assert f"{policy}-s{seed}: policy={policy} seed={seed} " in stdout
+        assert stdout.count("policy=synpa") == 3
+        assert stdout.count("policy=random") == 3
+        assert stdout.count("aggregate over ") == 2
+
+    def test_runs_write_what_single_runs_and_report_write(self, workload_file, tmp_path):
+        runs, alone = tmp_path / "runs", tmp_path / "alone"
+        alone.mkdir()
+        assert run_cli(
+            "simulate", "--workload", workload_file,
+            "--policy", "synpa", "random", "--seed", 0, 1, "--out", runs,
+        ) == 0
+        logs = []
+        for policy in ("synpa", "random"):
+            for seed in (0, 1):
+                stem = f"{policy}-s{seed}"
+                assert run_cli(
+                    "simulate", "--workload", workload_file, "--policy", policy,
+                    "--seed", seed, "--out", alone / f"{stem}.jsonl",
+                    "--metrics", alone / f"{stem}.metrics.json",
+                ) == 0
+                logs.append(runs / f"{stem}.jsonl")
+            assert run_cli(
+                "report", *logs[-2:], "--out", alone / f"{policy}.aggregate.json"
+            ) == 0
+        assert run_cli("report", *logs, "--csv", alone / "runs.csv") == 0
+        assert sorted(p.name for p in runs.iterdir()) == sorted(p.name for p in alone.iterdir())
+        for path in alone.iterdir():
+            assert (runs / path.name).read_bytes() == path.read_bytes(), path.name
 
     @pytest.mark.parametrize("cv_threshold", ["nan", "inf"])
     def test_non_finite_cv_threshold_writes_nothing(
@@ -874,6 +906,29 @@ class TestReport:
         lines = csv_path.read_text(encoding="utf-8").strip().split("\n")
         assert len(lines) == 4
 
+    def test_discarded_runs_are_named_with_their_turnaround(self, workload_file, tmp_path, capsys):
+        logs = []
+        for seed in range(4):
+            logs.append(tmp_path / f"random-{seed}.jsonl")
+            assert run_cli(
+                "simulate", "--workload", workload_file,
+                "--policy", "random", "--seed", seed, "--out", logs[-1],
+            ) == 0
+        reports = [compute_metrics(load_log_summary(str(path))) for path in logs]
+        aggregate = aggregate_runs(reports, cv_threshold=1e-9)
+        assert aggregate.discarded  # the seeds' turnarounds differ
+        capsys.readouterr()
+        assert run_cli("report", *logs, "--cv-threshold", 1e-9) == 0
+        stdout = capsys.readouterr().out
+        dropped = ", ".join(
+            f"{logs[i]} ({reports[i].turnaround_quanta}q)" for i in aggregate.discarded
+        )
+        assert f"discarded outlier runs: {dropped}\n" in stdout
+        assert (
+            f"all runs: turnaround={aggregate.turnaround_quanta_mean_all:.2f}q "
+            f"sd={aggregate.turnaround_quanta_pstdev_all:.2f}q\n"
+        ) in stdout
+
     def test_single_log_skips_aggregation(self, three_logs, capsys):
         code = run_cli("report", three_logs[0])
         assert code == 0
@@ -1132,6 +1187,46 @@ class TestFileBoundary:
         )
         assert list(out.iterdir()) == []
         assert {p: p.read_bytes() for p in copies.iterdir()} == before
+
+    # Several runs write into --out as a directory; each file they will
+    # write is checked against the inputs before the first run.
+    @pytest.mark.parametrize("name, option, seeds", [
+        ("runs.csv", "--workload", [0]),
+        ("synpa-s0.jsonl", "--coefficients", [0]),
+        ("random.aggregate.json", "--ground-truth", [0, 1]),
+    ])
+    def test_run_file_that_is_an_input(
+        self, good_inputs, tmp_path, capsys, name, option, seeds
+    ):
+        out = tmp_path / "runs"
+        out.mkdir()
+        same = out / name
+        shutil.copyfile(good_inputs["workload" if option == "--workload" else "coefficients"], same)
+        before = same.read_bytes()
+        argv = [
+            "simulate", "--workload", good_inputs["workload"],
+            "--policy", "synpa", "random", "--seed", *seeds, "--out", out,
+        ]
+        argv = _swap(argv, option, same) if option in argv else [*argv, option, same]
+        code = run_cli(*argv)
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: cannot write {str(same)!r}: it is also an input of this call\n"
+        )
+        assert list(out.iterdir()) == [same]
+        assert same.read_bytes() == before
+
+    # An aggregate needs two runs: a named --out that one log cannot fill
+    # is refused before the log is read.
+    @pytest.mark.parametrize("log", ["good", "missing"])
+    def test_report_out_with_one_log(self, good_inputs, tmp_path, capsys, log):
+        out = tmp_path / "out"
+        out.mkdir()
+        path = good_inputs["log"] if log == "good" else tmp_path / "absent.jsonl"
+        code = run_cli("report", path, "--out", out / "agg.json", "--csv", out / "runs.csv")
+        assert code == 1
+        assert capsys.readouterr().err == "error: --out needs at least two logs to aggregate\n"
+        assert list(out.iterdir()) == []
 
     def test_run_directory_that_is_a_file(self, good_inputs, tmp_path, capsys):
         # Several runs write into --out as a directory, creating missing

@@ -519,6 +519,8 @@ class TestAggregateRuns:
         assert agg.tt_cv == 0.0
         assert agg.cv_met is True
         assert agg.turnaround_quanta_mean == 100.0
+        assert agg.turnaround_quanta_mean_all == 100.0
+        assert agg.turnaround_quanta_pstdev_all == 0.0
         assert agg.turnaround_ms_mean == 10000.0
 
     def test_single_outlier_discarded(self):
@@ -529,6 +531,12 @@ class TestAggregateRuns:
         assert agg.tt_cv == 0.0
         assert agg.cv_met is True
         assert agg.turnaround_quanta_mean == 100.0
+        # The discarded run still counts in the all-runs figures:
+        # mean 1100/9, variance (8 * (200/9)**2 + (1600/9)**2) / 9.
+        assert agg.turnaround_quanta_mean_all == pytest.approx(1100 / 9, rel=1e-15)
+        assert agg.turnaround_quanta_pstdev_all == pytest.approx(
+            math.sqrt(2_880_000) / 27, rel=1e-12
+        )
 
     def test_two_divergent_runs_kept_with_warning(self):
         agg = aggregate_runs([make_report(100), make_report(300, seed=1)])
@@ -596,6 +604,12 @@ class TestAggregateRuns:
         assert doc["n_runs"] == 3
         assert doc["cv_met"] is True
         assert doc["turnaround_quanta_mean"] == 100.0
+        assert set(doc) == {
+            "kind", "n_runs", "n_retained", "discarded", "cv_threshold", "tt_cv", "cv_met",
+            "turnaround_quanta_mean", "turnaround_quanta_mean_all",
+            "turnaround_quanta_pstdev_all", "turnaround_ms_mean", "fairness_mean",
+            "ipc_geomean_mean",
+        }
 
 
 class TestMetricsCsv:
