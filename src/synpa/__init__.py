@@ -62,6 +62,7 @@ from .interference import (
     forward,
     invert,
     invert_category,
+    pair_categories,
     predict_pair,
 )
 from .matcher import (

@@ -52,6 +52,14 @@ def _fairness(value: float | None) -> str:
     return "n/a" if value is None else f"{value:.4f}"
 
 
+def _report_line(m: MetricsReport) -> str:
+    """One run's metrics as every command prints them."""
+    return (
+        f"policy={m.policy} seed={m.seed} turnaround={m.turnaround_quanta}q "
+        f"({m.turnaround_ms:.0f} ms) fairness={_fairness(m.fairness)} ipc_geomean={m.ipc_geomean:.4f}"
+    )
+
+
 def _seed(text: str) -> int:
     """argparse type of every seed option: numpy takes no negative seed."""
     try:
@@ -82,11 +90,7 @@ def _summarize(
     """Print each run's metrics and, over two runs or more, their aggregate
     (written to ``out`` if named) and the runs it discards."""
     for label, m in zip(labels, reports):
-        print(
-            f"{label}: policy={m.policy} seed={m.seed} "
-            f"turnaround={m.turnaround_quanta}q fairness={_fairness(m.fairness)} "
-            f"ipc_geomean={m.ipc_geomean:.4f}"
-        )
+        print(f"{label}: {_report_line(m)}")
     if len(reports) < 2:
         print("aggregate skipped: needs at least two runs")
         return
@@ -175,12 +179,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     if single:
         log = run(config(policy=policies[0], seed=seeds[0]))
-        metrics = _write_run(log, args.out, args.metrics, args.export_trace)
-        print(
-            f"policy={log.policy} seed={log.seed} quanta={log.total_quanta} "
-            f"turnaround={metrics.turnaround_quanta}q ({metrics.turnaround_ms:.0f} ms) "
-            f"fairness={_fairness(metrics.fairness)} ipc_geomean={metrics.ipc_geomean:.4f}"
-        )
+        print(_report_line(_write_run(log, args.out, args.metrics, args.export_trace)))
         print(f"wrote log to {args.out}")
         return 0
 
@@ -226,11 +225,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
         seed=args.seed,
         trace_path=args.trace,
     ))
-    metrics = _write_run(log, args.out, args.metrics)
-    print(
-        f"policy={log.policy} seed={log.seed} quanta={log.total_quanta} "
-        f"turnaround={metrics.turnaround_quanta}q ipc_geomean={metrics.ipc_geomean:.4f}"
-    )
+    print(_report_line(_write_run(log, args.out, args.metrics)))
     print(f"wrote log to {args.out}")
     return 0
 

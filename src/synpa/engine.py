@@ -61,7 +61,7 @@ from .errors import (
 )
 from .interference import (
     REFERENCE_COEFFICIENTS, ModelCoefficients, category_matrix, co_run_slowdowns, invert,
-    predict_pair,
+    pair_categories, predict_pair,  # noqa: F401 -- benchmarks/tracing.py wraps predict_pair here
 )
 from .matcher import IDLE_NODE, build_graph, min_weight_perfect_matching
 
@@ -290,43 +290,41 @@ def sim_step(
 ) -> dict[str, StepResult]:
     """Advance every app by one quantum under the given assignment.
 
-    Observed category values are the ground-truth forward predictions
-    plus optional Gaussian noise (clamped at zero); progress always uses
-    the noiseless slowdown.  An app paired with the idle node runs at
+    Observed category values are the ground truth's forward predictions
+    (:func:`~synpa.interference.pair_categories`, on plain floats) plus
+    optional Gaussian noise, clamped at zero, one triple per app; progress
+    always uses the noiseless slowdown.  An app paired with the idle node runs at
     isolated speed.  States are mutated in place (progress and
     relaunch-on-completion).  Noise is drawn and progress committed per
     pair in sorted order, the lower id first.  A zero predicted slowdown
     (an infinitely fast app; ``max_slowdown`` rules out only infinite
     ones) raises :class:`ModelError` before any state changes.
     """
-    runs = []  # (app id, noise-free observation, slowdown, isolated vector)
+    runs = []  # (app id, noise-free fdc, fe and be, slowdown, isolated vector)
     for a, b in sorted(tuple(sorted(p)) for p in pairs):
         if a == IDLE_NODE or b == IDLE_NODE:
             solo = a if b == IDLE_NODE else b
             vector = states[solo].vector
-            runs.append((solo, _clamped(category_values(vector)), 1.0, vector))
+            runs.append((solo, *category_values(vector), 1.0, vector))
             continue
         va, vb = states[a].vector, states[b].vector
-        pred = predict_pair(ground_truth, va, vb)
-        if pred.slowdown_i == 0.0 or pred.slowdown_j == 0.0:
+        pa, pb = pair_categories(ground_truth, va, vb)
+        if pa[3] == 0.0 or pb[3] == 0.0:
             raise ModelError(f"ground truth predicts a zero slowdown for the pair ({a}, {b})")
-        runs += ((a, pred.smt_i, pred.slowdown_i, va), (b, pred.smt_j, pred.slowdown_j, vb))
+        runs += ((a, *pa, va), (b, *pb, vb))
     if noise_sigma > 0.0:
-        noise = iter(rng.standard_normal(3 * len(runs)).tolist())
+        noise = rng.standard_normal(3 * len(runs)).tolist()
     results: dict[str, StepResult] = {}
-    for app_id, observed, slowdown, vector in runs:
+    for k, (app_id, fdc, fe, be, slowdown, vector) in enumerate(runs):
         if noise_sigma > 0.0:
-            observed = _clamped(v + noise_sigma * next(noise) for v in category_values(observed))
+            fdc += noise_sigma * noise[3 * k]
+            fe += noise_sigma * noise[3 * k + 1]
+            be += noise_sigma * noise[3 * k + 2]
+        observed = CategoryTriple(fe if fe > 0.0 else 0.0, be if be > 0.0 else 0.0, fdc if fdc > 0.0 else 0.0)
         amount = isolated_rate(vector, cycles_per_quantum) / slowdown
         committed, completed = states[app_id].commit(amount, quantum)
         results[app_id] = StepResult(observed, slowdown, committed, completed)
     return results
-
-
-def _clamped(values: Iterable[float]) -> CategoryTriple:
-    """The triple of the ``(fdc, fe, be)`` values, each clamped at zero."""
-    fdc, fe, be = (v if v > 0.0 else 0.0 for v in values)
-    return CategoryTriple(fe=fe, be=be, fdc=fdc)
 
 
 # ---------------------------------------------------------------------------

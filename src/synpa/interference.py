@@ -16,8 +16,9 @@ from one quantum's pair of observed co-run category triples by solving
 the two-equation bilinear system per category: one plain-float kernel,
 :func:`invert_category`, which :func:`invert` runs on each category.
 
-The forward direction has a plain-float pair form (:func:`predict_pair`,
-the simulator's) and a roster form: one broadcast pass over the
+The forward direction has a plain-float pair form
+(:func:`pair_categories`, the simulator's, which :func:`predict_pair`
+wraps in triples) and a roster form: one broadcast pass over the
 estimates' category matrix (:func:`category_matrix`) gives every
 thread's slowdown next to every other (:func:`co_run_slowdowns`), and
 agrees with the pair form bit for bit.  The engine builds both matrices
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -183,23 +185,32 @@ class PairPrediction:
     slowdown_j: float
 
 
-def predict_pair(
+def pair_categories(
     model: ModelCoefficients, st_i: CategoryTriple, st_j: CategoryTriple
-) -> PairPrediction:
-    """Predict both threads' co-run categories and slowdowns: each
-    category's :func:`forward` both ways, on plain floats."""
-    values = []
-    for (a, b, g, r), ci, cj in zip(model._forms, category_values(st_i), category_values(st_j)):
-        vi = a + b * ci + g * cj + r * ci * cj
-        vj = a + b * cj + g * ci + r * cj * ci
-        values.append((vi if vi > 0.0 else 0.0, vj if vj > 0.0 else 0.0))
-    (fdc_i, fdc_j), (fe_i, fe_j), (be_i, be_j) = values
-    return PairPrediction(
-        smt_i=CategoryTriple(fe=fe_i, be=be_i, fdc=fdc_i),
-        smt_j=CategoryTriple(fe=fe_j, be=be_j, fdc=fdc_j),
-        slowdown_i=fdc_i + fe_i + be_i,
-        slowdown_j=fdc_j + fe_j + be_j,
-    )
+) -> tuple[tuple[float, float, float, float], tuple[float, float, float, float]]:
+    """Both threads' co-run ``(fdc, fe, be, slowdown)``: each category's
+    :func:`forward` both ways, on plain floats, and their sum.  The one
+    pair form: :func:`predict_pair` and the simulator's step build on it."""
+    fdc, fe, be = model._forms
+    fdc_i, fdc_j = _both_ways(fdc, st_i.fdc, st_j.fdc)
+    fe_i, fe_j = _both_ways(fe, st_i.fe, st_j.fe)
+    be_i, be_j = _both_ways(be, st_i.be, st_j.be)
+    return (fdc_i, fe_i, be_i, fdc_i + fe_i + be_i), (fdc_j, fe_j, be_j, fdc_j + fe_j + be_j)
+
+
+def _both_ways(form: tuple[float, float, float, float], ci: float, cj: float) -> tuple[float, float]:
+    """One category's :func:`forward` of ``(ci, cj)`` and of ``(cj, ci)``."""
+    a, b, g, r = form
+    vi = a + b * ci + g * cj + r * ci * cj
+    vj = a + b * cj + g * ci + r * cj * ci
+    return vi if vi > 0.0 else 0.0, vj if vj > 0.0 else 0.0
+
+
+def predict_pair(model: ModelCoefficients, st_i: CategoryTriple, st_j: CategoryTriple) -> PairPrediction:
+    """Predict both threads' co-run categories and slowdowns (:func:`pair_categories`)."""
+    (fdc_i, fe_i, be_i, slowdown_i), (fdc_j, fe_j, be_j, slowdown_j) = pair_categories(model, st_i, st_j)
+    return PairPrediction(CategoryTriple(fe=fe_i, be=be_i, fdc=fdc_i), CategoryTriple(fe=fe_j, be=be_j, fdc=fdc_j),
+                          slowdown_i, slowdown_j)
 
 
 def category_matrix(vectors: Sequence[CategoryTriple]) -> np.ndarray:
@@ -251,16 +262,19 @@ def fold_prices(model: ModelCoefficients, st: np.ndarray) -> np.ndarray:
     category's values are distinct.  The matcher certifies the fold from
     these prices or starts its exact solve from them
     (:func:`synpa.matcher.min_weight_perfect_matching`); they never
-    change its result.
+    change its result.  The fold term runs on plain floats: a stable sort
+    of the column, then a running sum of the steps in rank order.
     """
     alphas, slopes, k, rho = model._fold_terms
     prices = alphas + st @ slopes
     if rho > 0.0 and len(st) > 1:
-        order = np.argsort(st[:, k], kind="stable")
-        x = st[order, k]
-        steps = rho * np.diff(x) * (x[:0:-1] + x[-2::-1])
-        q = np.empty(len(x))
-        q[order] = np.concatenate(([0.0], np.cumsum(steps)))
+        column = st[:, k].tolist()
+        order = sorted(range(len(column)), key=column.__getitem__)
+        x = [column[i] for i in order]
+        steps = [rho * (hi - lo) * (a + b) for lo, hi, a, b in zip(x, x[1:], x[:0:-1], x[-2::-1])]
+        q = [0.0] * len(x)
+        for i, value in zip(order[1:], itertools.accumulate(steps)):
+            q[i] = value
         prices += q
     return prices
 
@@ -332,27 +346,26 @@ def invert_category(
         qb = b + g - r * d
         qc = a - g * d - target
         disc = qb * qb - 4.0 * r * qc
-        roots = []
+        roots = ()
         if disc >= 0.0:
             sq = math.sqrt(disc)
             # Numerically stable pair of roots (r != 0 here).
             q = -0.5 * (qb + sq) if qb >= 0.0 else -0.5 * (qb - sq)
-            roots = [q / r, qc / q] if abs(q) > 0.0 else [q / r]
-        roots = [(root, root - d) for root in roots]
-
-        def from_seed(c: tuple[float, float]) -> float:
-            try:
-                return (c[0] - sx) ** 2 + (c[1] - sy) ** 2
-            except OverflowError:  # a root too far off for floats
-                raise ModelError(_OVERFLOW) from None
-
-        starts = [
-            c for c in roots
-            if -_SLACK <= c[0] <= _UNIT_SLACK and -_SLACK <= c[1] <= _UNIT_SLACK
-        ]
+            roots = (q / r, qc / q) if abs(q) > 0.0 else (q / r,)
+        starts = []  # the roots in the square
+        for root in roots:
+            if -_SLACK <= root <= _UNIT_SLACK and -_SLACK <= root - d <= _UNIT_SLACK:
+                starts.append((root, root - d))
         in_box = bool(starts)
-        if not in_box and roots:
-            starts = [min(roots, key=from_seed)]
+        pick = 0  # the start nearest the seed, the first on ties
+        if len(starts) == 1:  # a lone root needs its distance only to raise where it overflows
+            if abs(sx) > 1e150 or abs(sy) > 1e150:
+                _nearest_seed(starts, sx, sy)
+        elif in_box:
+            pick = _nearest_seed(starts, sx, sy)
+        elif roots:  # none in the square: the root nearest the seed
+            points = [(root, root - d) for root in roots]
+            starts = [points[_nearest_seed(points, sx, sy)]]
         for px, py in starts:
             fx = a + b * px + g * py + r * px * py - u
             fy = a + b * py + g * px + r * px * py - v
@@ -376,8 +389,8 @@ def invert_category(
                 if res < 1e-28:
                     break
             polished.append((bx, by))
-        if starts:  # the polished start nearest the seed, the first on ties
-            x, y = polished[min(range(len(starts)), key=lambda k: from_seed(starts[k]))]
+        if starts:
+            x, y = polished[pick]
         if not in_box:
             polished = []
 
@@ -430,6 +443,15 @@ def invert_category(
         if least is None or res < least:
             least, lx, ly = res, cx, cy
     return lx, ly, least <= bound
+
+
+def _nearest_seed(points: Sequence[tuple[float, float]], sx: float, sy: float) -> int:
+    """Index of the point nearest the seed ``(sx, sy)``, the first on ties."""
+    try:
+        distance = [(px - sx) ** 2 + (py - sy) ** 2 for px, py in points]
+    except OverflowError:  # a root too far off for floats
+        raise ModelError(_OVERFLOW) from None
+    return distance.index(min(distance))
 
 
 @dataclass(frozen=True)

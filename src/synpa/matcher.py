@@ -118,11 +118,15 @@ def build_graph(
     slowdown ``slowdown[i, j] + slowdown[j, i]``, and nodes carry the
     model's fold prices (:func:`synpa.interference.fold_prices`), which
     usually certify the optimum.  No weight overflows: each slowdown is
-    at most the model's ``max_slowdown``.
+    at most the model's ``max_slowdown``.  An even roster's graph is
+    built directly; :func:`graph_from_matrix` pads an odd one.
     """
     weights = slowdown + slowdown.T
-    np.fill_diagonal(weights, 0.0)
-    return graph_from_matrix(app_ids, weights, fold_prices(model, st))
+    weights.flat[:: len(weights) + 1] = 0.0  # the diagonal
+    prices = fold_prices(model, st)
+    if len(app_ids) % 2 or IDLE_NODE in app_ids:
+        return graph_from_matrix(app_ids, weights, prices)
+    return SynergyGraph(tuple(app_ids), weights, prices)
 
 
 def graph_from_matrix(
@@ -678,7 +682,7 @@ def _certified_fold(weights: np.ndarray, prices: np.ndarray) -> list[tuple[int, 
     if unique and all(sigma[j] == i for i, j in enumerate(sigma)):
         return [(i, j) for i, j in enumerate(sigma) if i < j]
     reduced -= _lift(reduced, units)
-    np.fill_diagonal(reduced, _SELF)
+    reduced.flat[:: len(reduced) + 1] = _SELF
     least = reduced == reduced.min(axis=1, keepdims=True)
     return _tight_matching(least & least.T)
 
@@ -694,7 +698,7 @@ def _scaled_costs(weights: np.ndarray, prices: np.ndarray) -> tuple[np.ndarray, 
         return None
     units = np.ldexp(prices, e).astype(np.int64)
     reduced = scaled.astype(np.int64) - units
-    np.fill_diagonal(reduced, _SELF)
+    reduced.flat[:: len(reduced) + 1] = _SELF
     return reduced, units
 
 

@@ -906,6 +906,25 @@ class TestReport:
         lines = csv_path.read_text(encoding="utf-8").strip().split("\n")
         assert len(lines) == 4
 
+    def test_every_command_prints_a_run_in_one_format(self, workload_file, tmp_path, capsys):
+        # simulate, replay and report print a run's metrics as the same line;
+        # report prefixes its label, and replay's undefined fairness reads n/a.
+        log, trace, replayed = tmp_path / "run.jsonl", tmp_path / "run.trace", tmp_path / "replayed.jsonl"
+        capsys.readouterr()
+        assert run_cli("simulate", "--workload", workload_file, "--seed", 3,
+                       "--out", log, "--export-trace", trace) == 0
+        assert run_cli("replay", "--trace", trace, "--seed", 3, "--out", replayed) == 0
+        assert run_cli("report", log, replayed) == 0
+        lines = capsys.readouterr().out.splitlines()
+        for path, printed in ((log, lines[0]), (replayed, lines[2])):
+            m = compute_metrics(load_log_summary(str(path)))
+            fairness = "n/a" if m.fairness is None else f"{m.fairness:.4f}"
+            want = (f"policy=synpa seed=3 turnaround={m.turnaround_quanta}q "
+                    f"({m.turnaround_ms:.0f} ms) fairness={fairness} ipc_geomean={m.ipc_geomean:.4f}")
+            assert printed == want
+            assert f"{path}: {want}" in lines[4:6]
+        assert "fairness=n/a" in lines[2]
+
     def test_discarded_runs_are_named_with_their_turnaround(self, workload_file, tmp_path, capsys):
         logs = []
         for seed in range(4):

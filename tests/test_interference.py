@@ -28,12 +28,14 @@ from synpa import (
     forward,
     invert,
     invert_category,
+    pair_categories,
     predict_pair,
 )
 from synpa.errors import read_text, write_text
 from synpa.interference import MAX_COEFFICIENT
 from synpa.matcher import IDLE_WEIGHT
 
+import reference_fold
 import reference_inversion
 import reference_simulator
 from conftest import category_vectors, coefficient_models, decision_graph, forward_models
@@ -232,6 +234,23 @@ class TestPairWeightMatrix:
             assert same_bits(weight[ids[i], ids[j]], want)
         assert all(same_bits(weight[a, a], 0.0) for a in ids)
 
+    @settings(max_examples=300, deadline=None)
+    @given(model=st.one_of(st.just(REFERENCE_COEFFICIENTS), coefficient_models(), forward_models()),
+           vectors=st.lists(category_vectors(), min_size=1, max_size=5))
+    def test_pair_categories_is_the_one_pair_form(self, model, vectors):
+        # The plain-float pair form that the simulator's step calls, the
+        # predict_pair built on it, and the roster's matrix: the same floats.
+        slowdowns = co_run_slowdowns(model, category_matrix(vectors))
+        for i, a in enumerate(vectors):
+            for j, b in enumerate(vectors):
+                got_i, got_j = pair_categories(model, a, b)
+                pred = predict_pair(model, a, b)
+                assert bits(*got_i, *got_j) == bits(
+                    pred.smt_i.fdc, pred.smt_i.fe, pred.smt_i.be, pred.slowdown_i,
+                    pred.smt_j.fdc, pred.smt_j.fe, pred.smt_j.be, pred.slowdown_j,
+                )
+                assert bits(got_i[3], got_j[3]) == bits(slowdowns[i, j], slowdowns[j, i])
+
     def test_max_slowdown_of_the_reference_model(self):
         # The largest corners: fdc and be at (1, 1), fe at (1, any).
         assert REFERENCE_COEFFICIENTS.max_slowdown == pytest.approx(
@@ -392,7 +411,37 @@ def fold_terms(model, vectors):
     return slowdowns + slowdowns.T, fold_prices(model, matrix)
 
 
+@st.composite
+def fold_rosters(draw):
+    """0 to 64 threads from a small pool of vectors, arbitrary or on a
+    quarter grid, so rows repeat and leading values tie."""
+    grid = st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(lambda t: sum(t) <= 4).map(
+        lambda t: CategoryVector(fdc=t[0] / 4, fe=t[1] / 4, be=(4 - t[0] - t[1]) / 4))
+    pool = draw(st.lists(st.one_of(category_vectors(), grid), min_size=1, max_size=8))
+    return draw(st.lists(st.sampled_from(pool), min_size=0, max_size=64))
+
+
+def rho_models(sign):
+    """Models whose largest ``rho`` is positive (``sign`` 1) or at most 0 (``sign`` -1)."""
+    rho = st.floats(1e-3, 2.0) if sign > 0 else st.one_of(st.floats(-2.0, 0.0), st.just(-0.0))
+    coeff = st.floats(-2.0, 2.0)
+    category = st.builds(CategoryCoefficients, alpha=coeff, beta=coeff, gamma=coeff, rho=rho)
+    return st.builds(ModelCoefficients, fdc=category, fe=category, be=category)
+
+
 class TestFoldPrices:
+    @settings(max_examples=300, deadline=None)
+    @given(model=st.one_of(st.just(REFERENCE_COEFFICIENTS), rho_models(1), rho_models(-1),
+                           fold_models(), forward_models()),
+           vectors=fold_rosters())
+    def test_equals_the_numpy_fold_byte_for_byte(self, model, vectors):
+        # The plain-float fold against the numpy expressions it replaced
+        # (tests/reference_fold.py): a changed summation order shows here.
+        matrix = category_matrix(vectors)
+        got = fold_prices(model, matrix)
+        assert got.shape == (len(vectors),)
+        assert got.tobytes() == reference_fold.fold_prices(model, matrix).tobytes()
+
     @settings(max_examples=300, deadline=None)
     @given(
         model=st.one_of(st.just(REFERENCE_COEFFICIENTS), fold_models()),
@@ -566,6 +615,16 @@ class TestInvertCategory:
             invert_category(coeffs, math.inf, 0.3)
         with pytest.raises(ModelError):
             invert_category(coeffs, 0.3, math.nan)
+
+    def test_lone_root_far_from_the_seed_matches_the_reference(self):
+        # beta and gamma 9e-13 apart: the symmetric root -0.0 is the only
+        # one in the square, while the linear seed is about 1e212 away, so
+        # its distance overflows.  The kernel picks a lone root without a
+        # distance, yet raises as the reference does.
+        coeffs = CategoryCoefficients(alpha=0.0, beta=1.0, gamma=1.0 - 9e-13, rho=0.5)
+        error = (ModelError, "inversion overflows: the form's values are beyond float range")
+        assert outcome(invert_category, coeffs, 1e200, -1e200) == error
+        assert outcome(reference_inversion.invert_category, coeffs, 1e200, -1e200) == error
 
 
 class TestInvert:
