@@ -269,16 +269,6 @@ class AppSimState:
         return amount, completed
 
 
-@dataclass(frozen=True)
-class StepResult:
-    """One thread's outcome for one quantum, simulated or replayed."""
-
-    observed: CategoryTriple
-    slowdown: float
-    committed: float
-    completed: bool
-
-
 def sim_step(
     states: Mapping[str, AppSimState],
     pairs: Sequence[tuple[str, str]],
@@ -287,21 +277,26 @@ def sim_step(
     rng: np.random.Generator,
     quantum: int,
     cycles_per_quantum: int,
-) -> dict[str, StepResult]:
+) -> tuple[dict[str, CategoryTriple], dict[str, float], dict[str, float], list[str]]:
     """Advance every app by one quantum under the given assignment.
 
+    ``pairs`` is a sorted tuple of sorted pairs, as :func:`_pair_present`
+    and :func:`~synpa.matcher.min_weight_perfect_matching` return it, and
+    is walked as given: noise is drawn and progress committed per pair in
+    that order, the lower id first.  Returns the quantum's observed
+    triples, committed instructions and ground-truth slowdowns, each a
+    map by app id in that order, and the ids that finished a launch.
     Observed category values are the ground truth's forward predictions
     (:func:`~synpa.interference.pair_categories`, on plain floats) plus
     optional Gaussian noise, clamped at zero, one triple per app; progress
-    always uses the noiseless slowdown.  An app paired with the idle node runs at
-    isolated speed.  States are mutated in place (progress and
-    relaunch-on-completion).  Noise is drawn and progress committed per
-    pair in sorted order, the lower id first.  A zero predicted slowdown
-    (an infinitely fast app; ``max_slowdown`` rules out only infinite
-    ones) raises :class:`ModelError` before any state changes.
+    always uses the noiseless slowdown.  An app paired with the idle node
+    runs at isolated speed.  States are mutated in place (progress and
+    relaunch-on-completion).  A zero predicted slowdown (an infinitely
+    fast app; ``max_slowdown`` rules out only infinite ones) raises
+    :class:`ModelError` before any state changes.
     """
     runs = []  # (app id, noise-free fdc, fe and be, slowdown, isolated vector)
-    for a, b in sorted(tuple(sorted(p)) for p in pairs):
+    for a, b in pairs:
         if a == IDLE_NODE or b == IDLE_NODE:
             solo = a if b == IDLE_NODE else b
             vector = states[solo].vector
@@ -314,17 +309,19 @@ def sim_step(
         runs += ((a, *pa, va), (b, *pb, vb))
     if noise_sigma > 0.0:
         noise = rng.standard_normal(3 * len(runs)).tolist()
-    results: dict[str, StepResult] = {}
+    observed, committed, slowdowns, completed = {}, {}, {}, []
     for k, (app_id, fdc, fe, be, slowdown, vector) in enumerate(runs):
         if noise_sigma > 0.0:
             fdc += noise_sigma * noise[3 * k]
             fe += noise_sigma * noise[3 * k + 1]
             be += noise_sigma * noise[3 * k + 2]
-        observed = CategoryTriple(fe if fe > 0.0 else 0.0, be if be > 0.0 else 0.0, fdc if fdc > 0.0 else 0.0)
+        observed[app_id] = CategoryTriple(fe if fe > 0.0 else 0.0, be if be > 0.0 else 0.0, fdc if fdc > 0.0 else 0.0)
         amount = isolated_rate(vector, cycles_per_quantum) / slowdown
-        committed, completed = states[app_id].commit(amount, quantum)
-        results[app_id] = StepResult(observed, slowdown, committed, completed)
-    return results
+        committed[app_id], done = states[app_id].commit(amount, quantum)
+        slowdowns[app_id] = slowdown
+        if done:
+            completed.append(app_id)
+    return observed, committed, slowdowns, completed
 
 
 # ---------------------------------------------------------------------------
@@ -515,22 +512,26 @@ class _EstimateStore:
 
 def _update_estimates(
     pairs: Sequence[tuple[str, str]],
-    results: Mapping[str, StepResult],
+    observed: Mapping[str, CategoryTriple],
     estimates: _EstimateStore,
     model: ModelCoefficients,
 ) -> tuple[dict[str, CategoryVector], dict[str, bool]]:
-    """Invert each pair's observations into fresh ST estimates."""
+    """Invert each pair's observations into fresh ST estimates.
+
+    ``pairs`` is a sorted tuple of sorted pairs, as :func:`_pair_present`
+    returns it, and is walked as given.
+    """
     fresh: dict[str, CategoryVector] = {}
     degraded: dict[str, bool] = {}
-    for a, b in sorted(tuple(sorted(p)) for p in pairs):
+    for a, b in pairs:
         if a == IDLE_NODE or b == IDLE_NODE:
             solo = a if b == IDLE_NODE else b
-            vec = unit_vector(*category_values(results[solo].observed))
+            vec = unit_vector(*category_values(observed[solo]))
             estimates.update(solo, vec)
             fresh[solo] = vec
             degraded[solo] = False
             continue
-        inv = invert(model, results[a].observed, results[b].observed)
+        inv = invert(model, observed[a], observed[b])
         for app, vec in ((a, inv.st_i), (b, inv.st_j)):
             if inv.degraded:  # keep the last good estimate, aged
                 estimates.mark_stale(app)
@@ -551,7 +552,9 @@ def run(config: EngineConfig) -> ScheduleLog:
     and the log's summary fields depend on the mode: the simulator runs
     the assignment it is given (closed loop) and ends once every app has
     finished its first launch, while replay reads the trace's counters
-    whatever the assignment (open loop) and ends with the trace.
+    whatever the assignment (open loop) and ends with the trace.  The
+    pairs in effect are always one sorted tuple of sorted pairs, which
+    the step, the inversion and the log walk as given.
     """
     rng = np.random.default_rng(config.seed)
     workload = config.workload
@@ -561,9 +564,9 @@ def run(config: EngineConfig) -> ScheduleLog:
         app_ids = tuple(a.app_id for a in workload.apps)
         states = {a.app_id: AppSimState(app=a) for a in workload.apps}
 
-        def observe(
-            quantum: int, pairs: Sequence[tuple[str, str]]
-        ) -> dict[str, StepResult] | None:
+        # Each quantum's observation is sim_step's maps and completed ids,
+        # or None at the end; replay has no ground-truth slowdowns (None).
+        def observe(quantum: int, pairs: Sequence[tuple[str, str]]) -> tuple | None:
             if all(s.first_completion is not None for s in states.values()):
                 return None
             return sim_step(states, pairs, workload.ground_truth, workload.noise_sigma,
@@ -582,68 +585,63 @@ def run(config: EngineConfig) -> ScheduleLog:
             raise TraceError(f"threads must not include the reserved id {IDLE_NODE!r}", line=1)
         app_ids = header.threads
         remaining = iter(trace_quanta)
+        # The summary as running values: a thread is done the last quantum
+        # it appears in the trace, and its instructions are its rows' sum.
+        last_seen = dict.fromkeys(app_ids, 0)
+        instructions = dict.fromkeys(app_ids, 0.0)
 
-        def observe(
-            quantum: int, pairs: Sequence[tuple[str, str]]
-        ) -> dict[str, StepResult] | None:
+        def observe(quantum: int, pairs: Sequence[tuple[str, str]]) -> tuple | None:
             samples = next(remaining, None)
             if samples is None:
                 return None
-            return {
-                s.thread_id: StepResult(
-                    observed=normalize(characterize(s, dispatch_width)),
-                    slowdown=1.0,  # unknown in a trace; the log uses the model's
-                    committed=float(s.inst_spec),
-                    completed=False,
-                )
-                for s in samples
-            }
+            observed, committed = {}, {}
+            for s in samples:
+                thread = s.thread_id
+                observed[thread] = normalize(characterize(s, dispatch_width))
+                committed[thread] = float(s.inst_spec)
+                last_seen[thread] = quantum
+                instructions[thread] += committed[thread]
+            return observed, committed, None, ()
 
     estimates = _EstimateStore()
     pairs = initial_assignment(config.policy, app_ids, rng)
     records: list[QuantumRecord] = []
     for quantum in itertools.count(1):
-        results = observe(quantum, pairs)
-        if results is None:
+        step = observe(quantum, pairs)
+        if step is None:
             break
         if quantum > MAX_QUANTA:
             raise ConfigError(f"run exceeded MAX_QUANTA={MAX_QUANTA}")
-        present = sorted(results)
+        observed, committed, slowdown, completed = step
+        present = sorted(observed)
         pairs = _pair_present(pairs, present)
 
         if config.policy == "synpa":
-            fresh, degraded = _update_estimates(
-                pairs, results, estimates, config.coefficients
-            )
+            fresh, degraded = _update_estimates(pairs, observed, estimates, config.coefficients)
             # A completed app was replaced by a fresh instance: its history
             # no longer describes what is running now.
-            for app_id in present:
-                if results[app_id].completed:
-                    estimates.forget(app_id)
+            for app_id in completed:
+                estimates.forget(app_id)
         else:
             fresh, degraded = {}, {}
 
-        if config.policy == "synpa" or workload is None:
+        if config.policy == "synpa" or slowdown is None:
             # The model's view of this quantum, evaluated once: replay logs
             # its slowdowns and the decision weighs and prices its pairs with it.
             st = category_matrix([estimates.effective(a) for a in present])
             co_run = co_run_slowdowns(config.coefficients, st)
-        if workload is not None:
-            slowdown = {a: results[a].slowdown for a in present}
-        else:
+        if slowdown is None:
             slowdown = _model_slowdowns(pairs, present, co_run)
-        records.append(
-            QuantumRecord(
-                quantum=quantum,
-                pairs=pairs,
-                observed={a: results[a].observed for a in present},
-                estimates=fresh,
-                degraded=degraded,
-                committed={a: results[a].committed for a in present},
-                slowdown=slowdown,
-                migrations=len(set(pairs) - set(records[-1].pairs if records else ())),
-            )
-        )
+        records.append(QuantumRecord(
+            quantum=quantum,
+            pairs=pairs,
+            observed=observed,
+            estimates=fresh,
+            degraded=degraded,
+            committed=committed,
+            slowdown=slowdown,
+            migrations=len(set(pairs) - set(records[-1].pairs if records else ())),
+        ))
         if config.policy == "synpa":  # ``present`` is sorted, as build_graph needs
             graph = build_graph(config.coefficients, present, st, co_run)
             pairs = min_weight_perfect_matching(graph)
@@ -660,20 +658,13 @@ def run(config: EngineConfig) -> ScheduleLog:
             instructions={a.app_id: float(a.target_instructions) for a in workload.apps},
         )
     else:
-        # A thread is done the last quantum it appears in the trace.
-        last_seen = {a: 0 for a in app_ids}
-        for record in records:
-            for thread in record.observed:
-                last_seen[thread] = record.quantum
         summary = dict(
             mode="replay",
             noise_sigma=0.0,
             first_completion=last_seen,
             relaunches={a: 0 for a in app_ids},
             iso_quanta={},
-            instructions={
-                a: sum((r.committed.get(a, 0.0) for r in records), 0.0) for a in app_ids
-            },
+            instructions=instructions,
         )
     return ScheduleLog(
         policy=config.policy,

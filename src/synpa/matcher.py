@@ -119,18 +119,75 @@ def build_graph(
     model's fold prices (:func:`synpa.interference.fold_prices`), which
     usually certify the optimum.  No weight overflows: each slowdown is
     at most the model's ``max_slowdown``.  An even roster's graph is
-    built directly; :func:`graph_from_matrix` pads an odd one.
+    built directly; :func:`graph_from_matrix` pads an odd one, priced by
+    :func:`_idle_graph` unless one of its windows is empty.
     """
     weights = slowdown + slowdown.T
     weights.flat[:: len(weights) + 1] = 0.0  # the diagonal
     prices = fold_prices(model, st)
-    if len(app_ids) % 2 or IDLE_NODE in app_ids:
-        return graph_from_matrix(app_ids, weights, prices)
-    return SynergyGraph(tuple(app_ids), weights, prices)
+    if len(app_ids) % 2 == 0 and IDLE_NODE not in app_ids:
+        return SynergyGraph(tuple(app_ids), weights, prices)
+    graph = _idle_graph(model, app_ids, st, weights, prices) if len(app_ids) > 1 else None
+    return graph_from_matrix(app_ids, weights, prices) if graph is None else graph
+
+
+def _idle_graph(
+    model: ModelCoefficients, app_ids: Sequence[str], st: np.ndarray, weights: np.ndarray,
+    prices: np.ndarray,
+) -> SynergyGraph | None:
+    """An odd roster's graph priced so that the idle node and the thread
+    ``h`` with the highest fold price pick each other, or None when a
+    window below is empty.
+
+    The idle node's reduced costs are ``IDLE_WEIGHT - P_j``, so its row
+    picks the highest-priced thread.  The roster without ``h`` takes its
+    own fold prices ``P``, with row minima ``m_i`` of ``S - P`` among
+    themselves.  ``P_h`` goes to the middle of ``(max_j P_j, min_i (S[i, h]
+    - m_i))``, so the idle row picks ``h`` and no other row prefers ``h``,
+    and the idle price to the middle of ``(IDLE_WEIGHT - min_j (S[h, j] -
+    P_j), IDLE_WEIGHT - max_i m_i)``, so ``h`` picks the idle node and no
+    other row prefers it.  This holds for any weights ``S`` and prices
+    ``P``; the rest's own fold then settles the other pairs.  Both
+    windows must also stay open in the int64 units of
+    :func:`_certified_fold`, which truncate the prices.
+    """
+    h = int(prices.argmax())
+    rest = np.arange(len(prices)) != h
+    sub = fold_prices(model, st[rest])
+    reduced = weights[rest][:, rest] - sub
+    reduced.flat[:: len(reduced) + 1] = math.inf
+    least = reduced.min(axis=1)
+    column = weights[rest, h]  # S[i, h] = S[h, i]
+    low_h, high_h = sub.max(), (column - least).min()
+    low_idle, high_idle = IDLE_WEIGHT - (column - sub).min(), IDLE_WEIGHT - least.max()
+    if not (low_h < high_h and low_idle < high_idle):
+        return None
+    priced = prices.copy()
+    priced[rest] = sub
+    priced[h] = (low_h + high_h) / 2
+    graph = graph_from_matrix(app_ids, weights, priced, (low_idle + high_idle) / 2)
+    costs = _scaled_costs(graph.matrix, graph.prices)
+    if costs is None:
+        return None
+    reduced = costs[0]
+    idle, alone = graph.nodes.index(IDLE_NODE), graph.nodes.index(app_ids[h])
+    others = np.ones(len(reduced), dtype=bool)
+    others[[idle, alone]] = False
+    rows = reduced[others]
+    if (
+        reduced[idle, alone] < reduced[idle, others].min()
+        and reduced[alone, idle] < reduced[alone, others].min()
+        and (rows[:, [idle, alone]].min(axis=1) > rows[:, others].min(axis=1)).all()
+    ):
+        return graph
+    return None
 
 
 def graph_from_matrix(
-    app_ids: Sequence[str], weights: np.ndarray, prices: Sequence[float] | None = None
+    app_ids: Sequence[str],
+    weights: np.ndarray,
+    prices: Sequence[float] | None = None,
+    idle_price: float = 0.0,
 ) -> SynergyGraph:
     """The pairing graph of the sorted, distinct ``app_ids``.
 
@@ -141,7 +198,8 @@ def graph_from_matrix(
     :data:`IDLE_NODE` at its sorted position, in the weights and the
     prices alike: edges to it weigh :data:`IDLE_WEIGHT` for every
     thread, since a thread sharing a core with nobody runs at isolated
-    speed, and its price is 0.0 (prices never change the result).
+    speed, and its price is ``idle_price`` (prices never change the
+    result).
     """
     nodes = list(app_ids)
     n = len(nodes)
@@ -157,7 +215,7 @@ def graph_from_matrix(
         nodes.insert(at, IDLE_NODE)
         matrix = np.insert(matrix, at, IDLE_WEIGHT, axis=0)
         matrix = np.insert(matrix, at, IDLE_WEIGHT, axis=1)
-        prices = np.insert(prices, at, 0.0)
+        prices = np.insert(prices, at, idle_price)
     diagonal = matrix.diagonal()
     if diagonal.tobytes() != bytes(diagonal.nbytes):  # anything but 0.0 there
         matrix = matrix.copy()

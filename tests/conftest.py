@@ -17,11 +17,13 @@ from synpa import (
     build_graph,
     category_matrix,
     co_run_slowdowns,
+    fold_prices,
     format_trace,
     predict_pair,
 )
 from synpa.counters import sample_from_fractions
 from synpa.interference import MAX_COEFFICIENT
+from synpa.matcher import IDLE_WEIGHT
 
 #: On CI (the ``CI`` environment variable is set) no property fails on a
 #: slow runner's deadline, and a failure prints the blob that replays it
@@ -72,6 +74,27 @@ def decision_graph(model, app_ids, vectors):
     category matrix, its co-run slowdowns, then :func:`build_graph`."""
     st = category_matrix(vectors)
     return build_graph(model, app_ids, st, co_run_slowdowns(model, st))
+
+
+def idle_windows(model, vectors):
+    """The idle pricing of an odd roster of ``vectors``, in plain floats:
+    the index ``h`` of the thread with the highest fold price, the fold
+    prices of the roster without ``h``, and the open windows ``(low,
+    high)`` for ``h``'s price and for the idle node's price
+    (``matcher._idle_graph``)."""
+    st = category_matrix(vectors)
+    slowdown = co_run_slowdowns(model, st).tolist()
+    weight = [[slowdown[i][j] + slowdown[j][i] for j in range(len(st))] for i in range(len(st))]
+    prices = fold_prices(model, st).tolist()
+    h = prices.index(max(prices))
+    rest = [i for i in range(len(st)) if i != h]
+    sub = fold_prices(model, st[rest]).tolist()
+    least = [min(weight[i][j] - p for j, p in zip(rest, sub) if j != i) for i in rest]
+    window_h = (max(sub), min(weight[i][h] - m for i, m in zip(rest, least)))
+    window_idle = (
+        IDLE_WEIGHT - min(weight[h][j] - p for j, p in zip(rest, sub)), IDLE_WEIGHT - max(least)
+    )
+    return h, sub, window_h, window_idle
 
 
 def write_profile_corpus(

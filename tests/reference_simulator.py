@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from synpa.dispatch import CATEGORIES, CategoryTriple
-from synpa.engine import AppSimState, StepResult, isolated_rate
+from synpa.engine import AppSimState, isolated_rate
 from synpa.interference import ModelCoefficients, PairPrediction, forward
 from synpa.matcher import IDLE_NODE
 
@@ -51,10 +51,10 @@ def sim_step(
     rng: np.random.Generator,
     quantum: int,
     cycles_per_quantum: int,
-) -> dict[str, StepResult]:
+) -> tuple[dict[str, CategoryTriple], dict[str, float], dict[str, float], list[str]]:
     """One quantum, pair by pair in sorted order; a zero slowdown ends in
     ``ZeroDivisionError`` after the pairs before it were committed."""
-    results: dict[str, StepResult] = {}
+    observed_by_app, committed_by_app, slowdown_by_app, completed_ids = {}, {}, {}, []
     for a, b in sorted(tuple(sorted(p)) for p in pairs):
         if a == IDLE_NODE or b == IDLE_NODE:
             solo = a if b == IDLE_NODE else b
@@ -72,10 +72,9 @@ def sim_step(
             state = states[app_id]
             amount = isolated_rate(state.vector, cycles_per_quantum) / slowdown
             committed, completed = state.commit(amount, quantum)
-            results[app_id] = StepResult(
-                observed=CategoryTriple(**observed),
-                slowdown=slowdown,
-                committed=committed,
-                completed=completed,
-            )
-    return results
+            observed_by_app[app_id] = CategoryTriple(**observed)
+            committed_by_app[app_id] = committed
+            slowdown_by_app[app_id] = slowdown
+            if completed:
+                completed_ids.append(app_id)
+    return observed_by_app, committed_by_app, slowdown_by_app, completed_ids

@@ -856,16 +856,19 @@ def test_fold_certificate_changes_no_log(tmp_path, monkeypatch):
                 "gen-workload", "--recipe", "mixed", "--seed", 3, "--size", size,
                 "--iso-quanta", 8, "--out", wl,
             ) == 0
-            for noise in ("0", "0.02"):
-                log = tmp_path / f"{tag}-{size}-{noise}.jsonl"
-                trace = tmp_path / f"{tag}-{size}-{noise}.trace"
+            # Replay pairs a trace recorded under random otherwise than it
+            # ran, so inversions degrade, estimates tie and some decisions
+            # fall back: every other decision here certifies.
+            for noise, policy in (("0", "synpa"), ("0.02", "synpa"), ("0.02", "random")):
+                log = tmp_path / f"{tag}-{size}-{noise}-{policy}.jsonl"
+                trace = tmp_path / f"{tag}-{size}-{noise}-{policy}.trace"
                 assert run_cli(
                     "simulate", "--workload", wl, "--noise-sigma", noise, "--seed", 1,
-                    "--out", log, "--export-trace", trace,
+                    "--policy", policy, "--out", log, "--export-trace", trace,
                 ) == 0
-                replayed = tmp_path / f"{tag}-{size}-{noise}.replay.jsonl"
+                replayed = tmp_path / f"{tag}-{size}-{noise}-{policy}.replay.jsonl"
                 assert run_cli("replay", "--trace", trace, "--seed", 1, "--out", replayed) == 0
-                out[(size, noise)] = (log.read_bytes(), replayed.read_bytes())
+                out[(size, noise, policy)] = (log.read_bytes(), replayed.read_bytes())
         return out
 
     certify = matcher._certified_fold

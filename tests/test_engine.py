@@ -12,6 +12,7 @@ import os
 import tempfile
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -195,15 +196,15 @@ class TestSimStep:
         a = static_app("a", BE_VECTOR, 10.0)
         b = static_app("b", BE_VECTOR, 10.0)
         states = self._states(a, b)
-        results = sim_step(
-            states, [("a", "b")], REFERENCE_COEFFICIENTS, 0.0,
+        _, committed, slowdown, _ = sim_step(
+            states, (("a", "b"),), REFERENCE_COEFFICIENTS, 0.0,
             np.random.default_rng(0), 1, QUANTUM_CYCLES,
         )
-        assert results["a"].slowdown == results["b"].slowdown
-        assert results["a"].committed == results["b"].committed
+        assert slowdown["a"] == slowdown["b"]
+        assert committed["a"] == committed["b"]
         want = predict_pair(REFERENCE_COEFFICIENTS, BE_VECTOR, BE_VECTOR)
-        assert results["a"].slowdown == want.slowdown_i
-        assert results["a"].committed == pytest.approx(
+        assert slowdown["a"] == want.slowdown_i
+        assert committed["a"] == pytest.approx(
             rate_of(BE_VECTOR) / want.slowdown_i, rel=1e-12
         )
 
@@ -211,46 +212,46 @@ class TestSimStep:
         a = static_app("a", BE_VECTOR, 10.0)
         b = static_app("b", FE_VECTOR, 10.0)
         states = self._states(a, b)
-        results = sim_step(
-            states, [("a", "b")], REFERENCE_COEFFICIENTS, 0.0,
+        observed, _, _, _ = sim_step(
+            states, (("a", "b"),), REFERENCE_COEFFICIENTS, 0.0,
             np.random.default_rng(0), 1, QUANTUM_CYCLES,
         )
         want = predict_pair(REFERENCE_COEFFICIENTS, BE_VECTOR, FE_VECTOR)
         for name in CATEGORIES:
-            assert results["a"].observed.get(name) == want.smt_i.get(name)
-            assert results["b"].observed.get(name) == want.smt_j.get(name)
+            assert observed["a"].get(name) == want.smt_i.get(name)
+            assert observed["b"].get(name) == want.smt_j.get(name)
 
     def test_idle_partner_runs_at_isolated_speed(self):
         a = static_app("a", FE_VECTOR, 10.0)
         states = self._states(a)
-        results = sim_step(
-            states, [("a", IDLE_NODE)], REFERENCE_COEFFICIENTS, 0.0,
+        observed, committed, slowdown, completed = sim_step(
+            states, ((IDLE_NODE, "a"),), REFERENCE_COEFFICIENTS, 0.0,
             np.random.default_rng(0), 1, QUANTUM_CYCLES,
         )
-        assert results["a"].slowdown == 1.0
-        assert results["a"].committed == rate_of(FE_VECTOR)
+        assert slowdown == {"a": 1.0}
+        assert committed == {"a": rate_of(FE_VECTOR)}
+        assert completed == []
         for name in CATEGORIES:
-            assert results["a"].observed.get(name) == FE_VECTOR.get(name)
+            assert observed["a"].get(name) == FE_VECTOR.get(name)
 
     def test_noise_clamped_and_progress_noiseless(self):
         a = static_app("a", BE_VECTOR, 100.0)
         b = static_app("b", FE_VECTOR, 100.0)
-        clean = sim_step(
-            self._states(a, b), [("a", "b")], REFERENCE_COEFFICIENTS, 0.0,
+        _, *clean = sim_step(
+            self._states(a, b), (("a", "b"),), REFERENCE_COEFFICIENTS, 0.0,
             np.random.default_rng(7), 1, QUANTUM_CYCLES,
         )
         states = self._states(a, b)
         rng = np.random.default_rng(7)
         for quantum in range(1, 30):
-            noisy = sim_step(
-                states, [("a", "b")], REFERENCE_COEFFICIENTS, 0.8,
+            observed, *noisy = sim_step(
+                states, (("a", "b"),), REFERENCE_COEFFICIENTS, 0.8,
                 rng, quantum, QUANTUM_CYCLES,
             )
             for app_id in ("a", "b"):
                 for name in CATEGORIES:
-                    assert noisy[app_id].observed.get(name) >= 0.0
-                assert noisy[app_id].committed == clean[app_id].committed
-                assert noisy[app_id].slowdown == clean[app_id].slowdown
+                    assert observed[app_id].get(name) >= 0.0
+            assert noisy == clean  # committed, slowdowns and completions
 
     def test_completion_clips_and_relaunches(self):
         vector = CategoryVector(fe=0.25, be=0.50, fdc=0.25)
@@ -262,19 +263,19 @@ class TestSimStep:
         )
         states = self._states(app)
         rng = np.random.default_rng(0)
-        first = sim_step(
-            states, [("a", IDLE_NODE)], REFERENCE_COEFFICIENTS, 0.0,
+        _, committed, _, completed = sim_step(
+            states, ((IDLE_NODE, "a"),), REFERENCE_COEFFICIENTS, 0.0,
             rng, 1, QUANTUM_CYCLES,
         )
-        assert not first["a"].completed
-        assert first["a"].committed == rate
-        second = sim_step(
-            states, [("a", IDLE_NODE)], REFERENCE_COEFFICIENTS, 0.0,
+        assert completed == []
+        assert committed["a"] == rate
+        _, committed, _, completed = sim_step(
+            states, ((IDLE_NODE, "a"),), REFERENCE_COEFFICIENTS, 0.0,
             rng, 2, QUANTUM_CYCLES,
         )
         # Only the remaining half quantum of work counts this quantum.
-        assert second["a"].completed
-        assert second["a"].committed == pytest.approx(rate * 0.5, rel=1e-12)
+        assert completed == ["a"]
+        assert committed["a"] == pytest.approx(rate * 0.5, rel=1e-12)
         state = states["a"]
         assert state.first_completion == 2
         assert state.launches == 2
@@ -295,7 +296,7 @@ class TestSimStep:
         )
         states = self._states(app)
         sim_step(
-            states, [("a", IDLE_NODE)], REFERENCE_COEFFICIENTS, 0.0,
+            states, ((IDLE_NODE, "a"),), REFERENCE_COEFFICIENTS, 0.0,
             np.random.default_rng(0), 1, QUANTUM_CYCLES,
         )
         # Exactly one phase budget of work was committed.
@@ -309,7 +310,7 @@ class TestSimStep:
         vectors = (BE_VECTOR, FE_VECTOR, FE_VECTOR)
         states = self._states(*(static_app(a, v, 10.0) for a, v in zip("abc", vectors)))
         with pytest.raises(ModelError, match=r"zero slowdown for the pair \(a, b\)"):
-            sim_step(states, [("b", "a"), ("c", IDLE_NODE)], model, 0.0,
+            sim_step(states, ((IDLE_NODE, "c"), ("a", "b")), model, 0.0,
                      np.random.default_rng(0), 1, QUANTUM_CYCLES)
         assert all(s.done == 0.0 for s in states.values())
 
@@ -327,9 +328,9 @@ class TestSimStep:
         )
         model = interference.ModelCoefficients(fdc=top, fe=top, be=top)
         states = self._states(static_app("a", BE_VECTOR, 10.0), static_app("b", FE_VECTOR, 10.0))
-        results = sim_step(states, [("a", "b")], model, 0.0,
-                           np.random.default_rng(0), 1, QUANTUM_CYCLES)
-        assert results["a"].slowdown == results["b"].slowdown == 3e6 <= model.max_slowdown
+        _, _, slowdown, _ = sim_step(states, (("a", "b"),), model, 0.0,
+                                     np.random.default_rng(0), 1, QUANTUM_CYCLES)
+        assert slowdown["a"] == slowdown["b"] == 3e6 <= model.max_slowdown
         assert 0.0 < states["a"].done and 0.0 < states["b"].done
 
     @pytest.mark.parametrize("seed", [0, 7, 2**40])
@@ -902,6 +903,60 @@ class TestDecisionProperties:
                 assert_pairs_cover_present(cut)
 
 
+def assert_sorted_pairs(pairs):
+    """``pairs`` is a sorted tuple of sorted pairs."""
+    assert type(pairs) is tuple and list(pairs) == sorted(pairs)
+    assert all(type(p) is tuple and len(p) == 2 and p[0] < p[1] for p in pairs)
+
+
+class TestPairsInEffect:
+    """The run loop hands the simulator's step and the inversion the pairs
+    in effect as one sorted tuple of sorted pairs, which both walk as
+    given, and logs that tuple."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(workload=small_workloads(), seed=st.integers(0, 2**16), data=st.data())
+    def test_every_quantum_walks_one_sorted_tuple_of_sorted_pairs(self, workload, seed, data):
+        handed = []
+        step, update = engine.sim_step, engine._update_estimates
+
+        def sim_step(states, pairs, *args):
+            handed.append(pairs)
+            return step(states, pairs, *args)
+
+        def update_estimates(pairs, *args):
+            handed.append(pairs)
+            return update(pairs, *args)
+
+        logs = []
+        with mock.patch.object(engine, "sim_step", sim_step), \
+                mock.patch.object(engine, "_update_estimates", update_estimates), \
+                tempfile.TemporaryDirectory() as tmp:
+            for policy in POLICIES:
+                log = run(EngineConfig(workload=workload, policy=policy, seed=seed))
+                header, samples = trace_from_log(log)
+                # The whole trace, each thread cut to a random span, and the
+                # last thread arriving one quantum late.
+                late = [s for s in samples if (s.thread_id, s.quantum_index) != (log.apps[-1], 0)]
+                cuts = [samples, cut_to_random_spans(data, log, samples)]
+                if len(log.apps) > 1 and log.total_quanta > 1:
+                    cuts.append(late)
+                logs.append(log)
+                for k, rows in enumerate(cuts):
+                    path = os.path.join(tmp, f"{policy}-{k}.trace")
+                    with open(path, "w", encoding="utf-8") as fh:
+                        fh.write(format_trace(header, rows))
+                    for replay_policy in POLICIES:
+                        logs.append(run(EngineConfig(trace_path=path, policy=replay_policy, seed=seed)))
+        assert handed
+        for pairs in handed:
+            assert_sorted_pairs(pairs)
+        for log in logs:
+            assert_pairs_cover_present(log)
+            for record in log.records:
+                assert_sorted_pairs(record.pairs)
+
+
 class TestLogWriterOracle:
     """``ScheduleLog.to_jsonl`` against today's writer written record dict by
     record dict (``tests/reference_log.py``): the same bytes."""
@@ -985,8 +1040,8 @@ def phase_vectors(draw):
 @st.composite
 def sim_step_cases(draw):
     """Apps with random phase tables part way through a launch, and a
-    pairing of them in any order and orientation, with the idle node when
-    their count is odd."""
+    random pairing of them, with the idle node when their count is odd,
+    as the run loop hands it over: a sorted tuple of sorted pairs."""
     names = st.text("aAzZ_09", min_size=1, max_size=3)
     ids = draw(st.lists(names, min_size=1, max_size=9, unique=True))
     apps = []
@@ -999,8 +1054,7 @@ def sim_step_cases(draw):
                                   target_instructions=draw(st.integers(1, 10**11))),
                      draw(st.floats(0.0, 1.0, exclude_max=True))))
     order = draw(st.permutations([*ids, IDLE_NODE] if len(ids) % 2 else ids))
-    pairs = [tuple(order[k : k + 2]) for k in range(0, len(order), 2)]
-    return apps, [p if draw(st.booleans()) else p[::-1] for p in pairs]
+    return apps, tuple(sorted(tuple(sorted(order[k : k + 2])) for k in range(0, len(order), 2)))
 
 
 def step_outcome(step, states, *args):

@@ -17,9 +17,11 @@ from synpa import (
     CategoryVector,
     IDLE_NODE,
     MatchingError,
+    ModelCoefficients,
     ModelError,
     REFERENCE_COEFFICIENTS,
     SynergyGraph,
+    build_graph,
     category_matrix,
     fold_prices,
     graph_from_matrix,
@@ -40,7 +42,7 @@ from synpa.matcher import (
     _solve_blossom,
 )
 
-from conftest import category_vectors, coefficient_models, decision_graph
+from conftest import category_vectors, coefficient_models, decision_graph, idle_windows
 
 
 def graph_from_weights(weights):
@@ -198,13 +200,42 @@ class TestBuildGraph:
         assert edge_weights(graph)[("a", "b")] == pred.slowdown_i + pred.slowdown_j
 
     def test_odd_roster_adds_idle_node(self):
+        # The idle node and the highest-priced thread are priced inside
+        # their windows, the rest at their own fold prices, and the
+        # decision certifies.
         vectors = reference_vectors(3)
         graph = decision_graph(REFERENCE_COEFFICIENTS, ["a", "b", "c"], vectors)
         assert graph.nodes == (IDLE_NODE, "a", "b", "c")
         for app in ("a", "b", "c"):
             assert edge_weights(graph)[(IDLE_NODE, app)] == IDLE_WEIGHT
+        h, sub, (low_h, high_h), (low_idle, high_idle) = idle_windows(REFERENCE_COEFFICIENTS, vectors)
+        prices = graph.prices.tolist()
+        assert low_idle < prices[0] < high_idle
+        assert low_h < prices[1 + h] < high_h
+        assert [p for i, p in enumerate(prices[1:]) if i != h] == sub
+        assert _certified_fold(graph.matrix, graph.prices) is not None
+
+    def test_odd_roster_with_an_empty_window_keeps_the_fold_prices(self):
+        # Three copies of one vector: h's row ties between its copies, so
+        # no price of h lets every other row prefer its own partner.
+        vectors = reference_vectors(1) * 3
+        h, _, (low_h, high_h), _ = idle_windows(REFERENCE_COEFFICIENTS, vectors)
+        assert not low_h < high_h
+        graph = decision_graph(REFERENCE_COEFFICIENTS, ["a", "b", "c"], vectors)
         want = [0.0, *fold_prices(REFERENCE_COEFFICIENTS, category_matrix(vectors)).tolist()]
         assert graph.prices.tolist() == want
+
+    def test_window_off_the_int64_scale_keeps_the_fold_prices(self):
+        # Prices of 3e6 and a weight of 1.1 open both windows in floats,
+        # but no int64 scale holds 1.1 exactly once the prices fit: the
+        # certificate could not read the idle prices, so the graph keeps
+        # the fold prices.
+        flat = CategoryCoefficients(alpha=1e6, beta=0.0, gamma=0.0, rho=0.0)
+        model = ModelCoefficients(fdc=flat, fe=flat, be=flat)
+        st = category_matrix(reference_vectors(3))
+        slowdown = np.array([[0.0, 0.75, 0.75], [0.75, 0.0, 0.55], [0.75, 0.55, 0.0]])
+        graph = build_graph(model, ["a", "b", "c"], st, slowdown)
+        assert graph.prices.tolist() == [0.0, *fold_prices(model, st).tolist()]
 
     def test_even_roster_has_no_idle_node(self):
         graph = decision_graph(REFERENCE_COEFFICIENTS, ["a", "b"], reference_vectors(2))
@@ -769,6 +800,90 @@ class TestFoldCertificate:
 #: The largest float below ``2**58``: magnitudes at the top of the
 #: certificate's int64 scale.
 TOP = 2.0**58 - 32.0
+
+
+@st.composite
+def odd_rosters(draw):
+    """An odd roster of 3-33 threads, with ids on both sides of
+    :data:`IDLE_NODE` in sort order, under the reference or a random
+    model: category vectors drawn freely, seeded random ones with
+    distinct values, or copies of up to four drawn vectors and the
+    uniform prior, so that rows tie."""
+    n = draw(st.sampled_from(range(3, 34, 2)))
+    model = draw(st.one_of(st.just(REFERENCE_COEFFICIENTS), coefficient_models()))
+    kind = draw(st.sampled_from(["seeded", "drawn", "copies"]))
+    if kind == "drawn":
+        vectors = draw(st.lists(category_vectors(), min_size=n, max_size=n))
+    elif kind == "seeded":
+        vectors = model_vectors(random.Random(draw(st.integers(0, 2**32 - 1))), n)
+    else:
+        pool = draw(st.lists(category_vectors(), min_size=1, max_size=4)) + [UNIFORM_VECTOR]
+        vectors = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    return model, sorted(f"{'Tt'[i % 2]}{i:02d}" for i in range(n)), vectors
+
+
+def strict_fold(weights, prices, margin):
+    """Whether every row's least ``weights[i][j] - prices[j]`` (``j != i``)
+    leads its runner-up by more than ``margin`` and the least entries pair
+    the rows up."""
+    sigma = []
+    for i, row in enumerate(weights):
+        costs = sorted((w - p, j) for j, (w, p) in enumerate(zip(row, prices)) if j != i)
+        if len(costs) > 1 and costs[1][0] - costs[0][0] <= margin:
+            return False
+        sigma.append(costs[0][1])
+    return all(sigma[j] == i for i, j in enumerate(sigma))
+
+
+class TestIdlePricing:
+    """Odd rosters: the idle node and the highest-priced thread priced
+    inside their windows (``matcher._idle_graph``)."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(case=odd_rosters())
+    def test_odd_rosters_match_the_blossom_and_certify_inside_the_windows(self, case):
+        model, ids, vectors = case
+        graph = decision_graph(model, ids, vectors)
+        n = len(graph.nodes)
+        scores, _ = _exact_scores(graph.matrix)
+        want = sorted(_solve_blossom(n, scores))
+        if n <= 12:
+            assert sorted(solve_dp(n, scores)) == want
+        assert min_weight_perfect_matching(graph) == tuple(
+            sorted((graph.nodes[i], graph.nodes[j]) for i, j in want)
+        )
+        # Both windows open and the rest's own fold strict, each by a
+        # margin far above the certificate's int64 units, and every weight
+        # on the coarsest scale any of these prices can need: then the
+        # certificate settles the decision on its own.
+        h, sub, *windows = idle_windows(model, vectors)
+        rest = [graph.nodes.index(a) for k, a in enumerate(ids) if k != h]
+        weights = graph.matrix[np.ix_(rest, rest)].tolist()
+        prices = fold_prices(model, category_matrix(vectors)).tolist()
+        bound = max(1.0, graph.matrix.max(), *map(abs, prices + sub))
+        margin = math.ldexp(bound, -40)
+        scale = 58 - math.frexp(4 * bound)[1]
+        premise = (
+            all(low + margin < high for low, high in windows)
+            and strict_fold(weights, sub, margin)
+            and all(math.ldexp(w, scale).is_integer() for w in graph.matrix.ravel().tolist())
+        )
+        event(f"windows open: {premise}")
+        if premise:
+            pairs = _certified_fold(graph.matrix, graph.prices)
+            assert pairs is not None and sorted(pairs) == want
+
+    @pytest.mark.parametrize("n", [15, 33, 63])
+    def test_reference_odd_rosters_certify(self, n):
+        # As test_fold_prices_certify_model_graphs on even rosters: distinct
+        # vectors, and half the threads at the uniform prior.  (A copy of
+        # the idle node's thread ties with it, so those rosters may not.)
+        ids = [f"t{i:02d}" for i in range(n)]
+        for seed in range(10):
+            distinct = model_vectors(random.Random(seed), n)
+            for vectors in (distinct, distinct[: n // 2] + [UNIFORM_VECTOR] * (n - n // 2)):
+                graph = decision_graph(REFERENCE_COEFFICIENTS, ids, vectors)
+                assert _certified_fold(graph.matrix, graph.prices) is not None
 
 
 def python_costs(weights, prices):
