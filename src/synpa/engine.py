@@ -552,9 +552,13 @@ def run(config: EngineConfig) -> ScheduleLog:
     and the log's summary fields depend on the mode: the simulator runs
     the assignment it is given (closed loop) and ends once every app has
     finished its first launch, while replay reads the trace's counters
-    whatever the assignment (open loop) and ends with the trace.  The
-    pairs in effect are always one sorted tuple of sorted pairs, which
-    the step, the inversion and the log walk as given.
+    whatever the assignment (open loop) and ends with the trace.  Each
+    observation hands the loop the pairs in effect and the sorted ids
+    present: the simulator runs every app every quantum, so its pairs
+    are the ones it was given, while replay keeps those whose threads
+    the quantum's rows hold (:func:`_pair_present`).  The pairs in
+    effect are always one sorted tuple of sorted pairs, which the step,
+    the inversion and the log walk as given.
     """
     rng = np.random.default_rng(config.seed)
     workload = config.workload
@@ -563,14 +567,16 @@ def run(config: EngineConfig) -> ScheduleLog:
         cycles = cycles_per_quantum(quantum_ms)
         app_ids = tuple(a.app_id for a in workload.apps)
         states = {a.app_id: AppSimState(app=a) for a in workload.apps}
+        roster = tuple(sorted(app_ids))  # every app is present every quantum
 
-        # Each quantum's observation is sim_step's maps and completed ids,
-        # or None at the end; replay has no ground-truth slowdowns (None).
-        def observe(quantum: int, pairs: Sequence[tuple[str, str]]) -> tuple | None:
+        # Each quantum's observation is the pairs in effect, the sorted ids
+        # present, sim_step's maps and completed ids, or None at the end;
+        # replay has no ground-truth slowdowns (None).
+        def observe(quantum: int, pairs: tuple[tuple[str, str], ...]) -> tuple | None:
             if all(s.first_completion is not None for s in states.values()):
                 return None
-            return sim_step(states, pairs, workload.ground_truth, workload.noise_sigma,
-                            rng, quantum, cycles)
+            return pairs, roster, *sim_step(states, pairs, workload.ground_truth,
+                                            workload.noise_sigma, rng, quantum, cycles)
 
     else:
         header, trace_quanta = open_trace(config.trace_path)
@@ -590,10 +596,11 @@ def run(config: EngineConfig) -> ScheduleLog:
         last_seen = dict.fromkeys(app_ids, 0)
         instructions = dict.fromkeys(app_ids, 0.0)
 
-        def observe(quantum: int, pairs: Sequence[tuple[str, str]]) -> tuple | None:
+        def observe(quantum: int, pairs: tuple[tuple[str, str], ...]) -> tuple | None:
             samples = next(remaining, None)
             if samples is None:
                 return None
+            present = [s.thread_id for s in samples]  # the parser orders rows by thread
             observed, committed = {}, {}
             for s in samples:
                 thread = s.thread_id
@@ -601,7 +608,7 @@ def run(config: EngineConfig) -> ScheduleLog:
                 committed[thread] = float(s.inst_spec)
                 last_seen[thread] = quantum
                 instructions[thread] += committed[thread]
-            return observed, committed, None, ()
+            return _pair_present(pairs, present), present, observed, committed, None, ()
 
     estimates = _EstimateStore()
     pairs = initial_assignment(config.policy, app_ids, rng)
@@ -612,9 +619,7 @@ def run(config: EngineConfig) -> ScheduleLog:
             break
         if quantum > MAX_QUANTA:
             raise ConfigError(f"run exceeded MAX_QUANTA={MAX_QUANTA}")
-        observed, committed, slowdown, completed = step
-        present = sorted(observed)
-        pairs = _pair_present(pairs, present)
+        pairs, present, observed, committed, slowdown, completed = step
 
         if config.policy == "synpa":
             fresh, degraded = _update_estimates(pairs, observed, estimates, config.coefficients)

@@ -18,14 +18,14 @@ matching of it is optimal (dual feasibility and complementary
 slackness).  When each thread's cheapest partner is unique and the
 choice is mutual, that graph is the unique optimum.  Threads that share
 one estimate tie instead; their near-least columns are lifted in price,
-and when every component of the tight graph is one edge, a hub
-component or a balanced complete bipartite graph, its lexicographically
-smallest perfect matching is read off directly.  The rest go to one exact
-solver.  There, edge weights
-(floats, hence dyadic rationals) become *exact* integers over a common
-denominator, each with a strictly dominated tie-break term folded in,
-so that the optimum is unique: among all minimum-weight matchings, the
-one whose sorted pair list is lexicographically smallest wins.  A dense
+and when every component of the tight graph is complete multipartite,
+even and has no part holding more than half of it, its
+lexicographically smallest perfect matching is read off directly.
+The rest go to one exact solver.  There, edge weights (floats, hence
+dyadic rationals) become *exact* integers over a common denominator,
+each with a strictly dominated tie-break term folded in, so that the
+optimum is unique: among all minimum-weight matchings, the one whose
+sorted pair list is lexicographically smallest wins.  A dense
 primal-dual weighted blossom algorithm (Edmonds 1965; Galil 1986)
 solves these integers and checks its result against its dual
 certificate.  A certified optimum is unique, hence the tie-broken one,
@@ -50,7 +50,6 @@ import math
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
-from itertools import compress
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -120,36 +119,37 @@ def build_graph(
     usually certify the optimum.  No weight overflows: each slowdown is
     at most the model's ``max_slowdown``.  An even roster's graph is
     built directly; :func:`graph_from_matrix` pads an odd one, priced by
-    :func:`_idle_graph` unless one of its windows is empty.
+    :func:`_idle_prices` unless one of its windows is inverted.
     """
     weights = slowdown + slowdown.T
     weights.flat[:: len(weights) + 1] = 0.0  # the diagonal
     prices = fold_prices(model, st)
     if len(app_ids) % 2 == 0 and IDLE_NODE not in app_ids:
         return SynergyGraph(tuple(app_ids), weights, prices)
-    graph = _idle_graph(model, app_ids, st, weights, prices) if len(app_ids) > 1 else None
-    return graph_from_matrix(app_ids, weights, prices) if graph is None else graph
+    idle_price = 0.0
+    if len(app_ids) > 1 and (priced := _idle_prices(model, st, weights, prices)) is not None:
+        prices, idle_price = priced
+    return graph_from_matrix(app_ids, weights, prices, idle_price)
 
 
-def _idle_graph(
-    model: ModelCoefficients, app_ids: Sequence[str], st: np.ndarray, weights: np.ndarray,
-    prices: np.ndarray,
-) -> SynergyGraph | None:
-    """An odd roster's graph priced so that the idle node and the thread
-    ``h`` with the highest fold price pick each other, or None when a
-    window below is empty.
+def _idle_prices(
+    model: ModelCoefficients, st: np.ndarray, weights: np.ndarray, prices: np.ndarray
+) -> tuple[np.ndarray, float] | None:
+    """An odd roster's prices and the idle node's price, chosen so that
+    the idle node and the thread ``h`` with the highest fold price pick
+    each other, or None when a window below is inverted.
 
     The idle node's reduced costs are ``IDLE_WEIGHT - P_j``, so its row
     picks the highest-priced thread.  The roster without ``h`` takes its
     own fold prices ``P``, with row minima ``m_i`` of ``S - P`` among
-    themselves.  ``P_h`` goes to the middle of ``(max_j P_j, min_i (S[i, h]
-    - m_i))``, so the idle row picks ``h`` and no other row prefers ``h``,
-    and the idle price to the middle of ``(IDLE_WEIGHT - min_j (S[h, j] -
-    P_j), IDLE_WEIGHT - max_i m_i)``, so ``h`` picks the idle node and no
-    other row prefers it.  This holds for any weights ``S`` and prices
-    ``P``; the rest's own fold then settles the other pairs.  Both
-    windows must also stay open in the int64 units of
-    :func:`_certified_fold`, which truncate the prices.
+    themselves.  ``P_h`` goes to the middle of ``[max_j P_j, min_i (S[i,
+    h] - m_i)]``, so the idle row picks ``h`` and no other row prefers
+    ``h``, and the idle price to the middle of ``[IDLE_WEIGHT - min_j
+    (S[h, j] - P_j), IDLE_WEIGHT - max_i m_i]``, so ``h`` picks the idle
+    node and no other row prefers it.  This holds for any weights ``S``
+    and prices ``P``; the rest's own fold then settles the other pairs.
+    A price on a window's bound ties, and :func:`_certified_fold` judges
+    the result as it judges any prices.
     """
     h = int(prices.argmax())
     rest = np.arange(len(prices)) != h
@@ -160,27 +160,12 @@ def _idle_graph(
     column = weights[rest, h]  # S[i, h] = S[h, i]
     low_h, high_h = sub.max(), (column - least).min()
     low_idle, high_idle = IDLE_WEIGHT - (column - sub).min(), IDLE_WEIGHT - least.max()
-    if not (low_h < high_h and low_idle < high_idle):
+    if not (low_h <= high_h and low_idle <= high_idle):
         return None
     priced = prices.copy()
     priced[rest] = sub
     priced[h] = (low_h + high_h) / 2
-    graph = graph_from_matrix(app_ids, weights, priced, (low_idle + high_idle) / 2)
-    costs = _scaled_costs(graph.matrix, graph.prices)
-    if costs is None:
-        return None
-    reduced = costs[0]
-    idle, alone = graph.nodes.index(IDLE_NODE), graph.nodes.index(app_ids[h])
-    others = np.ones(len(reduced), dtype=bool)
-    others[[idle, alone]] = False
-    rows = reduced[others]
-    if (
-        reduced[idle, alone] < reduced[idle, others].min()
-        and reduced[alone, idle] < reduced[alone, others].min()
-        and (rows[:, [idle, alone]].min(axis=1) > rows[:, others].min(axis=1)).all()
-    ):
-        return graph
-    return None
+    return priced, (low_idle + high_idle) / 2
 
 
 def graph_from_matrix(
@@ -799,70 +784,55 @@ def _tight_matching(tight: np.ndarray) -> list[tuple[int, int]] | None:
     """The lexicographically smallest perfect matching of ``tight``, or None.
 
     ``tight`` is a symmetric boolean adjacency matrix with a false
-    diagonal.  Each connected component must have one of these shapes,
-    else the result is None:
-
-    (a) one edge;
-    (b) a *hub component*: its hubs ``H`` are adjacent to every other
-        vertex of it, every other vertex is adjacent to exactly ``H``,
-        ``|H| >= |rest|`` and ``|H| - |rest|`` is even;
-    (c) a complete bipartite graph with equal sides.
-
-    In each, the smallest free vertex takes the smallest free partner
-    that still lets its component be completed: in (b), a hub may take
-    a hub only while the free hubs outnumber the free others by 2 or
-    more, and in (c) the ``k``-th smallest vertex of one side pairs with
-    the ``k``-th smallest of the other.  A matching's sorted pair list
-    lists the partners of ever-later smallest free vertices, and
-    components are independent, so the union of these per-component
-    choices is the lexicographically smallest perfect matching.
+    diagonal.  Vertices with the same neighbours form a *part*.  Each
+    connected component must be complete multipartite (every vertex
+    adjacent to exactly the vertices of the component outside its own
+    part), even, and with no part over half of it, else the result is
+    None.  Such a component has a perfect matching, and keeps one after
+    a pair is taken while no part holds over half of what is left.  So
+    the smallest free vertex takes the smallest free vertex of another
+    part, from a part that holds half of what is left if there is one.
+    A matching's sorted pair list lists the partners of ever-later
+    smallest free vertices, and components are independent, so these
+    choices make the lexicographically smallest perfect matching.
     """
-    if not tight.any(axis=1).all():
+    masks = [int.from_bytes(row, "little")  # row i's tight neighbours as bits
+             for row in np.packbits(tight, axis=1, bitorder="little").tolist()]
+    if 0 in masks:  # a vertex without a tight edge
         return None
-    n = len(tight)
-    adjacent = [frozenset(compress(range(n), row)) for row in tight.tolist()]
-    seen = [False] * n
     pairs = []
-    for root, reach in enumerate(adjacent):
-        if seen[root]:
-            continue
-        if len(reach) == 1 and len(adjacent[min(reach)]) == 1:  # one edge
-            v = min(reach)
-            seen[v] = True
-            pairs.append((root, v))
-            continue
-        members, todo = {root}, [root]
-        while todo:
-            new = adjacent[todo.pop()] - members
-            members |= new
-            todo += new
-        members = sorted(members)
-        for v in members:
-            seen[v] = True
-        hubs = {v for v in members if len(adjacent[v]) == len(members) - 1}
-        rest = [v for v in members if v not in hubs]
-        spare = len(hubs) - len(rest)  # free hubs minus free others
-        if spare >= 0 and spare % 2 == 0 and all(adjacent[v] == hubs for v in rest):
-            free = members
-            while free:
-                v, *free = free
-                if v in hubs and spare >= 2:
-                    w = free[0]
-                else:  # a rest vertex takes a hub, a hub with no spare a rest vertex
-                    w = next(x for x in free if (x in hubs) != (v in hubs))
-                spare -= 2 * (v in hubs and w in hubs)
-                free.remove(w)
+    parts: dict[int, list[int]] = {}
+    for v, reach in enumerate(masks):
+        if reach & (reach - 1) == 0 and masks[w := reach.bit_length() - 1] == 1 << v:  # one edge
+            if v < w:
                 pairs.append((v, w))
             continue
-        side = [v for v in members if v not in reach]  # the root's side
-        if (
-            len(side) * 2 == len(members)
-            and all(adjacent[v] == reach for v in side)
-            and all(adjacent[v] == set(side) for v in reach)
-        ):
-            pairs += [(min(a, b), max(a, b)) for a, b in zip(side, sorted(reach))]
-            continue
-        return None
+        parts.setdefault(reach, []).append(v)
+    # A part and its neighbours span its component, so the components are
+    # complete multipartite exactly when the parts spanning a set cover it.
+    components: dict[int, list[list[int]]] = {}
+    for reach, part in parts.items():
+        components.setdefault(reach | sum(1 << v for v in part), []).append(part)
+    for span, group in components.items():
+        left = [len(part) for part in group]
+        size = span.bit_count()
+        if size % 2 or sum(left) != size or 2 * max(left) > size:
+            return None
+        part_of = {v: k for k, part in enumerate(group) for v in part}
+        free = sorted(v for part in group for v in part)
+        while 2 * max(left) < len(free):
+            v = free.pop(0)
+            w = next(x for x in free if part_of[x] != part_of[v])
+            free.remove(w)
+            left[part_of[v]] -= 1
+            left[part_of[w]] -= 1
+            pairs.append((v, w))
+        # A part holds half of what is left, and keeps doing so: its k-th
+        # smallest vertex takes the k-th smallest of the others.
+        big = left.index(max(left))
+        mine = [x for x in free if part_of[x] == big]
+        others = [x for x in free if part_of[x] != big]
+        pairs += [(min(a, b), max(a, b)) for a, b in zip(mine, others)]
     return pairs
 
 

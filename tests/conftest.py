@@ -23,7 +23,7 @@ from synpa import (
 )
 from synpa.counters import sample_from_fractions
 from synpa.interference import MAX_COEFFICIENT
-from synpa.matcher import IDLE_WEIGHT
+from synpa.matcher import IDLE_WEIGHT, _exact_scores, _solve_blossom
 
 #: On CI (the ``CI`` environment variable is set) no property fails on a
 #: slow runner's deadline, and a failure prints the blob that replays it
@@ -76,12 +76,20 @@ def decision_graph(model, app_ids, vectors):
     return build_graph(model, app_ids, st, co_run_slowdowns(model, st))
 
 
+def blossom_decision(graph):
+    """The blossom solver's pairs on ``graph``'s exact scores, as sorted id
+    pairs: the decision every path of the matcher must reach."""
+    scores, _ = _exact_scores(graph.matrix)
+    pairs = _solve_blossom(len(graph.nodes), scores)
+    return tuple(sorted((graph.nodes[i], graph.nodes[j]) for i, j in pairs))
+
+
 def idle_windows(model, vectors):
     """The idle pricing of an odd roster of ``vectors``, in plain floats:
     the index ``h`` of the thread with the highest fold price, the fold
     prices of the roster without ``h``, and the open windows ``(low,
     high)`` for ``h``'s price and for the idle node's price
-    (``matcher._idle_graph``)."""
+    (``matcher._idle_prices``)."""
     st = category_matrix(vectors)
     slowdown = co_run_slowdowns(model, st).tolist()
     weight = [[slowdown[i][j] + slowdown[j][i] for j in range(len(st))] for i in range(len(st))]

@@ -28,6 +28,7 @@ from synpa import (
     forward,
     invert,
     invert_category,
+    min_weight_perfect_matching,
     pair_categories,
     predict_pair,
 )
@@ -39,7 +40,7 @@ import reference_fold
 import reference_inversion
 import reference_simulator
 from conftest import (
-    category_vectors, coefficient_models, decision_graph, forward_models, idle_windows,
+    blossom_decision, category_vectors, coefficient_models, decision_graph, forward_models,
 )
 
 ZERO = CategoryCoefficients(alpha=0.0, beta=0.0, gamma=0.0, rho=0.0)
@@ -305,26 +306,13 @@ class TestPairWeightMatrix:
         nodes = sorted([*ids, IDLE_NODE]) if len(ids) % 2 else ids
         assert graph.nodes == tuple(nodes)
         vector = dict(zip(ids, vectors))
-        price = dict(zip(ids, fold_prices(REFERENCE_COEFFICIENTS, matrix).tolist()))
-        price[IDLE_NODE] = 0.0
-        kept = all(same_bits(graph.prices[i], price[a]) for i, a in enumerate(nodes))
-        if len(ids) % 2 and len(ids) > 1:
-            # An odd roster prices the idle node and the highest-priced
-            # thread inside their windows and the rest at their own fold
-            # prices; it keeps the fold prices only when a window is empty
-            # (or so narrow that the certificate's int64 units close it).
-            h, sub, window_h, window_idle = idle_windows(REFERENCE_COEFFICIENTS, vectors)
-            if kept:
-                assert not all(low + 1e-9 < high for low, high in (window_h, window_idle))
-            else:
-                price = dict(zip(ids[:h] + ids[h + 1 :], sub))
-                for a, (low, high) in ((ids[h], window_h), (IDLE_NODE, window_idle)):
-                    price[a] = graph.prices[nodes.index(a)]
-                    assert low < price[a] < high
-        else:
-            assert kept
+        if len(ids) % 2 == 0:
+            prices = fold_prices(REFERENCE_COEFFICIENTS, matrix).tolist()
+            assert all(same_bits(p, q) for p, q in zip(graph.prices.tolist(), prices))
+        # An odd roster's prices serve only the certificate: whatever they
+        # are, the decision is the blossom's.
+        assert min_weight_perfect_matching(graph) == blossom_decision(graph)
         for i, a in enumerate(nodes):
-            assert same_bits(graph.prices[i], price[a])
             for j, b in enumerate(nodes):
                 if a == b:
                     want = 0.0

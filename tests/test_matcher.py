@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from synpa import (
@@ -40,9 +40,12 @@ from synpa.matcher import (
     _scaled_costs,
     _score_units,
     _solve_blossom,
+    _tight_matching,
 )
 
-from conftest import category_vectors, coefficient_models, decision_graph, idle_windows
+from conftest import (
+    blossom_decision, category_vectors, coefficient_models, decision_graph, idle_windows,
+)
 
 
 def graph_from_weights(weights):
@@ -215,27 +218,26 @@ class TestBuildGraph:
         assert [p for i, p in enumerate(prices[1:]) if i != h] == sub
         assert _certified_fold(graph.matrix, graph.prices) is not None
 
-    def test_odd_roster_with_an_empty_window_keeps_the_fold_prices(self):
+    def test_odd_roster_with_an_empty_window_matches_the_blossom(self):
         # Three copies of one vector: h's row ties between its copies, so
         # no price of h lets every other row prefer its own partner.
         vectors = reference_vectors(1) * 3
         h, _, (low_h, high_h), _ = idle_windows(REFERENCE_COEFFICIENTS, vectors)
         assert not low_h < high_h
         graph = decision_graph(REFERENCE_COEFFICIENTS, ["a", "b", "c"], vectors)
-        want = [0.0, *fold_prices(REFERENCE_COEFFICIENTS, category_matrix(vectors)).tolist()]
-        assert graph.prices.tolist() == want
+        assert min_weight_perfect_matching(graph) == blossom_decision(graph) == oracle_best(graph)
 
-    def test_window_off_the_int64_scale_keeps_the_fold_prices(self):
+    def test_window_off_the_int64_scale_matches_the_blossom(self):
         # Prices of 3e6 and a weight of 1.1 open both windows in floats,
         # but no int64 scale holds 1.1 exactly once the prices fit: the
-        # certificate could not read the idle prices, so the graph keeps
-        # the fold prices.
+        # certificate cannot read the graph, and the blossom decides.
         flat = CategoryCoefficients(alpha=1e6, beta=0.0, gamma=0.0, rho=0.0)
         model = ModelCoefficients(fdc=flat, fe=flat, be=flat)
         st = category_matrix(reference_vectors(3))
         slowdown = np.array([[0.0, 0.75, 0.75], [0.75, 0.0, 0.55], [0.75, 0.55, 0.0]])
         graph = build_graph(model, ["a", "b", "c"], st, slowdown)
-        assert graph.prices.tolist() == [0.0, *fold_prices(model, st).tolist()]
+        assert _certified_fold(graph.matrix, graph.prices) is None
+        assert min_weight_perfect_matching(graph) == blossom_decision(graph) == oracle_best(graph)
 
     def test_even_roster_has_no_idle_node(self):
         graph = decision_graph(REFERENCE_COEFFICIENTS, ["a", "b"], reference_vectors(2))
@@ -754,20 +756,27 @@ class TestFoldCertificate:
         assert _certified_fold(weights, np.zeros(4)) == [(0, 1), (2, 3)] == solve_dp(4, scores)
 
     @pytest.mark.parametrize("n, ones, want", [
-        # (a) one-edge components: row 0 ties at 1 and 2, but only 0-1 is
+        # One-edge components: row 0 ties at 1 and 2, but only 0-1 is
         # mutual, since 2's least weight is its edge to 3.
         pytest.param(4, {(0, 1): 1.0, (0, 2): 1.0, (2, 3): 0.75}, [(0, 1), (2, 3)], id="edges"),
-        # (b) hubs 0-3 adjacent to all, 4 and 5 to the hubs only: hub 0
-        # may take hub 1, but then hubs 2 and 3 must take 4 and 5; with an
-        # edge 6-7 beside it.
+        # Hubs 0-3 adjacent to all, 4 and 5 to the hubs only: singleton
+        # parts around the part {4, 5}.  Hub 0 may take hub 1, but then
+        # {4, 5} holds half of what is left, so hubs 2 and 3 take 4 and 5;
+        # with an edge 6-7 beside it.
         pytest.param(
             8, {**{(i, j): 1.0 for i in range(4) for j in range(i + 1, 6)}, (6, 7): 1.0},
             [(0, 1), (2, 4), (3, 5), (6, 7)], id="hubs",
         ),
-        # (c) the complete bipartite graph between {0, 3, 4} and {1, 2, 5}.
+        # The complete bipartite graph between {0, 3, 4} and {1, 2, 5}.
         pytest.param(
             6, {(i, j): 1.0 for i in (0, 3, 4) for j in (1, 2, 5)},
             [(0, 1), (2, 3), (4, 5)], id="bipartite",
+        ),
+        # The complete tripartite graph K2,2,2 on {0, 3}, {1, 4}, {2, 5}:
+        # 0 takes 1, then {2, 5} holds half of what is left, so 2 takes 3.
+        pytest.param(
+            6, {(i, j): 1.0 for i in range(6) for j in range(i + 1, 6) if i % 3 != j % 3},
+            [(0, 1), (2, 3), (4, 5)], id="tripartite",
         ),
     ])
     def test_tight_shapes_certify(self, n, ones, want):
@@ -776,8 +785,8 @@ class TestFoldCertificate:
         assert sorted(_certified_fold(weights, np.zeros(n))) == want == sorted(solve_dp(n, scores))
 
     @pytest.mark.parametrize("n, ones", [
-        # Hubs 0-2 and others 3, 4: three hubs less two others is odd; a
-        # tied triangle 5-7 beside it.
+        # Hubs 0-2 and others 3, 4: a component of five; a tied triangle
+        # 5-7 beside it.
         pytest.param(8, {
             **{(i, j): 1.0 for i in range(3) for j in range(i + 1, 5)},
             **{(i, j): 1.0 for i in range(5, 8) for j in range(i + 1, 8)},
@@ -785,6 +794,9 @@ class TestFoldCertificate:
         # A tied triangle whose rows all want it, and a fourth node that
         # wants the triangle too.
         pytest.param(4, {(0, 1): 1.0, (0, 2): 1.0, (1, 2): 1.0}, id="triangle"),
+        # Hubs 0-4 around others 5-11: the others' part holds more than
+        # half, so the tight graph has no perfect matching.
+        pytest.param(12, {(i, j): 1.0 for i in range(5) for j in range(i + 1, 12)}, id="5-hubs-7-others"),
     ])
     def test_unmatched_tight_shapes_fall_back(self, n, ones):
         weights = tied_weights(n, ones)
@@ -795,6 +807,95 @@ class TestFoldCertificate:
         nodes = [f"t{i:02d}" for i in range(n)]
         got = min_weight_perfect_matching(graph_from_matrix(nodes, weights))
         assert got == tuple((nodes[i], nodes[j]) for i, j in want)
+
+
+@st.composite
+def tight_graphs(draw):
+    """A symmetric boolean adjacency matrix of 1-10 vertices with a false
+    diagonal: either any such matrix, or a union of complete multipartite
+    components with random part sizes, its vertices in random order."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 10))
+        tight = np.zeros((n, n), dtype=bool)
+        for i in range(n):
+            for j in range(i + 1, n):
+                tight[i, j] = tight[j, i] = draw(st.booleans())
+        return tight
+    sizes = st.lists(st.integers(1, 3), min_size=2, max_size=4)
+    labels = [  # (component, part) of each vertex
+        (c, p) for c, parts in enumerate(draw(st.lists(sizes, min_size=1, max_size=2)))
+        for p, size in enumerate(parts) for _ in range(size)
+    ][:10]
+    labels = draw(st.permutations(labels))
+    n = len(labels)
+    tight = np.zeros((n, n), dtype=bool)
+    for i, (ci, pi) in enumerate(labels):
+        for j, (cj, pj) in enumerate(labels):
+            tight[i, j] = ci == cj and pi != pj
+    return tight
+
+
+def readable_by_the_tie_rule(adjacent):
+    """Whether every connected component is complete multipartite, even,
+    and has no part holding more than half of it.  Within a complete
+    multipartite component, non-adjacency is an equivalence whose classes
+    are the parts."""
+    n = len(adjacent)
+    seen = set()
+    for root in range(n):
+        if root in seen:
+            continue
+        component, todo = {root}, [root]
+        while todo:
+            u = todo.pop()
+            new = {w for w in range(n) if adjacent[u][w]} - component
+            component |= new
+            todo += new
+        seen |= component
+        apart = {u: frozenset(w for w in component if not adjacent[u][w]) for u in component}
+        if any(apart[w] != apart[u] for u in component for w in apart[u]):
+            return False
+        if len(component) % 2 or any(2 * len(c) > len(component) for c in apart.values()):
+            return False
+    return True
+
+
+def lexicographic_matching(adjacent):
+    """The lexicographically smallest perfect matching of a graph as a
+    sorted pair list, by brute force, or None if it has none."""
+    def match(free):
+        if not free:
+            return []
+        v, rest = free[0], free[1:]
+        for w in rest:
+            if adjacent[v][w]:
+                tail = match([x for x in rest if x != w])
+                if tail is not None:
+                    return [(v, w)] + tail
+        return None
+
+    return match(list(range(len(adjacent))))
+
+
+class TestTieRule:
+    """``_tight_matching`` reads exactly the tight graphs whose components
+    are complete multipartite, even and without a part over half."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(tight=tight_graphs())
+    # 0 and 1 share the neighbours 2 and 3, and each has one more: the
+    # part {2, 3} spans {0, 1, 2, 3} but does not make it a component.
+    @example(tight=tied_weights(6, dict.fromkeys([(0, 2), (0, 3), (0, 5), (1, 2), (1, 3), (1, 4)],
+                                                 1.0)) == 1.0)
+    def test_tie_rule_is_the_lexicographic_matching_or_none(self, tight):
+        adjacent = tight.tolist()
+        got = _tight_matching(tight)
+        readable = readable_by_the_tie_rule(adjacent)
+        event(f"readable: {readable}")
+        if readable:
+            assert got is not None and sorted(got) == lexicographic_matching(adjacent)
+        else:
+            assert got is None
 
 
 #: The largest float below ``2**58``: magnitudes at the top of the
@@ -837,7 +938,7 @@ def strict_fold(weights, prices, margin):
 
 class TestIdlePricing:
     """Odd rosters: the idle node and the highest-priced thread priced
-    inside their windows (``matcher._idle_graph``)."""
+    inside their windows (``matcher._idle_prices``)."""
 
     @settings(max_examples=120, deadline=None)
     @given(case=odd_rosters())
