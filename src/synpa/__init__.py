@@ -74,13 +74,11 @@ from .matcher import (
 )
 from .trainer import (
     AlignedSample,
-    Profile,
     ProfileRecord,
     align,
     aligned_samples,
     evaluate,
     fit,
-    load_profiles,
 )
 
 __version__ = "0.1.0"

@@ -1,6 +1,6 @@
 """Offline training of the interference model from profiling runs.
 
-Inputs are *profiles*: per-quantum category vectors plus committed
+Inputs are *profile files*: per-quantum counter rows plus committed
 instruction counts, recorded once per app in isolation and once per app
 pair under co-execution.  Committed-instruction alignment matches each
 co-run quantum to the isolated quantum covering the same point in the
@@ -9,9 +9,10 @@ rescales the observed co-run fractions by the locally measured
 slowdown so they are expressed relative to isolated execution — the
 quantity the forward model predicts.
 
-:func:`aligned_samples` takes a set of profile files to the aligned
-samples, and :func:`fit` fits each category by one least-squares solve
-on the regressors ``[1, c_i, c_j, c_i * c_j]``.
+:func:`aligned_samples` reads a set of profile files into per-thread
+:class:`ProfileRecord` lists and joins each paired run with its apps'
+isolated runs through :func:`align`; :func:`fit` fits each category by
+one least-squares solve on the regressors ``[1, c_i, c_j, c_i * c_j]``.
 """
 
 from __future__ import annotations
@@ -19,11 +20,12 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import accumulate
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .counters import read_counter_file
+from .counters import TraceHeader, read_counter_file
 from .dispatch import CATEGORIES, CategoryTriple, CategoryVector, characterize, normalize
 from .errors import AlignmentError, ConfigError, FitError, RankDeficientError, TraceError
 from .interference import CategoryCoefficients, ModelCoefficients
@@ -35,81 +37,6 @@ class ProfileRecord:
 
     vector: CategoryVector
     committed: int
-
-
-@dataclass(frozen=True)
-class Profile:
-    """Per-quantum history of one app from a profiling run."""
-
-    app_id: str
-    mode: str  # "isolated" | "paired"
-    partner: str | None
-    records: tuple[ProfileRecord, ...]
-    dispatch_width: int
-    quantum_ms: float
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("isolated", "paired"):
-            raise TraceError(f"unknown profile mode {self.mode!r}")
-        if self.mode == "paired" and not self.partner:
-            raise TraceError("paired profile must name its partner app")
-        if self.mode == "isolated" and self.partner:
-            raise TraceError("isolated profile cannot have a partner")
-        if not self.records:
-            raise TraceError(f"profile for {self.app_id!r} has no records")
-        for idx, record in enumerate(self.records):
-            if record.committed < 1:
-                raise TraceError(
-                    f"profile {self.app_id!r} quantum {idx}: committed count "
-                    "must be >= 1 (cumulative progress is strictly increasing)"
-                )
-
-    @property
-    def cumulative(self) -> tuple[int, ...]:
-        out = []
-        total = 0
-        for record in self.records:
-            total += record.committed
-            out.append(total)
-        return tuple(out)
-
-
-def load_profiles(path: str) -> list[Profile]:
-    """Load the profile(s) stored in one file.
-
-    Isolated files hold one thread and yield one profile; paired files
-    hold the two co-running threads and yield two profiles that name
-    each other as partner.
-    """
-    header, samples, committed = read_counter_file(path)
-    if header.mode is None:
-        raise TraceError(f"{path}: profile file must declare a mode in its header")
-
-    per_thread: dict[str, list[ProfileRecord]] = {t: [] for t in header.threads}
-    for sample, done in zip(samples, committed):
-        vector = normalize(characterize(sample, header.dispatch_width))
-        per_thread[sample.thread_id].append(ProfileRecord(vector=vector, committed=done))
-
-    def profile(app: str, partner: str | None) -> Profile:
-        return Profile(
-            app_id=app, mode=header.mode, partner=partner, records=tuple(per_thread[app]),
-            dispatch_width=header.dispatch_width, quantum_ms=header.quantum_ms,
-        )
-
-    if header.mode == "isolated":
-        if len(header.threads) != 1:
-            raise TraceError(f"{path}: isolated profile must hold exactly one thread")
-        return [profile(header.threads[0], None)]
-
-    if len(header.threads) != 2:
-        raise TraceError(f"{path}: paired profile must hold exactly two threads")
-    a, b = header.threads
-    if len(per_thread[a]) != len(per_thread[b]):
-        raise TraceError(
-            f"{path}: paired threads cover different numbers of quanta "
-            f"({len(per_thread[a])} vs {len(per_thread[b])})"
-        )
-    return [profile(a, b), profile(b, a)]
 
 
 @dataclass(frozen=True)
@@ -135,118 +62,131 @@ class AlignmentResult:
     dropped: int  # co-run quanta beyond the isolated profiles' coverage
 
 
-def _align_index(iso_cumulative: tuple[int, ...], smt_cum: int) -> int | None:
-    """Index of the isolated quantum whose cumulative count brackets
-    ``smt_cum`` (first quantum reaching it), or None past coverage."""
-    idx = bisect_left(iso_cumulative, smt_cum)
-    if idx >= len(iso_cumulative):
-        return None
-    return idx
-
-
 def align(
-    iso_i: Profile, iso_j: Profile, paired_i: Profile, paired_j: Profile
+    iso_i: Sequence[ProfileRecord], iso_j: Sequence[ProfileRecord],
+    paired_i: Sequence[ProfileRecord], paired_j: Sequence[ProfileRecord],
 ) -> AlignmentResult:
-    """Join a paired run with both apps' isolated profiles.
+    """Join a paired run of apps ``i`` and ``j`` (records of the same
+    quanta) with both apps' isolated records.
 
-    For each co-run quantum, each app's cumulative committed count
-    locates the isolated quantum covering the same program position;
-    that quantum supplies the isolated vector, and the ratio of
-    committed-per-quantum rates supplies the local slowdown used to
-    rescale the observed co-run fractions.  Co-run quanta past either
-    isolated profile's coverage are dropped (counted in the result).
+    Each app's cumulative committed count at a co-run quantum locates
+    the first isolated quantum whose cumulative count reaches it: that
+    quantum supplies the isolated vector, and the ratio of the two
+    quanta's committed counts the local slowdown that rescales the
+    observed co-run fractions.  Co-run quanta past either isolated run
+    are dropped (counted in the result).
     """
-    if iso_i.mode != "isolated" or iso_j.mode != "isolated":
-        raise AlignmentError("iso_i/iso_j must be isolated profiles")
-    if paired_i.mode != "paired" or paired_j.mode != "paired":
-        raise AlignmentError("paired_i/paired_j must come from a paired run")
-    if paired_i.app_id != iso_i.app_id or paired_j.app_id != iso_j.app_id:
-        raise AlignmentError("profile app ids do not line up")
-    if paired_i.partner != paired_j.app_id or paired_j.partner != paired_i.app_id:
-        raise AlignmentError("paired profiles do not name each other as partner")
-    if len(paired_i.records) != len(paired_j.records):
-        raise AlignmentError("paired profiles cover different numbers of quanta")
-
-    cum_i = iso_i.cumulative
-    cum_j = iso_j.cumulative
+    cum_i = list(accumulate(r.committed for r in iso_i))
+    cum_j = list(accumulate(r.committed for r in iso_j))
     samples: list[AlignedSample] = []
     dropped = 0
-    done_i = 0
-    done_j = 0
-    for rec_i, rec_j in zip(paired_i.records, paired_j.records):
+    done_i = done_j = 0
+    for rec_i, rec_j in zip(paired_i, paired_j, strict=True):
         done_i += rec_i.committed
         done_j += rec_j.committed
-        qi = _align_index(cum_i, done_i)
-        qj = _align_index(cum_j, done_j)
-        if qi is None or qj is None:
+        qi = bisect_left(cum_i, done_i)
+        qj = bisect_left(cum_j, done_j)
+        if qi == len(cum_i) or qj == len(cum_j):
             dropped += 1
             continue
-        slow_i = iso_i.records[qi].committed / rec_i.committed
-        slow_j = iso_j.records[qj].committed / rec_j.committed
-        samples.append(
-            AlignedSample(
-                st_i=iso_i.records[qi].vector,
-                st_j=iso_j.records[qj].vector,
-                smt_ij=_scale(rec_i.vector, slow_i),
-                smt_ji=_scale(rec_j.vector, slow_j),
-                slowdown_i=slow_i,
-                slowdown_j=slow_j,
-            )
-        )
-    if not samples:
-        raise AlignmentError(
-            f"no overlap between paired run ({paired_i.app_id!r}, "
-            f"{paired_j.app_id!r}) and the isolated profiles"
-        )
+        slow_i = iso_i[qi].committed / rec_i.committed
+        slow_j = iso_j[qj].committed / rec_j.committed
+        samples.append(AlignedSample(
+            st_i=iso_i[qi].vector, st_j=iso_j[qj].vector,
+            smt_ij=_scale(rec_i.vector, slow_i), smt_ji=_scale(rec_j.vector, slow_j),
+            slowdown_i=slow_i, slowdown_j=slow_j,
+        ))
     return AlignmentResult(samples=tuple(samples), dropped=dropped)
 
 
 def _scale(vector: CategoryVector, factor: float) -> CategoryTriple:
-    return CategoryTriple(
-        fe=vector.fe * factor, be=vector.be * factor, fdc=vector.fdc * factor
-    )
+    return CategoryTriple(fe=vector.fe * factor, be=vector.be * factor, fdc=vector.fdc * factor)
+
+
+def _read_profile(path: str) -> tuple[TraceHeader, list[list[ProfileRecord]]]:
+    """A profile file's header and its threads' records, in roster order.
+
+    An isolated file holds one thread and a paired file two, which run
+    in the same quanta; every record has a committed count of at least
+    1 (cumulative progress is strictly increasing).
+    """
+    header, samples, committed = read_counter_file(path)
+    if header.mode is None:
+        raise TraceError(f"{path}: profile file must declare a mode in its header")
+    records: dict[str, list[ProfileRecord]] = {t: [] for t in header.threads}
+    first: dict[str, int] = {}  # each thread's first quantum
+    for sample, done in zip(samples, committed):
+        first.setdefault(sample.thread_id, sample.quantum_index)
+        vector = normalize(characterize(sample, header.dispatch_width))
+        records[sample.thread_id].append(ProfileRecord(vector=vector, committed=done))
+    runs = [records[t] for t in header.threads]
+
+    if header.mode == "isolated" and len(runs) != 1:
+        raise TraceError(f"{path}: isolated profile must hold exactly one thread")
+    if header.mode == "paired":
+        if len(runs) != 2:
+            raise TraceError(f"{path}: paired profile must hold exactly two threads")
+        if len(runs[0]) != len(runs[1]):
+            raise TraceError(f"{path}: paired threads cover different numbers of quanta "
+                             f"({len(runs[0])} vs {len(runs[1])})")
+    for app, run in zip(header.threads, runs):
+        if not run:
+            raise TraceError(f"profile for {app!r} has no records")
+        for idx, record in enumerate(run):
+            if record.committed < 1:
+                raise TraceError(f"profile {app!r} quantum {idx}: committed count must be >= 1 "
+                                 "(cumulative progress is strictly increasing)")
+    # The parser keeps each thread's quanta contiguous, so two runs of
+    # one length share every quantum exactly when they start together.
+    if len(set(first.values())) > 1:
+        lone = min(first, key=first.get)
+        raise TraceError(f"{path}: paired threads must share every quantum, "
+                         f"but quantum {first[lone]} holds only {lone!r}")
+    return header, runs
 
 
 def aligned_samples(paths: Iterable[str]) -> AlignmentResult:
-    """Load profile files and align each paired run with its apps'
-    isolated profiles.
+    """Read profile files and align each paired run with its apps'
+    isolated runs.
 
     Alignment compares committed instructions per quantum, so the files
     must share one dispatch width and quantum length.  Each app needs
     exactly one isolated profile and each pair at most one paired run;
-    a file set that breaks this or yields no sample is a ConfigError.
+    a file set that breaks this or yields no sample is a ConfigError,
+    and a paired run that overlaps no isolated quantum an AlignmentError.
     """
-    isolated: dict[str, Profile] = {}
-    paired: dict[tuple[str, str], Profile] = {}
+    isolated: dict[str, list[ProfileRecord]] = {}
+    paired: dict[tuple[str, str], list[list[ProfileRecord]]] = {}  # apps in sorted order
     first = None  # (path, shape) of the first file
     for path in paths:
-        for profile in load_profiles(path):
-            shape = f"dispatch_width {profile.dispatch_width}, quantum_ms {profile.quantum_ms}"
-            if first is None:
-                first = (path, shape)
-            elif shape != first[1]:
-                raise ConfigError(f"{path}: {shape} differ from {first[0]}: {first[1]}")
-            if profile.mode == "isolated":
-                if profile.app_id in isolated:
-                    raise ConfigError(f"duplicate isolated profile for {profile.app_id!r}")
-                isolated[profile.app_id] = profile
-            else:
-                key = (profile.app_id, profile.partner)
-                if key in paired:
-                    raise ConfigError(
-                        f"duplicate paired profile for {key[0]!r} with {key[1]!r}"
-                    )
-                paired[key] = profile
+        header, runs = _read_profile(path)
+        shape = f"dispatch_width {header.dispatch_width}, quantum_ms {header.quantum_ms}"
+        if first is None:
+            first = (path, shape)
+        elif shape != first[1]:
+            raise ConfigError(f"{path}: {shape} differ from {first[0]}: {first[1]}")
+        if header.mode == "isolated":
+            (app,) = header.threads
+            if app in isolated:
+                raise ConfigError(f"duplicate isolated profile for {app!r}")
+            isolated[app] = runs[0]
+        else:
+            a, b = header.threads
+            key = (min(a, b), max(a, b))
+            if key in paired:
+                raise ConfigError(f"duplicate paired profile for {a!r} with {b!r}")
+            paired[key] = runs if a < b else runs[::-1]
 
     samples: list[AlignedSample] = []
     dropped = 0
-    for a, b in sorted(paired):
-        if a > b:  # a paired file yields both views; align each pair once
-            continue
+    for (a, b), (run_a, run_b) in sorted(paired.items()):
         for app in (a, b):
             if app not in isolated:
                 raise ConfigError(f"no isolated baseline profile for {app!r}")
-        result = align(isolated[a], isolated[b], paired[(a, b)], paired[(b, a)])
+        result = align(isolated[a], isolated[b], run_a, run_b)
+        if not result.samples:
+            raise AlignmentError(f"no overlap between paired run ({a!r}, {b!r}) "
+                                 "and the isolated profiles")
         samples.extend(result.samples)
         dropped += result.dropped
     if not samples:
@@ -336,18 +276,11 @@ def fit(samples, split: float = 0.8, seed: int = 0) -> FitReport:
         theta, _, rank, _ = np.linalg.lstsq(*_rows(train, category), rcond=None)
         if rank < 4:
             raise RankDeficientError(category)
-        coeffs[category] = CategoryCoefficients(
-            alpha=float(theta[0]),
-            beta=float(theta[1]),
-            gamma=float(theta[2]),
-            rho=float(theta[3]),
-        )
+        alpha, beta, gamma, rho = map(float, theta)
+        coeffs[category] = CategoryCoefficients(alpha=alpha, beta=beta, gamma=gamma, rho=rho)
 
     model = ModelCoefficients(
-        fdc=coeffs["fdc"],
-        fe=coeffs["fe"],
-        be=coeffs["be"],
-        provenance=f"trained-n{len(samples)}-split{split}-seed{seed}",
+        **coeffs, provenance=f"trained-n{len(samples)}-split{split}-seed{seed}"
     )
     return FitReport(
         coefficients=model,

@@ -18,7 +18,14 @@ The matrix: ``gen-workload --seed 3 --iso-quanta 20``, mixed and backend
 at 8, 15, 16, 33 and 63 apps; each workload simulated at seed 1 under
 all three policies at noise 0 and 0.02, with ``--metrics`` and
 ``--export-trace``; every trace replayed under all three policies; and
-one ``report`` per workload over its logs.
+one ``report`` per workload over its logs.  Then the calls of
+:func:`extras`: ``train`` on the test suite's profile corpus
+(``conftest.write_profile_corpus``) and a simulation with what it
+trained, ``train`` on the isolated profiles alone, a multi-run
+``simulate``, a replay of a trace in which one thread arrives late, two
+missing inputs, and two outputs refused for naming an input.  A call
+whose name starts with ``@`` is a step of this tool that writes an input
+(:data:`STEPS`), hashed like a call's outputs.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ import hashlib
 import io
 import json
 import os
+import shutil
 import sys
 import tempfile
 from typing import Iterable, Sequence
@@ -65,6 +73,73 @@ def matrix() -> list[list[str]]:
     return calls
 
 
+#: The workload whose files the extra calls reuse.
+EXTRA = "mixed8"
+
+
+def extras() -> list[list[str]]:
+    """The calls after the matrix, which reuse its first workload, that
+    workload's ``synpa`` log at noise 0 and its trace."""
+    from conftest import CORPUS_APPS, CORPUS_PAIRS  # --compare alone runs without it
+
+    isolated = [f"corpus/iso-{app}.profile" for app in CORPUS_APPS]
+    profiles = [*isolated, *(f"corpus/pair-{a}-{b}.profile" for a, b in CORPUS_PAIRS)]
+    wl, run = f"{EXTRA}.json", f"{EXTRA}-synpa-n0"
+    return [
+        ["@profile-corpus", "corpus"],
+        ["train", *profiles, "--out", "trained.json", "--report", "trained.fit.json",
+         "--seed", "3"],
+        ["train", *profiles, "--out", "trained-all.json", "--split", "1.0"],
+        ["simulate", "--workload", wl, "--seed", "1", "--coefficients", "trained.json",
+         "--out", "trained.jsonl", "--metrics", "trained.metrics.json"],
+        ["train", *isolated, "--out", "iso.json"],
+        ["simulate", "--workload", wl, "--policy", "synpa", "random", "--seed", "1", "2",
+         "--out", "multi"],
+        ["@late-thread", f"{run}.trace", "late.trace", "5"],
+        ["replay", "--trace", "late.trace", "--out", "late.jsonl", "--metrics", "late.metrics.json"],
+        ["simulate", "--workload", "missing.json", "--out", "missing.jsonl"],
+        ["replay", "--trace", "missing.trace", "--out", "missing-replay.jsonl"],
+        ["report", f"{run}.jsonl", "--csv", f"{run}.jsonl"],
+        ["@copy", wl, "overlap/runs.csv"],
+        ["simulate", "--workload", "overlap/runs.csv", "--policy", "synpa", "random",
+         "--out", "overlap"],
+    ]
+
+
+def _profile_corpus(directory: str) -> None:
+    """The test suite's profile corpus, written into a new ``directory``."""
+    from conftest import CORPUS_APPS, CORPUS_PAIRS, write_profile_corpus
+    from synpa import REFERENCE_COEFFICIENTS
+
+    os.makedirs(directory)
+    write_profile_corpus(directory, REFERENCE_COEFFICIENTS, CORPUS_APPS, CORPUS_PAIRS)
+
+
+def _late_thread(source: str, target: str, quanta: str) -> None:
+    """``source`` copied to ``target`` without the first ``quanta`` rows
+    of its roster's last thread, which then arrives late."""
+    with open(source, encoding="utf-8") as fh:
+        header, columns, *rows = fh.read().splitlines()
+    late = json.loads(header)["threads"][-1]
+
+    def kept(row: str) -> bool:
+        quantum, thread = row.split(",")[:2]
+        return thread != late or int(quantum) >= int(quanta)
+
+    rows = list(filter(kept, rows))
+    with open(target, "w", encoding="utf-8") as fh:
+        fh.write("\n".join([header, columns, *rows]) + "\n")
+
+
+def _copy(source: str, target: str) -> None:
+    os.makedirs(os.path.dirname(target), exist_ok=True)
+    shutil.copyfile(source, target)
+
+
+#: The tool's own steps, by the name a call gives them.
+STEPS = {"@profile-corpus": _profile_corpus, "@late-thread": _late_thread, "@copy": _copy}
+
+
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -94,10 +169,14 @@ def run_calls(calls: Iterable[Sequence[str]]) -> list[str]:
             for argv in calls:
                 stdout, stderr = io.StringIO(), io.StringIO()
                 with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                    try:
-                        code = main(list(argv))
-                    except SystemExit as exc:  # argparse refusing the call
-                        code = exc.code if isinstance(exc.code, int) else 1
+                    if argv[0] in STEPS:
+                        STEPS[argv[0]](*argv[1:])
+                        code = 0
+                    else:
+                        try:
+                            code = main(list(argv))
+                        except SystemExit as exc:  # argparse refusing the call
+                            code = exc.code if isinstance(exc.code, int) else 1
                 after = _stats(".")
                 files = {}
                 for name in sorted(after):
@@ -142,7 +221,7 @@ def _main(argv: Sequence[str] | None = None) -> int:
     group.add_argument("--compare", nargs=2, metavar=("A", "B"), help="compare two manifests")
     args = parser.parse_args(argv)
     if args.out is not None:
-        lines = run_calls(matrix())
+        lines = run_calls(matrix() + extras())
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write("".join(line + "\n" for line in lines))
         files = sum(len(json.loads(line)["files"]) for line in lines)

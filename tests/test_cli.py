@@ -131,6 +131,22 @@ class TestTrain:
         )
         assert not out.exists()
 
+    def test_paired_quantum_with_one_thread_rejected(self, profile_corpus, tmp_path, capsys):
+        # appb's rows move one quantum later: both threads keep 29 rows,
+        # but quantum 0 holds appa alone and quantum 29 appb alone.
+        bad = pathlib.Path(next(p for p in profile_corpus if "pair-appa-appb" in p))
+        header, columns, *rows = bad.read_text(encoding="utf-8").splitlines()
+        rows = [row for row in rows if not row.startswith(("0,appb,", "29,appa,"))]
+        bad.write_text("\n".join([header, columns, *rows]) + "\n", encoding="utf-8")
+        outs = [tmp_path / "c.json", tmp_path / "fit.json"]
+        code = run_cli("train", *profile_corpus, "--out", outs[0], "--report", outs[1])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {bad}: paired threads must share every quantum, "
+            "but quantum 0 holds only 'appa'\n"
+        )
+        assert not any(out.exists() for out in outs)
+
     def test_duplicate_isolated_profile_rejected(self, profile_corpus, tmp_path, capsys):
         iso = [p for p in profile_corpus if "iso-appa" in p]
         code = run_cli(

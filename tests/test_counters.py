@@ -227,6 +227,11 @@ class TestHeader:
         with pytest.raises(TraceError, match="^line 1: thread ids must be non-empty$"):
             parse_counter_text(make_text(rows, header))
 
+    def test_unknown_profile_mode_is_refused_on_line_one(self):
+        header = '{"version":1,"dispatch_width":4,"quantum_ms":100,"threads":["t0"],"mode":"shared"}'
+        with pytest.raises(TraceError, match="^line 1: unknown profile mode 'shared'$"):
+            parse_counter_text(make_text([], header))
+
 
 @st.composite
 def simplex_fractions(draw):

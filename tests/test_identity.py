@@ -48,3 +48,18 @@ def test_the_matrix_runs_every_trace_under_every_policy():
     assert kinds.count("gen-workload") == kinds.count("report") == workloads
     assert kinds.count("simulate") == runs
     assert kinds.count("replay") == runs * len(identity.POLICIES)
+
+
+def test_the_extra_calls_are_the_same_on_every_run():
+    # The matrix's first gen-workload and simulate write what the extra
+    # calls reuse.
+    calls = identity.matrix()[:2] + identity.extras()
+    first = identity.run_calls(calls)
+    assert identity.run_calls(calls) == first
+    entries = [json.loads(line) for line in first]
+    refused = [" ".join(entry["argv"][:2]) for entry in entries if entry["exit"]]
+    assert refused == [
+        "train corpus/iso-appa.profile", "simulate --workload", "replay --trace",
+        "report mixed8-synpa-n0.jsonl", "simulate --workload",
+    ]
+    assert all(entry["exit"] == 1 and not entry["files"] for entry in entries if entry["exit"])

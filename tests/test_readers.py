@@ -22,8 +22,8 @@ from synpa import (
     EngineConfig,
     ModelCoefficients,
     SimWorkload,
+    aligned_samples,
     invert_category,
-    load_profiles,
     parse_counter_text,
     run,
 )
@@ -162,13 +162,15 @@ class TestOneEditedValue:
     @PROPERTY
     @given(data=st.data(), which=st.sampled_from(["isolated", "paired"]))
     def test_profile_header(self, files, data, which):
-        text = next(t for t in files["profiles"] if f'"mode": "{which}"' in t)
-        header, rest = text.split("\n", 1)
+        profiles = files["profiles"]
+        at = next(k for k, t in enumerate(profiles) if f'"mode": "{which}"' in t)
+        header, rest = profiles[at].split("\n", 1)
 
         def consume(text):
-            return load_profiles(write(files, "edited.profile", text))
+            return aligned_samples([write(files, f"p{k}.profile", text if k == at else t)
+                                    for k, t in enumerate(profiles)])
 
-        baseline = consume(text)
+        baseline = consume(profiles[at])
         check_edit(consume, baseline, lambda doc: json.dumps(doc) + "\n" + rest,
                    json.loads(header), data)
 

@@ -1,4 +1,4 @@
-"""Tests for profile loading, instruction-count alignment, and the
+"""Tests for reading profile files, instruction-count alignment, and the
 per-category least-squares fit: synthetic-data oracles with known
 coefficients, alignment arithmetic on constructed progress curves, and
 noise-response checks."""
@@ -6,9 +6,12 @@ noise-response checks."""
 import json
 import math
 import random
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from synpa import (
     CATEGORIES,
@@ -17,7 +20,6 @@ from synpa import (
     CategoryTriple,
     CategoryVector,
     FitError,
-    Profile,
     ProfileRecord,
     RankDeficientError,
     REFERENCE_COEFFICIENTS,
@@ -26,8 +28,8 @@ from synpa import (
     aligned_samples,
     evaluate,
     fit,
-    load_profiles,
 )
+from synpa.trainer import AlignmentResult
 from synpa.counters import sample_from_fractions
 from conftest import CORPUS_APPS, CORPUS_PAIRS
 
@@ -53,37 +55,44 @@ def _make_noise_model():
 NOISE_MODEL = _make_noise_model()
 
 
-#: Dispatch width and quantum length of the hand-built profiles.
-SHAPE = dict(dispatch_width=4, quantum_ms=100.0)
-
-
 def vector(fe, be, fdc):
     return CategoryVector(fe=fe, be=be, fdc=fdc)
 
 
-def constant_profile(app_id, mode, partner, vec, committed_per_quantum, n):
-    return Profile(
-        app_id=app_id,
-        mode=mode,
-        partner=partner,
-        records=tuple(
-            ProfileRecord(vector=vec, committed=committed_per_quantum)
-            for _ in range(n)
-        ),
-        **SHAPE,
-    )
+def varying_records(vecs, committed):
+    return tuple(ProfileRecord(vector=v, committed=c) for v, c in zip(vecs, committed))
 
 
-def varying_profile(app_id, mode, partner, vecs, committed):
-    return Profile(
-        app_id=app_id,
-        mode=mode,
-        partner=partner,
-        records=tuple(
-            ProfileRecord(vector=v, committed=c) for v, c in zip(vecs, committed)
-        ),
-        **SHAPE,
-    )
+def constant_records(vec, committed_per_quantum, n):
+    return varying_records([vec] * n, [committed_per_quantum] * n)
+
+
+PROFILE_COLUMNS = (
+    "quantum,thread,cpu_cycles,inst_spec,stall_frontend,stall_backend,committed_instructions"
+)
+
+
+def profile_file(tmp_path, name, mode, threads, rows):
+    """A profile file of ``mode`` for ``threads`` whose rows are
+    ``(quantum, thread, committed)``; every row has the same counters."""
+    header = json.dumps({"dispatch_width": 4, "mode": mode, "quantum_ms": 100.0,
+                         "threads": list(threads), "version": 1})
+    lines = [header, PROFILE_COLUMNS]
+    lines += [f"{q},{t},1000,400,200,300,{c}" for q, t, c in rows]
+    path = tmp_path / name
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(path)
+
+
+def isolated_file(tmp_path, app, committed):
+    rows = [(q, app, c) for q, c in enumerate(committed)]
+    return profile_file(tmp_path, f"iso-{app}.profile", "isolated", [app], rows)
+
+
+def paired_file(tmp_path, a, b, committed_a, committed_b):
+    rows = [(q, t, c) for q, pair in enumerate(zip(committed_a, committed_b))
+            for t, c in zip((a, b), pair)]
+    return profile_file(tmp_path, f"pair-{a}-{b}.profile", "paired", [a, b], rows)
 
 
 def affine(coeffs, ci, cj):
@@ -140,31 +149,63 @@ def max_coefficient_error(got, want):
 
 
 class TestProfileType:
+    """The rules a profile file's records follow."""
+
     def test_cumulative_counts(self):
-        profile = varying_profile(
-            "app", "isolated", None, [UNIFORM] * 3, [100, 250, 50]
-        )
-        assert profile.cumulative == (100, 350, 400)
+        # Isolated cumulative counts 100, 350, 400: co-run progress 100,
+        # 200, 300, 400 lands in isolated quanta 0, 1, 1, 2.
+        iso_i = varying_records([UNIFORM] * 3, [100, 250, 50])
+        iso_j = constant_records(UNIFORM, 100, 4)
+        paired = constant_records(UNIFORM, 100, 4)
+        result = align(iso_i, iso_j, paired, paired)
+        assert [s.slowdown_i for s in result.samples] == [1.0, 2.5, 2.5, 0.5]
+        assert result.dropped == 0
 
-    def test_zero_committed_rejected(self):
-        with pytest.raises(TraceError):
-            constant_profile("app", "isolated", None, UNIFORM, 0, 3)
+    def test_zero_committed_rejected(self, tmp_path):
+        path = isolated_file(tmp_path, "a", [400, 0, 400])
+        with pytest.raises(TraceError, match=r"^profile 'a' quantum 1: committed count must be >= 1"):
+            aligned_samples([path])
 
-    def test_empty_profile_rejected(self):
-        with pytest.raises(TraceError):
-            Profile(app_id="app", mode="isolated", partner=None, records=(), **SHAPE)
+    def test_empty_profile_rejected(self, tmp_path):
+        path = isolated_file(tmp_path, "a", [])
+        with pytest.raises(TraceError, match=r"^profile for 'a' has no records$"):
+            aligned_samples([path])
 
-    def test_isolated_with_partner_rejected(self):
-        with pytest.raises(TraceError):
-            constant_profile("app", "isolated", "other", UNIFORM, 10, 2)
 
-    def test_paired_without_partner_rejected(self):
-        with pytest.raises(TraceError):
-            constant_profile("app", "paired", None, UNIFORM, 10, 2)
+#: A distinct category vector per quantum index.
+INDEXED = [vector(0.01 * (k + 1), 0.5, 0.5 - 0.01 * (k + 1)) for k in range(12)]
 
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(TraceError):
-            constant_profile("app", "shared", None, UNIFORM, 10, 2)
+
+def oracle_align(iso_i, iso_j, paired_i, paired_j):
+    """Alignment by its definition: co-run quantum ``k`` of each app takes
+    the first isolated quantum whose cumulative committed count reaches
+    the co-run cumulative count at ``k``; quanta past either isolated run
+    drop; slowdowns are the isolated over the co-run count, and they
+    scale the observed vectors."""
+    samples, dropped = [], 0
+    for k in range(len(paired_i)):
+        picks = []
+        for iso, paired in ((iso_i, paired_i), (iso_j, paired_j)):
+            target = sum(r.committed for r in paired[:k + 1])
+            reach = [q for q in range(len(iso))
+                     if sum(r.committed for r in iso[:q + 1]) >= target]
+            picks.append(reach[0] if reach else None)
+        if None in picks:
+            dropped += 1
+            continue
+        qi, qj = picks
+        slow_i = iso_i[qi].committed / paired_i[k].committed
+        slow_j = iso_j[qj].committed / paired_j[k].committed
+        seen_i, seen_j = paired_i[k].vector, paired_j[k].vector
+        samples.append(AlignedSample(
+            st_i=iso_i[qi].vector, st_j=iso_j[qj].vector,
+            smt_ij=CategoryTriple(fe=seen_i.fe * slow_i, be=seen_i.be * slow_i,
+                                  fdc=seen_i.fdc * slow_i),
+            smt_ji=CategoryTriple(fe=seen_j.fe * slow_j, be=seen_j.be * slow_j,
+                                  fdc=seen_j.fdc * slow_j),
+            slowdown_i=slow_i, slowdown_j=slow_j,
+        ))
+    return AlignmentResult(samples=tuple(samples), dropped=dropped)
 
 
 class TestAlign:
@@ -172,10 +213,10 @@ class TestAlign:
         # Identical progress: co-run quantum k draws its regressors from
         # isolated quantum k, at slowdown 1.
         vecs = [vector(0.1 + 0.05 * k, 0.5 - 0.05 * k, 0.4) for k in range(8)]
-        iso_i = varying_profile("a", "isolated", None, vecs, [100] * 8)
-        iso_j = constant_profile("b", "isolated", None, UNIFORM, 100, 8)
-        paired_i = varying_profile("a", "paired", "b", vecs, [100] * 8)
-        paired_j = constant_profile("b", "paired", "a", UNIFORM, 100, 8)
+        iso_i = varying_records(vecs, [100] * 8)
+        iso_j = constant_records(UNIFORM, 100, 8)
+        paired_i = varying_records(vecs, [100] * 8)
+        paired_j = constant_records(UNIFORM, 100, 8)
         result = align(iso_i, iso_j, paired_i, paired_j)
         assert result.dropped == 0
         assert len(result.samples) == 8
@@ -188,10 +229,10 @@ class TestAlign:
         # Co-run progress at half the isolated rate: co-run quantum k
         # (1-based) lands in isolated quantum ceil(k / 2).
         vecs = [vector(0.05 + 0.02 * k, 0.6, 0.35 - 0.02 * k) for k in range(10)]
-        iso_i = varying_profile("a", "isolated", None, vecs, [100] * 10)
-        iso_j = constant_profile("b", "isolated", None, UNIFORM, 100, 10)
-        paired_i = constant_profile("a", "paired", "b", UNIFORM, 50, 20)
-        paired_j = constant_profile("b", "paired", "a", UNIFORM, 50, 20)
+        iso_i = varying_records(vecs, [100] * 10)
+        iso_j = constant_records(UNIFORM, 100, 10)
+        paired_i = constant_records(UNIFORM, 50, 20)
+        paired_j = constant_records(UNIFORM, 50, 20)
         result = align(iso_i, iso_j, paired_i, paired_j)
         assert result.dropped == 0
         assert len(result.samples) == 20
@@ -203,10 +244,10 @@ class TestAlign:
 
     def test_slowdown_rescales_observed_vector(self):
         observed = vector(0.30, 0.50, 0.20)
-        iso_i = constant_profile("a", "isolated", None, UNIFORM, 100, 10)
-        iso_j = constant_profile("b", "isolated", None, UNIFORM, 100, 10)
-        paired_i = varying_profile("a", "paired", "b", [observed] * 4, [50] * 4)
-        paired_j = constant_profile("b", "paired", "a", UNIFORM, 25, 4)
+        iso_i = constant_records(UNIFORM, 100, 10)
+        iso_j = constant_records(UNIFORM, 100, 10)
+        paired_i = varying_records([observed] * 4, [50] * 4)
+        paired_j = constant_records(UNIFORM, 25, 4)
         result = align(iso_i, iso_j, paired_i, paired_j)
         sample = result.samples[0]
         # App a ran at half speed, so its observed fractions scale by 2;
@@ -220,83 +261,78 @@ class TestAlign:
         )
 
     def test_trailing_quanta_dropped(self):
-        iso_i = constant_profile("a", "isolated", None, UNIFORM, 100, 10)
-        iso_j = constant_profile("b", "isolated", None, UNIFORM, 100, 50)
-        paired_i = constant_profile("a", "paired", "b", UNIFORM, 50, 25)
-        paired_j = constant_profile("b", "paired", "a", UNIFORM, 50, 25)
+        iso_i = constant_records(UNIFORM, 100, 10)
+        iso_j = constant_records(UNIFORM, 100, 50)
+        paired = constant_records(UNIFORM, 50, 25)
         # App a's isolated run covers 1000 instructions; co-run quantum
         # 21 onward is past that, so 5 of the 25 quanta drop.
-        result = align(iso_i, iso_j, paired_i, paired_j)
+        result = align(iso_i, iso_j, paired, paired)
         assert len(result.samples) == 20
         assert result.dropped == 5
 
-    def test_no_overlap_rejected(self):
-        iso_i = constant_profile("a", "isolated", None, UNIFORM, 10, 1)
-        iso_j = constant_profile("b", "isolated", None, UNIFORM, 10, 1)
-        paired_i = constant_profile("a", "paired", "b", UNIFORM, 100, 2)
-        paired_j = constant_profile("b", "paired", "a", UNIFORM, 100, 2)
-        with pytest.raises(AlignmentError):
-            align(iso_i, iso_j, paired_i, paired_j)
+    def test_no_overlap_rejected(self, tmp_path):
+        paths = [isolated_file(tmp_path, "a", [10]), isolated_file(tmp_path, "b", [10]),
+                 paired_file(tmp_path, "a", "b", [100, 100], [100, 100])]
+        with pytest.raises(AlignmentError, match=r"^no overlap between paired run \('a', 'b'\)"):
+            aligned_samples(paths)
 
-    def test_mode_mismatch_rejected(self):
-        iso = constant_profile("a", "isolated", None, UNIFORM, 100, 4)
-        iso_b = constant_profile("b", "isolated", None, UNIFORM, 100, 4)
-        paired_i = constant_profile("a", "paired", "b", UNIFORM, 100, 4)
-        paired_j = constant_profile("b", "paired", "a", UNIFORM, 100, 4)
-        with pytest.raises(AlignmentError):
-            align(paired_i, iso_b, paired_i, paired_j)
-        with pytest.raises(AlignmentError):
-            align(iso, iso_b, iso, paired_j)
+    def test_unequal_paired_lengths_rejected(self, tmp_path):
+        rows = [(q, t, 50) for q in range(5) for t in ("a", "b") if (q, t) != (4, "a")]
+        path = profile_file(tmp_path, "pair.profile", "paired", ["a", "b"], rows)
+        with pytest.raises(TraceError, match=r"paired threads cover different numbers of quanta "
+                                             r"\(4 vs 5\)$"):
+            aligned_samples([path])
 
-    def test_partner_mismatch_rejected(self):
-        iso_i = constant_profile("a", "isolated", None, UNIFORM, 100, 4)
-        iso_j = constant_profile("b", "isolated", None, UNIFORM, 100, 4)
-        paired_i = constant_profile("a", "paired", "c", UNIFORM, 100, 4)
-        paired_j = constant_profile("b", "paired", "a", UNIFORM, 100, 4)
-        with pytest.raises(AlignmentError):
-            align(iso_i, iso_j, paired_i, paired_j)
+    @pytest.mark.parametrize("rows, lone", [
+        ([(0, "a"), (1, "a"), (1, "b"), (2, "b")], "quantum 0 holds only 'a'"),
+        ([(0, "b"), (1, "a"), (1, "b"), (2, "a")], "quantum 0 holds only 'b'"),
+    ])
+    def test_paired_threads_share_every_quantum(self, tmp_path, rows, lone):
+        # Same length, different quanta: without the check, quantum 0's
+        # solo record of one thread would pair with the other's quantum 1.
+        path = profile_file(tmp_path, "pair.profile", "paired", ["a", "b"],
+                            [(q, t, 300) for q, t in rows])
+        want = f"{path}: paired threads must share every quantum, but {lone}"
+        with pytest.raises(TraceError, match=f"^{re.escape(want)}$"):
+            aligned_samples([isolated_file(tmp_path, "a", [400] * 4),
+                             isolated_file(tmp_path, "b", [400] * 4), path])
 
-    def test_app_id_mismatch_rejected(self):
-        iso_i = constant_profile("x", "isolated", None, UNIFORM, 100, 4)
-        iso_j = constant_profile("b", "isolated", None, UNIFORM, 100, 4)
-        paired_i = constant_profile("a", "paired", "b", UNIFORM, 100, 4)
-        paired_j = constant_profile("b", "paired", "a", UNIFORM, 100, 4)
-        with pytest.raises(AlignmentError):
-            align(iso_i, iso_j, paired_i, paired_j)
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_align_matches_the_oracle(self, data):
+        # Each record carries its own quantum's vector, so a wrong index
+        # shows as a wrong vector.
+        def run(n):
+            counts = data.draw(st.lists(st.integers(1, 10**6), min_size=n, max_size=n))
+            return varying_records([INDEXED[k] for k in range(n)], counts)
 
-    def test_unequal_paired_lengths_rejected(self):
-        iso_i = constant_profile("a", "isolated", None, UNIFORM, 100, 6)
-        iso_j = constant_profile("b", "isolated", None, UNIFORM, 100, 6)
-        paired_i = constant_profile("a", "paired", "b", UNIFORM, 50, 4)
-        paired_j = constant_profile("b", "paired", "a", UNIFORM, 50, 5)
-        with pytest.raises(AlignmentError):
-            align(iso_i, iso_j, paired_i, paired_j)
+        iso_i, iso_j = (run(data.draw(st.integers(1, 12))) for _ in range(2))
+        n = data.draw(st.integers(1, 12))
+        paired_i, paired_j = run(n), run(n)
+        assert align(iso_i, iso_j, paired_i, paired_j) == oracle_align(
+            iso_i, iso_j, paired_i, paired_j
+        )
 
 
 class TestLoadProfiles:
+    """Profile files read through ``aligned_samples``."""
+
     def test_corpus_files_load(self, profile_corpus):
-        isolated = []
-        paired = []
-        for path in profile_corpus:
-            for profile in load_profiles(path):
-                (isolated if profile.mode == "isolated" else paired).append(profile)
-        assert sorted(p.app_id for p in isolated) == sorted(CORPUS_APPS)
-        assert len(paired) == 2 * len(CORPUS_PAIRS)
-        by_id = {p.app_id: p for p in isolated}
-        for p in isolated:
-            assert p.partner is None
-            assert len(p.records) == 40
-        for p in paired:
-            assert p.partner in by_id
-            assert len(p.records) == 30
+        # Every paired quantum of every pair aligns, whatever the order
+        # the files come in.
+        aligned = aligned_samples(profile_corpus)
+        assert len(aligned.samples) == 30 * len(CORPUS_PAIRS)
+        assert aligned.dropped == 0
+        assert aligned_samples(profile_corpus[::-1]) == aligned
 
     def test_loaded_vectors_match_requested_fractions(self, profile_corpus):
-        iso_path = next(p for p in profile_corpus if "iso-appa" in p)
-        (profile,) = load_profiles(iso_path)
-        want = CORPUS_APPS["appa"]
-        got = profile.records[0].vector
-        for name in CATEGORIES:
-            assert got.get(name) == pytest.approx(want.get(name), abs=1e-7)
+        # Pairs align in sorted order, each app of a pair on its own side.
+        samples = aligned_samples(profile_corpus).samples
+        for k, (a, b) in enumerate(sorted(CORPUS_PAIRS)):
+            for sample in samples[30 * k:30 * (k + 1)]:
+                for got, want in ((sample.st_i, CORPUS_APPS[a]), (sample.st_j, CORPUS_APPS[b])):
+                    for name in CATEGORIES:
+                        assert got.get(name) == pytest.approx(want.get(name), abs=1e-7)
 
     def test_missing_mode_rejected(self, tmp_path):
         # Without a mode the file is a trace, so its committed column is
@@ -304,13 +340,12 @@ class TestLoadProfiles:
         path = tmp_path / "nomode.profile"
         path.write_text(
             '{"dispatch_width": 4, "quantum_ms": 100.0, "threads": ["a"], "version": 1}\n'
-            "quantum,thread,cpu_cycles,inst_spec,stall_frontend,stall_backend,"
-            "committed_instructions\n"
+            f"{PROFILE_COLUMNS}\n"
             "0,a,1000,400,200,300,400\n",
             encoding="utf-8",
         )
         with pytest.raises(TraceError):
-            load_profiles(str(path))
+            aligned_samples([str(path)])
 
     def test_trace_is_not_a_profile(self, tmp_path):
         from synpa import TraceHeader, format_trace
@@ -322,7 +357,7 @@ class TestLoadProfiles:
         )
         path.write_text(format_trace(header, [sample]), encoding="utf-8")
         with pytest.raises(TraceError, match="profile file must declare a mode"):
-            load_profiles(str(path))
+            aligned_samples([str(path)])
 
 
 class TestFit:
