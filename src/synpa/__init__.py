@@ -55,14 +55,11 @@ from .interference import (
     REFERENCE_COEFFICIENTS,
     CategoryCoefficients,
     ModelCoefficients,
-    PairPrediction,
     category_matrix,
     co_run_slowdowns,
     fold_prices,
-    forward,
     invert,
     invert_category,
-    pair_categories,
     predict_pair,
 )
 from .matcher import (

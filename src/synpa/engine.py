@@ -60,8 +60,7 @@ from .errors import (
     json_object, json_string, whole_number,
 )
 from .interference import (
-    REFERENCE_COEFFICIENTS, ModelCoefficients, category_matrix, co_run_slowdowns, invert,
-    pair_categories, predict_pair,  # noqa: F401 -- benchmarks/tracing.py wraps predict_pair here
+    REFERENCE_COEFFICIENTS, ModelCoefficients, category_matrix, co_run_slowdowns, invert, predict_pair,
 )
 from .matcher import IDLE_NODE, build_graph, min_weight_perfect_matching
 
@@ -192,20 +191,27 @@ class SyntheticApp:
 
     @classmethod
     def from_dict(cls, doc: object) -> "SyntheticApp":
-        """The app of one entry of a workload file's ``apps``."""
+        """The app of one entry of a workload file's ``apps``.  A value the
+        app, a phase (numbered from 1) or its vector refuses is the format's
+        error, naming the app and the phase."""
         error = failing(WorkloadError, "bad synthetic app definition")
         doc = json_object(doc, "app", error)
+        app_id = json_string(doc.get("app_id"), "app_id", error)
         phases = []
-        for p in json_list(doc.get("phases"), "phases", error):
+        for n, p in enumerate(json_list(doc.get("phases"), "phases", error), start=1):
             p = json_object(p, "phase", error)
             vector = json_object(p.get("vector"), "vector", error, keys=CATEGORIES)
-            phases.append(Phase(
-                vector=CategoryVector(**{k: json_number(v, k, error) for k, v in vector.items()}),
-                instructions=whole_number(p.get("instructions"), "instructions", error),
-            ))
+            values = {k: json_number(v, k, error) for k, v in vector.items()}
+            instructions = whole_number(p.get("instructions"), "instructions", error)
+            try:
+                phases.append(Phase(vector=CategoryVector(**values), instructions=instructions))
+            except (ModelError, WorkloadError) as exc:
+                raise error(f"app {app_id!r} phase {n}: {exc}") from None
         target = whole_number(doc.get("target_instructions"), "target_instructions", error)
-        app_id = json_string(doc.get("app_id"), "app_id", error)
-        return cls(app_id=app_id, phases=tuple(phases), target_instructions=target)
+        try:
+            return cls(app_id=app_id, phases=tuple(phases), target_instructions=target)
+        except WorkloadError as exc:  # its messages name the app
+            raise error(str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -287,7 +293,7 @@ def sim_step(
     triples, committed instructions and ground-truth slowdowns, each a
     map by app id in that order, and the ids that finished a launch.
     Observed category values are the ground truth's forward predictions
-    (:func:`~synpa.interference.pair_categories`, on plain floats) plus
+    (:func:`~synpa.interference.predict_pair`, on plain floats) plus
     optional Gaussian noise, clamped at zero, one triple per app; progress
     always uses the noiseless slowdown.  An app paired with the idle node
     runs at isolated speed.  States are mutated in place (progress and
@@ -303,7 +309,7 @@ def sim_step(
             runs.append((solo, *category_values(vector), 1.0, vector))
             continue
         va, vb = states[a].vector, states[b].vector
-        pa, pb = pair_categories(ground_truth, va, vb)
+        pa, pb = predict_pair(ground_truth, va, vb)
         if pa[3] == 0.0 or pb[3] == 0.0:
             raise ModelError(f"ground truth predicts a zero slowdown for the pair ({a}, {b})")
         runs += ((a, *pa, va), (b, *pb, vb))

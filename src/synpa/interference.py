@@ -16,12 +16,11 @@ from one quantum's pair of observed co-run category triples by solving
 the two-equation bilinear system per category: one plain-float kernel,
 :func:`invert_category`, which :func:`invert` runs on each category.
 
-The forward direction has a plain-float pair form
-(:func:`pair_categories`, the simulator's, which :func:`predict_pair`
-wraps in triples) and a roster form: one broadcast pass over the
-estimates' category matrix (:func:`category_matrix`) gives every
+The forward direction has one pair kernel, :func:`predict_pair`, on
+plain floats (the simulator's), and one roster pass: a broadcast over
+the estimates' category matrix (:func:`category_matrix`) gives every
 thread's slowdown next to every other (:func:`co_run_slowdowns`), and
-agrees with the pair form bit for bit.  The engine builds both matrices
+agrees with the pair kernel bit for bit.  The engine builds both matrices
 once per quantum; the decision's pair weights
 (:func:`synpa.matcher.build_graph`), its fold prices
 (:func:`fold_prices`) and replay's logged slowdowns all come from them.
@@ -165,32 +164,12 @@ REFERENCE_COEFFICIENTS = ModelCoefficients(
 )
 
 
-def forward(coeffs: CategoryCoefficients, ci: float, cj: float) -> float:
-    """Predict one co-run category value from two isolated values.
-
-    The result is clamped at zero; it is deliberately not clamped from
-    above, since values above 1 carry the slowdown information.
-    """
-    value = coeffs.alpha + coeffs.beta * ci + coeffs.gamma * cj + coeffs.rho * ci * cj
-    return value if value > 0.0 else 0.0
-
-
-@dataclass(frozen=True)
-class PairPrediction:
-    """Predicted co-run behavior of an (i, j) thread pair."""
-
-    smt_i: CategoryTriple
-    smt_j: CategoryTriple
-    slowdown_i: float
-    slowdown_j: float
-
-
-def pair_categories(
+def predict_pair(
     model: ModelCoefficients, st_i: CategoryTriple, st_j: CategoryTriple
 ) -> tuple[tuple[float, float, float, float], tuple[float, float, float, float]]:
-    """Both threads' co-run ``(fdc, fe, be, slowdown)``: each category's
-    :func:`forward` both ways, on plain floats, and their sum.  The one
-    pair form: :func:`predict_pair` and the simulator's step build on it."""
+    """Both threads' co-run ``(fdc, fe, be, slowdown)`` on plain floats: each
+    category's form, clamped at zero but not above 1 (values above 1 carry the
+    slowdown), and their sum ``fdc + fe + be``.  The simulator's pair kernel."""
     fdc, fe, be = model._forms
     fdc_i, fdc_j = _both_ways(fdc, st_i.fdc, st_j.fdc)
     fe_i, fe_j = _both_ways(fe, st_i.fe, st_j.fe)
@@ -199,18 +178,11 @@ def pair_categories(
 
 
 def _both_ways(form: tuple[float, float, float, float], ci: float, cj: float) -> tuple[float, float]:
-    """One category's :func:`forward` of ``(ci, cj)`` and of ``(cj, ci)``."""
+    """One category's clamped form of ``(ci, cj)`` and of ``(cj, ci)``."""
     a, b, g, r = form
     vi = a + b * ci + g * cj + r * ci * cj
     vj = a + b * cj + g * ci + r * cj * ci
     return vi if vi > 0.0 else 0.0, vj if vj > 0.0 else 0.0
-
-
-def predict_pair(model: ModelCoefficients, st_i: CategoryTriple, st_j: CategoryTriple) -> PairPrediction:
-    """Predict both threads' co-run categories and slowdowns (:func:`pair_categories`)."""
-    (fdc_i, fe_i, be_i, slowdown_i), (fdc_j, fe_j, be_j, slowdown_j) = pair_categories(model, st_i, st_j)
-    return PairPrediction(CategoryTriple(fe=fe_i, be=be_i, fdc=fdc_i), CategoryTriple(fe=fe_j, be=be_j, fdc=fdc_j),
-                          slowdown_i, slowdown_j)
 
 
 def category_matrix(vectors: Sequence[CategoryTriple]) -> np.ndarray:
@@ -225,11 +197,11 @@ def co_run_slowdowns(model: ModelCoefficients, st: np.ndarray) -> np.ndarray:
 
     ``st`` is the :func:`category_matrix` of the threads' vectors.
     Entry ``[i, j]`` (``i != j``) is the slowdown of ``vectors[i]``
-    next to ``vectors[j]``, and equals ``slowdown_i`` of
+    next to ``vectors[j]``, and equals the slowdown of ``vectors[i]`` in
     ``predict_pair(model, vectors[i], vectors[j])`` bit for bit: each
-    float64 operation is the scalar path's, in the same order.  The
+    float64 operation is the pair kernel's, in the same order.  The
     diagonal holds each thread next to a copy of itself.  One broadcast
-    pass: ``value[k, i, j]`` is :func:`forward` of category ``k`` for
+    pass: ``value[k, i, j]`` is the clamped form of category ``k`` for
     ``i`` next to ``j``.  With every coefficient within
     :data:`MAX_COEFFICIENT`, no term overflows: each entry is at most the
     model's finite ``max_slowdown``.

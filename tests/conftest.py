@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from synpa import (
     CATEGORIES,
     CategoryCoefficients,
+    CategoryTriple,
     CategoryVector,
     ModelCoefficients,
     TraceHeader,
@@ -74,6 +75,11 @@ def decision_graph(model, app_ids, vectors):
     category matrix, its co-run slowdowns, then :func:`build_graph`."""
     st = category_matrix(vectors)
     return build_graph(model, app_ids, st, co_run_slowdowns(model, st))
+
+
+def co_run_triples(model, st_i, st_j):
+    """Both threads' co-run categories of :func:`predict_pair`, as triples."""
+    return tuple(CategoryTriple(fe=fe, be=be, fdc=fdc) for fdc, fe, be, _ in predict_pair(model, st_i, st_j))
 
 
 def blossom_decision(graph):
@@ -150,13 +156,15 @@ def write_profile_corpus(
             threads=(a, b),
             mode="paired",
         )
-        pred = predict_pair(model, apps[a], apps[b])
+        pred_a, pred_b = predict_pair(model, apps[a], apps[b])
         samples = []
         committed = {}
         for q in range(n_paired):
-            for app_id, vec, smt in ((a, apps[a], pred.smt_i), (b, apps[b], pred.smt_j)):
-                slowdown = smt.fe + smt.be + smt.fdc
-                fe, fdc = smt.fe / slowdown, smt.fdc / slowdown
+            for app_id, vec, (smt_fdc, smt_fe, smt_be, _) in ((a, apps[a], pred_a), (b, apps[b], pred_b)):
+                # fe + be + fdc, not the kernel's fdc + fe + be: these sums
+                # fix the corpus bytes.
+                slowdown = smt_fe + smt_be + smt_fdc
+                fe, fdc = smt_fe / slowdown, smt_fdc / slowdown
                 s = sample_from_fractions(
                     q, app_id, fe=fe, be=1 - fe - fdc, fdc=fdc, cycles=cycles,
                     dispatch_width=WIDTH,

@@ -3,12 +3,12 @@ the reference that :func:`synpa.engine.sim_step` must match bit for bit
 (``test_engine.TestSimulatorOracle``), as ``reference_inversion.py`` is
 for the inversion.
 
-Here each pair's prediction goes through :func:`synpa.interference.forward`
-one category at a time, each app's phase vector is read once for the
+Here each pair's prediction goes through :func:`clamped_form` one
+category at a time, each app's phase vector is read once for the
 prediction and again for its progress, each observation is built anew,
 and noise is drawn one scalar at a time.  The package evaluates the same
-floats, in the same order, with a plain-float pair kernel and one noise
-draw per quantum.
+floats, in the same order, with a plain-float pair kernel
+(:func:`synpa.interference.predict_pair`) and one noise draw per quantum.
 """
 
 from __future__ import annotations
@@ -19,27 +19,30 @@ import numpy as np
 
 from synpa.dispatch import CATEGORIES, CategoryTriple
 from synpa.engine import AppSimState, isolated_rate
-from synpa.interference import ModelCoefficients, PairPrediction, forward
+from synpa.interference import CategoryCoefficients, ModelCoefficients
 from synpa.matcher import IDLE_NODE
+
+
+def clamped_form(coeffs: CategoryCoefficients, ci: float, cj: float) -> float:
+    """One category's co-run value of a thread at ``ci`` next to one at ``cj``:
+    ``alpha + beta * ci + gamma * cj + rho * ci * cj``, clamped at zero."""
+    value = coeffs.alpha + coeffs.beta * ci + coeffs.gamma * cj + coeffs.rho * ci * cj
+    return value if value > 0.0 else 0.0
 
 
 def predict_pair(
     model: ModelCoefficients, st_i: CategoryTriple, st_j: CategoryTriple
-) -> PairPrediction:
-    """Both threads' co-run categories and slowdowns, one forward() each."""
+) -> tuple[tuple[float, float, float, float], tuple[float, float, float, float]]:
+    """Both threads' co-run ``(fdc, fe, be, slowdown)``, one clamped form each."""
     vals_i = {}
     vals_j = {}
     for name in CATEGORIES:
         coeffs = model.category(name)
-        vals_i[name] = forward(coeffs, st_i.get(name), st_j.get(name))
-        vals_j[name] = forward(coeffs, st_j.get(name), st_i.get(name))
-    smt_i = CategoryTriple(**vals_i)
-    smt_j = CategoryTriple(**vals_j)
-    return PairPrediction(
-        smt_i=smt_i,
-        smt_j=smt_j,
-        slowdown_i=smt_i.fdc + smt_i.fe + smt_i.be,
-        slowdown_j=smt_j.fdc + smt_j.fe + smt_j.be,
+        vals_i[name] = clamped_form(coeffs, st_i.get(name), st_j.get(name))
+        vals_j[name] = clamped_form(coeffs, st_j.get(name), st_i.get(name))
+    return tuple(
+        (vals["fdc"], vals["fe"], vals["be"], vals["fdc"] + vals["fe"] + vals["be"])
+        for vals in (vals_i, vals_j)
     )
 
 
@@ -60,8 +63,9 @@ def sim_step(
             solo = a if b == IDLE_NODE else b
             runs = ((solo, states[solo].vector, 1.0),)
         else:
-            pred = predict_pair(ground_truth, states[a].vector, states[b].vector)
-            runs = ((a, pred.smt_i, pred.slowdown_i), (b, pred.smt_j, pred.slowdown_j))
+            pred_a, pred_b = predict_pair(ground_truth, states[a].vector, states[b].vector)
+            runs = ((a, CategoryTriple(fe=pred_a[1], be=pred_a[2], fdc=pred_a[0]), pred_a[3]),
+                    (b, CategoryTriple(fe=pred_b[1], be=pred_b[2], fdc=pred_b[0]), pred_b[3]))
         for app_id, base, slowdown in runs:
             observed = {}
             for name in CATEGORIES:

@@ -29,7 +29,6 @@ from synpa import (
     characterize,
     evaluate,
     fit,
-    forward,
     graph_from_matrix,
     invert_category,
     min_weight_perfect_matching,
@@ -158,13 +157,15 @@ def test_criterion_1_characterization_identities():
 
 @criterion(2, "forward model reproduces hand-computed values")
 def test_criterion_2_forward_ground_truth():
+    # The own thread's (fdc, fe, be) next to a co-runner's, any scale.
+    (fdc, fe, be, _), _ = predict_pair(REFERENCE_COEFFICIENTS, CategoryTriple(fe=0.3, be=0.2, fdc=0.5),
+                                       CategoryTriple(fe=0.7, be=0.4, fdc=0.5))
     # frontend: 0.2376 + 1.4111 * 0.3 = 0.66093
-    got = forward(REFERENCE_COEFFICIENTS.fe, 0.3, 0.7)
-    assert abs(got - 0.66093) < 1e-12
+    assert abs(fe - 0.66093) < 1e-12
     # backend: 0.2069 + 0.3431*0.2 + 1.4391*0.4 = 0.85116
-    assert abs(forward(REFERENCE_COEFFICIENTS.be, 0.2, 0.4) - 0.85116) < 1e-12
+    assert abs(be - 0.85116) < 1e-12
     # full dispatch: 0.0072 + 0.9060*0.5 + 0.0044*0.5 + 0.0314*0.25 = 0.47025
-    assert abs(forward(REFERENCE_COEFFICIENTS.fdc, 0.5, 0.5) - 0.47025) < 1e-12
+    assert abs(fdc - 0.47025) < 1e-12
     return "fe(0.3)=0.66093 within 1e-12"
 
 
@@ -172,16 +173,18 @@ def test_criterion_2_forward_ground_truth():
 def test_criterion_3_inversion_round_trip():
     grid = np.linspace(0.01, 0.99, 100)
     start = time.perf_counter()
-    worst = 0.0
-    for name in CATEGORIES:
-        coeffs = REFERENCE_COEFFICIENTS.category(name)
-        for ci in grid:
-            for cj in grid:
-                u = forward(coeffs, ci, cj)
-                v = forward(coeffs, cj, ci)
-                x, y, _ = invert_category(coeffs, u, v)
-                worst = max(worst, abs(x - ci), abs(y - cj))
-        assert worst < 1e-6, f"category {name}: error {worst:.3g}"
+    error = dict.fromkeys(CATEGORIES, 0.0)
+    for ci in grid.tolist():
+        for cj in grid.tolist():
+            # The pair's co-run values, every category at ci and cj.
+            smt_i, smt_j = predict_pair(REFERENCE_COEFFICIENTS, CategoryTriple(ci, ci, ci),
+                                        CategoryTriple(cj, cj, cj))
+            for k, name in enumerate(CATEGORIES):
+                x, y, _ = invert_category(REFERENCE_COEFFICIENTS.category(name), smt_i[k], smt_j[k])
+                error[name] = max(error[name], abs(x - ci), abs(y - cj))
+    for name, e in error.items():
+        assert e < 1e-6, f"category {name}: error {e:.3g}"
+    worst = max(error.values())
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0, f"took {elapsed:.2f}s, budget 5s"
     return f"max error {worst:.2e} in {elapsed:.2f}s"
@@ -255,8 +258,8 @@ def test_criterion_6_closed_loop_consistency():
     def matching_cost(matching):
         total = 0.0
         for a, b in matching:
-            pred = predict_pair(REFERENCE_COEFFICIENTS, vectors[a], vectors[b])
-            total += pred.slowdown_i + pred.slowdown_j
+            (*_, slowdown_a), (*_, slowdown_b) = predict_pair(REFERENCE_COEFFICIENTS, vectors[a], vectors[b])
+            total += slowdown_a + slowdown_b
         return total
 
     best = min(
@@ -268,8 +271,7 @@ def test_criterion_6_closed_loop_consistency():
     # size targets so all apps complete together under the optimal pairing
     slowdown = {}
     for a, b in optimal:
-        pred = predict_pair(REFERENCE_COEFFICIENTS, vectors[a], vectors[b])
-        slowdown[a], slowdown[b] = pred.slowdown_i, pred.slowdown_j
+        (*_, slowdown[a]), (*_, slowdown[b]) = predict_pair(REFERENCE_COEFFICIENTS, vectors[a], vectors[b])
     horizon = 300.0
     apps = tuple(
         SyntheticApp(

@@ -94,8 +94,8 @@ def optimal_pairs(vectors, model=REFERENCE_COEFFICIENTS):
     for pairs in enumerate_matchings(list(vectors)):
         total = 0.0
         for a, b in pairs:
-            pred = predict_pair(model, vectors[a], vectors[b])
-            total += pred.slowdown_i + pred.slowdown_j
+            (*_, slowdown_a), (*_, slowdown_b) = predict_pair(model, vectors[a], vectors[b])
+            total += slowdown_a + slowdown_b
         key = (total, pairs)
         if best is None or key < best:
             best = key
@@ -202,11 +202,9 @@ class TestSimStep:
         )
         assert slowdown["a"] == slowdown["b"]
         assert committed["a"] == committed["b"]
-        want = predict_pair(REFERENCE_COEFFICIENTS, BE_VECTOR, BE_VECTOR)
-        assert slowdown["a"] == want.slowdown_i
-        assert committed["a"] == pytest.approx(
-            rate_of(BE_VECTOR) / want.slowdown_i, rel=1e-12
-        )
+        (*_, want), _ = predict_pair(REFERENCE_COEFFICIENTS, BE_VECTOR, BE_VECTOR)
+        assert slowdown["a"] == want
+        assert committed["a"] == pytest.approx(rate_of(BE_VECTOR) / want, rel=1e-12)
 
     def test_observation_matches_ground_truth_forward(self):
         a = static_app("a", BE_VECTOR, 10.0)
@@ -216,10 +214,10 @@ class TestSimStep:
             states, (("a", "b"),), REFERENCE_COEFFICIENTS, 0.0,
             np.random.default_rng(0), 1, QUANTUM_CYCLES,
         )
-        want = predict_pair(REFERENCE_COEFFICIENTS, BE_VECTOR, FE_VECTOR)
-        for name in CATEGORIES:
-            assert observed["a"].get(name) == want.smt_i.get(name)
-            assert observed["b"].get(name) == want.smt_j.get(name)
+        want_a, want_b = predict_pair(REFERENCE_COEFFICIENTS, BE_VECTOR, FE_VECTOR)
+        for k, name in enumerate(CATEGORIES):
+            assert observed["a"].get(name) == want_a[k]
+            assert observed["b"].get(name) == want_b[k]
 
     def test_idle_partner_runs_at_isolated_speed(self):
         a = static_app("a", FE_VECTOR, 10.0)
@@ -810,9 +808,10 @@ class TestReplay:
                 if IDLE_NODE in (a, b):
                     assert record.slowdown[b if a == IDLE_NODE else a] == 1.0
                     continue
-                pred = predict_pair(REFERENCE_COEFFICIENTS, effective[a], effective[b])
-                assert record.slowdown[a] == pred.slowdown_i
-                assert record.slowdown[b] == pred.slowdown_j
+                (*_, slowdown_a), (*_, slowdown_b) = predict_pair(
+                    REFERENCE_COEFFICIENTS, effective[a], effective[b])
+                assert record.slowdown[a] == slowdown_a
+                assert record.slowdown[b] == slowdown_b
         assert any(IDLE_NODE in p for p in log.records[-1].pairs)
 
     @pytest.mark.parametrize("policy", POLICIES)
@@ -1135,3 +1134,34 @@ class TestForwardOncePerQuantum:
         counts.clear()
         log = run(EngineConfig(trace_path=str(path), policy=policy, seed=1))
         assert counts["category_matrix"] == counts["co_run_slowdowns"] == log.total_quanta
+
+
+class TestPairKernelSeam:
+    """The simulator evaluates its pairs through the name
+    ``synpa.engine.predict_pair``, where the benchmark's tracer times the
+    pair kernel: once per co-running pair per quantum, never for the idle
+    node's pair or in replay, and a wrapper there moves no byte of the log."""
+
+    @pytest.mark.parametrize("size, pairs", [(8, 4), (15, 7)])
+    def test_calls_per_quantum(self, monkeypatch, tmp_path, size, pairs):
+        config = EngineConfig(workload=SimWorkload(apps=tuple(
+            static_app(f"a{k:02d}", (BE_VECTOR, FE_VECTOR)[k % 2], 4.3) for k in range(size)
+        ), noise_sigma=0.02), seed=1)
+        plain = run(config)
+        path = tmp_path / "run.trace"
+        path.write_text(format_trace(*trace_from_log(plain)), encoding="utf-8")
+        replay = run(EngineConfig(trace_path=str(path), seed=1)).to_jsonl()
+        calls = Counter()
+
+        def counted(*args, _original=engine.predict_pair):
+            calls["predict_pair"] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(engine, "predict_pair", counted)
+        wrapped = run(config)
+        assert wrapped.total_quanta > 1
+        assert calls["predict_pair"] == pairs * wrapped.total_quanta
+        assert wrapped.to_jsonl() == plain.to_jsonl()
+        calls.clear()
+        assert run(EngineConfig(trace_path=str(path), seed=1)).to_jsonl() == replay
+        assert calls["predict_pair"] == 0

@@ -25,11 +25,9 @@ from synpa import (
     category_matrix,
     co_run_slowdowns,
     fold_prices,
-    forward,
     invert,
     invert_category,
     min_weight_perfect_matching,
-    pair_categories,
     predict_pair,
 )
 from synpa.errors import read_text, write_text
@@ -39,8 +37,10 @@ from synpa.matcher import IDLE_WEIGHT
 import reference_fold
 import reference_inversion
 import reference_simulator
+from reference_simulator import clamped_form
 from conftest import (
-    blossom_decision, category_vectors, coefficient_models, decision_graph, forward_models,
+    blossom_decision, category_vectors, co_run_triples, coefficient_models, decision_graph,
+    forward_models,
 )
 
 ZERO = CategoryCoefficients(alpha=0.0, beta=0.0, gamma=0.0, rho=0.0)
@@ -52,36 +52,52 @@ def reference_forward(coeffs, ci, cj):
     return coeffs.alpha + coeffs.beta * ci + coeffs.gamma * cj + coeffs.rho * ci * cj
 
 
+def one_category(name, value):
+    """A triple with ``value`` in category ``name`` and 0 in the others."""
+    return CategoryTriple(**{c: value if c == name else 0.0 for c in CATEGORIES})
+
+
+def category_value(model, name, ci, cj):
+    """:func:`predict_pair`'s co-run value of category ``name`` for a thread
+    at ``ci`` next to one at ``cj``, both 0 in the other categories."""
+    smt_i, _ = predict_pair(model, one_category(name, ci), one_category(name, cj))
+    return smt_i[CATEGORIES.index(name)]
+
+
 class TestForward:
+    """Each category's form, read off :func:`predict_pair`'s outputs."""
+
     def test_frontend_reference_value(self):
         # alpha + beta * 0.3 with the frontend reference coefficients:
         # 0.2376 + 1.4111 * 0.3 = 0.66093.
-        got = forward(REFERENCE_COEFFICIENTS.fe, 0.3, 0.0)
+        got = category_value(REFERENCE_COEFFICIENTS, "fe", 0.3, 0.0)
         assert got == pytest.approx(0.66093, abs=1e-12)
 
     def test_frontend_ignores_corunner(self):
         # gamma and rho are zero for the frontend form, so the
         # co-runner's value must not matter.
-        base = forward(REFERENCE_COEFFICIENTS.fe, 0.3, 0.0)
+        base = category_value(REFERENCE_COEFFICIENTS, "fe", 0.3, 0.0)
         for cj in (0.0, 0.25, 0.5, 0.99, 1.0):
-            assert forward(REFERENCE_COEFFICIENTS.fe, 0.3, cj) == base
+            assert category_value(REFERENCE_COEFFICIENTS, "fe", 0.3, cj) == base
 
     def test_zero_model_is_zero_everywhere(self):
-        for ci in (0.0, 0.3, 1.0):
-            for cj in (0.0, 0.7, 1.0):
-                assert forward(ZERO, ci, cj) == 0.0
+        for name in CATEGORIES:
+            for ci in (0.0, 0.3, 1.0):
+                for cj in (0.0, 0.7, 1.0):
+                    assert category_value(ZERO_MODEL, name, ci, cj) == 0.0
 
     def test_backend_intercept_only(self):
         # With both inputs zero only alpha survives.
-        assert forward(REFERENCE_COEFFICIENTS.be, 0.0, 0.0) == 0.2069
+        assert category_value(REFERENCE_COEFFICIENTS, "be", 0.0, 0.0) == 0.2069
 
     def test_clamped_below_at_zero(self):
         neg = CategoryCoefficients(alpha=-0.5, beta=0.1, gamma=0.0, rho=0.0)
-        assert forward(neg, 0.2, 0.9) == 0.0
+        for name in CATEGORIES:
+            assert category_value(ModelCoefficients(fdc=neg, fe=neg, be=neg), name, 0.2, 0.9) == 0.0
 
     def test_not_clamped_above_one(self):
         # A saturated pair legitimately predicts above 1.
-        got = forward(REFERENCE_COEFFICIENTS.fdc, 1.0, 1.0)
+        got = category_value(REFERENCE_COEFFICIENTS, "fdc", 1.0, 1.0)
         assert got == pytest.approx(0.0072 + 0.9060 + 0.0044 + 0.0314, abs=1e-12)
 
     def test_matches_reference_arithmetic(self):
@@ -92,7 +108,8 @@ class TestForward:
             for ci in (0.0, 0.17, 0.5, 0.83, 1.0):
                 for cj in (0.0, 0.29, 0.64, 1.0):
                     want = max(0.0, reference_forward(coeffs, ci, cj))
-                    assert forward(coeffs, ci, cj) == pytest.approx(want, abs=1e-15)
+                    got = category_value(REFERENCE_COEFFICIENTS, name, ci, cj)
+                    assert got == pytest.approx(want, abs=1e-15)
 
     def test_monotone_in_own_value(self):
         # With the reference coefficients (beta >= 0, rho >= 0) the
@@ -101,12 +118,12 @@ class TestForward:
 
         rng = random.Random(7)
         for name in CATEGORIES:
-            coeffs = REFERENCE_COEFFICIENTS.category(name)
             for _ in range(200):
                 cj = rng.uniform(0.0, 1.0)
                 lo = rng.uniform(0.0, 1.0)
                 hi = rng.uniform(lo, 1.0)
-                assert forward(coeffs, hi, cj) >= forward(coeffs, lo, cj)
+                assert (category_value(REFERENCE_COEFFICIENTS, name, hi, cj)
+                        >= category_value(REFERENCE_COEFFICIENTS, name, lo, cj))
 
     def test_non_finite_coefficients_rejected(self):
         with pytest.raises(ModelError):
@@ -130,25 +147,23 @@ class TestPredictPair:
         # contributes alpha+beta+gamma+rho, the other two forms only
         # their intercepts.
         st = CategoryVector(fe=0.0, be=0.0, fdc=1.0)
-        pred = predict_pair(REFERENCE_COEFFICIENTS, st, st)
+        smt_i, smt_j = predict_pair(REFERENCE_COEFFICIENTS, st, st)
         want = (0.0072 + 0.9060 + 0.0044 + 0.0314) + 0.2376 + 0.2069
         assert want == pytest.approx(1.3935, abs=1e-12)
-        assert pred.slowdown_i == pytest.approx(1.3935, abs=1e-12)
-        assert pred.slowdown_j == pred.slowdown_i
+        assert smt_i[3] == pytest.approx(1.3935, abs=1e-12)
+        assert smt_j[3] == smt_i[3]
 
     def test_identical_inputs_symmetric(self):
         st = CategoryVector(fe=0.22, be=0.47, fdc=0.31)
-        pred = predict_pair(REFERENCE_COEFFICIENTS, st, st)
-        assert pred.slowdown_i == pred.slowdown_j
-        for name in CATEGORIES:
-            assert pred.smt_i.get(name) == pred.smt_j.get(name)
+        smt_i, smt_j = predict_pair(REFERENCE_COEFFICIENTS, st, st)
+        assert smt_i == smt_j
 
     def test_zero_model_zero_slowdowns(self):
         st_a = CategoryVector(fe=0.2, be=0.3, fdc=0.5)
         st_b = CategoryVector(fe=0.6, be=0.1, fdc=0.3)
-        pred = predict_pair(ZERO_MODEL, st_a, st_b)
-        assert pred.slowdown_i == 0.0
-        assert pred.slowdown_j == 0.0
+        smt_i, smt_j = predict_pair(ZERO_MODEL, st_a, st_b)
+        assert smt_i[3] == 0.0
+        assert smt_j[3] == 0.0
 
     def test_direction_dependent(self):
         # A backend-heavy thread hurts its partner more than a
@@ -156,35 +171,42 @@ class TestPredictPair:
         # (gamma > beta there), so the two directions must differ.
         be_heavy = CategoryVector(fe=0.05, be=0.80, fdc=0.15)
         fe_heavy = CategoryVector(fe=0.70, be=0.10, fdc=0.20)
-        pred = predict_pair(REFERENCE_COEFFICIENTS, be_heavy, fe_heavy)
-        assert pred.slowdown_i != pred.slowdown_j
+        smt_i, smt_j = predict_pair(REFERENCE_COEFFICIENTS, be_heavy, fe_heavy)
+        assert smt_i[3] != smt_j[3]
 
     def test_slowdown_is_sum_of_categories(self):
         st_a = CategoryVector(fe=0.25, be=0.45, fdc=0.30)
         st_b = CategoryVector(fe=0.40, be=0.20, fdc=0.40)
-        pred = predict_pair(REFERENCE_COEFFICIENTS, st_a, st_b)
-        assert pred.slowdown_i == pytest.approx(
-            pred.smt_i.fe + pred.smt_i.be + pred.smt_i.fdc, abs=1e-15
-        )
-        assert pred.slowdown_j == pytest.approx(
-            pred.smt_j.fe + pred.smt_j.be + pred.smt_j.fdc, abs=1e-15
-        )
+        for fdc, fe, be, slowdown in predict_pair(REFERENCE_COEFFICIENTS, st_a, st_b):
+            assert slowdown == pytest.approx(fe + be + fdc, abs=1e-15)
 
     def test_per_category_matches_forward(self):
         st_a = CategoryVector(fe=0.33, be=0.33, fdc=0.34)
         st_b = CategoryVector(fe=0.10, be=0.70, fdc=0.20)
-        pred = predict_pair(REFERENCE_COEFFICIENTS, st_a, st_b)
-        for name in CATEGORIES:
+        smt_i, smt_j = predict_pair(REFERENCE_COEFFICIENTS, st_a, st_b)
+        for k, name in enumerate(CATEGORIES):
             coeffs = REFERENCE_COEFFICIENTS.category(name)
-            assert pred.smt_i.get(name) == forward(coeffs, st_a.get(name), st_b.get(name))
-            assert pred.smt_j.get(name) == forward(coeffs, st_b.get(name), st_a.get(name))
+            assert smt_i[k] == clamped_form(coeffs, st_a.get(name), st_b.get(name))
+            assert smt_j[k] == clamped_form(coeffs, st_b.get(name), st_a.get(name))
+
+    @settings(max_examples=300, deadline=None)
+    @given(model=coefficient_models(), st_i=category_vectors(), st_j=category_vectors())
+    def test_equals_the_clamped_form(self, model, st_i, st_j):
+        # Each category value is the clamped form of the test oracle, bit for
+        # bit, both ways round, and each slowdown is fdc + fe + be.
+        smt_i, smt_j = predict_pair(model, st_i, st_j)
+        want_i = [clamped_form(model.category(c), st_i.get(c), st_j.get(c)) for c in CATEGORIES]
+        want_j = [clamped_form(model.category(c), st_j.get(c), st_i.get(c)) for c in CATEGORIES]
+        assert bits(*smt_i[:3], *smt_j[:3]) == bits(*want_i, *want_j)
+        for fdc, fe, be, slowdown in (smt_i, smt_j):
+            assert same_bits(slowdown, fdc + fe + be)
 
     @settings(max_examples=300, deadline=None)
     @given(model=st.one_of(st.just(REFERENCE_COEFFICIENTS), forward_models()),
            st_i=category_vectors(), st_j=category_vectors())
     def test_equals_the_per_category_reference(self, model, st_i, st_j):
-        # The plain-float kernel against forward() one category at a time
-        # (tests/reference_simulator.py): the same floats, or the same error.
+        # The plain-float kernel against the clamped form one category at a
+        # time (tests/reference_simulator.py): the same floats, or the same error.
         assert repr(outcome(predict_pair, model, st_i, st_j)) == repr(outcome(
             reference_simulator.predict_pair, model, st_i, st_j
         ))
@@ -196,8 +218,8 @@ def scalar_pair_weights(model, vectors):
     for i, a in enumerate(vectors):
         for j, b in enumerate(vectors):
             if i != j:
-                pred = predict_pair(model, a, b)
-                weights[(i, j)] = pred.slowdown_i + pred.slowdown_j
+                smt_i, smt_j = predict_pair(model, a, b)
+                weights[(i, j)] = smt_i[3] + smt_j[3]
     return weights
 
 
@@ -229,30 +251,14 @@ class TestPairWeightMatrix:
         assert slowdowns.shape == (len(vectors), len(vectors))
         for i, a in enumerate(vectors):
             for j, b in enumerate(vectors):
-                assert same_bits(slowdowns[i, j], predict_pair(model, a, b).slowdown_i)
+                smt_i, smt_j = predict_pair(model, a, b)
+                assert same_bits(slowdowns[i, j], smt_i[3]) and same_bits(slowdowns[j, i], smt_j[3])
         weights = scalar_pair_weights(model, vectors)
         weight = {(a, b): graph.matrix[i, j]
                   for i, a in enumerate(graph.nodes) for j, b in enumerate(graph.nodes)}
         for (i, j), want in weights.items():
             assert same_bits(weight[ids[i], ids[j]], want)
         assert all(same_bits(weight[a, a], 0.0) for a in ids)
-
-    @settings(max_examples=300, deadline=None)
-    @given(model=st.one_of(st.just(REFERENCE_COEFFICIENTS), coefficient_models(), forward_models()),
-           vectors=st.lists(category_vectors(), min_size=1, max_size=5))
-    def test_pair_categories_is_the_one_pair_form(self, model, vectors):
-        # The plain-float pair form that the simulator's step calls, the
-        # predict_pair built on it, and the roster's matrix: the same floats.
-        slowdowns = co_run_slowdowns(model, category_matrix(vectors))
-        for i, a in enumerate(vectors):
-            for j, b in enumerate(vectors):
-                got_i, got_j = pair_categories(model, a, b)
-                pred = predict_pair(model, a, b)
-                assert bits(*got_i, *got_j) == bits(
-                    pred.smt_i.fdc, pred.smt_i.fe, pred.smt_i.be, pred.slowdown_i,
-                    pred.smt_j.fdc, pred.smt_j.fe, pred.smt_j.be, pred.slowdown_j,
-                )
-                assert bits(got_i[3], got_j[3]) == bits(slowdowns[i, j], slowdowns[j, i])
 
     def test_max_slowdown_of_the_reference_model(self):
         # The largest corners: fdc and be at (1, 1), fe at (1, any).
@@ -284,7 +290,7 @@ class TestPairWeightMatrix:
             CategoryVector(fe=0.1, be=0.2, fdc=0.7),
             CategoryVector(fe=0.0, be=1.0, fdc=0.0),
         ]
-        assert forward(negative, 0.0, 0.25) == 0.0
+        assert category_value(model, "fdc", 0.0, 0.25) == 0.0
         matrix = decision_graph(model, ["a", "b", "c", "d"], vectors).matrix
         for (i, j), want in scalar_pair_weights(model, vectors).items():
             assert matrix[i, j] == want
@@ -319,8 +325,8 @@ class TestPairWeightMatrix:
                 elif IDLE_NODE in (a, b):
                     want = IDLE_WEIGHT
                 else:
-                    pred = predict_pair(REFERENCE_COEFFICIENTS, vector[a], vector[b])
-                    want = pred.slowdown_i + pred.slowdown_j
+                    smt_a, smt_b = predict_pair(REFERENCE_COEFFICIENTS, vector[a], vector[b])
+                    want = smt_a[3] + smt_b[3]
                 assert same_bits(graph.matrix[i, j], want)
 
     def test_odd_mixed_case_roster_pads_idle_in_sort_order(self):
@@ -649,8 +655,7 @@ class TestInvert:
         for _ in range(100):
             st_a = self._random_vector(rng)
             st_b = self._random_vector(rng)
-            pred = predict_pair(REFERENCE_COEFFICIENTS, st_a, st_b)
-            result = invert(REFERENCE_COEFFICIENTS, pred.smt_i, pred.smt_j)
+            result = invert(REFERENCE_COEFFICIENTS, *co_run_triples(REFERENCE_COEFFICIENTS, st_a, st_b))
             assert not result.degraded
             for name in CATEGORIES:
                 # The normalized outputs recover the isolated fractions
@@ -674,8 +679,7 @@ class TestInvert:
 
     def test_consistent_pair_not_degraded(self):
         st = CategoryVector(fe=0.3, be=0.3, fdc=0.4)
-        pred = predict_pair(REFERENCE_COEFFICIENTS, st, st)
-        result = invert(REFERENCE_COEFFICIENTS, pred.smt_i, pred.smt_j)
+        result = invert(REFERENCE_COEFFICIENTS, *co_run_triples(REFERENCE_COEFFICIENTS, st, st))
         assert not result.degraded
 
 
@@ -740,13 +744,13 @@ def oracle_observations(draw, model):
     kind = draw(st.sampled_from(["exact", "noisy", "fractions"]))
     if kind == "fractions":
         return tuple(CategoryTriple(**draw(category_vectors()).as_dict()) for _ in range(2))
-    pred = predict_pair(model, draw(category_vectors()), draw(category_vectors()))
+    pred = co_run_triples(model, draw(category_vectors()), draw(category_vectors()))
     if kind == "exact":
-        return pred.smt_i, pred.smt_j
+        return pred
     noise = st.floats(-0.05, 0.05)
     return tuple(
         CategoryTriple(**{n: max(0.0, smt.get(n) + draw(noise)) for n in CATEGORIES})
-        for smt in (pred.smt_i, pred.smt_j)
+        for smt in pred
     )
 
 

@@ -199,8 +199,8 @@ class TestBuildGraph:
     def test_edge_weight_is_sum_of_slowdowns(self):
         vectors = reference_vectors(4)
         graph = decision_graph(REFERENCE_COEFFICIENTS, ["a", "b", "c", "d"], vectors)
-        pred = predict_pair(REFERENCE_COEFFICIENTS, vectors[0], vectors[1])
-        assert edge_weights(graph)[("a", "b")] == pred.slowdown_i + pred.slowdown_j
+        (*_, slowdown_a), (*_, slowdown_b) = predict_pair(REFERENCE_COEFFICIENTS, vectors[0], vectors[1])
+        assert edge_weights(graph)[("a", "b")] == slowdown_a + slowdown_b
 
     def test_odd_roster_adds_idle_node(self):
         # The idle node and the highest-priced thread are priced inside
@@ -1139,8 +1139,8 @@ class TestEndToEndWithInterferenceModel:
         weights = np.zeros((len(apps), len(apps)))
         for i, a in enumerate(apps):
             for j, b in enumerate(apps[i + 1 :], start=i + 1):
-                pred = predict_pair(REFERENCE_COEFFICIENTS, vectors[a], vectors[b])
-                weights[i, j] = weights[j, i] = pred.slowdown_i * scale + pred.slowdown_j * scale
+                (*_, slowdown_a), (*_, slowdown_b) = predict_pair(REFERENCE_COEFFICIENTS, vectors[a], vectors[b])
+                weights[i, j] = weights[j, i] = slowdown_a * scale + slowdown_b * scale
         return graph_from_matrix(apps, weights)
 
     def test_uniform_slowdown_scaling_preserves_selection(self):

@@ -232,6 +232,32 @@ class TestNamedEdits:
         assert main(["simulate", "--workload", path, "--out", str(files["dir"] / "x.jsonl")]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("edit, message", [
+        pytest.param(set_in("phases", 0, "vector", {"fe": 0.5, "be": 0.5, "fdc": 0.5}),
+                     "phase 1: category fractions must sum to 1, got 1.5", id="sum-1.5"),
+        pytest.param(set_in("phases", 0, "vector", {"fe": -0.2, "be": 0.6, "fdc": 0.6}),
+                     "phase 1: category fe must be >= 0, got -0.2", id="negative"),
+        pytest.param(set_in("phases", 0, "vector", {"fe": 0.5, "be": 0.5, "fdc": 0.0}),
+                     "phase 1: phase fdc fraction must be positive", id="fdc-0"),
+        pytest.param(set_in("phases", 0, "instructions", 0),
+                     "phase 1: phase instruction budget must be >= 1", id="instructions-0"),
+        pytest.param(set_in("phases", []), "needs at least one phase", id="no-phases"),
+        pytest.param(set_in("target_instructions", 0), "target must be >= 1", id="target-0"),
+    ])
+    def test_workload_app(self, files, capsys, edit, message):
+        # The app or phase that refuses a value names itself in the format's error.
+        doc = json.loads(files["workload"])
+        edit(doc["apps"][1])
+        want = f"bad synthetic app definition: app {doc['apps'][1]['app_id']!r} {message}"
+        with pytest.raises(WorkloadError) as err:
+            WorkloadSpec.from_json(json.dumps(doc))
+        assert str(err.value).startswith(want)
+        path, out = write(files, "named.json", json.dumps(doc)), files["dir"] / "app.jsonl"
+        assert main(["simulate", "--workload", path, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {want}") and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("version", [1.5, "1", True])
     def test_trace_version(self, files, version):
         text = edit_json_line(files["trace"], 0, set_in("version", version))
