@@ -366,7 +366,7 @@ class QuantumRecord:
     pairs: tuple[tuple[str, str], ...]  # pairs in effect
     observed: dict[str, CategoryTriple]
     estimates: dict[str, CategoryVector]  # fresh ST estimates after this quantum
-    degraded: dict[str, bool]  # apps whose inversion fell back this quantum
+    degraded: dict[str, bool]  # apps whose inversion had no exact solution this quantum
     committed: dict[str, float]
     slowdown: dict[str, float]  # ground truth in simulation; the model's in replay
     migrations: int  # pairs not in the previous record

@@ -253,14 +253,12 @@ def fold_prices(model: ModelCoefficients, st: np.ndarray) -> np.ndarray:
 
 def invert_category(
     coeffs: CategoryCoefficients, u: float, v: float
-) -> tuple[float, float, bool]:
+) -> tuple[float, float] | None:
     """Recover both threads' isolated values for one category.
 
     Solves ``u = f(x, y)``, ``v = f(y, x)`` where ``f`` is the forward
-    form, on plain floats, and returns ``(x, y, exact)``: ``x`` and
-    ``y`` always lie in [0, 1], and ``exact`` is False when no
-    consistent solution exists in the unit square and the result is the
-    least-squares fit constrained to the square.
+    form, on plain floats, and returns the solution ``(x, y)`` clipped
+    to [0, 1], or None when no exact solution lies in the unit square.
 
     The steps, in order:
 
@@ -268,24 +266,13 @@ def invert_category(
       (``beta == +/-gamma`` falls back to the symmetric solution and the
       all-zero form to (0, 0));
     * the roots of the quadratic left by the difference of the two
-      equations, each polished by up to 12 damped Newton steps that keep
-      the best iterate: every root in the unit square, or else the root
-      nearest the seed; the solution is the polished root whose start is
-      nearest the seed, the first on ties;
-    * when that is not an exact solve in the square, the exact minimiser
-      of the squared residual over the square.
-
-    That minimiser: with ``det J = (beta - gamma) * (beta + gamma + rho
-    * (x + y))``, an interior stationary point off the singular line
-    ``x + y = s`` (``s = -(beta + gamma) / rho``) has an invertible
-    Jacobian and is therefore an exact root.  With ``beta == gamma`` the
-    difference of the two residuals is constant and their bilinear sum
-    is extremal on the boundary; with ``rho == 0`` and ``beta ==
-    -gamma`` both residuals depend on ``x - y`` only.  The minimum is
-    thus among the solution and the polished roots, the four edge minima
-    (both residuals are linear along an edge) and the stationary points
-    of the quartic residual along the singular line, each clipped to the
-    square.  Ties keep the first candidate in that order.
+      equations: of those in the unit square, or else of all of them,
+      the one nearest the seed, the first on ties, polished by up to 12
+      damped Newton steps that keep the best iterate;
+    * the check of that point, or of the seed where the form is linear
+      or the quadratic has no real root: it is exact when it lies in the
+      square up to ``_SLACK`` and its squared residual is at most
+      ``_EXACT_RESIDUAL_TOL**2 * max(1, u**2 + v**2)``.
 
     ``tests/reference_inversion.py`` keeps these steps as separate
     helpers: the reference this kernel matches bit for bit.
@@ -306,7 +293,6 @@ def invert_category(
         sx = sy = 0.0
 
     x, y = sx, sy
-    polished = []  # the Newton results of the roots in the square
     if abs(r) >= _LINEAR_RHO_TOL:
         if abs(b - g) > _SINGULAR_TOL:
             # y = x - d with d fixed by the difference of the equations.
@@ -318,30 +304,26 @@ def invert_category(
         qb = b + g - r * d
         qc = a - g * d - target
         disc = qb * qb - 4.0 * r * qc
-        roots = ()
         if disc >= 0.0:
             sq = math.sqrt(disc)
             # Numerically stable pair of roots (r != 0 here).
             q = -0.5 * (qb + sq) if qb >= 0.0 else -0.5 * (qb - sq)
             roots = (q / r, qc / q) if abs(q) > 0.0 else (q / r,)
-        starts = []  # the roots in the square
-        for root in roots:
-            if -_SLACK <= root <= _UNIT_SLACK and -_SLACK <= root - d <= _UNIT_SLACK:
-                starts.append((root, root - d))
-        in_box = bool(starts)
-        pick = 0  # the start nearest the seed, the first on ties
-        if len(starts) == 1:  # a lone root needs its distance only to raise where it overflows
-            if abs(sx) > 1e150 or abs(sy) > 1e150:
-                _nearest_seed(starts, sx, sy)
-        elif in_box:
-            pick = _nearest_seed(starts, sx, sy)
-        elif roots:  # none in the square: the root nearest the seed
-            points = [(root, root - d) for root in roots]
-            starts = [points[_nearest_seed(points, sx, sy)]]
-        for px, py in starts:
+            starts = []  # the roots in the square
+            for root in roots:
+                if -_SLACK <= root <= _UNIT_SLACK and -_SLACK <= root - d <= _UNIT_SLACK:
+                    starts.append((root, root - d))
+            # The start nearest the seed, the first on ties: of the roots in
+            # the square, or else of all of them.  A lone root in the square
+            # needs its distance only to raise where it overflows.
+            pick = 0
+            if len(starts) != 1 or abs(sx) > 1e150 or abs(sy) > 1e150:
+                starts = starts or [(root, root - d) for root in roots]
+                pick = _nearest_seed(starts, sx, sy)
+            x, y = px, py = starts[pick]
             fx = a + b * px + g * py + r * px * py - u
             fy = a + b * py + g * px + r * px * py - v
-            bx, by, best = px, py, fx * fx + fy * fy
+            best = fx * fx + fy * fy
             for _ in range(12):
                 j11 = b + r * py
                 j12 = g + r * px
@@ -357,64 +339,17 @@ def invert_category(
                 fy = a + b * py + g * px + r * px * py - v
                 res = fx * fx + fy * fy
                 if res < best:
-                    bx, by, best = px, py, res
+                    x, y, best = px, py, res
                 if res < 1e-28:
                     break
-            polished.append((bx, by))
-        if starts:
-            x, y = polished[pick]
-        if not in_box:
-            polished = []
 
     ru = a + b * x + g * y + r * x * y - u
     rv = a + b * y + g * x + r * x * y - v
     scale = u * u + v * v
-    bound = _EXACT_RESIDUAL_TOL_SQ * (scale if scale > 1.0 else 1.0)
-    if ru * ru + rv * rv <= bound and -_SLACK <= x <= _UNIT_SLACK and -_SLACK <= y <= _UNIT_SLACK:
-        return (0.0 if x < 0.0 else 1.0 if x > 1.0 else x,
-                0.0 if y < 0.0 else 1.0 if y > 1.0 else y, True)
-
-    # The least squares fit over the unit square, from its candidates.
-    candidates = [(x, y), *polished]
-    for fixed in (0.0, 1.0):
-        # x == fixed: ru = (a + b x - u) + (g + r x) y, rv = (a + g x - v) + (b + r x) y.
-        c1, d1, c2, d2 = a + b * fixed - u, g + r * fixed, a + g * fixed - v, b + r * fixed
-        denom = d1 * d1 + d2 * d2
-        candidates.append((fixed, 0.0 if denom == 0.0 else -(c1 * d1 + c2 * d2) / denom))
-    for fixed in (0.0, 1.0):
-        c1, d1, c2, d2 = a + g * fixed - u, b + r * fixed, a + b * fixed - v, g + r * fixed
-        denom = d1 * d1 + d2 * d2
-        candidates.append((0.0 if denom == 0.0 else -(c1 * d1 + c2 * d2) / denom, fixed))
-    if r != 0.0 and b != g:
-        s = -(b + g) / r
-        lo = s - 1.0 if s - 1.0 > 0.0 else 0.0
-        hi = s if s < 1.0 else 1.0
-        if lo < hi:
-            # On x = t, y = s - t: ru = p - 2 g t - r t^2, rv = q - 2 b t - r t^2,
-            # and dR/dt / 4 is the cubic below.
-            p = a + g * s - u
-            q = a + b * s - v
-            cubic = [2.0 * r * r, 3.0 * r * (b + g), 2.0 * (b * b + g * g) - r * (p + q),
-                     -(g * p + b * q)]
-            # np.roots divides by the leading nonzero coefficient; a form too
-            # large for floats overflows there or before.
-            lead = next((c for c in cubic if c != 0.0), 1.0)
-            if not all(math.isfinite(c / lead) for c in cubic):
-                raise ModelError(_OVERFLOW)
-            for t in np.roots(cubic).real.tolist():
-                t = lo if lo > t else t
-                t = hi if hi < t else t
-                candidates.append((t, s - t))
-    least = lx = ly = None
-    for cx, cy in candidates:
-        cx = 0.0 if cx < 0.0 else 1.0 if cx > 1.0 else cx
-        cy = 0.0 if cy < 0.0 else 1.0 if cy > 1.0 else cy
-        ru = a + b * cx + g * cy + r * cx * cy - u
-        rv = a + b * cy + g * cx + r * cx * cy - v
-        res = ru * ru + rv * rv
-        if least is None or res < least:
-            least, lx, ly = res, cx, cy
-    return lx, ly, least <= bound
+    if (ru * ru + rv * rv <= _EXACT_RESIDUAL_TOL_SQ * (scale if scale > 1.0 else 1.0)
+            and -_SLACK <= x <= _UNIT_SLACK and -_SLACK <= y <= _UNIT_SLACK):
+        return 0.0 if x < 0.0 else 1.0 if x > 1.0 else x, 0.0 if y < 0.0 else 1.0 if y > 1.0 else y
+    return None
 
 
 def _nearest_seed(points: Sequence[tuple[float, float]], sx: float, sy: float) -> int:
@@ -428,11 +363,18 @@ def _nearest_seed(points: Sequence[tuple[float, float]], sx: float, sy: float) -
 
 @dataclass(frozen=True)
 class InversionResult:
-    """Estimated isolated vectors for a co-running pair."""
+    """Estimated isolated vectors for a co-running pair.
 
-    st_i: CategoryVector
-    st_j: CategoryVector
-    degraded: bool  # at least one category fell back to least squares
+    ``degraded`` means that some category had no exact solution in the
+    unit square; the result then holds no vectors.
+    """
+
+    st_i: CategoryVector | None
+    st_j: CategoryVector | None
+    degraded: bool
+
+
+_DEGRADED = InversionResult(st_i=None, st_j=None, degraded=True)
 
 
 def invert(
@@ -444,15 +386,19 @@ def invert(
     paired with *j*, and ``smt_ji`` the reverse; both must come from the
     same core and quantum.  Each category is solved independently (each
     solution lies in [0, 1]), and the resulting triples are
-    renormalized to sum to 1.  ``degraded`` is set when any category had
-    no consistent solution and used the least-squares fallback; callers
-    should prefer an earlier good estimate in that case.
+    renormalized to sum to 1.  All three categories are solved, so a
+    non-finite observation or an overflowing root in any of them is a
+    :class:`ModelError`; when any category has no exact solution, the
+    result is ``degraded`` and holds no vectors, and callers keep an
+    earlier good estimate.
     """
-    fdc_i, fdc_j, fdc_exact = invert_category(model.fdc, smt_ij.fdc, smt_ji.fdc)
-    fe_i, fe_j, fe_exact = invert_category(model.fe, smt_ij.fe, smt_ji.fe)
-    be_i, be_j, be_exact = invert_category(model.be, smt_ij.be, smt_ji.be)
+    fdc = invert_category(model.fdc, smt_ij.fdc, smt_ji.fdc)
+    fe = invert_category(model.fe, smt_ij.fe, smt_ji.fe)
+    be = invert_category(model.be, smt_ij.be, smt_ji.be)
+    if fdc is None or fe is None or be is None:
+        return _DEGRADED
     return InversionResult(
-        st_i=unit_vector(fdc_i, fe_i, be_i),
-        st_j=unit_vector(fdc_j, fe_j, be_j),
-        degraded=not (fdc_exact and fe_exact and be_exact),
+        st_i=unit_vector(fdc[0], fe[0], be[0]),
+        st_j=unit_vector(fdc[1], fe[1], be[1]),
+        degraded=False,
     )

@@ -5,16 +5,13 @@ that :func:`synpa.interference.invert` and
 ``test_matcher.py`` is for the matcher.
 
 Each step is its own helper here: the linear seed, the damped Newton
-polish, the squared residual, the clip to [0, 1], the edge minimum and
-the closed-form minimum over the unit square.  The package runs the
-same arithmetic, in the same order, as one plain-float kernel.
+polish, the squared residual and the clip to [0, 1].  The package runs
+the same arithmetic, in the same order, as one plain-float kernel.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 from synpa.dispatch import CATEGORIES, CategoryTriple, category_values, unit_vector
 from synpa.errors import ModelError
@@ -85,79 +82,24 @@ def _clip_unit(value: float) -> float:
     return min(max(value, 0.0), 1.0)
 
 
-def _edge_minimum(c1: float, d1: float, c2: float, d2: float) -> float:
-    """Minimiser over [0, 1] of ``(c1 + d1 t)^2 + (c2 + d2 t)^2``."""
-    denom = d1 * d1 + d2 * d2
-    if denom == 0.0:
-        return 0.0
-    return _clip_unit(-(c1 * d1 + c2 * d2) / denom)
-
-
-def _box_minimum(
-    coeffs: CategoryCoefficients, u: float, v: float, roots: list[tuple[float, float]]
-) -> tuple[float, float]:
-    """Exact minimiser of the squared residual over the unit square.
-
-    With ``det J = (beta - gamma) * (beta + gamma + rho * (x + y))``, an
-    interior stationary point off the singular line ``x + y = s`` (``s =
-    -(beta + gamma) / rho``) has an invertible Jacobian and is therefore
-    an exact root.  With ``beta == gamma`` the difference of the two
-    residuals is constant and their bilinear sum is extremal on the
-    boundary; with ``rho == 0`` and ``beta == -gamma`` both residuals
-    depend on ``x - y`` only.  The minimum is thus among the solver's
-    ``roots`` (clipped to the square), the four edge minima (both
-    residuals are linear along an edge), and the stationary points of
-    the quartic residual along the singular line.  Ties keep the first
-    candidate in that order.
-    """
-    a, b, g, r = coeffs.alpha, coeffs.beta, coeffs.gamma, coeffs.rho
-    candidates = [(_clip_unit(x), _clip_unit(y)) for x, y in roots]
-    for fixed in (0.0, 1.0):
-        # x == fixed: ru = (a + b x - u) + (g + r x) y, rv = (a + g x - v) + (b + r x) y.
-        y = _edge_minimum(a + b * fixed - u, g + r * fixed, a + g * fixed - v, b + r * fixed)
-        candidates.append((fixed, y))
-    for fixed in (0.0, 1.0):
-        x = _edge_minimum(a + g * fixed - u, b + r * fixed, a + b * fixed - v, g + r * fixed)
-        candidates.append((x, fixed))
-    if r != 0.0 and b != g:
-        s = -(b + g) / r
-        lo, hi = max(0.0, s - 1.0), min(1.0, s)
-        if lo < hi:
-            # On x = t, y = s - t: ru = p - 2 g t - r t^2, rv = q - 2 b t - r t^2,
-            # and dR/dt / 4 is the cubic below.
-            p = a + g * s - u
-            q = a + b * s - v
-            cubic = [2.0 * r * r, 3.0 * r * (b + g), 2.0 * (b * b + g * g) - r * (p + q),
-                     -(g * p + b * q)]
-            lead = next((c for c in cubic if c != 0.0), 1.0)
-            if not all(math.isfinite(c / lead) for c in cubic):
-                raise ModelError(_OVERFLOW)
-            for t in np.roots(cubic).real:
-                t = min(max(float(t), lo), hi)
-                candidates.append((t, _clip_unit(s - t)))
-    return min(candidates, key=lambda c: _residual(coeffs, c[0], c[1], u, v))
-
-
 def invert_category(
     coeffs: CategoryCoefficients, u: float, v: float
-) -> tuple[float, float, bool]:
-    """Recover both threads' isolated values for one category: ``(x, y, exact)``.
+) -> tuple[float, float] | None:
+    """Recover both threads' isolated values for one category: ``(x, y)`` or None.
 
     Solves ``u = f(x, y)``, ``v = f(y, x)`` where ``f`` is the forward
     form.  With ``rho == 0`` this is a 2x2 linear solve; otherwise the
     difference of the two equations eliminates one unknown and leaves a
     quadratic, whose root in the unit square (nearest the linear seed on
-    ties) is polished by Newton iteration.  When no consistent solution
-    exists in the unit square, the result is the least-squares fit
-    constrained to the square, computed in closed form, and ``exact`` is
-    False.  ``x`` and ``y`` always lie in [0, 1].
+    ties) is polished by Newton iteration.  The result is that point
+    clipped to [0, 1], or None when it is not an exact solution in the
+    unit square.
     """
     for name, value in (("u", u), ("v", v)):
         if not math.isfinite(value):
             raise ModelError(f"observed category value {name} must be finite")
 
     seed = _linear_seed(coeffs, u, v)
-    polished: list[tuple[float, float]] = []
 
     if abs(coeffs.rho) < _LINEAR_RHO_TOL:
         x, y = seed
@@ -191,7 +133,6 @@ def invert_category(
             for c in candidates
             if -slack <= c[0] <= 1.0 + slack and -slack <= c[1] <= 1.0 + slack
         ]
-        polished = [_newton_refine(coeffs, cx, cy, u, v) for cx, cy in in_box]
 
         def from_seed(c: tuple[float, float]) -> float:
             try:
@@ -200,10 +141,8 @@ def invert_category(
                 raise ModelError(_OVERFLOW) from None
 
         # Nearest the linear seed on ties between admissible roots.
-        if in_box:
-            _, (x, y) = min(zip(in_box, polished), key=lambda cp: from_seed(cp[0]))
-        elif candidates:
-            x, y = _newton_refine(coeffs, *min(candidates, key=from_seed), u, v)
+        if candidates:
+            x, y = _newton_refine(coeffs, *min(in_box or candidates, key=from_seed), u, v)
         else:
             x, y = seed
 
@@ -211,12 +150,8 @@ def invert_category(
     scale = max(1.0, u * u + v * v)
     in_unit = -1e-9 <= x <= 1.0 + 1e-9 and -1e-9 <= y <= 1.0 + 1e-9
     if residual <= _EXACT_RESIDUAL_TOL**2 * scale and in_unit:
-        return _clip_unit(x), _clip_unit(y), True
-
-    lx, ly = _box_minimum(coeffs, u, v, [(x, y)] + polished)
-    lres = _residual(coeffs, lx, ly, u, v)
-    exact = lres <= _EXACT_RESIDUAL_TOL**2 * scale
-    return lx, ly, exact
+        return _clip_unit(x), _clip_unit(y)
+    return None
 
 
 def invert(
@@ -228,20 +163,22 @@ def invert(
     paired with *j*, and ``smt_ji`` the reverse; both must come from the
     same core and quantum.  Each category is solved independently (each
     solution lies in [0, 1]), and the resulting triples are
-    renormalized to sum to 1.  ``degraded`` is set when any category had
-    no consistent solution and used the least-squares fallback; callers
-    should prefer an earlier good estimate in that case.
+    renormalized to sum to 1.  When any category has no exact solution,
+    the result is ``degraded`` and holds no vectors.
     """
     xs: dict[str, float] = {}
     ys: dict[str, float] = {}
     degraded = False
     for name in CATEGORIES:
-        xs[name], ys[name], exact = invert_category(
-            model.category(name), smt_ij.get(name), smt_ji.get(name)
-        )
-        degraded = degraded or not exact
+        solution = invert_category(model.category(name), smt_ij.get(name), smt_ji.get(name))
+        if solution is None:
+            degraded = True
+        else:
+            xs[name], ys[name] = solution
+    if degraded:
+        return InversionResult(st_i=None, st_j=None, degraded=True)
     return InversionResult(
         st_i=unit_vector(*category_values(CategoryTriple(**xs))),
         st_j=unit_vector(*category_values(CategoryTriple(**ys))),
-        degraded=degraded,
+        degraded=False,
     )

@@ -180,7 +180,7 @@ def test_criterion_3_inversion_round_trip():
             smt_i, smt_j = predict_pair(REFERENCE_COEFFICIENTS, CategoryTriple(ci, ci, ci),
                                         CategoryTriple(cj, cj, cj))
             for k, name in enumerate(CATEGORIES):
-                x, y, _ = invert_category(REFERENCE_COEFFICIENTS.category(name), smt_i[k], smt_j[k])
+                x, y = invert_category(REFERENCE_COEFFICIENTS.category(name), smt_i[k], smt_j[k])
                 error[name] = max(error[name], abs(x - ci), abs(y - cj))
     for name, e in error.items():
         assert e < 1e-6, f"category {name}: error {e:.3g}"

@@ -775,6 +775,44 @@ class TestReplay:
         # is new in quantum 7, the first without d.
         assert [r.migrations for r in log.records] == [2, 0, 0, 0, 0, 0, 1, 0, 0, 0]
 
+    def test_degraded_inversion_keeps_the_aged_estimate(self, tmp_path):
+        # One pair, "a" and "b", is in effect every quantum.  A frontend
+        # fraction of 0.1 is below the frontend form's alpha (0.2376), so
+        # no point of the unit square fits it: quanta 0, 2 and 3 have no
+        # exact solution, while quantum 1's fractions invert exactly.
+        fractions = [(0.1, 0.5, 0.4), (0.3, 0.4, 0.3), (0.1, 0.5, 0.4), (0.1, 0.5, 0.4)]
+        samples = [
+            sample_from_fractions(quantum, thread, fe=fe, be=be, fdc=fdc, cycles=10**6,
+                                  dispatch_width=4)
+            for quantum, (fe, be, fdc) in enumerate(fractions)
+            for thread in ("a", "b")
+        ]
+        header = TraceHeader(dispatch_width=4, quantum_ms=100.0, threads=("a", "b"))
+        path = tmp_path / "degraded.trace"
+        path.write_text(format_trace(header, samples), encoding="utf-8")
+
+        log = run(EngineConfig(trace_path=str(path), policy="synpa", seed=0))
+        records = log.records
+        assert [r.pairs for r in records] == [(("a", "b"),)] * 4
+        assert [r.degraded for r in records] == [
+            {"a": deg, "b": deg} for deg in (True, False, True, True)
+        ]
+        lines = log.to_jsonl().splitlines()[1:-1]
+        assert [json.loads(line)["degraded"] for line in lines] == [r.degraded for r in records]
+        good = interference.invert(
+            REFERENCE_COEFFICIENTS, records[1].observed["a"], records[1].observed["b"])
+        # Before any good estimate, both threads hold the uniform prior;
+        # after one, the last good estimate blended toward that prior.
+        assert records[0].estimates == {"a": UNIFORM_VECTOR, "b": UNIFORM_VECTOR}
+        assert records[1].estimates == {"a": good.st_i, "b": good.st_j}
+        for record, age in ((records[2], 1), (records[3], 2)):
+            w = engine.ESTIMATE_DECAY**age
+            assert record.estimates == {
+                app: CategoryVector(**{n: w * vec.get(n) + (1.0 - w) * UNIFORM_VECTOR.get(n)
+                                       for n in CATEGORIES})
+                for app, vec in (("a", good.st_i), ("b", good.st_j))
+            }
+
     @pytest.mark.parametrize("policy", POLICIES)
     def test_logged_slowdowns_are_the_model_predictions(self, tmp_path, policy):
         # Five threads (one sits with the idle node), "e" joins at the

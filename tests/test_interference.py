@@ -547,10 +547,9 @@ class TestInvertCategory:
         # solves to (0, 0).
         for name in ("fe", "be"):
             coeffs = REFERENCE_COEFFICIENTS.category(name)
-            x, y, exact = invert_category(coeffs, coeffs.alpha, coeffs.alpha)
+            x, y = invert_category(coeffs, coeffs.alpha, coeffs.alpha)
             assert x == pytest.approx(0.0, abs=1e-12)
             assert y == pytest.approx(0.0, abs=1e-12)
-            assert exact
 
     def test_linear_exact_solve(self):
         # rho = 0 makes the two-equation system an exact 2x2 solve.
@@ -558,10 +557,9 @@ class TestInvertCategory:
         x_true, y_true = 0.62, 0.17
         u = reference_forward(coeffs, x_true, y_true)
         v = reference_forward(coeffs, y_true, x_true)
-        x, y, exact = invert_category(coeffs, u, v)
+        x, y = invert_category(coeffs, u, v)
         assert x == pytest.approx(x_true, abs=1e-9)
         assert y == pytest.approx(y_true, abs=1e-9)
-        assert exact
 
     @pytest.mark.parametrize("name", list(CATEGORIES))
     def test_round_trip_random(self, name):
@@ -578,19 +576,17 @@ class TestInvertCategory:
             y_true = rng.uniform(0.01, 0.99)
             u = reference_forward(coeffs, x_true, y_true)
             v = reference_forward(coeffs, y_true, x_true)
-            x, y, exact = invert_category(coeffs, u, v)
+            x, y = invert_category(coeffs, u, v)
             assert abs(x - x_true) < 1e-6
             assert abs(y - y_true) < 1e-6
-            assert exact
 
     def test_singular_symmetric_fallback(self):
         # beta == gamma with rho = 0 leaves only x + y determined; the
         # solver picks the symmetric solution.
         coeffs = CategoryCoefficients(alpha=0.1, beta=0.5, gamma=0.5, rho=0.0)
-        x, y, exact = invert_category(coeffs, 0.6, 0.6)
+        x, y = invert_category(coeffs, 0.6, 0.6)
         assert x == pytest.approx(0.5, abs=1e-12)
         assert y == pytest.approx(0.5, abs=1e-12)
-        assert exact
 
     def test_inconsistent_observation_degrades(self):
         # The frontend form cannot produce values above
@@ -603,24 +599,23 @@ class TestInvertCategory:
             (CategoryCoefficients(alpha=0.1, beta=0.5, gamma=0.5, rho=0.2), 0.3, 0.9),
         ]
         for coeffs, u, v in cases:
-            x, y, exact = invert_category(coeffs, u, v)
-            assert not exact
-            assert 0.0 <= x <= 1.0
-            assert 0.0 <= y <= 1.0
+            assert invert_category(coeffs, u, v) is None
 
     @settings(max_examples=300, deadline=None)
     @given(case=inversion_cases())
     def test_result_is_box_least_squares(self, case):
-        # Whether or not a consistent solution exists, the result lies
-        # in the unit square and no point of a dense grid over the
-        # square fits the observations better.
+        # An exact result lies in the unit square and fits within the
+        # residual tolerance; None comes back only when the least squares
+        # over a dense grid of the square is outside that tolerance.
         coeffs, u, v = case
-        x, y, exact = invert_category(coeffs, u, v)
-        assert 0.0 <= x <= 1.0 and 0.0 <= y <= 1.0
-        got = squared_residual(coeffs, x, y, u, v)
-        assert got <= float(squared_residual(coeffs, GRID_X, GRID_Y, u, v).min()) + 1e-9
-        if exact:
-            assert got <= 1e-8**2 * max(1.0, u * u + v * v)
+        solution = invert_category(coeffs, u, v)
+        tolerance = 1e-8**2 * max(1.0, u * u + v * v)
+        if solution is None:
+            assert float(squared_residual(coeffs, GRID_X, GRID_Y, u, v).min()) > tolerance
+        else:
+            x, y = solution
+            assert 0.0 <= x <= 1.0 and 0.0 <= y <= 1.0
+            assert squared_residual(coeffs, x, y, u, v) <= tolerance
 
     def test_non_finite_observation_rejected(self):
         coeffs = REFERENCE_COEFFICIENTS.fe
@@ -673,9 +668,7 @@ class TestInvert:
         bad = CategoryTriple(fe=5.0, be=0.2, fdc=0.2)
         result = invert(REFERENCE_COEFFICIENTS, bad, bad)
         assert result.degraded
-        for vec in (result.st_i, result.st_j):
-            for name in CATEGORIES:
-                assert 0.0 <= vec.get(name) <= 1.0
+        assert result.st_i is None and result.st_j is None
 
     def test_consistent_pair_not_degraded(self):
         st = CategoryVector(fe=0.3, be=0.3, fdc=0.4)
@@ -689,13 +682,16 @@ def bits(*values):
 
 
 def solution_bits(solution):
-    x, y, exact = solution
-    return (*bits(x, y), exact)
+    """An exact solution's bits, or None."""
+    return None if solution is None else bits(*solution)
+
+
+def vector_bits(vector):
+    return None if vector is None else bits(*(vector.get(n) for n in CATEGORIES))
 
 
 def result_bits(result):
-    return (*bits(*(result.st_i.get(n) for n in CATEGORIES)),
-            *bits(*(result.st_j.get(n) for n in CATEGORIES)), result.degraded)
+    return vector_bits(result.st_i), vector_bits(result.st_j), result.degraded
 
 
 def outcome(fn, *args):
@@ -709,9 +705,8 @@ def outcome(fn, *args):
 @st.composite
 def oracle_forms(draw):
     """One category's form: arbitrary, ``rho = 0``, ``beta = +/-gamma``,
-    all zero, a singular line ``x + y = -(beta + gamma) / rho`` crossing
-    the unit square (the solver's ``np.roots`` branch), or a reference
-    form."""
+    all zero, a singular line ``x + y = -(beta + gamma) / rho`` of the
+    Jacobian crossing the unit square, or a reference form."""
     kind = draw(st.sampled_from(
         ["any", "linear", "beta_eq_gamma", "beta_eq_minus_gamma", "zero", "singular_line",
          "reference"]
@@ -777,28 +772,6 @@ class TestInversionOracle:
         got = invert_category(*case)
         assert solution_bits(got) == solution_bits(reference_inversion.invert_category(*case))
 
-    def test_singular_line_branch_is_covered(self, monkeypatch):
-        # Observations no point of the square fits, for forms whose
-        # singular line crosses it: the least squares fit solves the cubic
-        # along that line.  In the last case the fit is the point of that
-        # line at x = 0.0098, near where the line leaves the square.
-        calls = []
-        roots = np.roots
-        monkeypatch.setattr(np, "roots", lambda p: calls.append(p) or roots(p))
-        line_08 = CategoryCoefficients(alpha=0.1, beta=0.1, gamma=0.7, rho=-1.0)
-        cases = [(line_08, u, v) for u, v in [(2.0, -1.0), (0.9, 0.1), (-0.5, 1.5), (0.3, 0.3)]]
-        near_edge = CategoryCoefficients(
-            alpha=0.7904631773539146, beta=0.5250586258891646,
-            gamma=-0.5834388750775749, rho=0.06175615765294634,
-        )
-        cases.append((near_edge, -0.3628974471383968, 0.5965284560483473))
-        for case in cases:
-            got = invert_category(*case)
-            assert solution_bits(got) == solution_bits(reference_inversion.invert_category(*case))
-        assert len(calls) >= len(cases) - 2
-        x, _, exact = invert_category(*cases[-1])
-        assert not exact and abs(x - 0.0098246) < 1e-6
-
     def test_errors_match(self):
         coeffs = REFERENCE_COEFFICIENTS.fdc
         for u, v in [(math.inf, 0.3), (0.3, math.nan), (math.nan, math.inf)]:
@@ -806,30 +779,23 @@ class TestInversionOracle:
                 reference_inversion.invert_category, coeffs, u, v
             )
         # An in-domain form whose linear seed meets inf - inf on huge
-        # observations, so fe alone solves to NaN: both name that category.
+        # observations, so fe alone solves to NaN, which is no exact
+        # solution: both degrade.
         wild = CategoryCoefficients(alpha=0.0, beta=1e6, gamma=5e5, rho=0.0)
         model = ModelCoefficients(fdc=REFERENCE_COEFFICIENTS.fdc, fe=wild, be=REFERENCE_COEFFICIENTS.be)
         smt_ij = CategoryTriple(fe=1e303, be=0.3, fdc=0.4)
         smt_ji = CategoryTriple(fe=1e303, be=0.3, fdc=0.4)
-        got = outcome(invert, model, smt_ij, smt_ji)
-        want = outcome(reference_inversion.invert, model, smt_ij, smt_ji)
-        assert got == want == (ModelError, "category fe must be finite, got nan")
+        got = result_bits(invert(model, smt_ij, smt_ji))
+        assert got == result_bits(reference_inversion.invert(model, smt_ij, smt_ji)) == (None, None, True)
 
     @pytest.mark.parametrize("form, u, v", [
-        # The least squares fit's cubic along the singular line overflows:
-        # its p + q is beyond float range.
-        ((0.0, 1.0, -1.0 - 1e-12, 9e-13), 1e308, 1e308),
-        # The cubic is finite, but np.roots' division by its leading
-        # coefficient, a subnormal 2 * rho**2, overflows.
-        ((0.0, 1e-160, -1.5e-160, 1e-160), 1e150, 1e150),
         # A root's distance from the linear seed is beyond float range.
         ((0.0, 1.0, 0.0, 1e-12), 1e300, 0.0),
-    ], ids=["cubic", "cubic-over-lead", "root-distance"])
+    ], ids=["root-distance"])
     def test_overflowing_form_is_a_model_error(self, form, u, v):
-        # In-domain forms with a tiny rho, next to observations beyond any
-        # forward value: without the check, np.roots would meet the first
-        # two with a RuntimeWarning and a LinAlgError, and the third ends in
-        # an OverflowError.
+        # An in-domain form with a tiny rho, next to observations beyond any
+        # forward value: without the check, the distance ends in an
+        # OverflowError.
         wild = CategoryCoefficients(*form)
         error = (ModelError, "inversion overflows: the form's values are beyond float range")
         got = outcome(invert_category, wild, u, v)
